@@ -12,9 +12,9 @@ from .errors import (CertificateCheckFailed, DegreeOutOfRange, DegreeTooLarge,
                      DegreeUnsupported, DivisionByZeroPoly, EvenPrime,
                      ForbiddenResidue, ForbiddenValue, HiggsflowError,
                      IndexOutOfRange, InternalDivisibilityFailure,
-                     InvalidRange, MethodUnavailable, NonInvertible,
-                     NotPrime, NotSquare, ProfileMismatch, ReducibleMinpoly,
-                     UnstableDimension)
+                     InternalInvariantFailure, InvalidRange, MethodUnavailable,
+                     NonInvertible, NotPrime, NotSquare, ProfileMismatch,
+                     ReducibleMinpoly, UnstableDimension)
 from .fields import (FieldElement, ReductionContext, WittParameter,
                      WittRingElement, frobenius_w2, make_context, teichmuller,
                      witt_compose, witt_decompose)

@@ -41,6 +41,10 @@ class InternalDivisibilityFailure(HiggsflowError):
     """A quantity that must be divisible by p was not; signals a bug."""
 
 
+class InternalInvariantFailure(HiggsflowError):
+    """An internal invariant that holds for every valid input broke; signals a bug."""
+
+
 class CertificateCheckFailed(HiggsflowError):
     """A factorization certificate failed one of its invariants."""
 

@@ -12,7 +12,9 @@ P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).
 Everything is certified: the returned object carries (f, g, h, l, c,
 beta', gamma', alpha, P, Q) and every invariant is checked before it is
 handed back; random-point verification of the diagonalization is part of
-construction, not an afterthought.
+construction, not an afterthought.  That verification is a Schwartz-Zippel
+test at 20 random points of an extension with at least 4p+8 elements,
+batched over the points in int64 numpy arithmetic (see FieldExtension).
 """
 
 from __future__ import annotations
@@ -253,10 +255,33 @@ def splitting_from_birkhoff(ctx: ReductionContext, lam: WittRingElement,
     return SplittingType.of(cert.n, "birkhoff")
 
 
-def _matmul2(ext, x, y):
-    return tuple(tuple(
-        ext.add(ext.mul(x[i][0], y[0][j]), ext.mul(x[i][1], y[1][j]))
-        for j in range(2)) for i in range(2))
+def eval_pole_fractions(ext, fracs: list[PoleFraction], z: np.ndarray) -> np.ndarray:
+    """Values (K, N, m) of K pole fractions at N extension points, in one pass.
+
+    Every numerator is evaluated at every point by one contraction of its
+    F_p coefficients against the table of z^0..z^D; num / (z^a (z-1)^b)
+    then multiplies by entries a and b of the power tables of 1/z and
+    1/(z-1).  Raises ZeroDivisionError when a point is 0 or 1.
+    """
+    zinv, zm1inv = ext.inv(z), ext.inv((z - ext.one) % ext.ctx.p)
+    d = ext.ctx.d
+    coeffs = np.zeros((len(fracs), max(len(fr.num.v) for fr in fracs), d), np.int64)
+    for k, fr in enumerate(fracs):
+        if fr.num.v:
+            coeffs[k, : len(fr.num.v)] = np.array(fr.num.v, np.int64).reshape(-1, d)
+    a = np.array([fr.a for fr in fracs])
+    b = np.array([fr.b for fr in fracs])
+    return ext.mul(ext.mul(ext.evaluate(coeffs, z), ext.powers(zinv, a.max())[a]),
+                   ext.powers(zm1inv, b.max())[b])
+
+
+def _matmul2(ext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """2x2 products of (2, 2, N, m) matrices of extension elements, pointwise."""
+    return ext.mul(x[:, :, None], y[None]).sum(axis=1) % ext.ctx.p
+
+
+def _det2(ext, x: np.ndarray) -> np.ndarray:
+    return (ext.mul(x[0, 0], x[1, 1]) - ext.mul(x[0, 1], x[1, 0])) % ext.ctx.p
 
 
 def verify_certificate(m: TransitionMatrix, cert: FactorizationCertificate,
@@ -264,70 +289,60 @@ def verify_certificate(m: TransitionMatrix, cert: FactorizationCertificate,
                        points: int = _DEFAULT_VERIFY_POINTS) -> bool:
     """Evaluate every certificate identity at random points.
 
-    Checks, at each of `points` random points of an extension with at
-    least 4p+8 elements avoiding {0, 1, lam0}: the step-1 congruence
-    f*A + g*z^p = h*(z-1)^(2p), the Bezout relation
+    Checks, at `points` distinct random points of the least extension
+    F_{q^e} with q^e >= 4p+8 elements, avoiding {0, 1, lam0}: the step-1
+    congruence f*A + g*z^p = h*(z-1)^(2p), the Bezout relation
     f*gamma' + g*beta' = (z-1)^(2p), the alpha relation
     alpha*z^p*(z-1)^(2p) = z^p*gamma' - A*beta', unimodularity of P and Q,
     and P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)).  Any arithmetic failure
     counts as rejection.
+
+    The points are drawn by rng.randrange over the canonical indices of the
+    extension, skipping repeats and {0, 1, lam0}; all of them are then
+    checked at once, every quantity being a pole fraction evaluated by
+    :func:`eval_pole_fractions`.
     """
     ctx = m.cocycle.ctx
-    p = ctx.p
     rng = rng if rng is not None else random.Random(0)
     degree = 1
-    while ctx.q ** degree < 4 * p + 8:
+    while ctx.q ** degree < 4 * ctx.p + 8:
         degree += 1
     ext = ctx.extension(degree)
-    lam0 = m.cocycle.witt.lam0
-    forbidden = {ext.embed(ctx.zero.vec), ext.embed(ctx.one.vec), ext.embed(lam0.vec)}
-
-    sample: list = []
-    seen = set(forbidden)
+    # canonical indices of 0, 1 and lam0 in the extension
+    seen = {0, 1, m.cocycle.witt.lam0.index()}
+    sample: list[int] = []
     while len(sample) < points:
-        z = ext.random_element(rng)
-        if z in seen:
-            continue
-        seen.add(z)
-        sample.append(z)
-
-    one = ext.one()
+        n = rng.randrange(ext.size)
+        if n not in seen:
+            seen.add(n)
+            sample.append(n)
     try:
-        for z in sample:
-            zm1 = ext.sub(z, one)
-            zp = ext.pow(z, p)
-            d2 = ext.pow(zm1, 2 * p)
-            av = m.cocycle.A.eval_ext(ext, z)
-            fv = cert.f.eval_ext(ext, z)
-            gv = cert.g.eval_ext(ext, z)
-            hv = cert.h.eval_ext(ext, z)
-            bv = cert.beta_prime.eval_ext(ext, z)
-            cv = cert.gamma_prime.eval_ext(ext, z)
-            lhs = ext.add(ext.mul(fv, av), ext.mul(gv, zp))
-            if lhs != ext.mul(hv, d2):
-                return False
-            if ext.add(ext.mul(fv, cv), ext.mul(gv, bv)) != d2:
-                return False
-            alpha_val = cert.alpha.eval_ext(ext, z)
-            if ext.mul(ext.mul(alpha_val, zp), d2) != \
-                    ext.sub(ext.mul(zp, cv), ext.mul(av, bv)):
-                return False
-            pm = tuple(tuple(e.eval_ext(ext, z) for e in row) for row in cert.P)
-            qm = tuple(tuple(e.eval_ext(ext, z) for e in row) for row in cert.Q)
-            mm = tuple(tuple(m.entry(i, j).eval_ext(ext, z) for j in range(2))
-                       for i in range(2))
-            for frame in (pm, qm):
-                det = ext.sub(ext.mul(frame[0][0], frame[1][1]),
-                              ext.mul(frame[0][1], frame[1][0]))
-                if det != one:
-                    return False
-            prod = _matmul2(ext, pm, _matmul2(ext, mm, qm))
-            diag0 = ext.pow(zm1, p - cert.c)
-            diag1 = ext.pow(zm1, cert.c - p)
-            if prod[0][0] != diag0 or prod[1][1] != diag1:
-                return False
-            if not (ext.is_zero(prod[0][1]) and ext.is_zero(prod[1][0])):
-                return False
+        return _identities_hold(ext, m, cert, ext.from_indices(sample))
     except ZeroDivisionError:
         return False
-    return True
+
+
+def _identities_hold(ext, m: TransitionMatrix, cert: FactorizationCertificate,
+                     z: np.ndarray) -> bool:
+    ctx = ext.ctx
+    p, mul, one = ctx.p, ext.mul, Poly.one(ctx)
+    fracs = [PoleFraction(f) for f in (m.cocycle.A, cert.f, cert.g, cert.h,
+                                       cert.beta_prime, cert.gamma_prime,
+                                       Poly.monomial(ctx, p), z_minus_one_pow(ctx, 2 * p))]
+    fracs += [PoleFraction(cert.alpha.poly, -cert.alpha.val),
+              PoleFraction(one, 0, cert.c - p), PoleFraction(one, 0, p - cert.c)]
+    fracs += [e for frame in (cert.P, m.entries, cert.Q) for row in frame for e in row]
+    vals = eval_pole_fractions(ext, fracs, z)
+    av, fv, gv, hv, bv, cv, zp, d2, alpha, diag0, diag1 = vals[:11]
+    pm, mm, qm = vals[11:].reshape((3, 2, 2) + z.shape)
+    diag = np.zeros_like(pm)
+    diag[0, 0], diag[1, 1] = diag0, diag1
+    checks = (
+        ((mul(fv, av) + mul(gv, zp)) % p, mul(hv, d2)),
+        ((mul(fv, cv) + mul(gv, bv)) % p, d2),
+        (mul(mul(alpha, zp), d2), (mul(zp, cv) - mul(av, bv)) % p),
+        (_det2(ext, pm), ext.one),
+        (_det2(ext, qm), ext.one),
+        (_matmul2(ext, pm, _matmul2(ext, mm, qm)), diag),
+    )
+    return all((lhs == rhs).all() for lhs, rhs in checks)

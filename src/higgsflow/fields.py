@@ -8,6 +8,10 @@ Ring operations are then ordinary polynomial arithmetic; Witt coordinates
 Elements are stored as coefficient "vecs": a plain int when d == 1, a
 tuple of ints otherwise.  The wrapper classes :class:`FieldElement` and
 :class:`WittRingElement` expose operators on top of the vec layer.
+
+:class:`FieldExtension` is the extension F_{q^e} in which certificates are
+checked at random points.  Its elements are int64 coordinate arrays over
+F_p, so one numpy operation acts on every sample point at once.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .errors import DegreeOutOfRange, EvenPrime, ForbiddenResidue, NotPrime
+import numpy as np
+
+from .errors import (DegreeOutOfRange, EvenPrime, ForbiddenResidue, InvalidRange,
+                     NotPrime)
 
 WittConvention = Literal["standard", "twisted"]
 
@@ -651,11 +658,17 @@ def witt_compose(lam0: FieldElement, lam1: FieldElement,
 
 
 class FieldExtension:
-    """F_{q^e} as a quotient of F_q[y], for sampling evaluation points.
+    """F_{q^e} = F_q[y]/(modulus) in dense coordinates over F_p, for batched checks.
 
-    Elements are tuples of e field vecs.  Only add/sub/mul/inv/pow and
-    embedding of F_q constants are provided; this is scaffolding for
-    random-point identity checks, not a general tower implementation.
+    The modulus is the least monic degree-e polynomial over F_q without a
+    root in F_q (irreducible, since e <= 3).  An element is an int64 array
+    of its m = e*d coordinates on the basis x^i y^j (index j*d + i), so N
+    points form an (N, m) array and every operation acts on all of them at
+    once.  Multiplication contracts the outer product of two elements with
+    one (m*m, m) structure tensor over F_p.  Coordinates stay below p, so a
+    product sums m*m terms below p^3 and a polynomial evaluation sums
+    (deg+1)*d terms below p^2; :func:`check_int64_headroom` keeps both
+    inside int64 for every certificate degree (at most 2p).
     """
 
     def __init__(self, ctx: ReductionContext, degree: int):
@@ -663,12 +676,13 @@ class FieldExtension:
             raise DegreeOutOfRange("evaluation extensions support degree 1..3")
         self.ctx = ctx
         self.e = degree
+        self.m = degree * ctx.d
         self.size = ctx.q ** degree
-        if degree == 1:
-            self.modulus = None
-        else:
-            self.modulus = self._find_modulus()
-        self._setup_fast_ops()
+        check_int64_headroom(ctx.p, ctx.d, self.m, 2 * ctx.p)
+        self.modulus = None if degree == 1 else self._find_modulus()
+        self.tensor = self._structure_tensor()
+        self.one = self.embed(ctx.one.vec)
+        self.one.setflags(write=False)
 
     def _find_modulus(self):
         # monic degree-e poly over F_q without roots; enough for e <= 3
@@ -693,145 +707,94 @@ class FieldExtension:
                 return True
         return False
 
-    # elements: tuples of length e of field vecs
-    def embed(self, vec):
-        if self.e == 1:
-            return (vec,)
-        return (vec,) + (self.ctx.zero.vec,) * (self.e - 1)
+    def _structure_tensor(self) -> np.ndarray:
+        """Row a*m + b holds the coordinates of basis_a * basis_b."""
+        ctx, e, d, m = self.ctx, self.e, self.ctx.d, self.m
+        zero, one = ctx.zero.vec, ctx.one.vec
+        # y^k reduced by the modulus for k = 0 .. 2e-2, as e-lists of F_q vecs
+        ypow = [[one if j == k else zero for j in range(e)] for k in range(e)]
+        for _ in range(e - 1):
+            top = ypow[-1][-1]
+            ypow.append([ctx.fsub(low, ctx.fmul(top, c))
+                         for low, c in zip([zero] + ypow[-1][:-1], self.modulus)])
+        xpow = [ctx.f_from_coeffs([0] * i + [1]).vec for i in range(d)]
+        t = np.zeros((m, m, m), np.int64)
+        for a in range(m):
+            for b in range(m):
+                (ja, ia), (jb, ib) = divmod(a, d), divmod(b, d)
+                x = ctx.fmul(xpow[ia], xpow[ib])
+                for j, c in enumerate(ypow[ja + jb]):
+                    t[a, b, j * d:(j + 1) * d] = FieldElement(ctx, ctx.fmul(x, c)).coeffs()
+        return t.reshape(m * m, m)
 
-    def zero(self):
-        return self.embed(self.ctx.zero.vec)
+    def embed(self, vec) -> np.ndarray:
+        """The F_q element with coefficient vec, as an extension element."""
+        out = np.zeros(self.m, np.int64)
+        out[: self.ctx.d] = FieldElement(self.ctx, vec).coeffs()
+        return out
 
-    def one(self):
-        return self.embed(self.ctx.one.vec)
+    def from_indices(self, indices) -> np.ndarray:
+        """Elements by canonical index (base-q digits over F_q, each in base p)."""
+        p = self.ctx.p
+        return np.array([[n // p ** k % p for k in range(self.m)] for n in indices],
+                        np.int64).reshape(-1, self.m)
 
-    def add(self, a, b):
-        f = self.ctx.fadd
-        return tuple(f(x, y) for x, y in zip(a, b))
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of broadcast-compatible element arrays of shape (..., m)."""
+        outer = a[..., :, None] * b[..., None, :]
+        return outer.reshape(outer.shape[:-2] + (-1,)) @ self.tensor % self.ctx.p
 
-    def sub(self, a, b):
-        f = self.ctx.fsub
-        return tuple(f(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        f = self.ctx.fneg
-        return tuple(f(x) for x in a)
-
-    def _setup_fast_ops(self):
-        """Bind mul and Horner evaluation, specialised by (e, base degree)."""
-        ctx, e = self.ctx, self.e
-        if e == 1:
-            fmul, fadd = ctx.fmul, ctx.fadd
-
-            def mul1(a, b):
-                return (fmul(a[0], b[0]),)
-
-            def eval1(vecs, point):
-                acc, z = ctx.zero.vec, point[0]
-                for c in reversed(vecs):
-                    acc = fadd(fmul(acc, z), c)
-                return (acc,)
-
-            self.mul, self.eval_poly = mul1, eval1
-            return
-
-        if e == 2 and ctx.d == 1:
-            p = ctx.p
-            n0, n1 = (-self.modulus[0]) % p, (-self.modulus[1]) % p
-
-            def mul2(a, b):
-                a0, a1 = a
-                b0, b1 = b
-                t2 = a1 * b1
-                return ((a0 * b0 + t2 * n0) % p,
-                        (a0 * b1 + a1 * b0 + t2 * n1) % p)
-
-            def eval2(vecs, point):
-                z0, z1 = point
-                a0 = a1 = 0
-                for c in reversed(vecs):
-                    t2 = a1 * z1
-                    b0 = a0 * z0 + t2 * n0
-                    a1 = (a0 * z1 + a1 * z0 + t2 * n1) % p
-                    a0 = (b0 + c) % p
-                return (a0, a1)
-
-            self.mul, self.eval_poly = mul2, eval2
-            return
-
-        if e == 2:
-            fmul, fadd, fneg = ctx.fmul, ctx.fadd, ctx.fneg
-            n0, n1 = fneg(self.modulus[0]), fneg(self.modulus[1])
-
-            def mul2v(a, b):
-                a0, a1 = a
-                b0, b1 = b
-                t2 = fmul(a1, b1)
-                return (fadd(fmul(a0, b0), fmul(t2, n0)),
-                        fadd(fadd(fmul(a0, b1), fmul(a1, b0)), fmul(t2, n1)))
-
-            def eval2v(vecs, point):
-                z0, z1 = point
-                a0 = a1 = ctx.zero.vec
-                for c in reversed(vecs):
-                    t2 = fmul(a1, z1)
-                    b0 = fadd(fmul(a0, z0), fmul(t2, n0))
-                    a1 = fadd(fadd(fmul(a0, z1), fmul(a1, z0)), fmul(t2, n1))
-                    a0 = fadd(b0, c)
-                return (a0, a1)
-
-            self.mul, self.eval_poly = mul2v, eval2v
-            return
-
-        def mul_gen(a, b):
-            t = [ctx.zero.vec] * (2 * e - 1)
-            for i, ai in enumerate(a):
-                if not ctx.f_is_zero(ai):
-                    for j, bj in enumerate(b):
-                        t[i + j] = ctx.fadd(t[i + j], ctx.fmul(ai, bj))
-            for k in range(2 * e - 2, e - 1, -1):
-                c = t[k]
-                if ctx.f_is_zero(c):
-                    continue
-                # y^k = y^(k-e) * (y^e mod modulus)
-                for j in range(e):
-                    mj = ctx.fneg(self.modulus[j])
-                    t[k - e + j] = ctx.fadd(t[k - e + j], ctx.fmul(c, mj))
-            return tuple(t[:e])
-
-        def eval_gen(vecs, point):
-            acc = self.zero()
-            for c in reversed(vecs):
-                acc = self.add(self.mul(acc, point), self.embed(c))
-            return acc
-
-        self.mul, self.eval_poly = mul_gen, eval_gen
-
-    def pow(self, a, n: int):
+    def pow(self, a: np.ndarray, n: int) -> np.ndarray:
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result, acc = self.one(), a
+        result = np.broadcast_to(self.one, a.shape)
         while n:
             if n & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
+                result = self.mul(result, a)
             n >>= 1
+            if n:
+                a = self.mul(a, a)
         return result
 
-    def inv(self, a):
-        if all(self.ctx.f_is_zero(x) for x in a):
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        if not a.any(axis=-1).all():
             raise ZeroDivisionError("inverse of zero in evaluation extension")
         return self.pow(a, self.size - 2)
 
-    def is_zero(self, a) -> bool:
-        return all(self.ctx.f_is_zero(x) for x in a)
+    def powers(self, a: np.ndarray, n: int) -> np.ndarray:
+        """a^0 .. a^n stacked on a new leading axis, filled by doubling."""
+        out = np.empty((n + 1,) + a.shape, np.int64)
+        out[0] = self.one
+        k = 1
+        while k <= n:
+            step = min(k, n + 1 - k)
+            out[k:k + step] = self.mul(out[:step], a)
+            a = self.mul(a, a)
+            k *= 2
+        return out
 
-    def from_index(self, n: int):
-        digits, m = [], n
-        for _ in range(self.e):
-            m, r = divmod(m, self.ctx.q)
-            digits.append(self.ctx.f_from_index(r).vec)
-        return tuple(digits)
+    def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Values (K, N, m) at N points z of K polynomials over F_q.
 
-    def random_element(self, rng):
-        return self.from_index(rng.randrange(self.size))
+        coeffs (K, D+1, d) holds their coefficients over F_p.  The rows
+        z^k x^i (k <= D, i < d) form one table, and a single contraction
+        against it evaluates every polynomial at every point.
+        """
+        ctx = self.ctx
+        k, terms, d = coeffs.shape
+        check_int64_headroom(ctx.p, d, self.m, terms - 1)
+        xmul = self.tensor.reshape(self.m, self.m, self.m)[:d]
+        table = np.einsum("knb,ibc->kinc", self.powers(z, terms - 1), xmul) % ctx.p
+        values = coeffs.reshape(k, -1) @ table.reshape(terms * d, -1) % ctx.p
+        return values.reshape(k, -1, self.m)
+
+
+def check_int64_headroom(p: int, d: int, m: int, degree: int) -> None:
+    """Raise InvalidRange unless batched arithmetic at these sizes fits int64.
+
+    An extension product sums m*m terms below p^3; evaluating a degree-D
+    polynomial over F_{p^d} sums (D+1)*d terms below p^2.
+    """
+    worst = max(m * m * (p - 1) ** 3, (degree + 1) * d * (p - 1) ** 2)
+    if worst >= 2 ** 63:
+        raise InvalidRange(f"p = {p}, degree {degree}: batched evaluation overflows int64")

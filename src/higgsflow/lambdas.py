@@ -16,7 +16,8 @@ from importlib import resources
 from math import gcd, isqrt
 
 from .errors import (DegreeUnsupported, ForbiddenResidue, ForbiddenValue,
-                     NonInvertible, NotPrime, ReducibleMinpoly)
+                     InternalInvariantFailure, NonInvertible, NotPrime,
+                     ReducibleMinpoly)
 from .fields import (ReductionContext, WittParameter, WittRingElement,
                      is_prime, make_context, witt_decompose)
 
@@ -169,7 +170,8 @@ def _lift_prime_root(spec: LambdaSpec, p: int, root: int, place: int,
         return _datum_for_residue_fault(p, place, 1, False)
     ctx = make_context(p, 1)
     w = ctx.w_from_int(lam)
-    assert _minpoly_eval_ring(c, w).is_zero(), "Hensel lift failed"
+    if not _minpoly_eval_ring(c, w).is_zero():
+        raise InternalInvariantFailure(f"Hensel lift failed at p = {p}")
     return ReductionDatum(p=p, place=place, d=1,
                           witt=witt_decompose(w, convention))
 
@@ -178,7 +180,9 @@ def _inert_roots(spec: LambdaSpec, ctx: ReductionContext):
     c0, c1, c2 = spec.minpoly
     disc = ctx.f_from_int(c1 * c1 - 4 * c0 * c2)
     theta_vec = ctx.f_sqrt(disc.vec)
-    assert theta_vec is not None, "discriminant must be a square in F_{p^2}"
+    if theta_vec is None:
+        raise InternalInvariantFailure(
+            f"discriminant is not a square in F_{{p^2}} at p = {ctx.p}")
     theta = type(disc)(ctx, theta_vec)
     half = (ctx.f_from_int(2) * ctx.f_from_int(c2)).inverse()
     minus_c1 = ctx.f_from_int(-c1)
@@ -219,10 +223,10 @@ def reduce_at_prime(spec: LambdaSpec, p: int, convention: str = "standard",
         s = ctx.f_sqrt(disc % p)
         inv = pow(2 * c2 % p, p - 2, p)
         roots = sorted(((-c1 + s) * inv % p, (-c1 - s) * inv % p))
-        out = [_lift_prime_root(spec, p, r, i, convention)
-               for i, r in enumerate(roots)]
-        assert len({r for r in roots}) == 2, "split roots must be distinct"
-        return out
+        if roots[0] == roots[1]:
+            raise InternalInvariantFailure(f"split roots coincide at p = {p}")
+        return [_lift_prime_root(spec, p, r, i, convention)
+                for i, r in enumerate(roots)]
 
     ctx = make_context(p, 2)
     roots = _inert_roots(spec, ctx)
@@ -238,7 +242,8 @@ def reduce_at_prime(spec: LambdaSpec, p: int, convention: str = "standard",
         x = r.lift()
         fpx = ctx.w_from_int(2 * c2) * x + ctx.w_from_int(c1)
         lam = x - _minpoly_eval_ring(c, x) * fpx.inverse()
-        assert _minpoly_eval_ring(c, lam).is_zero(), "ring Hensel lift failed"
+        if not _minpoly_eval_ring(c, lam).is_zero():
+            raise InternalInvariantFailure(f"ring Hensel lift failed at p = {p}")
         out.append(ReductionDatum(p=p, place=place, d=2,
                                   witt=witt_decompose(lam, convention)))
     return out

@@ -121,9 +121,6 @@ class FqMatrix:
         """Leading rows x cols block."""
         return FqMatrix(self.ctx, self.arr[:rows, :cols])
 
-    def take_columns(self, cols) -> "FqMatrix":
-        return FqMatrix(self.ctx, self.arr[:, list(cols)])
-
     def transpose(self) -> "FqMatrix":
         return FqMatrix(self.ctx, self.arr.transpose(1, 0, 2))
 

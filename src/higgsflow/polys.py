@@ -199,8 +199,11 @@ class Poly:
         return FieldElement(ctx, acc)
 
     def eval_ext(self, ext, point):
-        """Horner evaluation at a point of a FieldExtension of the context."""
-        return ext.eval_poly(self.v, point)
+        """Horner evaluation at one point of a FieldExtension of the context."""
+        acc = ext.embed(self.ctx.zero.vec)
+        for c in reversed(self.v):
+            acc = (ext.mul(acc, point) + ext.embed(c)) % self.ctx.p
+        return acc
 
     # -- structure around z = a --------------------------------------------------
 
@@ -379,9 +382,6 @@ class LaurentPoly:
     def valuation(self):
         return NEG_INF if self.is_zero() else self.val
 
-    def top_exponent(self):
-        return NEG_INF if self.is_zero() else self.val + self.poly.degree
-
     def coeff(self, k: int) -> FieldElement:
         return self.poly.coeff(k - self.val)
 
@@ -411,10 +411,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.poly!r}, z^{self.val})"
-
-    def eval_ext(self, ext, point):
-        base = self.poly.eval_ext(ext, point)
-        return ext.mul(base, ext.pow(point, self.val)) if self.val else base
 
 
 class PoleFraction:
@@ -455,10 +451,6 @@ class PoleFraction:
     def zero(cls, ctx) -> "PoleFraction":
         return cls(Poly.zero(ctx))
 
-    @classmethod
-    def from_laurent(cls, lp: LaurentPoly) -> "PoleFraction":
-        return cls(lp.poly.shift(max(lp.val, 0)), max(-lp.val, 0), 0)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -494,6 +486,6 @@ class PoleFraction:
         if self.a:
             val = ext.mul(val, ext.pow(point, -self.a))
         if self.b:
-            shifted = ext.sub(point, ext.one())
+            shifted = (point - ext.one) % self.ctx.p
             val = ext.mul(val, ext.pow(shifted, -self.b))
         return val

@@ -1,17 +1,20 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
+from higgsflow import factorization
 from higgsflow.cocycle import build_A_primitive, build_transition
 from higgsflow.criterion import splitting_from_T, t_submatrix, build_T
 from higgsflow.errors import CertificateCheckFailed, DegreeTooLarge
 from higgsflow.factorization import (birkhoff_step1, birkhoff_step2,
+                                     eval_pole_fractions,
                                      factorization_certificate,
                                      splitting_from_birkhoff, verify_certificate)
 from higgsflow.fields import make_context, witt_decompose
 from higgsflow.linalg import mat_rank
-from higgsflow.polys import Poly, PoleFraction, z_minus_one_pow
+from higgsflow.polys import LaurentPoly, Poly, PoleFraction, z_minus_one_pow
 
 
 def P(ctx, *ints):
@@ -164,17 +167,108 @@ def test_agreement_with_T_randomized_larger_p_and_quadratic_field():
         assert nb == splitting_from_T(ctx, wp.lam0, wp.lam1).n
 
 
+def _spy_points(monkeypatch):
+    """Record (extension, sample points) of every verification."""
+    seen = []
+    check = factorization._identities_hold
+
+    def spy(ext, m, cert, z):
+        seen.append((ext, z))
+        return check(ext, m, cert, z)
+
+    monkeypatch.setattr(factorization, "_identities_hold", spy)
+    return seen
+
+
+def _tampered(cert):
+    """Certificates that each break one identity the verifier checks."""
+    ctx = cert.f.ctx
+    one = Poly.one(ctx)
+    (p00, p01), (p10, p11) = cert.P
+    q0, (q10, q11) = cert.Q
+    two = PoleFraction(Poly.from_ints(ctx, [2]))
+    half = PoleFraction(Poly.from_ints(ctx, [(ctx.p + 1) // 2]))
+    bad = {name: dataclasses.replace(cert, **{name: getattr(cert, name) + one})
+           for name in ("f", "g", "h", "beta_prime", "gamma_prime")}
+    return bad | {
+        "c": dataclasses.replace(cert, c=cert.c - 1, n=cert.n + 1),
+        "alpha": dataclasses.replace(cert, alpha=cert.alpha + LaurentPoly(one)),
+        "P entry": dataclasses.replace(cert, P=((p00 + PoleFraction(one), p01), (p10, p11))),
+        "Q entry": dataclasses.replace(cert, Q=(q0, (q10, q11 + PoleFraction(one, 1, 0)))),
+        # adding row 1 to row 0 keeps det P = 1, so only P*M*Q can catch it
+        "P row op": dataclasses.replace(cert, P=((p00 + p10, p01 + p11), (p10, p11))),
+        # P row 0 times 2, Q column 0 times 1/2: P*M*Q is unchanged, det P is not
+        "P, Q rescaled": dataclasses.replace(
+            cert, P=((two * p00, two * p01), (p10, p11)),
+            Q=((half * q0[0], q0[1]), (half * q10, q11))),
+    }
+
+
+# (p, d) -> least e with q^e >= 4p+8: every shape of evaluation extension
+EXTENSION_SHAPES = [(3, 1, 3), (7, 1, 2), (3, 2, 2), (7, 2, 1)]
+
+
+def _shape_case(p, d):
+    ctx = make_context(p, d)
+    lam = ctx.w_from_int(2) if d == 1 else ctx.w_from_coeffs([1, 1])
+    co = build_A_primitive(ctx, lam)
+    return ctx, build_transition(co), factorization_certificate(ctx, lam)
+
+
 def test_verify_certificate_rejects_perturbations():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
     m = build_transition(co)
     cert = factorization_certificate(ctx, ctx.w_from_int(-1))
     assert verify_certificate(m, cert)
-    for fieldname in ("f", "g", "h", "beta_prime", "gamma_prime"):
-        bad = dataclasses.replace(cert, **{fieldname: getattr(cert, fieldname) + Poly.one(ctx)})
-        assert not verify_certificate(m, bad), fieldname
-    bad_n = dataclasses.replace(cert, c=cert.c - 1, n=cert.n + 1)
-    assert not verify_certificate(m, bad_n)
+    for name, bad in _tampered(cert).items():
+        assert not verify_certificate(m, bad), name
+
+
+@pytest.mark.parametrize("p, d, e", EXTENSION_SHAPES)
+def test_verify_certificate_every_extension_shape(monkeypatch, p, d, e):
+    ctx, m, cert = _shape_case(p, d)
+    seen = _spy_points(monkeypatch)
+    assert verify_certificate(m, cert)
+    ext, z = seen[-1]
+    assert (ext.e, ext.m, ext.size) == (e, e * d, ctx.q ** e)
+    assert ext.size >= 4 * p + 8 and ctx.q ** (e - 1) < 4 * p + 8
+    assert z.shape == (20, e * d)
+    for name, bad in _tampered(cert).items():
+        assert not verify_certificate(m, bad), name
+
+
+@pytest.mark.parametrize("p, d, e", EXTENSION_SHAPES)
+def test_batched_values_match_pointwise_evaluation(monkeypatch, p, d, e):
+    ctx, m, cert = _shape_case(p, d)
+    seen = _spy_points(monkeypatch)
+    verify_certificate(m, cert)
+    ext, z = seen[-1]
+    fracs = [fr for frame in (cert.P, m.entries, cert.Q) for row in frame for fr in row]
+    fracs += [PoleFraction(cert.f), PoleFraction(cert.alpha.poly, -cert.alpha.val),
+              PoleFraction(Poly.one(ctx), 0, p)]
+    batched = eval_pole_fractions(ext, fracs, z)
+    pointwise = np.array([[fr.eval_ext(ext, point) for point in z] for fr in fracs])
+    assert np.array_equal(batched, pointwise)
+
+
+def test_same_seed_draws_same_sample_points(monkeypatch):
+    ctx, m, cert = _shape_case(7, 1)
+    seen = _spy_points(monkeypatch)
+    for seed in (11, 11, 12):
+        assert verify_certificate(m, cert, rng=random.Random(seed))
+    (ext, a), (_, b), (_, c) = seen
+    assert np.array_equal(a, b) and not np.array_equal(a, c)
+    # the draw is rng.randrange(size), skipping repeats and 0, 1, lam0
+    rng, skip, want = random.Random(11), {0, 1, m.cocycle.witt.lam0.index()}, []
+    while len(want) < 20:
+        n = rng.randrange(ext.size)
+        if n not in skip:
+            skip.add(n)
+            want.append(n)
+    assert np.array_equal(a, ext.from_indices(want))
+    assert all(sum(int(x) * 7 ** k for k, x in enumerate(point)) == n
+               for point, n in zip(a, want))
 
 
 def test_step2_rejects_inconsistent_input():

@@ -1,7 +1,9 @@
 import pytest
 
+from higgsflow import lambdas
 from higgsflow.errors import (DegreeUnsupported, ForbiddenResidue,
-                              ForbiddenValue, NotPrime, ReducibleMinpoly)
+                              ForbiddenValue, InternalInvariantFailure,
+                              NotPrime, ReducibleMinpoly)
 from higgsflow.fields import make_context, teichmuller
 from higgsflow.lambdas import (BAD_DIVIDES_DISC, BAD_DIVIDES_LEADING,
                                BAD_PRIME_TOO_SMALL, BAD_RESIDUE_ONE,
@@ -103,6 +105,15 @@ def test_reduce_quadratic_split_and_inert():
     assert len(both) == 2 and both[0].witt.lam0 != both[1].witt.lam0
     # the two embeddings are Frobenius conjugates
     assert both[0].witt.lam0 ** 5 == both[1].witt.lam0
+
+
+@pytest.mark.parametrize("spec, p", [("-1", 5), ("1,-1,1", 5)])
+def test_failed_hensel_lift_raises_internal_invariant(monkeypatch, spec, p):
+    # a lift that does not vanish is a bug, reported even under python -O
+    monkeypatch.setattr(lambdas, "_minpoly_eval_ring",
+                        lambda coeffs, x: x.ctx.w_from_int(1))
+    with pytest.raises(InternalInvariantFailure, match="Hensel lift failed"):
+        reduce_at_prime(parse_lambda_spec(spec), p)
 
 
 def test_split_lifts_satisfy_minpoly_mod_p_squared():
