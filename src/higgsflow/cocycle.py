@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .errors import ForbiddenResidue, InternalDivisibilityFailure
 from .fields import (FieldElement, ReductionContext, WittParameter,
                      WittRingElement, frobenius_w2, witt_compose, witt_decompose)
@@ -71,38 +73,28 @@ def build_A_primitive(ctx: ReductionContext, lam: WittRingElement) -> CocyclePol
     p, p2 = ctx.p, ctx.p2
     lam0 = lam.residue()
     _check_lam0(lam0)
-    flam = frobenius_w2(lam)
+    flam = np.array(frobenius_w2(lam).vec, np.int64)
+    one = np.array(ctx.w_from_int(1).vec, np.int64)
 
-    binom = [comb(p, k) % p2 for k in range(p + 1)]
+    # index k = coefficient of z^k: C(p,k), (z-1)^p and (z-lam)^p
+    binom = np.array([comb(p, k) % p2 for k in range(p + 1)], np.int64)
+    zm1 = binom * np.where((p - np.arange(p + 1)) % 2 == 0, 1, -1)
     neg_lam = ctx.wneg(lam.vec)
+    pw = [one.tolist()]
+    for _ in range(p):
+        pw.append(ctx.wmul(pw[-1], neg_lam))
+    zml = binom[:, None] * np.array(pw[::-1], np.int64) % p2  # C(p,k) (-lam)^(p-k)
 
-    # (z-1)^p and (z-lam)^p coefficient vectors, index k = coefficient of z^k
-    zm1 = [ctx.w_from_int(binom[k] * (-1) ** (p - k)).vec for k in range(p + 1)]
-    zml = [ctx.w_from_int(0).vec] * (p + 1)
-    pw = ctx.w_from_int(1).vec
-    for k in range(p, -1, -1):
-        # coefficient of z^k in (z - lam)^p is C(p,k) * (-lam)^(p-k)
-        zml[k] = ctx.wmul(ctx.w_from_int(binom[k]).vec, pw)
-        pw = ctx.wmul(pw, neg_lam)
-
-    n = [ctx.w_from_int(0).vec] * (2 * p + 1)
-    # (z^p - F(lam)) * (z-1)^p
-    for k in range(p + 1):
-        n[k + p] = ctx.wadd(n[k + p], zm1[k])
-        n[k] = ctx.wsub(n[k], ctx.wmul(flam.vec, zm1[k]))
-    # minus (z - lam)^p * (z^p - 1)
-    for k in range(p + 1):
-        n[k + p] = ctx.wsub(n[k + p], zml[k])
-        n[k] = ctx.wadd(n[k], zml[k])
-
-    coeffs = []
-    for k, v in enumerate(n):
-        try:
-            coeffs.append(ctx.w_divexact_p(v))
-        except ValueError:
-            raise InternalDivisibilityFailure(
-                f"numerator coefficient of z^{k} not divisible by p") from None
-    a_poly = Poly(ctx, coeffs)
+    # (z^p - F(lam)) * (z-1)^p - (z - lam)^p * (z^p - 1), over the Witt ring
+    n = np.zeros((2 * p + 1, ctx.d), np.int64)
+    n[p:] += zm1[:, None] * one - zml
+    n[:p + 1] += zml - zm1[:, None] * flam % p2
+    n %= p2
+    bad = np.flatnonzero((n % p).any(axis=1))
+    if bad.size:
+        raise InternalDivisibilityFailure(
+            f"numerator coefficient of z^{bad[0]} not divisible by p")
+    a_poly = Poly(ctx, n // p)
     if a_poly.degree > 2 * p - 1:
         raise InternalDivisibilityFailure("z^(2p) term failed to cancel")
 

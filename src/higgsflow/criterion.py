@@ -23,11 +23,6 @@ from .fields import FieldElement, ReductionContext
 from .linalg import FqMatrix, mat_rank
 from .polys import Poly
 
-# memo for the pair/splitting scans; values are immutable, so a race can
-# only cost a duplicate build, never a wrong result
-_T_CACHE_LIMIT = 8
-_t_cache: dict = {}
-
 
 @dataclass(frozen=True)
 class CriterionMatrix:
@@ -45,12 +40,11 @@ class CriterionMatrix:
 
 @dataclass(frozen=True)
 class RemainderSystem:
-    """Rows R_i of z^i A mod (z-1)^(2p), i = 0..p, plus the quotients Q_i."""
+    """Rows R_i of z^i A mod (z-1)^(2p), i = 0..p."""
 
     ctx: ReductionContext
     A: Poly
     R: FqMatrix
-    quotients: tuple
 
 
 @dataclass(frozen=True)
@@ -83,71 +77,30 @@ def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> Cr
     """
     _check_lam0(lam0)
     p = ctx.p
-    c = [0] + [binomial_over_p(p, k) for k in range(1, p)]
+    # c_k for k = 0..p, with c_0 = c_p = 0 so the unused ends vanish
+    c = np.array([0] + [binomial_over_p(p, k) for k in range(1, p)] + [0], np.int64)
     pw = [ctx.one]
     for _ in range(p):
         pw.append(pw[-1] * lam0)
-
-    if ctx.d == 1:
-        cb = np.array(c + [0], dtype=np.int64)
-        pwv = np.array([e.vec for e in pw], dtype=np.int64)
-        ks = np.arange(p + 1)
-        sgn = np.where(ks % 2 == 1, 1, -1)      # (-1)^(k+1)
-        lower = (cb * (1 - pwv) * sgn) % p      # (-1)^(k+1) c_k (1 - lam0^k)
-        upper = np.zeros(p + 1, dtype=np.int64)
-        for m in range(1, p):
-            upper[m] = (-1) ** (m + 1) * c[p - m] * (pw[p - m] - pw[p]).vec % p
-        high = np.zeros(p + 1, dtype=np.int64)
-        for m in range(1, p):
-            high[m] = (-1) ** m * c[m] * (ctx.one - pw[m]).vec % p
-        ii = np.arange(1, p + 1)[:, None]
-        jj = np.arange(1, 2 * p + 2)[None, :]
-        diff = ii - jj
-        low_region = jj <= p
-        band_idx = np.clip(ii + jj - p - 1, 0, p)
-        band_ok = (jj > p) & (jj <= 2 * p - ii)
-        arr = np.zeros((p, 2 * p + 1), dtype=np.int64)
-        arr = np.where(low_region & (diff > 0), lower[np.clip(diff, 0, p)], arr)
-        arr = np.where(low_region & (diff < 0), upper[np.clip(-diff, 0, p)], arr)
-        arr = np.where(low_region & (diff == 0), int(lam1.vec), arr)
-        arr = np.where(band_ok, high[band_idx], arr)
-        t = FqMatrix(ctx, arr[:, :, None])
-        return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, T=t)
-
-    rows = []
-    one = ctx.one
-    for i in range(1, p + 1):
-        row = []
-        for j in range(1, 2 * p + 2):
-            if j == i:
-                row.append(lam1)
-            elif j < i:
-                k = i - j
-                e = ctx.f_from_int((-1) ** (k + 1) * c[k]) * (one - pw[k])
-                row.append(e)
-            elif j <= p:
-                m = p - j + i
-                e = ctx.f_from_int((-1) ** (j - i + 1) * c[m]) * (pw[m] - pw[p])
-                row.append(e)
-            elif j <= 2 * p - i:
-                m = i + j - p - 1
-                e = ctx.f_from_int((-1) ** m * c[m]) * (one - pw[m])
-                row.append(e)
-            else:
-                row.append(ctx.zero)
-        rows.append(row)
-    return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, T=FqMatrix.from_rows(ctx, rows))
-
-
-def _cached_T(ctx, lam0, lam1) -> CriterionMatrix:
-    key = (id(ctx), lam0.vec, lam1.vec)
-    hit = _t_cache.get(key)
-    if hit is None:
-        if len(_t_cache) >= _T_CACHE_LIMIT:
-            _t_cache.clear()
-        hit = build_T(ctx, lam0, lam1)
-        _t_cache[key] = hit
-    return hit
+    pwv = np.array([e.vec for e in pw], np.int64)  # lam0^k, shape (p+1, d)
+    one = np.array(ctx.one.vec, np.int64)
+    sgn = np.where(np.arange(p + 1) % 2 == 1, 1, -1)  # (-1)^(k+1)
+    # k -> (-1)^(k+1) c_k (1 - lam0^k); m -> (-1)^(m+1) c_(p-m) (lam0^(p-m) - lam0^p);
+    # m -> (-1)^m c_m (1 - lam0^m)
+    lower = (sgn * c)[:, None] * (one - pwv) % p
+    upper = (sgn * c[::-1])[:, None] * (pwv[::-1] - pwv[p]) % p
+    high = -lower % p
+    table = np.concatenate([np.zeros((1, ctx.d), np.int64), lower, upper, high,
+                            np.array([lam1.vec], np.int64)])
+    ii = np.arange(1, p + 1)[:, None]
+    jj = np.arange(1, 2 * p + 2)[None, :]
+    diff = ii - jj
+    low = jj <= p
+    band = (jj > p) & (jj <= 2 * p - ii)
+    # row of `table` per entry: 0 is zero, then lower, upper, high, lam1
+    idx = np.select([low & (diff > 0), low & (diff < 0), low & (diff == 0), band],
+                    [1 + diff, p + 2 - diff, 3 * p + 4, 2 * p + 3 + ii + jj - p - 1], 0)
+    return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, T=FqMatrix(ctx, table[idx]))
 
 
 def t_submatrix(tm: CriterionMatrix, m: int) -> FqMatrix:
@@ -161,7 +114,7 @@ def t_submatrix(tm: CriterionMatrix, m: int) -> FqMatrix:
 def periodicity_pair(ctx: ReductionContext, lam0: FieldElement,
                      lam1: FieldElement) -> bool:
     """det T_0 = 0 and rank T_1 = p-1 (singularity tested via rank)."""
-    tm = _cached_T(ctx, lam0, lam1)
+    tm = build_T(ctx, lam0, lam1)
     p = ctx.p
     if mat_rank(t_submatrix(tm, 0)) == p:
         return False
@@ -171,7 +124,7 @@ def periodicity_pair(ctx: ReductionContext, lam0: FieldElement,
 def splitting_from_T(ctx: ReductionContext, lam0: FieldElement,
                      lam1: FieldElement) -> SplittingType:
     """First full-rank index of {T_0, ..., T_(p-1)}; n = p when none is."""
-    tm = _cached_T(ctx, lam0, lam1)
+    tm = build_T(ctx, lam0, lam1)
     p = ctx.p
     for m in range(p):
         if mat_rank(t_submatrix(tm, m)) == p - m:
@@ -188,28 +141,14 @@ def remainder_system(ctx: ReductionContext, A: Poly) -> RemainderSystem:
     p = ctx.p
     if A.degree > 2 * p - 1:
         raise DegreeTooLarge("cocycle numerator must have degree <= 2p-1")
-    width = 2 * p
-    zero = ctx.zero.vec
-    row = [A.coeff_vec(k) for k in range(width)]
-    rows = [list(row)]
-    quotients = [Poly.zero(ctx)]
-    two = ctx.f_from_int(2).vec
-    q = Poly.zero(ctx)
-    for _ in range(p):
-        top = row[width - 1]
-        row = [zero] + row[:-1]
-        q = q.shift(1)
-        if not ctx.f_is_zero(top):
-            row[p] = ctx.fadd(row[p], ctx.fmul(two, top))
-            row[0] = ctx.fsub(row[0], top)
-            q = q + Poly(ctx, (top,))
-        rows.append(list(row))
-        quotients.append(q)
-    arr = np.zeros((p + 1, width, ctx.d), dtype=np.int64)
-    for i, r in enumerate(rows):
-        for j, v in enumerate(r):
-            arr[i, j] = [v] if ctx.d == 1 else list(v)
-    return RemainderSystem(ctx=ctx, A=A, R=FqMatrix(ctx, arr), quotients=tuple(quotients))
+    arr = np.zeros((p + 1, 2 * p, ctx.d), dtype=np.int64)
+    arr[0, : len(A.v)] = A.v
+    for i in range(p):
+        top = arr[i, -1]
+        arr[i + 1, 1:] = arr[i, :-1]
+        arr[i + 1, p] = (arr[i + 1, p] + 2 * top) % p
+        arr[i + 1, 0] = -top % p
+    return RemainderSystem(ctx=ctx, A=A, R=FqMatrix(ctx, arr))
 
 
 def t_r_first_mismatch(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement,
@@ -225,7 +164,7 @@ def t_r_first_mismatch(ctx: ReductionContext, lam0: FieldElement, lam1: FieldEle
     if A is None:
         A = build_A_closed(ctx, lam0, lam1).A
     r = remainder_system(ctx, A).R
-    t = _cached_T(ctx, lam0, lam1).T
+    t = build_T(ctx, lam0, lam1).T
     low_r = r.arr[:p, :p]
     low_t = t.arr[:p, :p]
     if not np.array_equal(low_r, low_t):
@@ -265,7 +204,7 @@ def det_T0_in_lam1(ctx: ReductionContext, lam0: FieldElement) -> Poly:
         raise ValueError("interpolation helper supports prime-field contexts only")
     p = ctx.p
     ext = make_context(p, 2)
-    lam0e = ext.f_from_int(lam0.vec)
+    lam0e = ext.f_from_coeffs(lam0.coeffs())
     pts = [ext.f_from_index(k) for k in range(p + 1)]
     vals = []
     for x in pts:

@@ -104,17 +104,13 @@ def birkhoff_step1(ctx: ReductionContext, A: Poly) -> tuple[Poly, Poly, Poly, in
 
     c = p - n0
     basis = left_nullspace_vecs(FqMatrix(ctx, block(n0 - 1)))
-    if not basis:
+    if not len(basis):
         _fail("deficient block has no null vector")
-    vec = basis[0]
-    last = max(i for i, v in enumerate(vec) if not ctx.f_is_zero(v))
-    inv = ctx.finv(vec[last])
-    f = Poly(ctx, (ctx.fmul(inv, v) for v in vec))
+    f = Poly(ctx, basis[0]).monic()
 
     h, rem = poly_divrem(f * A, d2)
-    for j in list(range(p)) + list(range(p + c + 1, 2 * p)):
-        if not ctx.f_is_zero(rem.coeff_vec(j)):
-            _fail("step-1 remainder has support outside z^p..z^(p+c)")
+    if rem.v[:p].any() or rem.v[p + c + 1:].any():
+        _fail("step-1 remainder has support outside z^p..z^(p+c)")
     g = -(rem.shift(-p))
 
     if max(_deg(f), _deg(g)) != c:
@@ -267,8 +263,7 @@ def eval_pole_fractions(ext, fracs: list[PoleFraction], z: np.ndarray) -> np.nda
     d = ext.ctx.d
     coeffs = np.zeros((len(fracs), max(len(fr.num.v) for fr in fracs), d), np.int64)
     for k, fr in enumerate(fracs):
-        if fr.num.v:
-            coeffs[k, : len(fr.num.v)] = np.array(fr.num.v, np.int64).reshape(-1, d)
+        coeffs[k, : len(fr.num.v)] = fr.num.v
     a = np.array([fr.a for fr in fracs])
     b = np.array([fr.b for fr in fracs])
     return ext.mul(ext.mul(ext.evaluate(coeffs, z), ext.powers(zinv, a.max())[a]),

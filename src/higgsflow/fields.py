@@ -5,9 +5,12 @@ mod p² reduced by a fixed monic modulus whose image mod p is irreducible.
 Ring operations are then ordinary polynomial arithmetic; Witt coordinates
 (Teichmueller part, p-part) are recovered on demand.
 
-Elements are stored as coefficient "vecs": a plain int when d == 1, a
-tuple of ints otherwise.  The wrapper classes :class:`FieldElement` and
-:class:`WittRingElement` expose operators on top of the vec layer.
+An element is stored as its coefficient "vec", a length-d tuple of ints
+at every d, d = 1 included; a sequence of elements (polynomial
+coefficients, matrix entries) is an int64 array whose trailing axis has
+length d.  One reduction table per modulus multiplies both.  The wrapper
+classes :class:`FieldElement` and :class:`WittRingElement` expose
+operators on top of the vec layer.
 
 :class:`FieldExtension` is the extension F_{q^e} in which certificates are
 checked at random points.  Its elements are int64 coordinate arrays over
@@ -132,6 +135,15 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+def _digits(n: int, base: int, d: int) -> tuple[int, ...]:
+    """The d lowest base-`base` digits of n, least significant first."""
+    out = []
+    for _ in range(d):
+        n, r = divmod(n, base)
+        out.append(r)
+    return tuple(out)
+
+
 def _find_modulus(p: int, d: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree d over F_p.
 
@@ -139,14 +151,50 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
     sum(c_i p^i), so the choice is reproducible bit for bit.
     """
     for n in range(p ** d):
-        c, m = n, []
-        for _ in range(d):
-            c, r = divmod(c, p)
-            m.append(r)
-        m.append(1)
+        m = list(_digits(n, p, d)) + [1]
         if _is_irreducible(m, p):
             return tuple(m)
     raise AssertionError("no irreducible modulus found")  # unreachable
+
+
+def _reduction_table(modulus: tuple[int, ...], mod: int) -> np.ndarray:
+    """x^d .. x^(2d-2) reduced by the monic modulus, mod `mod`: shape (d-1, d)."""
+    d = len(modulus) - 1
+    cur = [(-c) % mod for c in modulus[:d]]  # x^d
+    rows = []
+    for _ in range(d - 1):
+        rows.append(cur)
+        top = cur[-1]
+        cur = [(low + top * r) % mod for low, r in zip([0] + cur[:-1], rows[0])]
+    return np.array(rows, np.int64).reshape(d - 1, d)
+
+
+def _vec_ops(mod: int, red: list[list[int]]):
+    """add, sub, neg, mul on length-d int tuples mod `mod`, reducing by `red`."""
+    d = len(red) + 1
+
+    def add(a, b):
+        return tuple([(x + y) % mod for x, y in zip(a, b)])
+
+    def sub(a, b):
+        return tuple([(x - y) % mod for x, y in zip(a, b)])
+
+    def neg(a):
+        return tuple([-x % mod for x in a])
+
+    def mul(a, b):
+        t = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    t[i + j] += ai * bj
+        for k, row in enumerate(red, d):
+            if t[k]:
+                for j, r in enumerate(row):
+                    t[j] += t[k] * r
+        return tuple([x % mod for x in t[:d]])
+
+    return add, sub, neg, mul
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +203,11 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
 class ReductionContext:
     """A prime p >= 3, extension degree d, and the rings they induce.
 
-    Holds the fixed modulus (lifted to mod p²) plus specialised closures for
-    vec arithmetic in F_q and in the Galois ring of characteristic p².
+    Holds the fixed modulus (lifted to mod p²) and the one multiplication
+    rule it induces, the reduction table of x^d .. x^(2d-2) mod p and mod
+    p².  The tuple closures for F_q and the Galois ring, the array fold of
+    polynomial products and the basis products behind matrix blow-ups all
+    read that table.
     """
 
     def __init__(self, p: int, d: int):
@@ -173,86 +224,32 @@ class ReductionContext:
         self.q = p ** d
         self.p2 = p * p
         self.modulus = _find_modulus(p, d)  # monic, length d+1, entries mod p
-        self._setup_vec_ops()
+        red_p = _reduction_table(self.modulus, p)
+        self.fadd, self.fsub, self.fneg, self.fmul = _vec_ops(p, red_p.tolist())
+        self.wadd, self.wsub, self.wneg, self.wmul = _vec_ops(
+            self.p2, _reduction_table(self.modulus, self.p2).tolist())
+        # row k of the fold matrix is x^k reduced, k < 2d-1
+        self.fold_matrix = np.concatenate([np.eye(d, dtype=np.int64), red_p])
+        # basis_products[i, k] holds x^(i+k) reduced: the regular representation
+        self.basis_products = self.fold_matrix[np.add.outer(np.arange(d), np.arange(d))]
         self.zero = self.f_from_int(0)
         self.one = self.f_from_int(1)
         self._extensions: dict[int, "FieldExtension"] = {}
 
     # -- vec arithmetic ----------------------------------------------------
 
-    def _setup_vec_ops(self):
-        p, p2, d = self.p, self.p2, self.d
-        if d == 1:
-            self.fadd = lambda a, b: (a + b) % p
-            self.fsub = lambda a, b: (a - b) % p
-            self.fneg = lambda a: (-a) % p
-            self.fmul = lambda a, b: (a * b) % p
-            self.wadd = lambda a, b: (a + b) % p2
-            self.wsub = lambda a, b: (a - b) % p2
-            self.wneg = lambda a: (-a) % p2
-            self.wmul = lambda a, b: (a * b) % p2
-            return
+    def fold(self, t: np.ndarray) -> np.ndarray:
+        """Reduce unreduced products (..., 2d-1) to field coordinates (..., d)."""
+        return t % self.p @ self.fold_matrix % self.p
 
-        def make_red(mod: int) -> list[tuple[int, ...]]:
-            # x^k mod modulus for k = d .. 2d-2, coefficients mod `mod`
-            red: list[tuple[int, ...]] = [()] * (2 * d - 1)
-            cur = [(-c) % mod for c in self.modulus[:d]]  # x^d
-            red[d] = tuple(cur)
-            for k in range(d + 1, 2 * d - 1):
-                nxt = [0] + cur[:-1]
-                top = cur[-1]
-                if top:
-                    for j in range(d):
-                        nxt[j] = (nxt[j] + top * red[d][j]) % mod
-                cur = nxt
-                red[k] = tuple(cur)
-            return red
-
-        def make_ops(mod: int, red: list[tuple[int, ...]]):
-            def add(a, b):
-                return tuple((x + y) % mod for x, y in zip(a, b))
-
-            def sub(a, b):
-                return tuple((x - y) % mod for x, y in zip(a, b))
-
-            def neg(a):
-                return tuple((-x) % mod for x in a)
-
-            if d == 2:
-                r0, r1 = red[2]  # x^2 reduced
-
-                def mul2(a, b):
-                    a0, a1 = a
-                    b0, b1 = b
-                    t2 = a1 * b1
-                    return ((a0 * b0 + t2 * r0) % mod,
-                            (a0 * b1 + a1 * b0 + t2 * r1) % mod)
-
-                return add, sub, neg, mul2
-
-            def mul(a, b):
-                t = [0] * (2 * d - 1)
-                for i, ai in enumerate(a):
-                    if ai:
-                        for j, bj in enumerate(b):
-                            t[i + j] += ai * bj
-                for k in range(2 * d - 2, d - 1, -1):
-                    c = t[k] % mod
-                    if c:
-                        rk = red[k]
-                        for j in range(d):
-                            t[j] += c * rk[j]
-                return tuple(x % mod for x in t[:d])
-
-            return add, sub, neg, mul
-
-        self._red_p = make_red(p)
-        self._red_p2 = make_red(p2)
-        self.fadd, self.fsub, self.fneg, self.fmul = make_ops(p, self._red_p)
-        self.wadd, self.wsub, self.wneg, self.wmul = make_ops(p2, self._red_p2)
+    def mul_matrix(self, c) -> np.ndarray:
+        """(d, d) matrix M with v @ M = v * c for every vec v."""
+        d = self.d
+        return (np.asarray(c, np.int64) @ self.basis_products.reshape(d, d * d)
+                ).reshape(d, d) % self.p
 
     def fpow(self, a, e: int):
-        result = self.f_from_int(1).vec
+        result = self.one.vec
         acc = a
         while e:
             if e & 1:
@@ -272,9 +269,12 @@ class ReductionContext:
         return result
 
     def finv(self, a):
+        """a^-1 = a^(r-1) / N(a): the norm N(a) = a^r, r = (q-1)/(p-1), lies in F_p."""
         if self.f_is_zero(a):
             raise ZeroDivisionError("inverse of zero field element")
-        return self.fpow(a, self.q - 2)
+        b = self.fpow(a, (self.q - 1) // (self.p - 1) - 1)
+        s = pow(self.fmul(a, b)[0], -1, self.p)
+        return tuple([x * s % self.p for x in b])
 
     def winv(self, a):
         res = self.w_residue(a)
@@ -287,69 +287,50 @@ class ReductionContext:
 
     # -- conversions ---------------------------------------------------------
 
-    def f_is_zero(self, a) -> bool:
-        return a == 0 if self.d == 1 else not any(a)
+    @staticmethod
+    def f_is_zero(a) -> bool:
+        return not any(a)
 
-    def w_is_zero(self, a) -> bool:
-        return a == 0 if self.d == 1 else not any(a)
+    w_is_zero = f_is_zero
 
     def f_lift(self, a):
         """Coefficientwise lift of a field vec to a Witt vec."""
         return a
 
     def w_residue(self, a):
-        p = self.p
-        return a % p if self.d == 1 else tuple(x % p for x in a)
+        return tuple([x % self.p for x in a])
 
     def w_times_p(self, a):
-        p, p2 = self.p, self.p2
-        return a * p % p2 if self.d == 1 else tuple(x * p % p2 for x in a)
+        return tuple([x * self.p % self.p2 for x in a])
 
     def w_divexact_p(self, a):
         """Divide a Witt vec by p; the result is a field vec.
 
         Requires every coordinate divisible by p.
         """
-        p = self.p
-        if self.d == 1:
-            if a % p:
-                raise ValueError("vec not divisible by p")
-            return a // p
-        if any(x % p for x in a):
+        if any(x % self.p for x in a):
             raise ValueError("vec not divisible by p")
-        return tuple(x // p for x in a)
+        return tuple([x // self.p for x in a])
 
     def f_from_int(self, n: int) -> "FieldElement":
-        v = n % self.p
-        return FieldElement(self, v if self.d == 1 else (v,) + (0,) * (self.d - 1))
+        return FieldElement(self, (n % self.p,) + (0,) * (self.d - 1))
 
     def w_from_int(self, n: int) -> "WittRingElement":
-        v = n % self.p2
-        return WittRingElement(self, v if self.d == 1 else (v,) + (0,) * (self.d - 1))
+        return WittRingElement(self, (n % self.p2,) + (0,) * (self.d - 1))
 
     def f_from_coeffs(self, coeffs) -> "FieldElement":
-        c = [x % self.p for x in coeffs]
-        c += [0] * (self.d - len(c))
-        return FieldElement(self, c[0] if self.d == 1 else tuple(c[: self.d]))
+        c = [x % self.p for x in coeffs] + [0] * self.d
+        return FieldElement(self, tuple(c[: self.d]))
 
     def w_from_coeffs(self, coeffs) -> "WittRingElement":
-        c = [x % self.p2 for x in coeffs]
-        c += [0] * (self.d - len(c))
-        return WittRingElement(self, c[0] if self.d == 1 else tuple(c[: self.d]))
+        c = [x % self.p2 for x in coeffs] + [0] * self.d
+        return WittRingElement(self, tuple(c[: self.d]))
 
     def f_from_index(self, n: int) -> "FieldElement":
         """n-th field element in the canonical enumeration (base-p digits)."""
-        if self.d == 1:
-            return FieldElement(self, n % self.p)
-        digits = []
-        for _ in range(self.d):
-            n, r = divmod(n, self.p)
-            digits.append(r)
-        return FieldElement(self, tuple(digits))
+        return FieldElement(self, _digits(n, self.p, self.d))
 
     def f_index(self, a) -> int:
-        if self.d == 1:
-            return a
         n = 0
         for c in reversed(a):
             n = n * self.p + c
@@ -361,15 +342,7 @@ class ReductionContext:
 
     def witt_elements(self) -> Iterator["WittRingElement"]:
         for n in range(self.q * self.q):
-            if self.d == 1:
-                yield WittRingElement(self, n % self.p2)
-            else:
-                digits = []
-                m = n
-                for _ in range(self.d):
-                    m, r = divmod(m, self.p2)
-                    digits.append(r)
-                yield WittRingElement(self, tuple(digits))
+            yield WittRingElement(self, _digits(n, self.p2, self.d))
 
     # -- square roots in F_q -------------------------------------------------
 
@@ -500,7 +473,7 @@ class FieldElement:
         return self ** (self.ctx.p ** (self.ctx.d - 1))
 
     def coeffs(self) -> list[int]:
-        return [self.vec] if self.ctx.d == 1 else list(self.vec)
+        return list(self.vec)
 
     def index(self) -> int:
         return self.ctx.f_index(self.vec)
@@ -559,7 +532,7 @@ class WittRingElement:
         return FieldElement(self.ctx, self.ctx.w_residue(self.vec))
 
     def coeffs(self) -> list[int]:
-        return [self.vec] if self.ctx.d == 1 else list(self.vec)
+        return list(self.vec)
 
     def to_string(self, sym: str = "u") -> str:
         return _vec_string(self.coeffs(), sym)
@@ -724,13 +697,13 @@ class FieldExtension:
                 (ja, ia), (jb, ib) = divmod(a, d), divmod(b, d)
                 x = ctx.fmul(xpow[ia], xpow[ib])
                 for j, c in enumerate(ypow[ja + jb]):
-                    t[a, b, j * d:(j + 1) * d] = FieldElement(ctx, ctx.fmul(x, c)).coeffs()
+                    t[a, b, j * d:(j + 1) * d] = ctx.fmul(x, c)
         return t.reshape(m * m, m)
 
     def embed(self, vec) -> np.ndarray:
         """The F_q element with coefficient vec, as an extension element."""
         out = np.zeros(self.m, np.int64)
-        out[: self.ctx.d] = FieldElement(self.ctx, vec).coeffs()
+        out[: self.ctx.d] = vec
         return out
 
     def from_indices(self, indices) -> np.ndarray:

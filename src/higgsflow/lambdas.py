@@ -220,7 +220,7 @@ def reduce_at_prime(spec: LambdaSpec, p: int, convention: str = "standard",
                                bad_reason=BAD_DIVIDES_DISC)]
     if pow(disc % p, (p - 1) // 2, p) == 1:
         ctx = make_context(p, 1)
-        s = ctx.f_sqrt(disc % p)
+        s = ctx.f_sqrt(ctx.f_from_int(disc).vec)[0]
         inv = pow(2 * c2 % p, p - 2, p)
         roots = sorted(((-c1 + s) * inv % p, (-c1 - s) * inv % p))
         if roots[0] == roots[1]:

@@ -2,10 +2,11 @@
 
 Matrices are stored as numpy int arrays of shape (rows, cols, d): entry
 (i, j) is the coefficient vector of a field element.  Rank and null-space
-computations run over F_p: for d == 1 directly, for d > 1 through the
-regular-representation blow-up, which multiplies both dimensions by d and
-divides the resulting rank by d.  Null vectors of the blow-up correspond
-exactly to null vectors over F_{p^d} by re-chunking coordinates.
+computations run over F_p through the regular-representation blow-up,
+which multiplies both dimensions by d and divides the resulting rank by d
+(at d = 1 it is the matrix itself).  Null vectors of the blow-up
+correspond exactly to null vectors over F_{p^d} by re-chunking
+coordinates.
 """
 
 from __future__ import annotations
@@ -86,20 +87,16 @@ class FqMatrix:
 
     @classmethod
     def from_rows(cls, ctx: ReductionContext, rows) -> "FqMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        arr = np.zeros((nr, nc, ctx.d), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                vec = e.vec if isinstance(e, FieldElement) else e
-                arr[i, j] = [vec] if ctx.d == 1 else list(vec)
-        return cls(ctx, arr)
+        vecs = [[e.vec if isinstance(e, FieldElement) else e for e in row] for row in rows]
+        nc = len(rows[0]) if rows else 0
+        return cls(ctx, np.array(vecs, np.int64).reshape(len(rows), nc, ctx.d))
 
     @classmethod
     def from_int_rows(cls, ctx: ReductionContext, rows) -> "FqMatrix":
-        arr = np.asarray(rows, dtype=np.int64) % ctx.p
-        return cls(ctx, arr[:, :, None]) if ctx.d == 1 else cls.from_rows(
-            ctx, [[ctx.f_from_int(v) for v in row] for row in rows])
+        ints = np.asarray(rows, dtype=np.int64) % ctx.p
+        arr = np.zeros(ints.shape + (ctx.d,), np.int64)
+        arr[..., 0] = ints
+        return cls(ctx, arr)
 
     @property
     def nrows(self) -> int:
@@ -110,9 +107,7 @@ class FqMatrix:
         return self.arr.shape[1]
 
     def entry(self, i: int, j: int) -> FieldElement:
-        v = self.arr[i, j]
-        vec = int(v[0]) if self.ctx.d == 1 else tuple(int(x) for x in v)
-        return FieldElement(self.ctx, vec)
+        return FieldElement(self.ctx, tuple(self.arr[i, j].tolist()))
 
     def row(self, i: int) -> list[FieldElement]:
         return [self.entry(i, j) for j in range(self.ncols)]
@@ -134,35 +129,14 @@ class FqMatrix:
 
     # -- F_p realisations ------------------------------------------------------
 
-    def _basis_mats(self) -> np.ndarray:
-        """Regular representation of the basis powers, shape (d, d, d)."""
-        ctx = self.ctx
-        d = ctx.d
-        mats = np.zeros((d, d, d), dtype=np.int64)
-        # power_vec[m] = coefficient vector of t^m mod modulus, m < 2d-1
-        power_vec = []
-        for m in range(2 * d - 1):
-            if m < d:
-                v = [0] * d
-                v[m] = 1
-                power_vec.append(tuple(v))
-            else:
-                power_vec.append(ctx._red_p[m])
-        for i in range(d):
-            for k in range(d):
-                mats[i, k] = power_vec[i + k]
-        return mats
-
     def blowup(self) -> np.ndarray:
-        """F_p matrix of shape (rows*d, cols*d) realising the F_q action."""
+        """F_p matrix of shape (rows*d, cols*d) realising the F_q action.
+
+        Row (i, k) holds the coordinates of x^k times row i.
+        """
         ctx = self.ctx
-        if ctx.d == 1:
-            return self.arr[:, :, 0]
-        mats = self._basis_mats()
-        big = np.tensordot(self.arr, mats, axes=([2], [0]))  # (r, c, d, d)
-        big = big.transpose(0, 2, 1, 3)
-        r, c = self.nrows, self.ncols
-        return big.reshape(r * ctx.d, c * ctx.d) % ctx.p
+        big = np.einsum("rci,ikl->rkcl", self.arr, ctx.basis_products)
+        return big.reshape(self.nrows * ctx.d, self.ncols * ctx.d) % ctx.p
 
 
 def mat_rank(m: FqMatrix) -> int:
@@ -178,7 +152,7 @@ def mat_det(m: FqMatrix) -> FieldElement:
         raise NotSquare(f"{m.nrows}x{m.ncols} matrix has no determinant")
     ctx = m.ctx
     n = m.nrows
-    rows = [[m.entry(i, j).vec for j in range(n)] for i in range(n)]
+    rows = [[tuple(e) for e in row] for row in m.arr.tolist()]
     det = ctx.one.vec
     sign = 1
     for c in range(n):
@@ -202,52 +176,43 @@ def mat_det(m: FqMatrix) -> FieldElement:
     return FieldElement(ctx, det)
 
 
-def _fq_rref_rows(ctx: ReductionContext, rows: list[list]) -> list[list]:
-    """Reduced echelon form of a small list of F_q row vectors (vec entries)."""
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
+def _fq_rref_rows(ctx: ReductionContext, rows: np.ndarray) -> np.ndarray:
+    """Reduced echelon form of a small stack (k, n, d) of F_q row vectors."""
+    p = ctx.p
+    rows = rows.copy()
     r = 0
-    pivots = []
-    for c in range(nc):
-        if r >= nr:
+    for c in range(rows.shape[1]):
+        if r >= len(rows):
             break
-        pr = next((i for i in range(r, nr) if not ctx.f_is_zero(rows[i][c])), None)
-        if pr is None:
+        nz = np.flatnonzero(rows[r:, c].any(axis=1))
+        if not nz.size:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ctx.finv(rows[r][c])
-        rows[r] = [ctx.fmul(inv, x) for x in rows[r]]
-        for i in range(nr):
-            if i != r and not ctx.f_is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [ctx.fsub(x, ctx.fmul(f, yv)) for x, yv in zip(rows[i], rows[r])]
-        pivots.append(c)
+        rows[[r, r + nz[0]]] = rows[[r + nz[0], r]]
+        rows[r] = rows[r] @ ctx.mul_matrix(ctx.finv(tuple(rows[r, c].tolist()))) % p
+        for i in np.flatnonzero(rows[:, c].any(axis=1)):
+            if i != r:
+                rows[i] = (rows[i] - rows[r] @ ctx.mul_matrix(rows[i, c])) % p
         r += 1
-    return [row for row in rows if any(not ctx.f_is_zero(x) for x in row)]
+    return rows[rows.any(axis=(1, 2))]
 
 
-def left_nullspace_vecs(m: FqMatrix) -> list[list]:
-    """Basis of {v : v*M = 0} as lists of vecs; deterministic.
+def left_nullspace_vecs(m: FqMatrix) -> np.ndarray:
+    """Basis of {v : v*M = 0}, stacked as an array (k, rows, d); deterministic.
 
     d == 1 follows the free-variable convention of the null-space routine;
-    d > 1 returns the unique reduced echelon basis.
+    d > 1 returns the unique reduced echelon basis, since there the F_p
+    null vectors only span the space over F_q.
     """
     ctx = m.ctx
-    if m.nrows == 0:
-        return []
-    big = m.blowup()
-    basis_p = _nullspace_mod_p(big.T, ctx.p)
+    basis = np.array(_nullspace_mod_p(m.blowup().T, ctx.p), np.int64)
+    basis = basis.reshape(len(basis), m.nrows, ctx.d)
     if ctx.d == 1:
-        return [[int(x) for x in v] for v in basis_p]
-    cand = []
-    for v in basis_p:
-        cand.append([tuple(int(x) for x in v[i * ctx.d:(i + 1) * ctx.d])
-                     for i in range(m.nrows)])
-    return _fq_rref_rows(ctx, cand)
+        return basis
+    return _fq_rref_rows(ctx, basis)
 
 
 def mat_left_nullspace(m: FqMatrix) -> list[list[FieldElement]]:
     """Basis of the left null space as FieldElement rows."""
     ctx = m.ctx
-    return [[FieldElement(ctx, v) for v in row] for row in left_nullspace_vecs(m)]
+    basis = left_nullspace_vecs(m).tolist()
+    return [[FieldElement(ctx, tuple(v)) for v in row] for row in basis]

@@ -7,8 +7,11 @@ Three shapes of object live here:
 * :class:`PoleFraction` -- num / (z^a (z-1)^b), the shape every entry of
   the transition matrix and its diagonalising frames takes.
 
-Everything is exact; degrees stay below a few thousand, so the dense
-quadratic algorithms are the right tool.
+Everything is exact.  A polynomial's coefficients are one int64 array of
+shape (n, d), so products are integer convolutions (each sum has at most
+n*d terms below p^2, inside int64 for every supported p) and divisions
+update whole coefficient slices; degrees stay below a few thousand, so the
+dense quadratic algorithms are the right tool.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import functools
 from math import comb
 from typing import Iterable
 
+import numpy as np
+
 from .errors import DivisionByZeroPoly
 from .fields import FieldElement, ReductionContext
 
@@ -24,16 +29,22 @@ NEG_INF = float("-inf")
 
 
 class Poly:
-    """Polynomial with FieldElement coefficients, stored as a vec tuple."""
+    """Polynomial over F_{p^d}: an int64 array v of shape (n, d).
+
+    Row k of v is the coefficient vec of z^k, entries in [0, p); the top
+    row is nonzero, so len(v) counts the coefficients (0 for the zero
+    polynomial).  Every operation acts on whole coefficient arrays.
+    """
 
     __slots__ = ("ctx", "v")
 
-    def __init__(self, ctx: ReductionContext, vecs: Iterable = ()):
-        v = list(vecs)
-        while v and ctx.f_is_zero(v[-1]):
-            v.pop()
+    def __init__(self, ctx: ReductionContext, coeffs=()):
+        v = np.asarray(coeffs, np.int64).reshape(-1, ctx.d)
+        if len(v) and not np.count_nonzero(v[-1]):
+            nz = v.any(axis=1).nonzero()[0]
+            v = v[: nz[-1] + 1] if nz.size else v[:0]
         self.ctx = ctx
-        self.v = tuple(v)
+        self.v = v
 
     # -- constructors --------------------------------------------------------
 
@@ -43,113 +54,93 @@ class Poly:
 
     @classmethod
     def one(cls, ctx: ReductionContext) -> "Poly":
-        return cls(ctx, (ctx.one.vec,))
+        return cls(ctx, ctx.one.vec)
 
     @classmethod
     def from_ints(cls, ctx: ReductionContext, ints: Iterable[int]) -> "Poly":
-        return cls(ctx, (ctx.f_from_int(n).vec for n in ints))
+        ints = [n % ctx.p for n in ints]
+        v = np.zeros((len(ints), ctx.d), np.int64)
+        v[:, 0] = ints
+        return cls(ctx, v)
 
     @classmethod
     def from_elements(cls, ctx: ReductionContext, elems: Iterable[FieldElement]) -> "Poly":
-        return cls(ctx, (e.vec for e in elems))
+        return cls(ctx, [e.vec for e in elems])
 
     @classmethod
     def monomial(cls, ctx: ReductionContext, k: int, coeff=None) -> "Poly":
-        c = ctx.one.vec if coeff is None else coeff
-        return cls(ctx, (ctx.zero.vec,) * k + (c,))
+        v = np.zeros((k + 1, ctx.d), np.int64)
+        v[k] = ctx.one.vec if coeff is None else coeff
+        return cls(ctx, v)
 
     # -- basic queries ---------------------------------------------------------
 
     @property
     def degree(self):
         """Degree as an int, or -inf for the zero polynomial."""
-        return len(self.v) - 1 if self.v else NEG_INF
+        return len(self.v) - 1 if len(self.v) else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.v
+        return not len(self.v)
 
     def coeff(self, i: int) -> FieldElement:
         if 0 <= i < len(self.v):
-            return FieldElement(self.ctx, self.v[i])
+            return FieldElement(self.ctx, tuple(self.v[i].tolist()))
         return self.ctx.zero
 
-    def coeff_vec(self, i: int):
-        if 0 <= i < len(self.v):
-            return self.v[i]
-        return self.ctx.zero.vec
-
     def coeffs(self) -> list[FieldElement]:
-        return [FieldElement(self.ctx, c) for c in self.v]
+        return [FieldElement(self.ctx, tuple(c)) for c in self.v.tolist()]
 
     def lead(self) -> FieldElement:
-        if not self.v:
+        if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.ctx, self.v[-1])
+        return self.coeff(len(self.v) - 1)
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
-        ctx = self.ctx
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
         a, b = self.v, other.v
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, bv in enumerate(b):
-            out[i] = ctx.fadd(out[i], bv)
-        return Poly(ctx, out)
+        out = np.zeros((max(len(a), len(b)), self.ctx.d), np.int64)
+        out[: len(a)] = a
+        out[: len(b)] += sign * b
+        return Poly(self.ctx, out % self.ctx.p)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        ctx = self.ctx
-        n = max(len(self.v), len(other.v))
-        z = ctx.zero.vec
-        out = [ctx.fsub(self.v[i] if i < len(self.v) else z,
-                        other.v[i] if i < len(other.v) else z)
-               for i in range(n)]
-        return Poly(ctx, out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        ctx = self.ctx
-        return Poly(ctx, (ctx.fneg(c) for c in self.v))
+        return Poly(self.ctx, -self.v % self.ctx.p)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """d*d integer convolutions of coordinate columns, then one fold."""
         ctx = self.ctx
         a, b = self.v, other.v
-        if not a or not b:
+        if not len(a) or not len(b):
             return Poly.zero(ctx)
-        if ctx.d == 1:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            p = ctx.p
-            return Poly(ctx, (c % p for c in out))
-        out = [ctx.zero.vec] * (len(a) + len(b) - 1)
-        fz, fm, fa = ctx.f_is_zero, ctx.fmul, ctx.fadd
-        for i, ai in enumerate(a):
-            if not fz(ai):
-                for j, bj in enumerate(b):
-                    out[i + j] = fa(out[i + j], fm(ai, bj))
-        return Poly(ctx, out)
+        t = np.zeros((len(a) + len(b) - 1, 2 * ctx.d - 1), np.int64)
+        for i in range(ctx.d):
+            for j in range(ctx.d):
+                t[:, i + j] += np.convolve(a[:, i], b[:, j])
+        return Poly(ctx, ctx.fold(t))
 
     def scale(self, c) -> "Poly":
         """Multiply by a scalar (FieldElement or raw vec)."""
-        ctx = self.ctx
         cv = c.vec if isinstance(c, FieldElement) else c
-        if ctx.f_is_zero(cv):
-            return Poly.zero(ctx)
-        return Poly(ctx, (ctx.fmul(cv, a) for a in self.v))
+        return Poly(self.ctx, self.v @ self.ctx.mul_matrix(cv) % self.ctx.p)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z^k (k >= 0) or divide exactly by z^k (k < 0)."""
-        ctx = self.ctx
         if self.is_zero():
             return self
         if k >= 0:
-            return Poly(ctx, (ctx.zero.vec,) * k + self.v)
-        if any(not ctx.f_is_zero(c) for c in self.v[:-k]):
+            zeros = np.zeros((k, self.ctx.d), np.int64)
+            return Poly(self.ctx, np.concatenate([zeros, self.v]))
+        if self.v[:-k].any():
             raise ValueError("not divisible by z^k")
-        return Poly(ctx, self.v[-k:])
+        return Poly(self.ctx, self.v[-k:])
 
     def __pow__(self, e: int) -> "Poly":
         result = Poly.one(self.ctx)
@@ -168,17 +159,16 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ctx is other.ctx
-                and self.v == other.v)
+                and np.array_equal(self.v, other.v))
 
     def __hash__(self):
-        return hash((id(self.ctx), self.v))
+        return hash((id(self.ctx), self.v.tobytes()))
 
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
         terms = []
-        for k in range(len(self.v) - 1, -1, -1):
-            c = FieldElement(self.ctx, self.v[k])
+        for k, c in reversed(list(enumerate(self.coeffs()))):
             if c.is_zero():
                 continue
             cs = c.to_string()
@@ -194,96 +184,89 @@ class Poly:
     def eval(self, x: FieldElement) -> FieldElement:
         ctx = self.ctx
         acc = ctx.zero.vec
-        for c in reversed(self.v):
+        for c in reversed(self.v.tolist()):
             acc = ctx.fadd(ctx.fmul(acc, x.vec), c)
         return FieldElement(ctx, acc)
 
     def eval_ext(self, ext, point):
         """Horner evaluation at one point of a FieldExtension of the context."""
         acc = ext.embed(self.ctx.zero.vec)
-        for c in reversed(self.v):
+        for c in self.v[::-1]:
             acc = (ext.mul(acc, point) + ext.embed(c)) % self.ctx.p
         return acc
 
-    # -- structure around z = a --------------------------------------------------
+    # -- structure around z = 1 --------------------------------------------------
 
-    def synthetic_div(self, a: FieldElement) -> tuple["Poly", FieldElement]:
-        """Divide by (z - a): returns (quotient, remainder value)."""
-        ctx = self.ctx
-        if self.is_zero():
-            return self, ctx.zero
-        acc = ctx.zero.vec
-        out = [None] * (len(self.v) - 1)
-        for i in range(len(self.v) - 1, 0, -1):
-            acc = ctx.fadd(ctx.fmul(acc, a.vec), self.v[i])
-            out[i - 1] = acc
-        rem = ctx.fadd(ctx.fmul(acc, a.vec), self.v[0])
-        return Poly(ctx, out), FieldElement(ctx, rem)
+    def divide_out_one(self, limit: int) -> tuple["Poly", int]:
+        """(self / (z-1)^k, k) for the largest k <= limit that divides exactly."""
+        v, k = self.v, 0
+        while k < limit and len(v):
+            # synthetic division at 1: row i of the suffix sums is the sum of
+            # coefficients i.., so row 0 is the value at 1 and the rest the quotient
+            sums = np.add.accumulate(v[::-1], axis=0)[::-1] % self.ctx.p
+            if np.count_nonzero(sums[0]):
+                break
+            v, k = sums[1:], k + 1
+        return (self if k == 0 else Poly(self.ctx, v)), k
 
     def order_at_one(self) -> int:
         """Multiplicity of z = 1 as a root; -1 for the zero polynomial."""
         if self.is_zero():
             return -1
-        one = self.ctx.one
-        k, cur = 0, self
-        while True:
-            q, r = cur.synthetic_div(one)
-            if not r.is_zero():
-                return k
-            k += 1
-            cur = q
+        return self.divide_out_one(len(self.v))[1]
 
     def divexact_one_pow(self, k: int) -> "Poly":
         """Exact division by (z-1)^k."""
-        cur = self
-        one = self.ctx.one
-        for _ in range(k):
-            q, r = cur.synthetic_div(one)
-            if not r.is_zero():
-                raise ValueError("not divisible by the requested power of (z-1)")
-            cur = q
-        return cur
+        q, j = self.divide_out_one(k)
+        if j < k and not self.is_zero():
+            raise ValueError("not divisible by the requested power of (z-1)")
+        return q
 
     def taylor_at_one(self) -> "Poly":
-        """Coefficients of self(s+1) in s: the Taylor expansion at z = 1."""
-        ctx = self.ctx
-        if self.is_zero():
-            return self
-        out = []
-        cur = self
-        one = ctx.one
-        while not cur.is_zero():
-            cur, r = cur.synthetic_div(one)
-            out.append(r.vec)
-        return Poly(ctx, out)
+        """Coefficients of self(s+1) in s: the Taylor expansion at z = 1.
+
+        Coefficient k is the value at 1 of the k-th quotient by (z - 1).
+        On reversed coefficients a cumulative sum is that division: it
+        leaves the value at 1 in the last row and the reversed quotient
+        before it, so dividing in place on ever shorter prefixes leaves
+        the coefficients behind in reverse order.
+        """
+        rev = self.v[::-1].copy()
+        for k in range(len(rev), 0, -1):
+            head = rev[:k]
+            np.add.accumulate(head, axis=0, out=head)
+            np.remainder(head, self.ctx.p, out=head)
+        return Poly(self.ctx, rev[::-1])
 
 
 # ---------------------------------------------------------------------------
 
 
 def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """School division: f = q*g + r with deg r < deg g."""
+    """School division: f = q*g + r with deg r < deg g.
+
+    Each step subtracts c * g from the top of the remainder, where c * g
+    is c's coordinates against the precomputed multiples x^i * g.  The
+    remainder (kept flat) is reduced mod p only at the end: its entries
+    stay below p + m*d*p^2, and a quotient coefficient sums d of them
+    times entries below p, far inside int64.
+    """
     if g.is_zero():
         raise DivisionByZeroPoly("division by the zero polynomial")
     ctx = f.ctx
-    if f.degree < g.degree:
+    p, d = ctx.p, ctx.d
+    n, m = len(f.v), len(g.v)
+    if n < m:
         return Poly.zero(ctx), f
-    inv_lead = ctx.finv(g.v[-1])
-    rem = list(f.v)
-    dg = len(g.v) - 1
-    qcoeffs = [ctx.zero.vec] * (len(rem) - dg)
-    fz, fm, fs = ctx.f_is_zero, ctx.fmul, ctx.fsub
-    for top in range(len(rem) - 1, dg - 1, -1):
-        c = rem[top]
-        if fz(c):
-            continue
-        c = fm(c, inv_lead)
-        qcoeffs[top - dg] = c
-        base = top - dg
-        for j, gv in enumerate(g.v):
-            if not fz(gv):
-                rem[base + j] = fs(rem[base + j], fm(c, gv))
-    return Poly(ctx, qcoeffs), Poly(ctx, rem[:dg])
+    inv_lead = ctx.mul_matrix(ctx.finv(tuple(g.v[-1].tolist())))
+    gx = (g.v @ ctx.basis_products % p).reshape(d, m * d)  # row i: x^i * g
+    rem = f.v.ravel().copy()
+    q = np.zeros((n - m + 1, d), np.int64)
+    for base in range(n - m, -1, -1):
+        c = rem[(base + m - 1) * d:(base + m) * d] @ inv_lead % p
+        q[base] = c
+        rem[base * d:(base + m) * d] -= c @ gx
+    return Poly(ctx, q), Poly(ctx, rem[: (m - 1) * d] % p)
 
 
 def poly_divexact(f: Poly, g: Poly) -> Poly:
@@ -300,14 +283,15 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         raise ValueError("gcd of two zero polynomials")
     r0, r1 = f, g
     u0, u1 = Poly.one(ctx), Poly.zero(ctx)
-    v0, v1 = Poly.zero(ctx), Poly.one(ctx)
     while not r1.is_zero():
         q, r = poly_divrem(r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
     lead_inv = r0.lead().inverse()
-    return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
+    gcd, u = r0.scale(lead_inv), u0.scale(lead_inv)
+    # the Bezout partner of u follows from one exact division
+    v = poly_divexact(gcd - u * f, g) if not g.is_zero() else Poly.zero(ctx)
+    return gcd, u, v
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,8 +304,9 @@ def z_minus_one_pow(ctx: ReductionContext, k: int) -> Poly:
 def series_div_at_one(V: Poly, H: Poly, k: int) -> Poly:
     """The unique t with t = V/H mod (z-1)^k and deg t < k.
 
-    Requires H(1) != 0.  Computed by inverting H as a power series in
-    s = z - 1 to order k.
+    Requires H(1) != 0.  Works in s = z - 1: H is inverted as a power
+    series to order k by Newton iteration, and t(z) = (V/H)(z - 1) is
+    rebuilt by Horner's rule in z.
     """
     ctx = V.ctx
     if k <= 0:
@@ -331,24 +316,20 @@ def series_div_at_one(V: Poly, H: Poly, k: int) -> Poly:
     h0 = hs.coeff(0)
     if h0.is_zero():
         raise ZeroDivisionError("series division by a function vanishing at z = 1")
-    inv0 = h0.inverse()
-    inv = [inv0.vec]
-    for n in range(1, k):
-        acc = ctx.zero.vec
-        for i in range(1, n + 1):
-            acc = ctx.fadd(acc, ctx.fmul(hs.coeff_vec(i), inv[n - i]))
-        inv.append(ctx.fneg(ctx.fmul(inv0.vec, acc)))
-    ts = [ctx.zero.vec] * k
-    for n in range(k):
-        acc = ctx.zero.vec
-        for i in range(n + 1):
-            acc = ctx.fadd(acc, ctx.fmul(vs.coeff_vec(i), inv[n - i]))
-        ts[n] = acc
-    # shift back: t(z) = sum ts[n] (z-1)^n
-    t = Poly.zero(ctx)
-    for n in range(k - 1, -1, -1):
-        t = t * z_minus_one_pow(ctx, 1) + Poly(ctx, (ts[n],))
-    return t
+    two = Poly.from_ints(ctx, [2])
+    inv, n = Poly(ctx, h0.inverse().vec), 1
+    while n < k:
+        # inv <- inv * (2 - hs * inv) doubles the number of correct terms
+        n = min(2 * n, k)
+        inv = Poly(ctx, (inv * (two - Poly(ctx, hs.v[:n]) * inv)).v[:n])
+    ts = (vs * inv).v[:k]
+    t = np.zeros((k, ctx.d), np.int64)
+    for c in ts[::-1]:
+        # t <- t * (z - 1) + c
+        t[1:] = t[:-1] - t[1:]
+        t[0] = c - t[0]
+        t %= ctx.p
+    return Poly(ctx, t)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +347,7 @@ class LaurentPoly:
         if poly.is_zero():
             self.poly, self.val = poly, 0
             return
-        k = 0
-        while poly.ctx.f_is_zero(poly.v[k]):
-            k += 1
+        k = int(np.flatnonzero(poly.v.any(axis=1))[0])
         self.poly = poly.shift(-k) if k else poly
         self.val = val + k
 
@@ -432,16 +411,11 @@ class PoleFraction:
         if num.is_zero():
             self.num, self.a, self.b = num, 0, 0
             return
-        while a > 0 and ctx.f_is_zero(num.v[0]):
+        while a > 0 and not num.v[0].any():
             num = num.shift(-1)
             a -= 1
-        one = ctx.one
-        while b > 0:
-            q, r = num.synthetic_div(one)
-            if not r.is_zero():
-                break
-            num, b = q, b - 1
-        self.num, self.a, self.b = num, a, b
+        num, k = num.divide_out_one(b)
+        self.num, self.a, self.b = num, a, b - k
 
     @property
     def ctx(self):

@@ -62,9 +62,9 @@ def _h0_dimension(problem: SectionSpaceProblem) -> int:
 
     def fill(col: int, poly: Poly, shift: int):
         # contribution poly(s) * s^shift, truncated to s^0..s^(C-1)
-        for t in range(max(shift, 0), n_conditions):
-            v = poly.coeff_vec(t - shift)
-            arr[t, col] = [v] if ctx.d == 1 else list(v)
+        lo = max(shift, 0)
+        seg = poly.v[lo - shift: max(n_conditions - shift, 0)]
+        arr[lo: lo + len(seg), col] = seg
 
     col = 0
     for k in b1_orders:          # b1 principal part (z-1)^(-k) -> A * s^(B-k)

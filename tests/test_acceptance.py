@@ -63,7 +63,7 @@ def test_ac2_micro_case_exceptional():
         prim = build_A_primitive(ctx, lam)
         assert prim.A == P(ctx, 1, 2, 0, 2, 0, 1)  # z^5 + 2z^3 + 2z + 1
         wp = witt_decompose(lam)
-        assert (wp.lam0.vec, wp.lam1.vec) == (2, 1)
+        assert (wp.lam0, wp.lam1) == (ctx.f_from_int(2), ctx.f_from_int(1))
         from higgsflow.criterion import build_T, t_submatrix
         from higgsflow.linalg import mat_det
         t0 = t_submatrix(build_T(ctx, wp.lam0, wp.lam1), 0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -118,3 +119,15 @@ def test_mismatch_exit_code(monkeypatch, capsys):
     code = main(["scan", "--rational", "-1", "--prime-range", "5:5"])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("enumerate", "7", "--methods", "t,birkhoff,cech"),
+     "0c751d96c0b05a0f16524cd49735a8a8fcb3f68fa1d6eb189e7bb232cf66edc0"),
+    (("scan", "--rational", "-1", "--prime-range", "3:97"),
+     "73634d9cd8efb2167e97da490030f04e4205e6f81731479d3620b0492ef14115"),
+], ids=["enumerate-7", "scan-minus-one"])
+def test_report_bytes_match_golden_hash(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

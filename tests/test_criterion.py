@@ -9,7 +9,7 @@ from higgsflow.criterion import (build_T, det_T0_in_lam1, periodicity_pair,
 from higgsflow.errors import DegreeTooLarge, ForbiddenResidue, IndexOutOfRange
 from higgsflow.fields import make_context
 from higgsflow.linalg import mat_rank
-from higgsflow.polys import Poly, z_minus_one_pow
+from higgsflow.polys import Poly, poly_divrem, z_minus_one_pow
 
 
 def P(ctx, *ints):
@@ -27,7 +27,7 @@ def test_build_T_worked_example():
         assert _ints(tm.T)[1] == [2, b, 2, 0, 0, 0, 0]
         # diagonal is lam1, tail beyond column 2p-i is zero
         for i in range(3):
-            assert tm.T.entry(i, i).vec == b
+            assert tm.T.entry(i, i) == ctx.f_from_int(b)
             assert all(v == 0 for v in _ints(tm.T)[i][6 - i:])
 
 
@@ -40,7 +40,7 @@ def test_build_T_rejects_bad_lam0():
 
 
 def test_build_T_agrees_between_fast_and_generic_paths():
-    # the d = 1 numpy path must match the generic loop on embedded scalars
+    # T over F_p must match T over F_{p^2} built from the embedded scalars
     p = 5
     c1 = make_context(p, 1)
     c2 = make_context(p, 2)
@@ -50,7 +50,7 @@ def test_build_T_agrees_between_fast_and_generic_paths():
             t2 = build_T(c2, c2.f_from_int(a), c2.f_from_int(b))
             for i in range(p):
                 for j in range(2 * p + 1):
-                    assert t1.T.entry(i, j).vec == t2.T.entry(i, j).coeffs()[0]
+                    assert t1.T.entry(i, j).coeffs() == t2.T.entry(i, j).coeffs()[:1]
                     assert t2.T.entry(i, j).coeffs()[1] == 0
 
 
@@ -101,7 +101,7 @@ def test_remainder_system_micro_case():
     d2 = z_minus_one_pow(ctx, 6)
     for i in range(4):
         row = Poly.from_ints(ctx, rs.R.arr[i, :, 0].tolist())
-        assert a.shift(i) == rs.quotients[i] * d2 + row
+        assert poly_divrem(a.shift(i) - row, d2)[1].is_zero()
 
 
 def test_remainder_system_rejects_large_degree():
@@ -120,7 +120,7 @@ def test_remainder_reconstruction_random():
         d2 = z_minus_one_pow(ctx, 2 * p)
         i = rng.randrange(p + 1)
         row = Poly.from_ints(ctx, rs.R.arr[i, :, 0].tolist())
-        assert a.shift(i) == rs.quotients[i] * d2 + row
+        assert poly_divrem(a.shift(i) - row, d2)[1].is_zero()
         assert row.degree <= 2 * p - 1
 
 

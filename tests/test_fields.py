@@ -39,11 +39,11 @@ def test_modulus_is_deterministic_and_irreducible():
 
 def test_teichmuller_examples():
     ctx = make_context(3, 1)
-    assert teichmuller(ctx.f_from_int(0)).vec == 0
-    assert teichmuller(ctx.f_from_int(2)).vec == 8
+    assert teichmuller(ctx.f_from_int(0)) == ctx.w_from_int(0)
+    assert teichmuller(ctx.f_from_int(2)) == ctx.w_from_int(8)
     for p in (3, 5, 7):
         c = make_context(p, 1)
-        assert teichmuller(c.f_from_int(-1)).vec == c.p2 - 1
+        assert teichmuller(c.f_from_int(-1)) == c.w_from_int(c.p2 - 1)
 
 
 def test_teichmuller_is_multiplicative_section_exhaustive():
@@ -116,18 +116,18 @@ def test_frobenius_is_ring_homomorphism():
 def test_witt_decompose_examples():
     ctx = make_context(3, 1)
     wp = witt_decompose(ctx.w_from_int(2))
-    assert (wp.lam0.vec, wp.lam1.vec) == (2, 1)
+    assert (wp.lam0, wp.lam1) == (ctx.f_from_int(2), ctx.f_from_int(1))
     wp = witt_decompose(ctx.w_from_int(-1))
-    assert (wp.lam0.vec, wp.lam1.vec) == (2, 0)
+    assert (wp.lam0, wp.lam1) == (ctx.f_from_int(2), ctx.f_from_int(0))
     c5 = make_context(5, 1)
     wp = witt_decompose(c5.w_from_int(7))
-    assert (wp.lam0.vec, wp.lam1.vec) == (2, 0)
+    assert (wp.lam0, wp.lam1) == (c5.f_from_int(2), c5.f_from_int(0))
 
 
 def test_witt_compose_examples():
     ctx = make_context(3, 1)
-    assert witt_compose(ctx.f_from_int(2), ctx.f_from_int(0)).vec == 8
-    assert witt_compose(ctx.f_from_int(2), ctx.f_from_int(1)).vec == 2
+    assert witt_compose(ctx.f_from_int(2), ctx.f_from_int(0)) == ctx.w_from_int(8)
+    assert witt_compose(ctx.f_from_int(2), ctx.f_from_int(1)) == ctx.w_from_int(2)
     with pytest.raises(ForbiddenResidue):
         witt_compose(ctx.f_from_int(0), ctx.f_from_int(1))
     with pytest.raises(ForbiddenResidue):

@@ -41,11 +41,11 @@ def test_left_nullspace_examples():
     ctx = make_context(3, 1)
     m = FqMatrix.from_int_rows(ctx, [[2, 1, 0], [1, 2, 1], [0, 1, 2], [2, 0, 1]])
     basis = mat_left_nullspace(m)
-    assert [[e.vec for e in row] for row in basis] == [[2, 0, 1, 1]]
+    assert [[e.index() for e in row] for row in basis] == [[2, 0, 1, 1]]
     eye = FqMatrix.from_int_rows(ctx, [[1, 0], [0, 1]])
     assert mat_left_nullspace(eye) == []
     zero_row = FqMatrix.from_int_rows(ctx, [[0, 0, 0]])
-    assert [[e.vec for e in row] for row in mat_left_nullspace(zero_row)] == [[1]]
+    assert mat_left_nullspace(zero_row) == [[ctx.one]]
 
 
 def test_rank_nullity():

@@ -59,14 +59,22 @@ def test_ext_gcd_coprime_pair():
 
 
 coeff_field = st.sampled_from([3, 5, 7])
+DEGREES = (1, 2, 3)
+
+
+def random_poly(ctx, rng, max_len, min_len=0):
+    return Poly.from_elements(ctx, [ctx.f_from_index(rng.randrange(ctx.q))
+                                    for _ in range(rng.randrange(min_len, max_len + 1))])
 
 
 @st.composite
 def poly_pair(draw):
     p = draw(coeff_field)
-    ctx = make_context(p, 1)
-    f = Poly.from_ints(ctx, draw(st.lists(st.integers(0, p - 1), max_size=12)))
-    g = Poly.from_ints(ctx, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8)))
+    ctx = make_context(p, draw(st.sampled_from(DEGREES)))
+    index = st.integers(0, ctx.q - 1)
+    f = Poly.from_elements(ctx, map(ctx.f_from_index, draw(st.lists(index, max_size=12))))
+    g = Poly.from_elements(ctx, map(ctx.f_from_index,
+                                    draw(st.lists(index, min_size=1, max_size=8))))
     return f, g
 
 
@@ -95,11 +103,10 @@ def test_ext_gcd_bezout(pair):
 
 def test_divrem_and_bezout_bulk_random():
     rng = random.Random(314159)
-    for _ in range(1000):
-        p = rng.choice((3, 5, 7))
-        ctx = make_context(p, 1)
-        f = Poly.from_ints(ctx, [rng.randrange(p) for _ in range(rng.randrange(0, 12))])
-        g = Poly.from_ints(ctx, [rng.randrange(p) for _ in range(rng.randrange(1, 9))])
+    for _ in range(1000 * len(DEGREES)):
+        ctx = make_context(rng.choice((3, 5, 7)), rng.choice(DEGREES))
+        f = random_poly(ctx, rng, 11)
+        g = random_poly(ctx, rng, 8, min_len=1)
         if not g.is_zero():
             q, r = poly_divrem(f, g)
             assert q * g + r == f and r.degree < g.degree
@@ -112,16 +119,55 @@ def test_divrem_and_bezout_bulk_random():
 def test_laurent_mul_matches_poly_mul():
     rng = random.Random(99)
     for p in (3, 5, 7):
-        ctx = make_context(p, 1)
-        for _ in range(200):
-            a = Poly.from_ints(ctx, [rng.randrange(p) for _ in range(rng.randrange(1, 7))])
-            b = Poly.from_ints(ctx, [rng.randrange(p) for _ in range(rng.randrange(1, 7))])
-            va, vb = rng.randrange(-4, 5), rng.randrange(-4, 5)
-            la, lb = LaurentPoly(a, va), LaurentPoly(b, vb)
-            prod = la * lb
-            assert prod.poly == LaurentPoly(a * b, 0).poly
-            if not prod.is_zero():
-                assert prod.valuation() == LaurentPoly(a * b, va + vb).valuation()
+        for d in DEGREES:
+            ctx = make_context(p, d)
+            for _ in range(200):
+                a = random_poly(ctx, rng, 6, min_len=1)
+                b = random_poly(ctx, rng, 6, min_len=1)
+                va, vb = rng.randrange(-4, 5), rng.randrange(-4, 5)
+                la, lb = LaurentPoly(a, va), LaurentPoly(b, vb)
+                prod = la * lb
+                assert prod.poly == LaurentPoly(a * b, 0).poly
+                if not prod.is_zero():
+                    assert prod.valuation() == LaurentPoly(a * b, va + vb).valuation()
+
+
+def _horner(poly, x):
+    """Value at x by FieldElement arithmetic on the coefficient list."""
+    acc = x.ctx.zero
+    for c in reversed(poly.coeffs()):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_array_ops_match_pointwise_field_arithmetic(p, d):
+    # every array operation against scalar arithmetic at every point of F_q
+    ctx = make_context(p, d)
+    rng = random.Random(p * 10 + d)
+    one = ctx.one
+    for _ in range(6):
+        f = random_poly(ctx, rng, 9)
+        g = random_poly(ctx, rng, 6, min_len=1)
+        if g.is_zero():
+            g = Poly.one(ctx)
+        c = ctx.f_from_index(rng.randrange(ctx.q))
+        q, r = poly_divrem(f, g)
+        k = rng.randrange(3)
+        fk = f * z_minus_one_pow(ctx, k)
+        q1, j = fk.divide_out_one(k + 1)
+        assert f.is_zero() or j >= k
+        taylor = f.taylor_at_one()
+        for x in ctx.field_elements():
+            fx, gx = _horner(f, x), _horner(g, x)
+            assert _horner(f * g, x) == fx * gx
+            assert _horner(f + g, x) == fx + gx
+            assert _horner(f - g, x) == fx - gx
+            assert _horner(-f, x) == -fx
+            assert _horner(f.scale(c), x) == c * fx
+            assert _horner(q, x) * gx + _horner(r, x) == fx
+            assert _horner(q1, x) * (x - one) ** j == _horner(fk, x)
+            assert _horner(taylor, x - one) == fx
 
 
 def test_laurent_canonical_form():
@@ -144,9 +190,9 @@ def test_taylor_and_order_at_one():
     assert f.order_at_one() == 3
     assert f.divexact_one_pow(3) == P(ctx, 2, 1)
     shifted = f.taylor_at_one()
-    assert shifted.coeff_vec(0) == 0 and shifted.coeff_vec(2) == 0
+    assert shifted.coeff(0) == ctx.zero and shifted.coeff(2) == ctx.zero
     # f(s+1) = s^3 (s + 3): coefficient of s^3 is 3
-    assert shifted.coeff_vec(3) == 3
+    assert shifted.coeff(3) == ctx.f_from_int(3)
 
 
 def test_series_div_at_one():
