@@ -71,7 +71,10 @@ def birkhoff_step1(ctx: ReductionContext, A: Poly) -> tuple[Poly, Poly, Poly, in
     The minimal combined degree c is p - n0, where n0 is the first
     full-rank index of the rank scan over the remainder-system blocks
     shaped like the criterion submatrices; f is the first reduced null
-    vector of the deficient block, normalised monic.
+    vector of the deficient block, normalised monic.  l is the smaller of
+    the orders of f and g at z = 1 (f's alone when g = 0).  That gcd(f, g)
+    is exactly (z-1)^l is checked once, by the extended gcd of step 2;
+    the check covers g = 0, since gcd(f, 0) is the monic f.
     """
     p = ctx.p
     if A.degree > 2 * p - 1:
@@ -118,16 +121,7 @@ def birkhoff_step1(ctx: ReductionContext, A: Poly) -> tuple[Poly, Poly, Poly, in
     if _deg(g) > p - 1:
         _fail("step-1 g exceeds degree p-1")
 
-    if g.is_zero():
-        l = f.order_at_one()
-        gd = z_minus_one_pow(ctx, l)
-        if f.monic() != gd:
-            _fail("gcd(f, 0) is not a power of (z-1)")
-    else:
-        gd, _, _ = poly_ext_gcd(f, g)
-        l = gd.order_at_one()
-        if gd != z_minus_one_pow(ctx, l):
-            _fail("gcd(f, g) has a factor coprime to (z-1) at minimal degree")
+    l = f.order_at_one() if g.is_zero() else min(f.order_at_one(), g.order_at_one())
     return f, g, h, l
 
 

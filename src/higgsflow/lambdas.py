@@ -275,25 +275,19 @@ def w2_orbit(lam: WittRingElement) -> list[WittRingElement]:
     return out
 
 
-_catalog_cache: list[BeauvilleEntry] | None = None
-
-
 def beauville_catalog() -> list[BeauvilleEntry]:
-    """The 17 catalog numbers, loaded from the versioned data file."""
-    global _catalog_cache
-    if _catalog_cache is None:
-        raw = json.loads(resources.files("higgsflow")
-                         .joinpath("data/beauville.json").read_text("utf-8"))
-        entries = []
-        for e in raw["entries"]:
-            mp = _normalize_minpoly(list(e["minpoly"]))
-            _validate_spec(mp)
-            entries.append(BeauvilleEntry(
-                spec=LambdaSpec(minpoly=mp, label=e["label"]),
-                note=e["note"],
-                rational=tuple(e["rational"]) if "rational" in e else None,
-                radical=e.get("radical")))
-        if len(entries) != 17:
-            raise AssertionError("catalog must hold exactly 17 entries")
-        _catalog_cache = entries
-    return list(_catalog_cache)
+    """The 17 catalog numbers, read from the versioned data file."""
+    raw = json.loads(resources.files("higgsflow")
+                     .joinpath("data/beauville.json").read_text("utf-8"))
+    entries = []
+    for e in raw["entries"]:
+        mp = _normalize_minpoly(list(e["minpoly"]))
+        _validate_spec(mp)
+        entries.append(BeauvilleEntry(
+            spec=LambdaSpec(minpoly=mp, label=e["label"]),
+            note=e["note"],
+            rational=tuple(e["rational"]) if "rational" in e else None,
+            radical=e.get("radical")))
+    if len(entries) != 17:
+        raise AssertionError("catalog must hold exactly 17 entries")
+    return entries

@@ -1,11 +1,16 @@
 """Prime sweeps, enumeration, self-tests, and bit-exact report emission.
 
 A report is a header, a canonically ordered list of rows, and a summary.
-Rows are independent work items over (target, prime, place); workers may
-compute them in parallel, but rows are sorted before emission so the
-output never depends on scheduling.  All randomness (certificate sample
-points) is derived arithmetically from the run seed and the row
-coordinates, so reports are byte-identical for identical flags and seed.
+Every row is computed by `_row_from_datum` from one reduction datum, a
+lifted parameter at (prime, place), whichever command asks for it: scan,
+beauville, enumerate or the method-agreement self-test.  Scans and catalog
+sweeps hand their (minpoly, prime) tasks to one runner, serial or one
+process pool, and sort the rows once before emission, so the output never
+depends on scheduling.  Catalog entries that share a minimal polynomial
+share one task: its rows are computed once and relabelled.  All
+randomness (certificate sample points) is derived arithmetically from the
+run seed and the row coordinates, so reports are byte-identical for
+identical flags and seed.
 """
 
 from __future__ import annotations
@@ -13,19 +18,18 @@ from __future__ import annotations
 import json
 import random
 import zlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .cocycle import build_A_closed, build_A_primitive
-from .criterion import (det_T0_in_lam1, splitting_from_T, t_r_first_mismatch,
-                        validate_T_R)
+from .criterion import det_T0_in_lam1, splitting_from_T, t_r_first_mismatch
 from .errors import InvalidRange, MethodUnavailable
-from .factorization import (birkhoff_step1, birkhoff_step2,
-                            factorization_certificate, splitting_from_birkhoff,
+from .factorization import (factorization_certificate, splitting_from_birkhoff,
                             verify_certificate)
-from .fields import (is_prime, make_context, teichmuller, witt_compose,
-                     witt_decompose)
+from .fields import (WittParameter, is_prime, make_context, teichmuller,
+                     witt_compose, witt_decompose)
 from .lambdas import LambdaSpec, ReductionDatum, beauville_catalog, reduce_at_prime
 from .sections import splitting_from_cech
 
@@ -136,12 +140,33 @@ def _row_from_datum(label: str, datum: ReductionDatum, methods, seed: int) -> Sc
 
 
 def _scan_prime_task(args) -> list[ScanRow]:
-    minpoly, label, selector, p, methods, convention, both, seed = args
-    spec = LambdaSpec(minpoly=minpoly, label=label, root_selector=selector)
+    """Rows of one minimal polynomial at one prime, once per label.
+
+    The rows are computed under the first label; every further label (a
+    catalog entry with the same minimal polynomial) gets a relabelled copy.
+    """
+    minpoly, labels, selector, p, methods, convention, both, seed = args
+    spec = LambdaSpec(minpoly=minpoly, label=labels[0], root_selector=selector)
     data = reduce_at_prime(spec, p, convention, both_embeddings=both)
     if selector != "all":
         data = [d for d in data if d.is_bad or d.place == selector]
-    return [_row_from_datum(label, d, methods, seed) for d in data]
+    rows = [_row_from_datum(labels[0], d, methods, seed) for d in data]
+    return rows + [replace(r, lambda_label=label)
+                   for label in labels[1:] for r in rows]
+
+
+def _run_tasks(tasks: list[tuple], jobs: int) -> list[ScanRow]:
+    """Run the row tasks serially or on one process pool; rows sorted."""
+    rows: list[ScanRow] = []
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for chunk in pool.map(_scan_prime_task, tasks):
+                rows.extend(chunk)
+    else:
+        for t in tasks:
+            rows.extend(_scan_prime_task(t))
+    rows.sort(key=ScanRow.sort_key)
+    return rows
 
 
 def _summarize(rows: list[ScanRow]) -> dict:
@@ -171,17 +196,9 @@ def run_scan(spec: LambdaSpec, p_range: tuple[int, int],
     if not (3 <= lo <= hi <= SCAN_MAX_PRIME):
         raise InvalidRange(f"prime range must sit inside 3..{SCAN_MAX_PRIME}")
     methods = _check_methods(methods, hi)
-    tasks = [(spec.minpoly, spec.label, spec.root_selector, p, methods,
+    tasks = [(spec.minpoly, (spec.label,), spec.root_selector, p, methods,
               convention, both_embeddings, seed) for p in _primes_between(lo, hi)]
-    rows: list[ScanRow] = []
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_scan_prime_task, tasks):
-                rows.extend(chunk)
-    else:
-        for t in tasks:
-            rows.extend(_scan_prime_task(t))
-    rows.sort(key=ScanRow.sort_key)
+    rows = _run_tasks(tasks, jobs)
     meta = {"version": __version__, "convention": convention, "seed": seed}
     return ScanReport(meta=meta, rows=rows, summary=_summarize(rows))
 
@@ -193,38 +210,19 @@ def run_enumerate(p: int, methods=("t",), seed: int = 0) -> ScanReport:
     methods = _check_methods(methods, p)
     ctx = make_context(p, 1)
     rows = []
-    per_lam0: dict[str, int] = {}
     for a in range(2, p):
         lam0 = ctx.f_from_int(a)
-        count = 0
         for b in range(p):
             lam1 = ctx.f_from_int(b)
-            label = f"{a};{b}"
-            rng = random.Random(_row_seed(seed, label, p, 0))
-            values = {}
-            if "t" in methods:
-                values["n_t"] = splitting_from_T(ctx, lam0, lam1).n
-            lam = witt_compose(lam0, lam1, "standard")
-            if "birkhoff" in methods:
-                values["n_birkhoff"] = splitting_from_birkhoff(ctx, lam, rng=rng).n
-            if "cech" in methods:
-                values["n_cech"] = splitting_from_cech(ctx, lam).n
-            present = list(values.values())
-            agree = len(set(present)) == 1
-            periodic = (present[0] == 1) if agree else None
-            if periodic:
-                count += 1
-            rows.append(ScanRow(
-                lambda_label=label, p=p, place=0, d=1,
-                lambda0=lam0.to_string(), lambda1=lam1.to_string(),
-                n_t=values.get("n_t"), n_birkhoff=values.get("n_birkhoff"),
-                n_cech=values.get("n_cech"), periodic=periodic, agree=agree))
-        per_lam0[str(a)] = count
+            wp = WittParameter(witt_compose(lam0, lam1, "standard"), lam0, lam1, "standard")
+            datum = ReductionDatum(p=p, place=0, d=1, witt=wp)
+            rows.append(_row_from_datum(f"{a};{b}", datum, methods, seed))
     rows.sort(key=ScanRow.sort_key)
+    periodic = Counter(r.lambda0 for r in rows if r.periodic)
     meta = {"version": __version__, "convention": "standard", "seed": seed}
     summary = _summarize(rows)
     summary["periodic_pairs"] = [[r.lambda0, r.lambda1] for r in rows if r.periodic]
-    summary["periodic_per_lambda0"] = per_lam0
+    summary["periodic_per_lambda0"] = {str(a): periodic[str(a)] for a in range(2, p)}
     summary["lambda1_count_bound"] = p
     return ScanReport(meta=meta, rows=rows, summary=summary)
 
@@ -237,29 +235,35 @@ def run_verify_beauville(p_range: tuple[int, int] = (5, 97),
     The summary carries, per entry, the good-prime pass rate and the
     explicit list of exceptional primes (good primes where the splitting
     integer is not 1).  Finitely many exceptional primes per entry are
-    expected; the report records them rather than judging them.
+    expected; the report records them rather than judging them.  Entries
+    that share a minimal polynomial share one task per prime, largest
+    prime first, so each distinct (minpoly, p) is computed once.
     """
     lo, hi = p_range
     if not (3 <= lo <= hi <= 1000):
         raise InvalidRange("catalog sweeps support prime ranges inside 3..1000")
-    all_rows: list[ScanRow] = []
+    methods = _check_methods(methods, hi)
+    catalog = beauville_catalog()
+    labels_of: dict[tuple[int, ...], list[str]] = {}
+    for entry in catalog:
+        labels_of.setdefault(entry.spec.minpoly, []).append(entry.spec.label)
+    tasks = [(minpoly, tuple(labels), "all", p, methods, convention, False, seed)
+             for p in reversed(_primes_between(lo, hi))
+             for minpoly, labels in labels_of.items()]
+    rows = _run_tasks(tasks, jobs)
     per_entry = {}
-    for entry in beauville_catalog():
-        rep = run_scan(entry.spec, p_range, methods=methods,
-                       convention=convention, seed=seed, jobs=jobs)
-        all_rows.extend(rep.rows)
-        s = rep.summary
+    for entry in catalog:
+        s = _summarize([r for r in rows if r.lambda_label == entry.spec.label])
         per_entry[entry.spec.label] = {
             "good": s["good"], "bad": s["bad"], "periodic": s["periodic"],
             "pass_rate": (s["periodic"] / s["good"]) if s["good"] else None,
             "exceptional_primes": s["exceptional_primes"],
             "mismatches": s["mismatches"],
         }
-    all_rows.sort(key=ScanRow.sort_key)
     meta = {"version": __version__, "convention": convention, "seed": seed}
-    summary = _summarize(all_rows)
+    summary = _summarize(rows)
     summary["per_entry"] = per_entry
-    return ScanReport(meta=meta, rows=all_rows, summary=summary)
+    return ScanReport(meta=meta, rows=rows, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +364,17 @@ def _suite_agreement(primes, seed: int) -> dict:
         ctx = make_context(p, 1)
         for w in _valid_witt_elements(ctx):
             cases += 1
-            rng = random.Random(_row_seed(seed, "selftest", p, w.coeffs()[0]))
-            nb = splitting_from_birkhoff(ctx, w, rng=rng).n
-            wp = witt_decompose(w, "twisted")
-            nt = splitting_from_T(ctx, wp.lam0, wp.lam1).n
-            nc = splitting_from_cech(ctx, w).n
-            if not nb == nt == nc:
+            datum = ReductionDatum(p=p, place=w.coeffs()[0], d=1,
+                                   witt=witt_decompose(w, "twisted"))
+            row = _row_from_datum("selftest", datum, KNOWN_METHODS, seed)
+            if not row.agree:
                 return _suite(False, cases,
-                              f"p={p} lam={w.to_string()}: t={nt} birkhoff={nb} cech={nc}")
+                              f"p={p} lam={w.to_string()}: t={row.n_t} "
+                              f"birkhoff={row.n_birkhoff} cech={row.n_cech}")
     return _suite(True, cases)
 
 
 def _suite_certificates(max_p: int, seed: int, cases: int = 30) -> dict:
-    import dataclasses
-
     from .cocycle import build_transition
     from .polys import Poly
 
@@ -401,7 +402,7 @@ def _suite_certificates(max_p: int, seed: int, cases: int = 30) -> dict:
         done += 1
         if k % 6 == 0:
             trans = build_transition(build_A_primitive(ctx, w))
-            bad = dataclasses.replace(cert, f=cert.f + Poly.one(ctx))
+            bad = replace(cert, f=cert.f + Poly.one(ctx))
             if verify_certificate(trans, bad, rng=rng):
                 return _suite(False, done, f"perturbed certificate accepted at p={p}")
     return _suite(True, done)

@@ -43,15 +43,12 @@ class SectionSpaceProblem:
             raise ValueError("ansatz bound below the safe minimum 2p + |m| + 2")
 
 
-def _h0_dimension(problem: SectionSpaceProblem) -> int:
+def _h0_dimension(problem: SectionSpaceProblem, a_shift: Poly, uzp: Poly) -> int:
+    """Nullity of the ansatz system; a_shift is A and uzp is u*z^p, in s."""
     ctx = problem.matrix.cocycle.ctx
     p = ctx.p
     m = problem.twist
     bound = problem.bound
-    a_shift = problem.matrix.cocycle.A.taylor_at_one()
-    u = problem.matrix.cocycle.unit
-    # u * (s+1)^p, in s
-    uzp = Poly.from_ints(ctx, (comb(p, k) for k in range(p + 1))).scale(u)
 
     n_conditions = bound + p - m
     b1_orders = range(0, m + p + 1) if m + p >= 0 else range(0)
@@ -85,10 +82,15 @@ def h0_of_twist(m: TransitionMatrix, twist: int, bound: int | None = None) -> in
     must not change when the bound grows by 2, otherwise the ansatz was
     too small and UnstableDimension is raised.
     """
-    p = m.cocycle.ctx.p
+    ctx = m.cocycle.ctx
+    p = ctx.p
     b = bound if bound is not None else 2 * p + abs(twist) + 4
-    dim = _h0_dimension(SectionSpaceProblem(matrix=m, twist=twist, bound=b))
-    dim_again = _h0_dimension(SectionSpaceProblem(matrix=m, twist=twist, bound=b + 2))
+    a_shift = m.cocycle.A.taylor_at_one()
+    # u * (s+1)^p, in s
+    uzp = Poly.from_ints(ctx, (comb(p, k) for k in range(p + 1))).scale(m.cocycle.unit)
+    dim = _h0_dimension(SectionSpaceProblem(matrix=m, twist=twist, bound=b), a_shift, uzp)
+    dim_again = _h0_dimension(SectionSpaceProblem(matrix=m, twist=twist, bound=b + 2),
+                              a_shift, uzp)
     if dim != dim_again:
         raise UnstableDimension(
             f"h0 changed from {dim} to {dim_again} when the bound grew; raise it")

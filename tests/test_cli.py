@@ -126,7 +126,9 @@ def test_mismatch_exit_code(monkeypatch, capsys):
      "0c751d96c0b05a0f16524cd49735a8a8fcb3f68fa1d6eb189e7bb232cf66edc0"),
     (("scan", "--rational", "-1", "--prime-range", "3:97"),
      "73634d9cd8efb2167e97da490030f04e4205e6f81731479d3620b0492ef14115"),
-], ids=["enumerate-7", "scan-minus-one"])
+    (("beauville", "--prime-range", "5:23", "--methods", "t,birkhoff", "--format", "json"),
+     "d46c96b40eb97b3dd1b74c6ad2b4c565df52b5376d6796ea8af1938200e5a493"),
+], ids=["enumerate-7", "scan-minus-one", "beauville-5-23"])
 def test_report_bytes_match_golden_hash(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -279,6 +279,27 @@ def test_step2_rejects_inconsistent_input():
         birkhoff_step2(ctx, co, f + Poly.one(ctx), g, h, l)
 
 
+def test_step2_gcd_check_rejects_factor_coprime_to_z_minus_one():
+    # step 1 reads l off the orders at z = 1 only; step 2's extended gcd is
+    # the one check that gcd(f, g) has no other factor
+    for p, d in ((5, 1), (7, 1), (3, 2)):
+        ctx = make_context(p, d)
+        cases = 0
+        for w in ctx.witt_elements():
+            r = w.residue()
+            if r.is_zero() or r == ctx.one:
+                continue
+            co = build_A_primitive(ctx, w)
+            f, g, h, l = birkhoff_step1(ctx, co.A)
+            if max(f.degree, g.degree) >= p:
+                continue  # the extra factor would push c past p first
+            cases += 1
+            extra = P(ctx, -2, 1)
+            with pytest.raises(CertificateCheckFailed, match="gcd"):
+                birkhoff_step2(ctx, co, f * extra, g * extra, h * extra, l)
+        assert cases > 0
+
+
 def test_certificate_determinism():
     ctx = make_context(5, 1)
     a = factorization_certificate(ctx, ctx.w_from_int(7), rng=random.Random(1))

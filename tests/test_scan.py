@@ -158,3 +158,24 @@ def test_beauville_micro_range():
             assert 0.0 <= entry["pass_rate"] <= 1.0
     with pytest.raises(InvalidRange):
         run_verify_beauville((5, 2000))
+
+
+def test_beauville_with_jobs_matches_sequential():
+    seq = run_verify_beauville((5, 13), seed=3, jobs=1)
+    par = run_verify_beauville((5, 13), seed=3, jobs=2)
+    assert seq.to_json() == par.to_json()
+
+
+def test_beauville_shared_minpoly_rows_match_own_scan():
+    # (1+sqrt(-3))/2 shares its minpoly with the entry before it, so the
+    # sweep copies that entry's rows; they must equal a scan of its own spec
+    from higgsflow.lambdas import beauville_catalog
+
+    label = "(1+sqrt(-3))/2"
+    spec = next(e.spec for e in beauville_catalog() if e.spec.label == label)
+    sweep = run_verify_beauville((5, 23), seed=4)
+    own = run_scan(spec, (5, 23), seed=4)
+    rows = [r for r in sweep.rows if r.lambda_label == label]
+    assert rows and rows == own.rows
+    assert sweep.summary["per_entry"][label]["exceptional_primes"] == \
+        own.summary["exceptional_primes"]
