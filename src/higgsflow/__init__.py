@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .errors import (CertificateCheckFailed, DegreeOutOfRange, DegreeTooLarge,
                      DegreeUnsupported, DivisionByZeroPoly, EvenPrime,
                      ForbiddenResidue, ForbiddenValue, HiggsflowError,
-                     IndexOutOfRange, InternalDivisibilityFailure,
+                     IndexOutOfRange, InternalDivisibilityFailure, InternalError,
                      InternalInvariantFailure, InvalidRange, MethodUnavailable,
                      NonInvertible, NotPrime, NotSquare, ProfileMismatch,
                      ReducibleMinpoly, UnstableDimension)

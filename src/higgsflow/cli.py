@@ -1,9 +1,10 @@
 """Command-line interface: scan, enumerate, selftest, beauville.
 
-Exit codes: 0 success, 2 bad input, 3 cross-method mismatch (or a failed
-self-test suite).  The formulas under test are treated as claims: a
-mismatch between methods is reportable data plus a nonzero exit, never a
-silent drop.
+Exit codes: 0 success, 2 bad input, 3 cross-method mismatch, a failed
+self-test suite, or an internal error (an invariant that holds for every
+valid input broke, reported as "internal error: ...").  The formulas under
+test are treated as claims: a mismatch between methods is reportable data
+plus a nonzero exit, never a silent drop.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import os
 import sys
 
 from . import __version__
-from .errors import HiggsflowError
+from .errors import HiggsflowError, InternalError
 from .lambdas import parse_lambda_spec
 from .scan import ScanReport, run_enumerate, run_scan, run_selftest, run_verify_beauville
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 3
 
 
 def _parse_prime_range(text: str) -> tuple[int, int]:
@@ -152,6 +154,9 @@ def main(argv=None) -> int:
                 "selftest": _run_selftest, "beauville": _run_beauville}
     try:
         return handlers[args.command](args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except HiggsflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -5,6 +5,10 @@ class HiggsflowError(Exception):
     """Base class for all errors raised by higgsflow."""
 
 
+class InternalError(HiggsflowError):
+    """An internal invariant broke on valid input; signals a bug, not bad input."""
+
+
 class NotPrime(HiggsflowError):
     """The characteristic passed to a context constructor is not prime."""
 
@@ -37,23 +41,23 @@ class DegreeTooLarge(HiggsflowError):
     """Input polynomial exceeds the degree bound of the operation."""
 
 
-class InternalDivisibilityFailure(HiggsflowError):
+class InternalDivisibilityFailure(InternalError):
     """A quantity that must be divisible by p was not; signals a bug."""
 
 
-class InternalInvariantFailure(HiggsflowError):
+class InternalInvariantFailure(InternalError):
     """An internal invariant that holds for every valid input broke; signals a bug."""
 
 
-class CertificateCheckFailed(HiggsflowError):
+class CertificateCheckFailed(InternalError):
     """A factorization certificate failed one of its invariants."""
 
 
-class UnstableDimension(HiggsflowError):
+class UnstableDimension(InternalError):
     """Section-space dimension changed when the ansatz bound grew."""
 
 
-class ProfileMismatch(HiggsflowError):
+class ProfileMismatch(InternalError):
     """Computed section dimensions match no single splitting integer."""
 
 

@@ -10,16 +10,18 @@ alpha is Laurent, and assembles unimodular frames P, Q with
 P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).
 
 Everything is certified: the returned object carries (f, g, h, l, c,
-beta', gamma', alpha, P, Q) and every invariant is checked before it is
-handed back; random-point verification of the diagonalization is part of
-construction, not an afterthought.  That verification is a Schwartz-Zippel
-test at 20 random points of an extension with at least 4p+8 elements,
-batched over the points in int64 numpy arithmetic (see FieldExtension).
+beta', gamma', alpha, P, Q), and step 2 hands it back only after
+:func:`check_certificate` has proved every identity exactly, in the ring
+of rational functions with poles in {0, 1, infinity}: the step-1
+congruence, the Bezout relation, the alpha relation, det P = det Q = 1 and
+the diagonalization itself.  Each identity is a polynomial identity, or
+one between pole fractions compared as numerators over a common
+denominator z^a (z-1)^b, so the check is deterministic and draws no
+sample points.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +34,6 @@ from .linalg import FqMatrix, _rank_mod_p, left_nullspace_vecs
 from .polys import (LaurentPoly, Poly, PoleFraction, poly_divexact,
                     poly_divrem, poly_ext_gcd, series_div_at_one,
                     z_minus_one_pow)
-
-_DEFAULT_VERIFY_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -130,19 +130,19 @@ def _deg(f: Poly) -> int:
 
 
 def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
-                   f: Poly, g: Poly, h: Poly, l: int,
-                   rng: random.Random | None = None) -> FactorizationCertificate:
+                   f: Poly, g: Poly, h: Poly, l: int) -> FactorizationCertificate:
     """Bezout solve, degree reduction, local correction, frame assembly.
 
-    Raises CertificateCheckFailed the moment any invariant breaks; a
-    returned certificate has already passed random-point verification of
-    the diagonalization identity.
+    Raises CertificateCheckFailed the moment a construction invariant
+    breaks, or, naming the identity, when the assembled certificate fails
+    :func:`check_certificate`; a returned certificate has passed it.
     """
     p = ctx.p
     A = cocycle.A
     d2 = z_minus_one_pow(ctx, 2 * p)
     zp = Poly.monomial(ctx, p)
 
+    # guards the exact divisions below
     if f * A + g * zp != h * d2:
         _fail("step-1 identity f*A + g*z^p = h*(z-1)^(2p) does not hold")
 
@@ -176,8 +176,6 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
         else:
             gamma = Poly.zero(ctx)
         beta = poly_divexact(d2 - f * gamma, gp)
-    if f * gamma + gp * beta != d2:
-        _fail("Bezout identity failed after degree reduction")
     if _deg(beta) > 2 * p - c or _deg(gamma) > 2 * p - c:
         _fail("degree bounds on (beta, gamma) violated")
 
@@ -202,8 +200,6 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
         _fail("A*beta' - z^p*gamma' is not divisible by (z-1)^(2p)")
     if _deg(beta_p) > 2 * p - c or _deg(gamma_p) > 2 * p - c:
         _fail("degree bounds on (beta', gamma') violated")
-    if f * gamma_p + gp * beta_p != d2:
-        _fail("Bezout identity lost after the local correction")
 
     alpha_num = poly_divexact(-w_poly, d2) if not w_poly.is_zero() else Poly.zero(ctx)
     alpha = LaurentPoly(alpha_num, -p)
@@ -213,125 +209,92 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
          (pf(-hp, p, 0), pf(f)))
     Q = ((pf(f, 0, c), pf(-beta_p, 0, 2 * p - c)),
          (pf(gp, 0, c), pf(gamma_p, 0, 2 * p - c)))
-    one = pf(Poly.one(ctx))
-    if P[0][0] * P[1][1] - P[0][1] * P[1][0] != one:
-        _fail("P is not unimodular")
-    if Q[0][0] * Q[1][1] - Q[0][1] * Q[1][0] != one:
-        _fail("Q is not unimodular")
 
     branch = None if l == 0 else ("A" if f.order_at_one() == l else "B")
     cert = FactorizationCertificate(
         f=f, g=g, h=h, l=l, c=c, n=p - c,
         beta_prime=beta_p.scale(uinv), gamma_prime=gamma_p,
         alpha=alpha, P=P, Q=Q, branch=branch, sigma=sigma)
-
-    if not verify_certificate(build_transition(cocycle), cert, rng=rng):
-        _fail("random-point verification of P*M*Q rejected the certificate")
+    check_certificate(build_transition(cocycle), cert)
     return cert
 
 
-def factorization_certificate(ctx: ReductionContext, lam: WittRingElement,
-                              rng: random.Random | None = None) -> FactorizationCertificate:
+def factorization_certificate(ctx: ReductionContext,
+                              lam: WittRingElement) -> FactorizationCertificate:
     """Full pipeline: cocycle, step 1, step 2."""
     cocycle = build_A_primitive(ctx, lam)
     f, g, h, l = birkhoff_step1(ctx, cocycle.A)
-    return birkhoff_step2(ctx, cocycle, f, g, h, l, rng=rng)
+    return birkhoff_step2(ctx, cocycle, f, g, h, l)
 
 
-def splitting_from_birkhoff(ctx: ReductionContext, lam: WittRingElement,
-                            rng: random.Random | None = None) -> SplittingType:
+def splitting_from_birkhoff(ctx: ReductionContext, lam: WittRingElement) -> SplittingType:
     """Splitting integer n = p - c read off a verified certificate."""
-    cert = factorization_certificate(ctx, lam, rng=rng)
+    cert = factorization_certificate(ctx, lam)
     return SplittingType.of(cert.n, "birkhoff")
 
 
-def eval_pole_fractions(ext, fracs: list[PoleFraction], z: np.ndarray) -> np.ndarray:
-    """Values (K, N, m) of K pole fractions at N extension points, in one pass.
+def _vanishes(ctx: ReductionContext, terms) -> bool:
+    """Whether a signed sum of products of pole fractions is zero.
 
-    Every numerator is evaluated at every point by one contraction of its
-    F_p coefficients against the table of z^0..z^D; num / (z^a (z-1)^b)
-    then multiplies by entries a and b of the power tables of 1/z and
-    1/(z-1).  Raises ZeroDivisionError when a point is 0 or 1.
+    terms holds (sign, factors) pairs.  The numerators are compared over the
+    one common denominator z^a (z-1)^b, which is exact and skips reducing
+    every product to lowest terms.
     """
-    zinv, zm1inv = ext.inv(z), ext.inv((z - ext.one) % ext.ctx.p)
-    d = ext.ctx.d
-    coeffs = np.zeros((len(fracs), max(len(fr.num.v) for fr in fracs), d), np.int64)
-    for k, fr in enumerate(fracs):
-        coeffs[k, : len(fr.num.v)] = fr.num.v
-    a = np.array([fr.a for fr in fracs])
-    b = np.array([fr.b for fr in fracs])
-    return ext.mul(ext.mul(ext.evaluate(coeffs, z), ext.powers(zinv, a.max())[a]),
-                   ext.powers(zm1inv, b.max())[b])
+    a = max(sum(fr.a for fr in fs) for _, fs in terms)
+    b = max(sum(fr.b for fr in fs) for _, fs in terms)
+    total = Poly.zero(ctx)
+    for sign, fs in terms:
+        num = z_minus_one_pow(ctx, b - sum(fr.b for fr in fs)).shift(a - sum(fr.a for fr in fs))
+        for fr in fs:
+            num = num * fr.num
+        total = total + num if sign > 0 else total - num
+    return total.is_zero()
 
 
-def _matmul2(ext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """2x2 products of (2, 2, N, m) matrices of extension elements, pointwise."""
-    return ext.mul(x[:, :, None], y[None]).sum(axis=1) % ext.ctx.p
+def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> None:
+    """Prove every certificate identity exactly, or name the first that fails.
 
-
-def _det2(ext, x: np.ndarray) -> np.ndarray:
-    return (ext.mul(x[0, 0], x[1, 1]) - ext.mul(x[0, 1], x[1, 0])) % ext.ctx.p
-
-
-def verify_certificate(m: TransitionMatrix, cert: FactorizationCertificate,
-                       rng: random.Random | None = None,
-                       points: int = _DEFAULT_VERIFY_POINTS) -> bool:
-    """Evaluate every certificate identity at random points.
-
-    Checks, at `points` distinct random points of the least extension
-    F_{q^e} with q^e >= 4p+8 elements, avoiding {0, 1, lam0}: the step-1
-    congruence f*A + g*z^p = h*(z-1)^(2p), the Bezout relation
-    f*gamma' + g*beta' = (z-1)^(2p), the alpha relation
-    alpha*z^p*(z-1)^(2p) = z^p*gamma' - A*beta', unimodularity of P and Q,
-    and P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)).  Any arithmetic failure
-    counts as rejection.
-
-    The points are drawn by rng.randrange over the canonical indices of the
-    extension, skipping repeats and {0, 1, lam0}; all of them are then
-    checked at once, every quantity being a pole fraction evaluated by
-    :func:`eval_pole_fractions`.
+    In order: step-1 (f*A + g*z^p = h*(z-1)^(2p)), Bezout
+    (f*gamma' + g*beta' = (z-1)^(2p)), alpha
+    (alpha*z^p*(z-1)^(2p) = z^p*gamma' - A*beta'), det P = 1, det Q = 1, and
+    P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)).  Once det P = 1 holds, the last
+    is checked as M*Q = adj(P)*diag, the same identity with fewer products.
+    Raises CertificateCheckFailed naming the identity.
     """
     ctx = m.cocycle.ctx
-    rng = rng if rng is not None else random.Random(0)
-    degree = 1
-    while ctx.q ** degree < 4 * ctx.p + 8:
-        degree += 1
-    ext = ctx.extension(degree)
-    # canonical indices of 0, 1 and lam0 in the extension
-    seen = {0, 1, m.cocycle.witt.lam0.index()}
-    sample: list[int] = []
-    while len(sample) < points:
-        n = rng.randrange(ext.size)
-        if n not in seen:
-            seen.add(n)
-            sample.append(n)
+    p = ctx.p
+    A = m.cocycle.A
+    d2 = z_minus_one_pow(ctx, 2 * p)
+    zp = Poly.monomial(ctx, p)
+    one = PoleFraction(Poly.one(ctx))
+
+    def require(holds: bool, name: str):
+        if not holds:
+            _fail(f"certificate identity {name} does not hold")
+
+    require(cert.f * A + cert.g * zp == cert.h * d2, "step-1")
+    require(cert.f * cert.gamma_prime + cert.g * cert.beta_prime == d2, "Bezout")
+    require(cert.alpha * LaurentPoly(zp * d2)
+            == LaurentPoly(zp * cert.gamma_prime - A * cert.beta_prime), "alpha")
+    (p00, p01), (p10, p11) = cert.P
+    (q00, q01), (q10, q11) = cert.Q
+    require(_vanishes(ctx, [(1, [p00, p11]), (-1, [p01, p10]), (-1, [one])]), "det P")
+    require(_vanishes(ctx, [(1, [q00, q11]), (-1, [q01, q10]), (-1, [one])]), "det Q")
+    (m00, m01), (m10, m11) = m.entries
+    d0 = PoleFraction(one.num, 0, cert.c - p)
+    d1 = PoleFraction(one.num, 0, p - cert.c)
+    # M*Q - adj(P)*diag, entry by entry
+    require(all(_vanishes(ctx, terms) for terms in (
+        [(1, [m00, q00]), (1, [m01, q10]), (-1, [p11, d0])],
+        [(1, [m00, q01]), (1, [m01, q11]), (1, [p01, d1])],
+        [(1, [m10, q00]), (1, [m11, q10]), (1, [p10, d0])],
+        [(1, [m10, q01]), (1, [m11, q11]), (-1, [p00, d1])])), "P*M*Q")
+
+
+def verify_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> bool:
+    """True when every identity of :func:`check_certificate` holds exactly."""
     try:
-        return _identities_hold(ext, m, cert, ext.from_indices(sample))
-    except ZeroDivisionError:
+        check_certificate(m, cert)
+    except CertificateCheckFailed:
         return False
-
-
-def _identities_hold(ext, m: TransitionMatrix, cert: FactorizationCertificate,
-                     z: np.ndarray) -> bool:
-    ctx = ext.ctx
-    p, mul, one = ctx.p, ext.mul, Poly.one(ctx)
-    fracs = [PoleFraction(f) for f in (m.cocycle.A, cert.f, cert.g, cert.h,
-                                       cert.beta_prime, cert.gamma_prime,
-                                       Poly.monomial(ctx, p), z_minus_one_pow(ctx, 2 * p))]
-    fracs += [PoleFraction(cert.alpha.poly, -cert.alpha.val),
-              PoleFraction(one, 0, cert.c - p), PoleFraction(one, 0, p - cert.c)]
-    fracs += [e for frame in (cert.P, m.entries, cert.Q) for row in frame for e in row]
-    vals = eval_pole_fractions(ext, fracs, z)
-    av, fv, gv, hv, bv, cv, zp, d2, alpha, diag0, diag1 = vals[:11]
-    pm, mm, qm = vals[11:].reshape((3, 2, 2) + z.shape)
-    diag = np.zeros_like(pm)
-    diag[0, 0], diag[1, 1] = diag0, diag1
-    checks = (
-        ((mul(fv, av) + mul(gv, zp)) % p, mul(hv, d2)),
-        ((mul(fv, cv) + mul(gv, bv)) % p, d2),
-        (mul(mul(alpha, zp), d2), (mul(zp, cv) - mul(av, bv)) % p),
-        (_det2(ext, pm), ext.one),
-        (_det2(ext, qm), ext.one),
-        (_matmul2(ext, pm, _matmul2(ext, mm, qm)), diag),
-    )
-    return all((lhs == rhs).all() for lhs, rhs in checks)
+    return True

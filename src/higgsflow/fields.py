@@ -11,10 +11,6 @@ coefficients, matrix entries) is an int64 array whose trailing axis has
 length d.  One reduction table per modulus multiplies both.  The wrapper
 classes :class:`FieldElement` and :class:`WittRingElement` expose
 operators on top of the vec layer.
-
-:class:`FieldExtension` is the extension F_{q^e} in which certificates are
-checked at random points.  Its elements are int64 coordinate arrays over
-F_p, so one numpy operation acts on every sample point at once.
 """
 
 from __future__ import annotations
@@ -25,8 +21,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .errors import (DegreeOutOfRange, EvenPrime, ForbiddenResidue, InvalidRange,
-                     NotPrime)
+from .errors import DegreeOutOfRange, EvenPrime, ForbiddenResidue, NotPrime
 
 WittConvention = Literal["standard", "twisted"]
 
@@ -234,7 +229,6 @@ class ReductionContext:
         self.basis_products = self.fold_matrix[np.add.outer(np.arange(d), np.arange(d))]
         self.zero = self.f_from_int(0)
         self.one = self.f_from_int(1)
-        self._extensions: dict[int, "FieldExtension"] = {}
 
     # -- vec arithmetic ----------------------------------------------------
 
@@ -389,16 +383,6 @@ class ReductionContext:
             t = self.fmul(t, c)
             r = self.fmul(r, b)
         return r
-
-    # -- misc ----------------------------------------------------------------
-
-    def extension(self, degree: int) -> "FieldExtension":
-        """Cached quotient-ring extension of F_q, used for point sampling."""
-        ext = self._extensions.get(degree)
-        if ext is None:
-            ext = FieldExtension(self, degree)
-            self._extensions[degree] = ext
-        return ext
 
     def __repr__(self):
         return f"ReductionContext(p={self.p}, d={self.d})"
@@ -626,148 +610,3 @@ def witt_compose(lam0: FieldElement, lam1: FieldElement,
     t = teichmuller(lam0)
     return WittRingElement(ctx, ctx.wadd(t.vec, ctx.w_times_p(ctx.f_lift(mu.vec))))
 
-
-# ---------------------------------------------------------------------------
-
-
-class FieldExtension:
-    """F_{q^e} = F_q[y]/(modulus) in dense coordinates over F_p, for batched checks.
-
-    The modulus is the least monic degree-e polynomial over F_q without a
-    root in F_q (irreducible, since e <= 3).  An element is an int64 array
-    of its m = e*d coordinates on the basis x^i y^j (index j*d + i), so N
-    points form an (N, m) array and every operation acts on all of them at
-    once.  Multiplication contracts the outer product of two elements with
-    one (m*m, m) structure tensor over F_p.  Coordinates stay below p, so a
-    product sums m*m terms below p^3 and a polynomial evaluation sums
-    (deg+1)*d terms below p^2; :func:`check_int64_headroom` keeps both
-    inside int64 for every certificate degree (at most 2p).
-    """
-
-    def __init__(self, ctx: ReductionContext, degree: int):
-        if degree < 1 or degree > 3:
-            raise DegreeOutOfRange("evaluation extensions support degree 1..3")
-        self.ctx = ctx
-        self.e = degree
-        self.m = degree * ctx.d
-        self.size = ctx.q ** degree
-        check_int64_headroom(ctx.p, ctx.d, self.m, 2 * ctx.p)
-        self.modulus = None if degree == 1 else self._find_modulus()
-        self.tensor = self._structure_tensor()
-        self.one = self.embed(ctx.one.vec)
-        self.one.setflags(write=False)
-
-    def _find_modulus(self):
-        # monic degree-e poly over F_q without roots; enough for e <= 3
-        ctx, e = self.ctx, self.e
-        for n in range(ctx.q ** e):
-            digits, m = [], n
-            for _ in range(e):
-                m, r = divmod(m, ctx.q)
-                digits.append(ctx.f_from_index(r).vec)
-            coeffs = digits + [ctx.one.vec]
-            if not self._has_root(coeffs):
-                return tuple(coeffs)
-        raise AssertionError("no extension modulus found")
-
-    def _has_root(self, coeffs) -> bool:
-        ctx = self.ctx
-        for x in ctx.field_elements():
-            acc = ctx.zero.vec
-            for c in reversed(coeffs):
-                acc = ctx.fadd(ctx.fmul(acc, x.vec), c)
-            if ctx.f_is_zero(acc):
-                return True
-        return False
-
-    def _structure_tensor(self) -> np.ndarray:
-        """Row a*m + b holds the coordinates of basis_a * basis_b."""
-        ctx, e, d, m = self.ctx, self.e, self.ctx.d, self.m
-        zero, one = ctx.zero.vec, ctx.one.vec
-        # y^k reduced by the modulus for k = 0 .. 2e-2, as e-lists of F_q vecs
-        ypow = [[one if j == k else zero for j in range(e)] for k in range(e)]
-        for _ in range(e - 1):
-            top = ypow[-1][-1]
-            ypow.append([ctx.fsub(low, ctx.fmul(top, c))
-                         for low, c in zip([zero] + ypow[-1][:-1], self.modulus)])
-        xpow = [ctx.f_from_coeffs([0] * i + [1]).vec for i in range(d)]
-        t = np.zeros((m, m, m), np.int64)
-        for a in range(m):
-            for b in range(m):
-                (ja, ia), (jb, ib) = divmod(a, d), divmod(b, d)
-                x = ctx.fmul(xpow[ia], xpow[ib])
-                for j, c in enumerate(ypow[ja + jb]):
-                    t[a, b, j * d:(j + 1) * d] = ctx.fmul(x, c)
-        return t.reshape(m * m, m)
-
-    def embed(self, vec) -> np.ndarray:
-        """The F_q element with coefficient vec, as an extension element."""
-        out = np.zeros(self.m, np.int64)
-        out[: self.ctx.d] = vec
-        return out
-
-    def from_indices(self, indices) -> np.ndarray:
-        """Elements by canonical index (base-q digits over F_q, each in base p)."""
-        p = self.ctx.p
-        return np.array([[n // p ** k % p for k in range(self.m)] for n in indices],
-                        np.int64).reshape(-1, self.m)
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of broadcast-compatible element arrays of shape (..., m)."""
-        outer = a[..., :, None] * b[..., None, :]
-        return outer.reshape(outer.shape[:-2] + (-1,)) @ self.tensor % self.ctx.p
-
-    def pow(self, a: np.ndarray, n: int) -> np.ndarray:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        result = np.broadcast_to(self.one, a.shape)
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            n >>= 1
-            if n:
-                a = self.mul(a, a)
-        return result
-
-    def inv(self, a: np.ndarray) -> np.ndarray:
-        if not a.any(axis=-1).all():
-            raise ZeroDivisionError("inverse of zero in evaluation extension")
-        return self.pow(a, self.size - 2)
-
-    def powers(self, a: np.ndarray, n: int) -> np.ndarray:
-        """a^0 .. a^n stacked on a new leading axis, filled by doubling."""
-        out = np.empty((n + 1,) + a.shape, np.int64)
-        out[0] = self.one
-        k = 1
-        while k <= n:
-            step = min(k, n + 1 - k)
-            out[k:k + step] = self.mul(out[:step], a)
-            a = self.mul(a, a)
-            k *= 2
-        return out
-
-    def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Values (K, N, m) at N points z of K polynomials over F_q.
-
-        coeffs (K, D+1, d) holds their coefficients over F_p.  The rows
-        z^k x^i (k <= D, i < d) form one table, and a single contraction
-        against it evaluates every polynomial at every point.
-        """
-        ctx = self.ctx
-        k, terms, d = coeffs.shape
-        check_int64_headroom(ctx.p, d, self.m, terms - 1)
-        xmul = self.tensor.reshape(self.m, self.m, self.m)[:d]
-        table = np.einsum("knb,ibc->kinc", self.powers(z, terms - 1), xmul) % ctx.p
-        values = coeffs.reshape(k, -1) @ table.reshape(terms * d, -1) % ctx.p
-        return values.reshape(k, -1, self.m)
-
-
-def check_int64_headroom(p: int, d: int, m: int, degree: int) -> None:
-    """Raise InvalidRange unless batched arithmetic at these sizes fits int64.
-
-    An extension product sums m*m terms below p^3; evaluating a degree-D
-    polynomial over F_{p^d} sums (D+1)*d terms below p^2.
-    """
-    worst = max(m * m * (p - 1) ** 3, (degree + 1) * d * (p - 1) ** 2)
-    if worst >= 2 ** 63:
-        raise InvalidRange(f"p = {p}, degree {degree}: batched evaluation overflows int64")

@@ -188,13 +188,6 @@ class Poly:
             acc = ctx.fadd(ctx.fmul(acc, x.vec), c)
         return FieldElement(ctx, acc)
 
-    def eval_ext(self, ext, point):
-        """Horner evaluation at one point of a FieldExtension of the context."""
-        acc = ext.embed(self.ctx.zero.vec)
-        for c in self.v[::-1]:
-            acc = (ext.mul(acc, point) + ext.embed(c)) % self.ctx.p
-        return acc
-
     # -- structure around z = 1 --------------------------------------------------
 
     def divide_out_one(self, limit: int) -> tuple["Poly", int]:
@@ -453,13 +446,3 @@ class PoleFraction:
 
     def __repr__(self):
         return f"PoleFraction({self.num!r} / z^{self.a}(z-1)^{self.b})"
-
-    def eval_ext(self, ext, point):
-        """Exact value at a point with point not in {0, 1}."""
-        val = self.num.eval_ext(ext, point)
-        if self.a:
-            val = ext.mul(val, ext.pow(point, -self.a))
-        if self.b:
-            shifted = (point - ext.one) % self.ctx.p
-            val = ext.mul(val, ext.pow(shifted, -self.b))
-        return val

@@ -88,14 +88,12 @@ def test_ac3_exhaustive_cross_method_agreement():
                     continue
                 wp = witt_decompose(lam, "twisted")
                 nt = splitting_from_T(ctx, wp.lam0, wp.lam1).n
-                rng = random.Random(1000 * p + n)
-                cert = factorization_certificate(ctx, lam, rng=rng)
+                cert = factorization_certificate(ctx, lam)
                 nb = cert.n
                 nc = splitting_from_cech(ctx, lam).n
                 ok_tr = validate_T_R(ctx, wp.lam0, wp.lam1)
                 ok_cert = verify_certificate(
-                    build_transition(build_A_primitive(ctx, lam)), cert,
-                    rng=random.Random(n))
+                    build_transition(build_A_primitive(ctx, lam)), cert)
                 if not (nt == nb == nc and ok_tr and ok_cert):
                     mismatches.append((p, n, nt, nb, nc, ok_tr, ok_cert))
         assert not mismatches, f"minimal counterexample: {mismatches[0]}"
@@ -134,12 +132,12 @@ def test_ac6_certificate_soundness_randomized():
                 r = lam.residue()
                 if not (r.is_zero() or r == ctx.one):
                     break
-            cert = factorization_certificate(ctx, lam, rng=rng)
+            cert = factorization_certificate(ctx, lam)
             trans = build_transition(build_A_primitive(ctx, lam))
-            assert verify_certificate(trans, cert, rng=rng)
+            assert verify_certificate(trans, cert)
             if k % 10 == 0:
                 bad = dataclasses.replace(cert, f=cert.f + Poly.one(ctx))
-                assert not verify_certificate(trans, bad, rng=rng)
+                assert not verify_certificate(trans, bad)
 
 
 def test_ac7_witt_layer_exhaustive():

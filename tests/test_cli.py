@@ -85,6 +85,29 @@ def test_seed_determinism_bytes(capsys):
     assert out1 == out2
 
 
+def test_seed_changes_only_the_meta_field(capsys):
+    args = ("scan", "--minpoly", "1,-1,1", "--prime-range", "5:13", "--format", "json")
+    _, out1, _ = run_cli(capsys, *args, "--seed", "1")
+    _, out2, _ = run_cli(capsys, *args, "--seed", "2")
+    doc1, doc2 = json.loads(out1), json.loads(out2)
+    assert (doc1["meta"].pop("seed"), doc2["meta"].pop("seed")) == (1, 2)
+    assert doc1 == doc2
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # a broken invariant is a bug, not bad input: exit 3, not 2
+    import higgsflow.scan as scan_mod
+    from higgsflow.errors import CertificateCheckFailed
+
+    def broken(*args, **kwargs):
+        raise CertificateCheckFailed("certificate identity det P does not hold")
+
+    monkeypatch.setattr(scan_mod, "splitting_from_birkhoff", broken)
+    code, _, err = run_cli(capsys, "scan", "--rational", "-1", "--prime-range", "5:5")
+    assert code == 3
+    assert "internal error" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])

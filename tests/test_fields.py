@@ -2,11 +2,9 @@ import random
 
 import pytest
 
-from higgsflow.errors import (DegreeOutOfRange, EvenPrime, ForbiddenResidue,
-                              InvalidRange, NotPrime)
-from higgsflow.fields import (check_int64_headroom, frobenius_w2, make_context,
-                              teichmuller, witt_compose, witt_decompose)
-from higgsflow.scan import SCAN_MAX_PRIME
+from higgsflow.errors import DegreeOutOfRange, EvenPrime, ForbiddenResidue, NotPrime
+from higgsflow.fields import (frobenius_w2, make_context, teichmuller, witt_compose,
+                              witt_decompose)
 
 
 def test_context_construction():
@@ -186,16 +184,3 @@ def test_field_sqrt():
         non_sq = ctx.f_nonsquare()
         assert ctx.f_sqrt(non_sq) is None
 
-
-def test_int64_headroom_guard():
-    # the largest scan prime builds both of its evaluation extensions (m = 2)
-    p = 9973
-    assert p < SCAN_MAX_PRIME
-    assert make_context(p, 1).extension(2).m == 2
-    assert make_context(p, 2).extension(1).m == 2
-    check_int64_headroom(p, 2, 4, 2 * p)
-    # products of m*m terms below p^3, or sums of (deg+1)*d terms below p^2
-    with pytest.raises(InvalidRange):
-        check_int64_headroom(2 ** 21, 1, 2, 2 ** 22)
-    with pytest.raises(InvalidRange):
-        check_int64_headroom(p, 2, 2, 2 ** 40)

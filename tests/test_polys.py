@@ -220,12 +220,3 @@ def test_pole_fraction_arithmetic_and_normalization():
     assert (a * b) == PoleFraction(P(ctx, 1), 1, 1)
     assert (s - s).is_zero()
 
-
-def test_pole_fraction_evaluation():
-    ctx = make_context(7, 1)
-    ext = ctx.extension(1)
-    frac = PoleFraction(P(ctx, 1, 1), 1, 2)  # (z+1) / (z (z-1)^2)
-    z = ext.embed(ctx.f_from_int(3).vec)
-    val = frac.eval_ext(ext, z)
-    expect = (3 + 1) * pow(3 * 2 * 2, 5, 7) % 7
-    assert val == ext.embed(ctx.f_from_int(expect).vec)
