@@ -228,7 +228,8 @@ def test_step2_names_the_identity_its_certificate_breaks(monkeypatch):
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
     m = build_transition(co)
     (top, zero), (low, diag) = m.entries
-    wrong = dataclasses.replace(m, entries=((top, zero), (low + PoleFraction(Poly.one(ctx)), diag)))
+    low = low + PoleFraction(Poly.one(ctx))
+    wrong = dataclasses.replace(m, entries=((top, zero), (low, diag)))
     monkeypatch.setattr(factorization, "build_transition", lambda cocycle: wrong)
     with pytest.raises(CertificateCheckFailed, match=r"identity P\*M\*Q does not hold"):
         birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
