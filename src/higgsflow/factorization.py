@@ -14,10 +14,9 @@ beta', gamma', alpha, P, Q), and step 2 hands it back only after
 :func:`check_certificate` has proved every identity exactly, in the ring
 of rational functions with poles in {0, 1, infinity}: the step-1
 congruence, the Bezout relation, the alpha relation, det P = det Q = 1 and
-the diagonalization itself.  Each identity is a polynomial identity, or
-one between pole fractions compared as numerators over a common
-denominator z^a (z-1)^b, so the check is deterministic and draws no
-sample points.
+the diagonalization itself.  Each is a polynomial identity or an identity
+of pole fractions, which compare by cross-multiplying, so the check is
+deterministic and draws no sample points.
 """
 
 from __future__ import annotations
@@ -215,7 +214,11 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
         f=f, g=g, h=h, l=l, c=c, n=p - c,
         beta_prime=beta_p.scale(uinv), gamma_prime=gamma_p,
         alpha=alpha, P=P, Q=Q, branch=branch, sigma=sigma)
-    check_certificate(build_transition(cocycle), cert)
+    # verify_certificate is the check perfbench traces as factorization.verify;
+    # only when it fails does check_certificate run again to name the identity
+    m = build_transition(cocycle)
+    if not verify_certificate(m, cert):
+        check_certificate(m, cert)
     return cert
 
 
@@ -233,22 +236,10 @@ def splitting_from_birkhoff(ctx: ReductionContext, lam: WittRingElement) -> Spli
     return SplittingType.of(cert.n, "birkhoff")
 
 
-def _vanishes(ctx: ReductionContext, terms) -> bool:
-    """Whether a signed sum of products of pole fractions is zero.
-
-    terms holds (sign, factors) pairs.  The numerators are compared over the
-    one common denominator z^a (z-1)^b, which is exact and skips reducing
-    every product to lowest terms.
-    """
-    a = max(sum(fr.a for fr in fs) for _, fs in terms)
-    b = max(sum(fr.b for fr in fs) for _, fs in terms)
-    total = Poly.zero(ctx)
-    for sign, fs in terms:
-        num = z_minus_one_pow(ctx, b - sum(fr.b for fr in fs)).shift(a - sum(fr.a for fr in fs))
-        for fr in fs:
-            num = num * fr.num
-        total = total + num if sign > 0 else total - num
-    return total.is_zero()
+def _matmul(x, y):
+    """Product of two 2x2 matrices of pole fractions."""
+    return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2))
+                 for i in range(2))
 
 
 def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> None:
@@ -257,8 +248,7 @@ def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> No
     In order: step-1 (f*A + g*z^p = h*(z-1)^(2p)), Bezout
     (f*gamma' + g*beta' = (z-1)^(2p)), alpha
     (alpha*z^p*(z-1)^(2p) = z^p*gamma' - A*beta'), det P = 1, det Q = 1, and
-    P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)).  Once det P = 1 holds, the last
-    is checked as M*Q = adj(P)*diag, the same identity with fewer products.
+    P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)), all in pole-fraction arithmetic.
     Raises CertificateCheckFailed naming the identity.
     """
     ctx = m.cocycle.ctx
@@ -278,17 +268,12 @@ def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> No
             == LaurentPoly(zp * cert.gamma_prime - A * cert.beta_prime), "alpha")
     (p00, p01), (p10, p11) = cert.P
     (q00, q01), (q10, q11) = cert.Q
-    require(_vanishes(ctx, [(1, [p00, p11]), (-1, [p01, p10]), (-1, [one])]), "det P")
-    require(_vanishes(ctx, [(1, [q00, q11]), (-1, [q01, q10]), (-1, [one])]), "det Q")
-    (m00, m01), (m10, m11) = m.entries
-    d0 = PoleFraction(one.num, 0, cert.c - p)
-    d1 = PoleFraction(one.num, 0, p - cert.c)
-    # M*Q - adj(P)*diag, entry by entry
-    require(all(_vanishes(ctx, terms) for terms in (
-        [(1, [m00, q00]), (1, [m01, q10]), (-1, [p11, d0])],
-        [(1, [m00, q01]), (1, [m01, q11]), (1, [p01, d1])],
-        [(1, [m10, q00]), (1, [m11, q10]), (1, [p10, d0])],
-        [(1, [m10, q01]), (1, [m11, q11]), (-1, [p00, d1])])), "P*M*Q")
+    require(p00 * p11 - p01 * p10 == one, "det P")
+    require(q00 * q11 - q01 * q10 == one, "det Q")
+    zero = PoleFraction.zero(ctx)
+    diag = ((PoleFraction(one.num, 0, cert.c - p), zero),
+            (zero, PoleFraction(one.num, 0, p - cert.c)))
+    require(_matmul(cert.P, _matmul(m.entries, cert.Q)) == diag, "P*M*Q")
 
 
 def verify_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> bool:

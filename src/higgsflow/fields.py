@@ -384,6 +384,14 @@ class ReductionContext:
             r = self.fmul(r, b)
         return r
 
+    def extension(self, degree: int):
+        """Retired: certificates are checked exactly, in no extension field.
+
+        ``perfbench/hooks.py`` still wraps this method by name when it traces
+        a pass, so the name stays until that hook entry is dropped.
+        """
+        raise NotImplementedError("no evaluation extension: certificates are checked exactly")
+
     def __repr__(self):
         return f"ReductionContext(p={self.p}, d={self.d})"
 

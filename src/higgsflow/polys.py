@@ -388,7 +388,9 @@ class LaurentPoly:
 class PoleFraction:
     """num / (z^a (z-1)^b): rational functions with poles in {0, 1, infinity}.
 
-    Fully reduced on construction, so equality is structural.
+    Kept as built, never reduced, so no operation pays for dividing out
+    the factors of z and z - 1 that cancel.  Equality cross-multiplies;
+    instances are unhashable.
     """
 
     __slots__ = ("num", "a", "b")
@@ -401,14 +403,7 @@ class PoleFraction:
         if b < 0:
             num = num * z_minus_one_pow(ctx, -b)
             b = 0
-        if num.is_zero():
-            self.num, self.a, self.b = num, 0, 0
-            return
-        while a > 0 and not num.v[0].any():
-            num = num.shift(-1)
-            a -= 1
-        num, k = num.divide_out_one(b)
-        self.num, self.a, self.b = num, a, b - k
+        self.num, self.a, self.b = num, a, b
 
     @property
     def ctx(self):
@@ -421,12 +416,13 @@ class PoleFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def _over(self, a: int, b: int) -> Poly:
+        """The numerator over the larger denominator z^a (z-1)^b."""
+        return self.num.shift(a - self.a) * z_minus_one_pow(self.ctx, b - self.b)
+
     def __add__(self, other: "PoleFraction") -> "PoleFraction":
         a, b = max(self.a, other.a), max(self.b, other.b)
-        ctx = self.ctx
-        left = self.num.shift(a - self.a) * z_minus_one_pow(ctx, b - self.b)
-        right = other.num.shift(a - other.a) * z_minus_one_pow(ctx, b - other.b)
-        return PoleFraction(left + right, a, b)
+        return PoleFraction(self._over(a, b) + other._over(a, b), a, b)
 
     def __sub__(self, other: "PoleFraction") -> "PoleFraction":
         return self + (-other)
@@ -438,11 +434,10 @@ class PoleFraction:
         return PoleFraction(self.num * other.num, self.a + other.a, self.b + other.b)
 
     def __eq__(self, other):
-        return (isinstance(other, PoleFraction) and self.num == other.num
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self):
-        return hash((self.num, self.a, self.b))
+        if not isinstance(other, PoleFraction):
+            return False
+        a, b = max(self.a, other.a), max(self.b, other.b)
+        return self._over(a, b) == other._over(a, b)
 
     def __repr__(self):
         return f"PoleFraction({self.num!r} / z^{self.a}(z-1)^{self.b})"

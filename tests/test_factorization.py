@@ -82,22 +82,18 @@ def test_step2_exact_diagonalization_micro_case():
 
 
 def test_step2_exact_diagonalization_small_sample():
-    rng = random.Random(2)
-    for p in (3, 5):
-        ctx = make_context(p, 1)
-        for _ in range(6):
-            while True:
-                w = ctx.w_from_int(rng.randrange(p * p))
-                r = w.residue()
-                if not (r.is_zero() or r == ctx.one):
-                    break
+    # every lambda at a few small (p, d): P*M*Q multiplied out in full
+    for p, d in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        ctx = make_context(p, d)
+        for w in ctx.witt_elements():
+            r = w.residue()
+            if r.is_zero() or r == ctx.one:
+                continue
             co = build_A_primitive(ctx, w)
             cert = birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
             prod = _pf_matmul(cert.P, _pf_matmul(build_transition(co).entries, cert.Q))
-            assert prod[0][0] == PoleFraction(z_minus_one_pow(ctx, max(p - cert.c, 0)),
-                                              0, max(cert.c - p, 0))
-            assert prod[1][1] == PoleFraction(z_minus_one_pow(ctx, max(cert.c - p, 0)),
-                                              0, max(p - cert.c, 0))
+            assert prod[0][0] == PoleFraction(Poly.one(ctx), 0, cert.c - p)
+            assert prod[1][1] == PoleFraction(Poly.one(ctx), 0, p - cert.c)
             assert prod[0][1].is_zero() and prod[1][0].is_zero()
             assert cert.alpha.poly.is_zero() or cert.alpha.valuation() >= -2 * p
 
@@ -180,8 +176,10 @@ def _tampered(cert):
         "alpha": dataclasses.replace(cert, alpha=cert.alpha + LaurentPoly(one)),
         "P entry": dataclasses.replace(cert, P=((p00 + PoleFraction(one), p01), (p10, p11))),
         "Q entry": dataclasses.replace(cert, Q=(q0, (q10, q11 + PoleFraction(one, 1, 0)))),
-        # adding row 1 to row 0 keeps det P = 1, so only P*M*Q can catch it
-        "P row op": dataclasses.replace(cert, P=((p00 + p10, p01 + p11), (p10, p11))),
+        # adding one row of P to the other keeps det P = 1, so only P*M*Q
+        # can catch it; each row of P*M*Q is checked on its own
+        "P row 1 into row 0": dataclasses.replace(cert, P=((p00 + p10, p01 + p11), (p10, p11))),
+        "P row 0 into row 1": dataclasses.replace(cert, P=((p00, p01), (p10 + p00, p11 + p01))),
         # P row 0 times 2, Q column 0 times 1/2: P*M*Q is unchanged, det P is not
         "P, Q rescaled": dataclasses.replace(
             cert, P=((two * p00, two * p01), (p10, p11)),
@@ -189,32 +187,39 @@ def _tampered(cert):
     }
 
 
-SHAPES = [(3, 1), (7, 1), (3, 2), (7, 2)]
+# (p, d, coefficients of lambda); at p = 3, lambda = -1 is periodic (l = 1)
+# and lambda = 2 is not (l = 0)
+SHAPES = [pytest.param(3, 1, (-1,), id="3-1-lam=-1"),
+          pytest.param(3, 1, (2,), id="3-1-lam=2"),
+          pytest.param(7, 1, (2,), id="7-1-lam=2"),
+          pytest.param(3, 2, (1, 1), id="3-2-lam=u+1"),
+          pytest.param(7, 2, (1, 1), id="7-2-lam=u+1")]
 
 
-def _shape_case(p, d):
+def _shape_case(p, d, coeffs):
     ctx = make_context(p, d)
-    lam = ctx.w_from_int(-1) if d == 1 else ctx.w_from_coeffs([1, 1])
+    lam = ctx.w_from_coeffs(coeffs)
     co = build_A_primitive(ctx, lam)
     return build_transition(co), factorization_certificate(ctx, lam)
 
 
-@pytest.mark.parametrize("p, d", SHAPES)
-def test_verify_certificate_rejects_perturbations(p, d):
-    m, cert = _shape_case(p, d)
+@pytest.mark.parametrize("p, d, coeffs", SHAPES)
+def test_verify_certificate_rejects_perturbations(p, d, coeffs):
+    m, cert = _shape_case(p, d, coeffs)
     assert verify_certificate(m, cert)
     for name, bad in _tampered(cert).items():
         assert not verify_certificate(m, bad), name
 
 
-@pytest.mark.parametrize("p, d", SHAPES)
-def test_check_certificate_names_the_broken_identity(p, d):
-    m, cert = _shape_case(p, d)
+@pytest.mark.parametrize("p, d, coeffs", SHAPES)
+def test_check_certificate_names_the_broken_identity(p, d, coeffs):
+    m, cert = _shape_case(p, d, coeffs)
     # beta' enters the Bezout relation through g, the alpha relation through A
     broken = {"f": "step-1", "g": "step-1", "h": "step-1",
               "beta_prime": "Bezout" if not cert.g.is_zero() else "alpha",
               "gamma_prime": "Bezout", "alpha": "alpha", "c": "P*M*Q",
-              "P entry": "det P", "Q entry": "det Q", "P row op": "P*M*Q",
+              "P entry": "det P", "Q entry": "det Q", "P row 1 into row 0": "P*M*Q",
+              "P row 0 into row 1": "P*M*Q",
               "P, Q rescaled": "det P"}
     for name, bad in _tampered(cert).items():
         with pytest.raises(CertificateCheckFailed) as err:
@@ -233,23 +238,6 @@ def test_step2_names_the_identity_its_certificate_breaks(monkeypatch):
     monkeypatch.setattr(factorization, "build_transition", lambda cocycle: wrong)
     with pytest.raises(CertificateCheckFailed, match=r"identity P\*M\*Q does not hold"):
         birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
-
-
-@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (7, 1), (3, 2)])
-def test_full_product_matches_diagonal_for_every_certificate(p, d):
-    # the reference for the adj(P) shortcut: P*M*Q multiplied out in full
-    ctx = make_context(p, d)
-    for w in ctx.witt_elements():
-        r = w.residue()
-        if r.is_zero() or r == ctx.one:
-            continue
-        co = build_A_primitive(ctx, w)
-        cert = factorization_certificate(ctx, w)
-        prod = _pf_matmul(cert.P, _pf_matmul(build_transition(co).entries, cert.Q))
-        one = Poly.one(ctx)
-        assert prod[0][0] == PoleFraction(one, 0, cert.c - p)
-        assert prod[1][1] == PoleFraction(one, 0, p - cert.c)
-        assert prod[0][1].is_zero() and prod[1][0].is_zero()
 
 
 def test_step2_rejects_inconsistent_input():
