@@ -13,65 +13,135 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotSquare
+from .errors import InternalInvariantFailure, NotSquare
 from .fields import FieldElement, ReductionContext
+
+_PANEL = 64
+_EXACT = 2 ** 53  # float64 holds every integer below this exactly
+
+
+def _check_exact(terms: int, p: int, what: str) -> None:
+    """A float64 dot product of `terms` products of residues must stay exact."""
+    if terms * (p - 1) ** 2 >= _EXACT:
+        raise InternalInvariantFailure(
+            f"{what}: {terms}*(p-1)^2 >= 2^53 at p={p}, "
+            "so a float64 product of residues would round")
 
 
 def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form mod p; deterministic first-nonzero pivoting."""
-    m = mat.copy() % p
+    """Row echelon form mod p, by right-looking blocked forward elimination.
+
+    Returns (m, pivots): the rows of m below len(pivots) are zero, and row
+    i has a 1 at column pivots[i] and zeros to its left.  Entries above a
+    pivot are NOT cleared: this is echelon form, not reduced echelon form
+    (``_nullspace_mod_p`` back-substitutes when it needs the reduced one).
+    Pivoting is first-nonzero; the pivot columns are the matrix's column
+    rank profile either way.
+
+    Columns go in panels of ``_PANEL``.  A panel is factored on the rows
+    still without a pivot in int64, keeping the multipliers in place (the
+    LAPACK layout); the panel's row operations are replayed on the pivot
+    rows' trailing part by a lower-triangular solve, and every other row's
+    trailing block takes one float64 matmul, exact while
+    ``_PANEL*(p-1)^2 < 2^53`` (checked at entry).  Inside a panel, entries
+    are reduced only when read: a column when it is searched for a pivot,
+    a row when it becomes a pivot row.  Between reads at most ``_PANEL``
+    products below p^2 pile up, inside int64 under the same bound.
+    """
+    _check_exact(_PANEL, p, "panel update")
+    m = np.remainder(np.asarray(mat, np.int64), p, order="C")   # rows contiguous
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c0 in range(0, cols, _PANEL):
         if r >= rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        c1 = min(c0 + _PANEL, cols)
+        panel = m[:, c0:c1]              # a view: swaps and updates act on m
+        piv: list[int] = []              # pivot columns of this panel, local
+        for c in range(c1 - c0):
+            i = r + len(piv)
+            if i >= rows:
+                break
+            col = panel[i:, c]
+            col %= p
+            nz = np.flatnonzero(col)
+            if not nz.size:
+                continue
+            if nz[0]:
+                m[[i, i + nz[0]]] = m[[i + nz[0], i]]
+            # the multipliers stay in column c; row i becomes the unit
+            # echelon row, with the pivot value kept at (i, c)
+            panel[i, c + 1:] = panel[i, c + 1:] % p * pow(int(panel[i, c]), p - 2, p) % p
+            below = panel[i + 1:, c]
+            if below.any():
+                panel[i + 1:, c + 1:] -= np.outer(below, panel[i, c + 1:])
+            piv.append(c)
+        k = len(piv)
+        if not k:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = m[r] * pow(int(m[r, c]), p - 2, p) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
-        pivots.append(c)
-        r += 1
+        top, rest = slice(r, r + k), slice(r + k, rows)
+        lower = panel[top][:, piv]       # multipliers below the diagonal, pivots on it
+        if c1 < cols:
+            # pivot rows: solve lower * x = trailing part, one row at a time
+            trail = m[top, c1:]
+            for j in range(k):
+                trail[j] = trail[j] % p * pow(int(lower[j, j]), p - 2, p) % p
+                trail[j + 1:] -= np.outer(lower[j + 1:, j], trail[j])
+            if r + k < rows:
+                prod = panel[rest][:, piv].astype(np.float64) @ trail.astype(np.float64)
+                block = m[rest, c1:]
+                block -= np.fmod(prod, p).astype(np.int64)
+                block %= p
+        # the panel in echelon form: unit pivots, zeros below and left of them
+        for j, c in enumerate(piv):
+            panel[r + j, :c] = 0
+            panel[r + j, c] = 1
+        panel[rest] = 0
+        pivots.extend(c0 + c for c in piv)
+        r += k
     return m, pivots
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     if mat.size == 0:
         return 0
-    _, pivots = _rref_mod_p(mat, p)
-    return len(pivots)
+    return len(_rref_mod_p(mat, p)[1])
 
 
 def _nullspace_mod_p(mat: np.ndarray, p: int) -> list[np.ndarray]:
     """Basis of the right null space, free-variable convention.
 
-    Vector k has a 1 at the k-th free column and minus the pivot-row
-    coefficients elsewhere; ordered by free column index.
+    Vector k has a 1 at the k-th free column and minus the reduced
+    echelon coefficients elsewhere; ordered by free column index.  The
+    reduced echelon form is unique, so it follows from the echelon form by
+    back-substitution; blocks of ``_PANEL`` pivot rows take the rows below
+    them in one float64 matmul, exact while ``rows*(p-1)^2 < 2^53``.
     """
     rows, cols = mat.shape
     if cols == 0:
         return []
     if rows == 0:
         return [np.eye(cols, dtype=np.int64)[i] for i in range(cols)]
-    rref, pivots = _rref_mod_p(mat, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = np.zeros(cols, dtype=np.int64)
-        v[free] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-int(rref[i, free])) % p
-        basis.append(v)
-    return basis
+    _check_exact(rows, p, "back-substitution")
+    ech, pivots = _rref_mod_p(mat, p)
+    k = len(pivots)
+    is_free = np.ones(cols, bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    unit = ech[:k, pivots]               # unit upper triangular
+    x = ech[:k, free]                    # becomes the reduced form's free columns
+    for hi in range(k, 0, -_PANEL):
+        lo = max(hi - _PANEL, 0)
+        if hi < k:
+            prod = unit[lo:hi, hi:].astype(np.float64) @ x[hi:].astype(np.float64)
+            x[lo:hi] = (x[lo:hi] - np.fmod(prod, p).astype(np.int64)) % p
+        for i in range(hi - 2, lo - 1, -1):
+            x[i] = (x[i] - unit[i, i + 1:hi] @ x[i + 1:hi]) % p
+    basis = np.zeros((len(free), cols), np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -x.T % p
+    return list(basis)
 
 
 class FqMatrix:

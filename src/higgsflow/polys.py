@@ -16,13 +16,11 @@ dense quadratic algorithms are the right tool.
 
 from __future__ import annotations
 
-import functools
-from math import comb
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DivisionByZeroPoly
+from .errors import DivisionByZeroPoly, InternalDivisibilityFailure
 from .fields import FieldElement, ReductionContext
 
 NEG_INF = float("-inf")
@@ -212,7 +210,8 @@ class Poly:
         """Exact division by (z-1)^k."""
         q, j = self.divide_out_one(k)
         if j < k and not self.is_zero():
-            raise ValueError("not divisible by the requested power of (z-1)")
+            raise InternalDivisibilityFailure(
+                f"not divisible by (z-1)^{k}: only (z-1)^{j} divides")
         return q
 
     def taylor_at_one(self) -> "Poly":
@@ -265,7 +264,7 @@ def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
 def poly_divexact(f: Poly, g: Poly) -> Poly:
     q, r = poly_divrem(f, g)
     if not r.is_zero():
-        raise ValueError("inexact polynomial division")
+        raise InternalDivisibilityFailure("inexact polynomial division")
     return q
 
 
@@ -287,11 +286,41 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     return gcd, u, v
 
 
-@functools.lru_cache(maxsize=None)
+def _minus_one_binomials(n: int, p: int) -> list[int]:
+    """Coefficients of (x-1)^n mod p, lowest first, for 0 <= n < p.
+
+    C(n, j+1) = C(n, j)*(n-j)/(j+1), with 1/j = -(p // j)/(p mod j) mod p.
+    """
+    inv = [0, 1]
+    for j in range(2, n + 1):
+        inv.append(-(p // j) * inv[p % j] % p)
+    c = [(-1) ** n % p]
+    for j in range(n):
+        c.append(-c[j] * (n - j) * inv[j + 1] % p)
+    return c
+
+
 def z_minus_one_pow(ctx: ReductionContext, k: int) -> Poly:
-    """(z-1)^k over F_q, via binomial coefficients reduced mod p."""
+    """(z-1)^k over F_q, digit by digit in base p.
+
+    In characteristic p, (z-1)^(a + b*p) = (z-1)^a * (z^p - 1)^b, so (z-1)^k
+    is the product over the base-p digits k_i of k of (z^(p^i) - 1)^(k_i).
+    The factors' terms never overlap, so each product is an outer product.
+    """
     p = ctx.p
-    return Poly.from_ints(ctx, (comb(k, j) * (-1) ** (k - j) % p for j in range(k + 1)))
+    k, n = divmod(k, p)
+    coeffs = np.array(_minus_one_binomials(n, p), np.int64)
+    step = p                          # p^i; coeffs has at most step terms
+    while k:
+        k, n = divmod(k, p)
+        if n:
+            spread = np.zeros((n + 1, step), np.int64)
+            spread[:, :len(coeffs)] = np.outer(_minus_one_binomials(n, p), coeffs) % p
+            coeffs = spread.ravel()[: n * step + len(coeffs)]
+        step *= p
+    v = np.zeros((len(coeffs), ctx.d), np.int64)
+    v[:, 0] = coeffs
+    return Poly(ctx, v)
 
 
 def series_div_at_one(V: Poly, H: Poly, k: int) -> Poly:
@@ -418,7 +447,8 @@ class PoleFraction:
 
     def _over(self, a: int, b: int) -> Poly:
         """The numerator over the larger denominator z^a (z-1)^b."""
-        return self.num.shift(a - self.a) * z_minus_one_pow(self.ctx, b - self.b)
+        num = self.num.shift(a - self.a)
+        return num if b == self.b else num * z_minus_one_pow(self.ctx, b - self.b)
 
     def __add__(self, other: "PoleFraction") -> "PoleFraction":
         a, b = max(self.a, other.a), max(self.b, other.b)

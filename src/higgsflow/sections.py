@@ -17,7 +17,6 @@ methods are validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -86,8 +85,8 @@ def h0_of_twist(m: TransitionMatrix, twist: int, bound: int | None = None) -> in
     p = ctx.p
     b = bound if bound is not None else 2 * p + abs(twist) + 4
     a_shift = m.cocycle.A.taylor_at_one()
-    # u * (s+1)^p, in s
-    uzp = Poly.from_ints(ctx, (comb(p, k) for k in range(p + 1))).scale(m.cocycle.unit)
+    # u * z^p = u * (s+1)^p = u * (1 + s^p) in characteristic p
+    uzp = (Poly.one(ctx) + Poly.monomial(ctx, p)).scale(m.cocycle.unit)
     dim = _h0_dimension(SectionSpaceProblem(matrix=m, twist=twist, bound=b), a_shift, uzp)
     dim_again = _h0_dimension(SectionSpaceProblem(matrix=m, twist=twist, bound=b + 2),
                               a_shift, uzp)

@@ -108,6 +108,21 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "internal error" in err
 
 
+def test_inexact_division_exits_internal(monkeypatch, capsys):
+    # an inexact division that must be exact is a bug, not bad input
+    import higgsflow.scan as scan_mod
+    from higgsflow.polys import Poly, poly_divexact
+
+    def inexact(ctx, lam):
+        z = Poly.monomial(ctx, 1)
+        return poly_divexact(z, z + Poly.one(ctx))
+
+    monkeypatch.setattr(scan_mod, "splitting_from_birkhoff", inexact)
+    code, _, err = run_cli(capsys, "scan", "--rational", "-1", "--prime-range", "5:5")
+    assert code == 3
+    assert err.startswith("internal error:") and "inexact polynomial division" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])

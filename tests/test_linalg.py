@@ -115,3 +115,139 @@ def test_blowup_rank_is_multiple_of_degree():
     m = FqMatrix(ctx, arr)
     from higgsflow.linalg import _rank_mod_p
     assert _rank_mod_p(m.blowup(), 3) == 2 * mat_rank(m)
+
+
+# -- the blocked kernel against sympy's DomainMatrix over GF(p) ----------------
+
+ORACLE_PRIMES = (2, 3, 401, 9973)
+EDGE_COLS = (1, 63, 64, 65, 129)     # one column, either side of a panel, two panels
+
+
+def _oracle(a, p):
+    """(pivot columns, null-space basis) of a over GF(p), from sympy."""
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    dm = DomainMatrix(a.tolist(), a.shape, ZZ).convert_to(GF(p)).to_sparse()
+    rref, pivots = dm.rref()
+    basis = [[int(x) % p for x in row] for row in rref.nullspace().to_list()]
+    return list(pivots), basis
+
+
+def _check_against_oracle(a, p):
+    from higgsflow.linalg import _nullspace_mod_p, _rank_mod_p, _rref_mod_p
+
+    pivots, basis = _oracle(a, p)
+    ech, got = _rref_mod_p(a, p)
+    assert got == pivots
+    assert _rank_mod_p(a, p) == len(pivots)
+    assert [v.tolist() for v in _nullspace_mod_p(a, p)] == basis
+    # echelon form: unit pivots, zeros left of them and in every row below
+    assert not ech[len(got):].any()
+    for i, c in enumerate(got):
+        assert ech[i, c] == 1 and not ech[i, :c].any()
+    return pivots
+
+
+def _with_profile(rng, rows, cols, pivots, p, zero_cols=()):
+    """A rows x cols matrix whose pivot columns are exactly `pivots`.
+
+    Its rows mix the echelon rows with a row-permuted unit lower
+    triangular matrix, so the rank is exact at every p and pivoting has
+    to swap rows; `zero_cols` are all zero.
+    """
+    r = len(pivots)
+    ech = np.zeros((r, cols), np.int64)
+    for i, c in enumerate(pivots):
+        ech[i, c] = 1
+        ech[i, c + 1:] = rng.integers(0, p, cols - c - 1)
+    ech[:, list(zero_cols)] = 0
+    mix = rng.integers(0, p, (rows, r))
+    mix[:r] = np.tril(mix[:r], -1) + np.eye(r, dtype=np.int64)
+    return mix[rng.permutation(rows)] @ ech % p
+
+
+def _shape(cols, orient):
+    return (max(cols // 8, 1), cols) if orient == "wide" else (cols + 5, cols)
+
+
+def _check_rank_zero_and_full(p, cols, orient):
+    rng = np.random.default_rng([p, cols, len(orient)])
+    rows, _ = _shape(cols, orient)
+    assert _check_against_oracle(np.zeros((rows, cols), np.int64), p) == []
+    full = min(rows, cols)
+    # a wide matrix's pivots spread over every panel, a tall one's fill them
+    pivots = sorted(rng.choice(cols, full, replace=False).tolist())
+    a = _with_profile(rng, rows, cols, pivots, p)
+    assert _check_against_oracle(a, p) == pivots
+
+
+@pytest.mark.parametrize("cols", EDGE_COLS)
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_kernel_wide_rank_zero_and_full_match_oracle(p, cols):
+    _check_rank_zero_and_full(p, cols, "wide")
+
+
+# the oracle's cost grows as cols^3 on a tall full-rank matrix: each
+# width meets one prime, and every prime meets a width
+@pytest.mark.parametrize("p,cols", [(2, 1), (3, 63), (401, 64), (9973, 65), (2, 129)])
+def test_kernel_tall_rank_zero_and_full_match_oracle(p, cols):
+    _check_rank_zero_and_full(p, cols, "tall")
+
+
+@pytest.mark.parametrize("orient", ["wide", "tall"])
+@pytest.mark.parametrize("cols", EDGE_COLS[1:])
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_kernel_zero_columns_and_empty_panels_match_oracle(p, cols, orient):
+    # no pivot in the first panel, and all-zero columns among the later ones
+    rng = np.random.default_rng([p, cols, len(orient), 1])
+    rows, _ = _shape(cols, orient)
+    late = range(min(64, cols - 1), cols)
+    pivots = sorted(rng.choice(late, min(len(late), rows, 6), replace=False).tolist())
+    zero = [c for c in late[1::3] if c not in pivots]
+    a = _with_profile(rng, rows, cols, pivots, p, zero)
+    assert _check_against_oracle(a, p) == pivots
+    # the same rows again: a square and a tall stack whose rank stays put
+    assert _check_against_oracle(np.vstack([a, a[::-1]]), p) == pivots
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES[1:])
+def test_kernel_on_degree_two_blowups_matches_oracle(p):
+    # 40 x 33 over F_{p^2} is 80 x 66 over F_p: both sides of a panel edge
+    rng = np.random.default_rng(p)
+    ctx = make_context(p, 2)
+    arr = rng.integers(0, p, (40, 33, 2))
+    arr[:, 5] = 0
+    arr[:, 20:24] = arr[:, 1:5]          # equal columns over F_{p^2}
+    arr[30:] = arr[:10]                  # equal rows over F_{p^2}
+    for m in (FqMatrix(ctx, arr), FqMatrix(ctx, arr).transpose()):
+        big = m.blowup()
+        pivots = _check_against_oracle(big, p)
+        assert len(pivots) % 2 == 0 and len(pivots) // 2 == mat_rank(m)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_kernel_narrow_panels_match_oracle(monkeypatch, width):
+    # many panel edges on small matrices: every pivot lands at some offset
+    import higgsflow.linalg as linalg
+
+    monkeypatch.setattr(linalg, "_PANEL", width)
+    rng = np.random.default_rng(width)
+    for p in (2, 3, 401, 9973):
+        for rows, cols in ((7, 20), (20, 7), (13, 13)):
+            pivots = sorted(rng.choice(cols, min(rows, cols) // 2, replace=False).tolist())
+            a = _with_profile(rng, rows, cols, pivots, p, [c for c in range(cols)
+                                                           if c % 5 == 4 and c not in pivots])
+            assert _check_against_oracle(a, p) == pivots
+
+
+def test_kernel_refuses_a_prime_where_float64_products_would_round():
+    from higgsflow.errors import InternalInvariantFailure
+    from higgsflow.linalg import _nullspace_mod_p, _rank_mod_p
+
+    p = 2 ** 31 - 1
+    a = np.array([[1, 2], [3, 4]], np.int64)
+    with pytest.raises(InternalInvariantFailure, match=r"2\^53"):
+        _rank_mod_p(a, p)
+    with pytest.raises(InternalInvariantFailure, match=r"2\^53"):
+        _nullspace_mod_p(a, p)

@@ -1,13 +1,15 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higgsflow.errors import DivisionByZeroPoly
+from higgsflow.errors import DivisionByZeroPoly, InternalDivisibilityFailure
 from higgsflow.fields import make_context
-from higgsflow.polys import (LaurentPoly, Poly, PoleFraction, poly_divrem,
-                             poly_ext_gcd, series_div_at_one, z_minus_one_pow)
+from higgsflow.polys import (LaurentPoly, Poly, PoleFraction, poly_divexact,
+                             poly_divrem, poly_ext_gcd, series_div_at_one,
+                             z_minus_one_pow)
 
 
 def P(ctx, *ints):
@@ -32,6 +34,31 @@ def test_divrem_by_zero():
     ctx = make_context(3, 1)
     with pytest.raises(DivisionByZeroPoly):
         poly_divrem(Poly.one(ctx), Poly.zero(ctx))
+
+
+def test_divexact_inexact_is_internal_failure():
+    ctx = make_context(5, 1)
+    assert poly_divexact(P(ctx, 4, 0, 1), P(ctx, 1, 1)) == P(ctx, 4, 1)
+    with pytest.raises(InternalDivisibilityFailure, match="inexact"):
+        poly_divexact(P(ctx, 0, 1), P(ctx, 1, 1))        # z / (z + 1)
+
+
+def test_divexact_one_pow_short_is_internal_failure():
+    ctx = make_context(5, 1)
+    f = z_minus_one_pow(ctx, 2) * P(ctx, 2, 1)
+    assert f.divexact_one_pow(2) == P(ctx, 2, 1)
+    with pytest.raises(InternalDivisibilityFailure, match=r"\(z-1\)\^3"):
+        f.divexact_one_pow(3)
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 2), (7, 1), (23, 1)])
+def test_z_minus_one_pow_matches_binomials(p, d):
+    # k with one, two and three base-p digits, on either side of each carry
+    ctx = make_context(p, d)
+    for k in sorted({*range(2 * p + 2), p * p - 1, p * p, p * p + p + 1,
+                     2 * p * p - 1, 3 ** 7 + 1}):
+        ref = Poly.from_ints(ctx, (comb(k, j) * (-1) ** (k - j) for j in range(k + 1)))
+        assert z_minus_one_pow(ctx, k) == ref, k
 
 
 def test_ext_gcd_example():
