@@ -7,6 +7,16 @@ which multiplies both dimensions by d and divides the resulting rank by d
 (at d = 1 it is the matrix itself).  Null vectors of the blow-up
 correspond exactly to null vectors over F_{p^d} by re-chunking
 coordinates.
+
+Every rank and null space goes through one kernel, ``_rref_mod_p``:
+right-looking blocked forward elimination (the FFLAS-FFPACK design of
+Dumas, Giorgi and Pernet, ACM TOMS 35, 2008).  Panels of ``_PANEL``
+columns are factored exactly in int64, and the rest of the matrix is
+updated by one float64 matmul per panel.  That is exact while
+``_PANEL*(p-1)^2 < 2^53``, which holds for every p below 1.1e7; past the
+bound the kernel raises ``InternalInvariantFailure`` rather than round.
+A rank reads the pivots off the echelon form; a null space
+back-substitutes from it.
 """
 
 from __future__ import annotations
@@ -43,10 +53,13 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     LAPACK layout); the panel's row operations are replayed on the pivot
     rows' trailing part by a lower-triangular solve, and every other row's
     trailing block takes one float64 matmul, exact while
-    ``_PANEL*(p-1)^2 < 2^53`` (checked at entry).  Inside a panel, entries
-    are reduced only when read: a column when it is searched for a pivot,
-    a row when it becomes a pivot row.  Between reads at most ``_PANEL``
-    products below p^2 pile up, inside int64 under the same bound.
+    ``_PANEL*(p-1)^2 < 2^53`` (checked at entry).  The difference goes back
+    to int64 before it is reduced: an int64 remainder is some 20 times
+    faster than ``np.fmod`` on float64 at these magnitudes.  Inside a
+    panel, entries are reduced only when read: a column when it is
+    searched for a pivot, a row when it becomes a pivot row.  Between reads
+    at most ``_PANEL`` products below p^2 pile up, inside int64 under the
+    same bound.
     """
     _check_exact(_PANEL, p, "panel update")
     m = np.remainder(np.asarray(mat, np.int64), p, order="C")   # rows contiguous
@@ -57,11 +70,12 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if r >= rows:
             break
         c1 = min(c0 + _PANEL, cols)
-        panel = m[:, c0:c1]              # a view: swaps and updates act on m
+        panel = m[r:, c0:c1].copy()      # the rows without a pivot yet
+        trail = m[r:, c1:]               # a view: row swaps act on m
         piv: list[int] = []              # pivot columns of this panel, local
         for c in range(c1 - c0):
-            i = r + len(piv)
-            if i >= rows:
+            i = len(piv)
+            if i >= len(panel):
                 break
             col = panel[i:, c]
             col %= p
@@ -69,7 +83,9 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             if not nz.size:
                 continue
             if nz[0]:
-                m[[i, i + nz[0]]] = m[[i + nz[0], i]]
+                swap = [i + nz[0], i]
+                panel[[i, i + nz[0]]] = panel[swap]
+                trail[[i, i + nz[0]]] = trail[swap]
             # the multipliers stay in column c; row i becomes the unit
             # echelon row, with the pivot value kept at (i, c)
             panel[i, c + 1:] = panel[i, c + 1:] % p * pow(int(panel[i, c]), p - 2, p) % p
@@ -80,24 +96,25 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         k = len(piv)
         if not k:
             continue
-        top, rest = slice(r, r + k), slice(r + k, rows)
-        lower = panel[top][:, piv]       # multipliers below the diagonal, pivots on it
         if c1 < cols:
-            # pivot rows: solve lower * x = trailing part, one row at a time
-            trail = m[top, c1:]
+            # pivot rows: solve lower * x = trailing part, one row at a time;
+            # lower has the multipliers below its diagonal and the pivots on it
+            lower, top = panel[:k, piv], trail[:k]
             for j in range(k):
-                trail[j] = trail[j] % p * pow(int(lower[j, j]), p - 2, p) % p
-                trail[j + 1:] -= np.outer(lower[j + 1:, j], trail[j])
-            if r + k < rows:
-                prod = panel[rest][:, piv].astype(np.float64) @ trail.astype(np.float64)
-                block = m[rest, c1:]
-                block -= np.fmod(prod, p).astype(np.int64)
+                top[j] = top[j] % p * pow(int(lower[j, j]), p - 2, p) % p
+                top[j + 1:] -= np.outer(lower[j + 1:, j], top[j])
+            if k < len(panel):
+                prod = panel[k:, piv].astype(np.float64) @ top.astype(np.float64)
+                block = trail[k:]
+                # block - prod in float64 is an exact integer above -2^53
+                np.subtract(block, prod, out=block, casting="unsafe")
                 block %= p
         # the panel in echelon form: unit pivots, zeros below and left of them
         for j, c in enumerate(piv):
-            panel[r + j, :c] = 0
-            panel[r + j, c] = 1
-        panel[rest] = 0
+            panel[j, :c] = 0
+            panel[j, c] = 1
+        panel[k:] = 0
+        m[r:, c0:c1] = panel
         pivots.extend(c0 + c for c in piv)
         r += k
     return m, pivots
@@ -135,7 +152,7 @@ def _nullspace_mod_p(mat: np.ndarray, p: int) -> list[np.ndarray]:
         lo = max(hi - _PANEL, 0)
         if hi < k:
             prod = unit[lo:hi, hi:].astype(np.float64) @ x[hi:].astype(np.float64)
-            x[lo:hi] = (x[lo:hi] - np.fmod(prod, p).astype(np.int64)) % p
+            x[lo:hi] = (x[lo:hi] - prod.astype(np.int64)) % p
         for i in range(hi - 2, lo - 1, -1):
             x[i] = (x[i] - unit[i, i + 1:hi] @ x[i + 1:hi]) % p
     basis = np.zeros((len(free), cols), np.int64)
