@@ -167,13 +167,13 @@ def _with_profile(rng, rows, cols, pivots, p, zero_cols=()):
     return mix[rng.permutation(rows)] @ ech % p
 
 
-def _shape(cols, orient):
-    return (max(cols // 8, 1), cols) if orient == "wide" else (cols + 5, cols)
+def _rows(cols, orient):
+    return max(cols // 8, 1) if orient == "wide" else cols + 5
 
 
 def _check_rank_zero_and_full(p, cols, orient):
     rng = np.random.default_rng([p, cols, len(orient)])
-    rows, _ = _shape(cols, orient)
+    rows = _rows(cols, orient)
     assert _check_against_oracle(np.zeros((rows, cols), np.int64), p) == []
     full = min(rows, cols)
     # a wide matrix's pivots spread over every panel, a tall one's fill them
@@ -201,7 +201,7 @@ def test_kernel_tall_rank_zero_and_full_match_oracle(p, cols):
 def test_kernel_zero_columns_and_empty_panels_match_oracle(p, cols, orient):
     # no pivot in the first panel, and all-zero columns among the later ones
     rng = np.random.default_rng([p, cols, len(orient), 1])
-    rows, _ = _shape(cols, orient)
+    rows = _rows(cols, orient)
     late = range(min(64, cols - 1), cols)
     pivots = sorted(rng.choice(late, min(len(late), rows, 6), replace=False).tolist())
     zero = [c for c in late[1::3] if c not in pivots]
