@@ -65,6 +65,11 @@ def _check_lam0(lam0: FieldElement) -> None:
         raise ForbiddenResidue("lam0 must avoid {0, 1}")
 
 
+def _windows(table: np.ndarray, n: int) -> np.ndarray:
+    """Read-only view whose row s is table[s:s+n], shape (len(table)-n+1, n, d)."""
+    return np.moveaxis(np.lib.stride_tricks.sliding_window_view(table, n, axis=0), -1, 1)
+
+
 def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> CriterionMatrix:
     """Assemble T from the four-case entry formula.
 
@@ -90,17 +95,15 @@ def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> Cr
     lower = (sgn * c)[:, None] * (one - pwv) % p
     upper = (sgn * c[::-1])[:, None] * (pwv[::-1] - pwv[p]) % p
     high = -lower % p
-    table = np.concatenate([np.zeros((1, ctx.d), np.int64), lower, upper, high,
-                            np.array([lam1.vec], np.int64)])
-    ii = np.arange(1, p + 1)[:, None]
-    jj = np.arange(1, 2 * p + 2)[None, :]
-    diff = ii - jj
-    low = jj <= p
-    band = (jj > p) & (jj <= 2 * p - ii)
-    # row of `table` per entry: 0 is zero, then lower, upper, high, lam1
-    idx = np.select([low & (diff > 0), low & (diff < 0), low & (diff == 0), band],
-                    [1 + diff, p + 2 - diff, 3 * p + 4, 2 * p + 3 + ii + jj - p - 1], 0)
-    return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, T=FqMatrix(ctx, table[idx]))
+    # the left block is Toeplitz and the band Hankel, so each is one window
+    # view of a short table, copied once into T.  With 0-indexed (i, j):
+    # T[i, j] = left[j - i + p - 1] for j < p, and T[i, p + k] = band[i + k]
+    left = np.concatenate([lower[p - 1:0:-1], np.array([lam1.vec], np.int64), upper[1:p]])
+    band = np.concatenate([high[1:p], np.zeros((p, ctx.d), np.int64)])
+    T = np.zeros((p, 2 * p + 1, ctx.d), np.int64)
+    T[:, :p] = _windows(left, p)[::-1]
+    T[:, p:2 * p] = _windows(band, p)
+    return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, T=FqMatrix(ctx, T))
 
 
 def t_submatrix(tm: CriterionMatrix, m: int) -> FqMatrix:

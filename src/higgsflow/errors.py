@@ -25,10 +25,6 @@ class ForbiddenResidue(HiggsflowError):
     """A parameter reduces to 0 or 1, where the four marked points collide."""
 
 
-class DivisionByZeroPoly(HiggsflowError):
-    """Polynomial division by the zero polynomial."""
-
-
 class NotSquare(HiggsflowError):
     """Determinant of a non-square matrix requested."""
 
@@ -42,7 +38,11 @@ class DegreeTooLarge(HiggsflowError):
 
 
 class InternalDivisibilityFailure(InternalError):
-    """A quantity that must be divisible by p was not; signals a bug."""
+    """A division that must be exact was not; signals a bug."""
+
+
+class DivisionByZeroPoly(InternalError):
+    """Polynomial division by the zero polynomial; no valid input divides by it."""
 
 
 class InternalInvariantFailure(InternalError):

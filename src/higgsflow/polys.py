@@ -20,7 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DivisionByZeroPoly, InternalDivisibilityFailure
+from .errors import (DivisionByZeroPoly, InternalDivisibilityFailure,
+                     InternalInvariantFailure)
 from .fields import FieldElement, ReductionContext
 
 NEG_INF = float("-inf")
@@ -91,7 +92,7 @@ class Poly:
 
     def lead(self) -> FieldElement:
         if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
+            raise InternalInvariantFailure("zero polynomial has no leading coefficient")
         return self.coeff(len(self.v) - 1)
 
     # -- ring operations -------------------------------------------------------
@@ -137,7 +138,7 @@ class Poly:
             zeros = np.zeros((k, self.ctx.d), np.int64)
             return Poly(self.ctx, np.concatenate([zeros, self.v]))
         if self.v[:-k].any():
-            raise ValueError("not divisible by z^k")
+            raise InternalDivisibilityFailure(f"not divisible by z^{-k}")
         return Poly(self.ctx, self.v[-k:])
 
     def __pow__(self, e: int) -> "Poly":
@@ -272,7 +273,7 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (gcd monic, u, v) with u*f + v*g = gcd."""
     ctx = f.ctx
     if f.is_zero() and g.is_zero():
-        raise ValueError("gcd of two zero polynomials")
+        raise InternalInvariantFailure("gcd of two zero polynomials")
     r0, r1 = f, g
     u0, u1 = Poly.one(ctx), Poly.zero(ctx)
     while not r1.is_zero():

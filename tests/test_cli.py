@@ -123,6 +123,21 @@ def test_inexact_division_exits_internal(monkeypatch, capsys):
     assert err.startswith("internal error:") and "inexact polynomial division" in err
 
 
+def test_polynomial_layer_failure_in_step1_exits_internal(monkeypatch, capsys):
+    # a polynomial-layer invariant breaking inside step 1 is a bug, not bad input
+    import higgsflow.factorization as fact_mod
+    from higgsflow.polys import Poly
+
+    def zero_lead(ctx, A):
+        return Poly.zero(ctx).lead()
+
+    monkeypatch.setattr(fact_mod, "birkhoff_step1", zero_lead)
+    code, _, err = run_cli(capsys, "scan", "--rational", "-1", "--prime-range", "5:5",
+                           "--methods", "birkhoff")
+    assert code == 3
+    assert err.startswith("internal error:") and "leading coefficient" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from higgsflow.cocycle import build_A_closed
+from higgsflow.cocycle import binomial_over_p, build_A_closed
 from higgsflow.criterion import (build_T, det_T0_in_lam1, periodicity_pair,
                                  remainder_system, splitting_from_T,
                                  t_r_first_mismatch, t_submatrix, validate_T_R)
@@ -52,6 +53,45 @@ def test_build_T_agrees_between_fast_and_generic_paths():
                 for j in range(2 * p + 1):
                     assert t1.T.entry(i, j).coeffs() == t2.T.entry(i, j).coeffs()[:1]
                     assert t2.T.entry(i, j).coeffs()[1] == 0
+
+
+@pytest.mark.parametrize("p, d", [(7, 1), (5, 2)])
+def test_build_T_matches_entry_formula(p, d):
+    # every entry against the four cases of the docstring, 1-indexed
+    ctx = make_context(p, d)
+    lam0, lam1 = ctx.f_from_coeffs([3, 1][:d]), ctx.f_from_coeffs([2, 4][:d])
+    T = build_T(ctx, lam0, lam1).T
+
+    def term(sign, k, value):
+        return ctx.f_from_int((-1) ** sign * binomial_over_p(p, k)) * value
+
+    for i in range(1, p + 1):
+        for j in range(1, 2 * p + 2):
+            k = i + j - p - 1
+            if i == j:
+                want = lam1
+            elif i > j:
+                want = term(i - j + 1, i - j, ctx.one - lam0 ** (i - j))
+            elif j <= p:
+                want = term(j - i + 1, p - j + i, lam0 ** (p - j + i) - lam0 ** p)
+            elif j <= 2 * p - i:
+                want = term(k, k, ctx.one - lam0 ** k)
+            else:
+                want = ctx.zero
+            assert T.entry(i - 1, j - 1) == want, (i, j)
+
+
+def test_build_T_allocates_one_copy_of_T():
+    # T is written once into its own array; no full-size index, mask or
+    # choice arrays are built on the way
+    ctx = make_context(401, 1)
+    tracemalloc.start()
+    try:
+        T = build_T(ctx, ctx.f_from_int(2), ctx.f_from_int(3)).T.arr
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * T.nbytes
 
 
 def test_t_submatrix():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -120,6 +121,46 @@ def test_step1_minimality_rank_characterization():
         if p - c - 1 >= 0:
             sub = t_submatrix(tm, p - c - 1)
             assert mat_rank(sub) < c + 1
+
+
+# sha256 of every step-1 output (f, g, h, l) of the exhaustive test below, as
+# computed by the remainder-system rank scan and null space that step 1 was
+# before extended Euclid replaced it
+STEP1_EXHAUSTIVE_SHA256 = "cbb404c03feef9766dd65f8749fd6c56cae4cbc77b8e8462fb7b41360959a659"
+
+
+def test_step1_exhaustive_against_criterion_ranks():
+    # every lift at d = 1 for p <= 11 and at d = 2 for p <= 5; the t method's
+    # rank scan is the independent oracle for the minimal combined degree c
+    digest = hashlib.sha256()
+    cases = 0
+    for p, d in ((3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2)):
+        ctx = make_context(p, d)
+        zp, d2 = Poly.monomial(ctx, p), z_minus_one_pow(ctx, 2 * p)
+        for w in ctx.witt_elements():
+            r = w.residue()
+            if r.is_zero() or r == ctx.one:
+                continue
+            A = build_A_primitive(ctx, w).A
+            f, g, h, l = birkhoff_step1(ctx, A)
+            assert f * A + g * zp == h * d2
+            assert f.lead() == ctx.one and g.degree <= p - 1
+            c = max(f.degree, g.degree)
+            wp = witt_decompose(w, "twisted")
+            n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
+            assert c == p - n
+            tm = build_T(ctx, wp.lam0, wp.lam1)
+            if n <= p - 1:
+                assert mat_rank(t_submatrix(tm, n)) == p - n      # full rank
+            if n >= 1:
+                assert mat_rank(t_submatrix(tm, n - 1)) < p - n + 1
+            for poly in (f, g, h):
+                digest.update(len(poly.v).to_bytes(4, "little"))
+                digest.update(poly.v.tobytes())
+            digest.update(l.to_bytes(4, "little"))
+            cases += 1
+    assert cases == 790
+    assert digest.hexdigest() == STEP1_EXHAUSTIVE_SHA256
 
 
 def test_splitting_from_birkhoff_micro_cases():

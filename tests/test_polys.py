@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higgsflow.errors import DivisionByZeroPoly, InternalDivisibilityFailure
+from higgsflow.errors import (DivisionByZeroPoly, InternalDivisibilityFailure,
+                             InternalError, InternalInvariantFailure)
 from higgsflow.fields import make_context
 from higgsflow.polys import (LaurentPoly, Poly, PoleFraction, poly_divexact,
                              poly_divrem, poly_ext_gcd, series_div_at_one,
@@ -34,6 +35,30 @@ def test_divrem_by_zero():
     ctx = make_context(3, 1)
     with pytest.raises(DivisionByZeroPoly):
         poly_divrem(Poly.one(ctx), Poly.zero(ctx))
+
+
+def test_division_by_zero_is_internal_error():
+    # no valid input divides by the zero polynomial: a bug, not bad input
+    assert issubclass(DivisionByZeroPoly, InternalError)
+
+
+def test_lead_of_zero_is_internal_failure():
+    ctx = make_context(5, 1)
+    with pytest.raises(InternalInvariantFailure, match="leading coefficient"):
+        Poly.zero(ctx).lead()
+
+
+def test_ext_gcd_of_two_zeros_is_internal_failure():
+    ctx = make_context(5, 1)
+    with pytest.raises(InternalInvariantFailure, match="two zero polynomials"):
+        poly_ext_gcd(Poly.zero(ctx), Poly.zero(ctx))
+
+
+def test_inexact_shift_is_internal_failure():
+    ctx = make_context(5, 1)
+    assert P(ctx, 0, 0, 3, 1).shift(-2) == P(ctx, 3, 1)
+    with pytest.raises(InternalDivisibilityFailure, match=r"z\^2"):
+        P(ctx, 0, 1, 3).shift(-2)
 
 
 def test_divexact_inexact_is_internal_failure():
