@@ -25,6 +25,10 @@ class ForbiddenResidue(HiggsflowError):
     """A parameter reduces to 0 or 1, where the four marked points collide."""
 
 
+class DivisionByZeroPoly(InternalError):
+    """Polynomial division by the zero polynomial; no valid input divides by it."""
+
+
 class NotSquare(HiggsflowError):
     """Determinant of a non-square matrix requested."""
 
@@ -39,10 +43,6 @@ class DegreeTooLarge(HiggsflowError):
 
 class InternalDivisibilityFailure(InternalError):
     """A division that must be exact was not; signals a bug."""
-
-
-class DivisionByZeroPoly(InternalError):
-    """Polynomial division by the zero polynomial; no valid input divides by it."""
 
 
 class InternalInvariantFailure(InternalError):
