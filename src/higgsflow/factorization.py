@@ -3,12 +3,16 @@
 Step 1 finds the minimal pair (f, g) with f*A + g*z^p divisible by
 (z-1)^(2p) by extended Euclid, as a rational reconstruction of A*z^(-p)
 (see :func:`birkhoff_step1`); n = p - max(deg f, deg g).  It shares no
-linear algebra with the t method's rank scan.
+linear algebra with the t method's rank scan.  The Euclid row before the
+stopping row is a Bezout partner: it gives (beta', gamma') with
+f*gamma' + g*beta' = (z-1)^(2p) and z^p*gamma' = A*beta' mod (z-1)^(2p),
+reduced so that both have degree <= 2p - c.
 
-Step 2 solves the Bezout equation f*gamma' + g*beta' = (z-1)^(2p) with
-controlled degrees, corrects (beta, gamma) by a local congruence at z = 1
-so that the off-frame entry alpha is Laurent, and assembles unimodular
-frames P, Q with P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).
+Step 2 divides the off-frame entry alpha out of z^p*gamma' - A*beta' and
+assembles unimodular frames P, Q with
+P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).  It runs no second gcd: the
+Bezout identity shows that gcd(f, g) divides (z-1)^(2p), so it is
+(z-1)^l.
 
 Everything is certified: the returned object carries (f, g, h, l, c,
 beta', gamma', alpha, P, Q), and step 2 hands it back only after
@@ -28,12 +32,11 @@ from .cocycle import CocyclePolynomial, TransitionMatrix, build_A_primitive, bui
 from .criterion import SplittingType
 from .errors import CertificateCheckFailed, DegreeTooLarge
 from .fields import ReductionContext, WittRingElement
-from .polys import (LaurentPoly, Poly, PoleFraction, poly_divexact,
-                    poly_divrem, poly_ext_gcd, series_div_at_one,
-                    z_minus_one_pow)
+from .polys import LaurentPoly, Poly, PoleFraction, poly_divrem, z_minus_one_pow
 # unused here; kept because perfbench/hooks.py patches them by name in this module
 from .criterion import remainder_system  # noqa: F401
 from .linalg import _rank_mod_p, left_nullspace_vecs  # noqa: F401
+from .polys import poly_divexact, poly_ext_gcd  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,11 @@ class FactorizationCertificate:
     """Machine-checkable witness of the splitting computation.
 
     f, g, h and beta', gamma' are stored against the cocycle normalisation
-    of A, so that f*A + g*z^p = h*(z-1)^(2p) and
-    f*gamma' + g*beta' = (z-1)^(2p) hold verbatim.  P and Q absorb the
-    scalar unit internally; their entries are exact pole fractions.
+    of A, so that f*A + g*z^p = h*(z-1)^(2p),
+    f*gamma' + g*beta' = (z-1)^(2p) and
+    alpha*z^p*(z-1)^(2p) = z^p*gamma' - A*beta' hold verbatim; l is the
+    order of gcd(f, g) at z = 1.  P and Q absorb the scalar unit
+    internally; their entries are exact pole fractions.
     """
 
     f: Poly
@@ -57,16 +62,19 @@ class FactorizationCertificate:
     alpha: LaurentPoly
     P: tuple
     Q: tuple
-    branch: str | None
-    sigma: Poly
 
 
 def _fail(msg: str):
     raise CertificateCheckFailed(msg)
 
 
-def birkhoff_step1(ctx: ReductionContext, A: Poly) -> tuple[Poly, Poly, Poly, int]:
-    """Minimal (f, g) with f*A + g*z^p = h*(z-1)^(2p) and gcd (z-1)^l.
+def _deg(f: Poly) -> int:
+    return f.degree if not f.is_zero() else -1
+
+
+def birkhoff_step1(ctx: ReductionContext,
+                   A: Poly) -> tuple[Poly, Poly, Poly, int, Poly, Poly]:
+    """Minimal (f, g) with f*A + g*z^p = h*(z-1)^(2p), and a Bezout partner.
 
     Rational reconstruction of B = A*z^(-p) mod (z-1)^(2p): a pair solves
     step 1 exactly when f*B = -g mod (z-1)^(2p).  In characteristic p,
@@ -87,127 +95,92 @@ def birkhoff_step1(ctx: ReductionContext, A: Poly) -> tuple[Poly, Poly, Poly, in
     conditions on the p+1 coefficients of f whose leading p x p block is
     T_0, which has full rank exactly when c = p.  So one line is left.
 
-    l is the smaller of the orders of f and g at z = 1 (f's alone when
-    g = 0).  That gcd(f, g) is exactly (z-1)^l is checked once, by the
-    extended gcd of step 2; the check covers g = 0, since gcd(f, 0) is the
-    monic f.
+    The previous row gives the partner.  Each Euclid step negates
+    t_j*r_(j-1) - t_(j-1)*r_j, which starts at (z-1)^(2p); scaled like f
+    and g, (beta', gamma') = +-lead(t_j)*(t_(j-1), r_(j-1)) satisfy
+    f*gamma' + g*beta' = (z-1)^(2p), and r_(j-1) = t_(j-1)*B makes
+    z^p*gamma' - A*beta' divisible by (z-1)^(2p).  deg gamma' = 2p - deg f
+    and deg beta' < deg f.  When deg g > deg f, gamma' is reduced mod g
+    (beta' gains the quotient times f), which keeps both relations and
+    brings both degrees to <= 2p - c.
+
+    Returns (f, g, h, l, beta', gamma').  l is the smaller of the orders
+    of f and g at z = 1 (f's alone when g = 0).  The Bezout identity,
+    proved again by :func:`check_certificate`, makes gcd(f, g) a divisor
+    of (z-1)^(2p), hence exactly (z-1)^l.
     """
     p = ctx.p
     if A.degree > 2 * p - 1:
         raise DegreeTooLarge("step 1 requires deg A <= 2p-1")
     d2 = z_minus_one_pow(ctx, 2 * p)
     if A.is_zero():
-        return Poly.one(ctx), Poly.zero(ctx), Poly.zero(ctx), 0
+        return Poly.one(ctx), Poly.zero(ctx), Poly.zero(ctx), 0, Poly.zero(ctx), d2
 
     zp = Poly.monomial(ctx, p)
     _, B = poly_divrem(A * (Poly.from_ints(ctx, [2]) - zp), d2)
     r0, r1 = d2, B
     t0, t1 = Poly.zero(ctx), Poly.one(ctx)
+    sign = 1  # t1*r0 - t0*r1 = sign * (z-1)^(2p)
     while r1.degree >= p:
         q, r = poly_divrem(r0, r1)
         r0, r1 = r1, r
         t0, t1 = t1, t0 - q * t1
+        sign = -sign
 
-    inv = t1.lead().inverse()
+    lead = t1.lead()
+    inv = lead.inverse()
     f, g = t1.scale(inv), -r1.scale(inv)
     h, rem = poly_divrem(f * A + g * zp, d2)
     if not rem.is_zero():
         _fail("step-1 sum f*A + g*z^p is not divisible by (z-1)^(2p)")
 
+    s = lead if sign == 1 else -lead
+    beta, gamma = t0.scale(s), r0.scale(s)
+    if _deg(g) > f.degree:
+        q, gamma = poly_divrem(gamma, g)
+        beta = beta + q * f
+
     l = f.order_at_one() if g.is_zero() else min(f.order_at_one(), g.order_at_one())
-    return f, g, h, l
-
-
-def _deg(f: Poly) -> int:
-    return f.degree if not f.is_zero() else -1
+    return f, g, h, l, beta, gamma
 
 
 def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
-                   f: Poly, g: Poly, h: Poly, l: int) -> FactorizationCertificate:
-    """Bezout solve, degree reduction, local correction, frame assembly.
+                   f: Poly, g: Poly, h: Poly, l: int,
+                   beta_prime: Poly, gamma_prime: Poly) -> FactorizationCertificate:
+    """Degree checks, alpha, frame assembly, then the exact certificate check.
 
-    Raises CertificateCheckFailed the moment a construction invariant
-    breaks, or, naming the identity, when the assembled certificate fails
-    :func:`check_certificate`; a returned certificate has passed it.
+    Raises CertificateCheckFailed when c = max(deg f, deg g) is outside
+    0..p or deg beta', deg gamma' exceed 2p - c, or, naming the identity,
+    when the assembled certificate fails :func:`check_certificate`; a
+    returned certificate has passed it.
     """
     p = ctx.p
-    A = cocycle.A
-    d2 = z_minus_one_pow(ctx, 2 * p)
-    zp = Poly.monomial(ctx, p)
-
-    # guards the exact divisions below
-    if f * A + g * zp != h * d2:
-        _fail("step-1 identity f*A + g*z^p = h*(z-1)^(2p) does not hold")
-
-    uinv = cocycle.unit.inverse()
-    apap = A.scale(uinv)
-    gp = g.scale(uinv)
-    hp = h.scale(uinv)
-    c = max(_deg(f), _deg(gp))
+    c = max(_deg(f), _deg(g))
     if not 0 <= c <= p:
         _fail("combined degree outside 0..p")
-
-    fbar = f.divexact_one_pow(l)
-    gbar = gp.divexact_one_pow(l) if not gp.is_zero() else gp
-
-    d0, u0, v0 = poly_ext_gcd(f, gp)
-    if d0 != z_minus_one_pow(ctx, l):
-        _fail("gcd(f, g) is not (z-1)^l")
-    tail = z_minus_one_pow(ctx, 2 * p - l)
-    gamma0 = u0 * tail
-    beta0 = v0 * tail
-
-    if _deg(f) >= _deg(gp):
-        if _deg(fbar) >= 1:
-            _, beta = poly_divrem(beta0, fbar)
-        else:
-            beta = Poly.zero(ctx)
-        gamma = poly_divexact(d2 - gp * beta, f)
-    else:
-        if _deg(gbar) >= 1:
-            _, gamma = poly_divrem(gamma0, gbar)
-        else:
-            gamma = Poly.zero(ctx)
-        beta = poly_divexact(d2 - f * gamma, gp)
-    if _deg(beta) > 2 * p - c or _deg(gamma) > 2 * p - c:
-        _fail("degree bounds on (beta, gamma) violated")
-
-    # correction at z = 1 making alpha Laurent: subtract t * (h (z-1)^(2p-l))
-    v_poly = apap * beta - zp * gamma
-    e_v = v_poly.order_at_one() if not v_poly.is_zero() else 2 * p
-    sigma = Poly.zero(ctx)
-    if e_v < 2 * p:
-        h_full = hp * z_minus_one_pow(ctx, 2 * p - l)
-        if h_full.is_zero():
-            _fail("no correction available: h vanishes")
-        e_h = h_full.order_at_one()
-        if e_h > e_v or e_h >= 2 * p:
-            _fail("local congruence at z = 1 is unsolvable")
-        sigma = series_div_at_one(v_poly.divexact_one_pow(e_h),
-                                  h_full.divexact_one_pow(e_h), 2 * p - e_h)
-    beta_p = beta - sigma * fbar
-    gamma_p = gamma + sigma * gbar
-
-    w_poly = apap * beta_p - zp * gamma_p
-    if not w_poly.is_zero() and w_poly.order_at_one() < 2 * p:
-        _fail("A*beta' - z^p*gamma' is not divisible by (z-1)^(2p)")
-    if _deg(beta_p) > 2 * p - c or _deg(gamma_p) > 2 * p - c:
+    if _deg(beta_prime) > 2 * p - c or _deg(gamma_prime) > 2 * p - c:
         _fail("degree bounds on (beta', gamma') violated")
 
-    alpha_num = poly_divexact(-w_poly, d2) if not w_poly.is_zero() else Poly.zero(ctx)
+    zp = Poly.monomial(ctx, p)
+    # the quotient is exact when the alpha identity of check_certificate holds
+    alpha_num, _ = poly_divrem(zp * gamma_prime - cocycle.A * beta_prime,
+                               z_minus_one_pow(ctx, 2 * p))
     alpha = LaurentPoly(alpha_num, -p)
 
+    # P and Q hold g, h and beta' against A/u, the numerator that M carries
+    u = cocycle.unit
+    uinv = u.inverse()
+    gp, hp, beta_p = g.scale(uinv), h.scale(uinv), beta_prime.scale(u)
     pf = PoleFraction
     P = ((pf(alpha_num, p, 0), pf(beta_p)),
          (pf(-hp, p, 0), pf(f)))
     Q = ((pf(f, 0, c), pf(-beta_p, 0, 2 * p - c)),
-         (pf(gp, 0, c), pf(gamma_p, 0, 2 * p - c)))
+         (pf(gp, 0, c), pf(gamma_prime, 0, 2 * p - c)))
 
-    branch = None if l == 0 else ("A" if f.order_at_one() == l else "B")
     cert = FactorizationCertificate(
         f=f, g=g, h=h, l=l, c=c, n=p - c,
-        beta_prime=beta_p.scale(uinv), gamma_prime=gamma_p,
-        alpha=alpha, P=P, Q=Q, branch=branch, sigma=sigma)
+        beta_prime=beta_prime, gamma_prime=gamma_prime,
+        alpha=alpha, P=P, Q=Q)
     # verify_certificate is the check perfbench traces as factorization.verify;
     # only when it fails does check_certificate run again to name the identity
     m = build_transition(cocycle)
@@ -220,8 +193,7 @@ def factorization_certificate(ctx: ReductionContext,
                               lam: WittRingElement) -> FactorizationCertificate:
     """Full pipeline: cocycle, step 1, step 2."""
     cocycle = build_A_primitive(ctx, lam)
-    f, g, h, l = birkhoff_step1(ctx, cocycle.A)
-    return birkhoff_step2(ctx, cocycle, f, g, h, l)
+    return birkhoff_step2(ctx, cocycle, *birkhoff_step1(ctx, cocycle.A))
 
 
 def splitting_from_birkhoff(ctx: ReductionContext, lam: WittRingElement) -> SplittingType:

@@ -21,7 +21,8 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, EvenPrime, ForbiddenResidue, NotPrime
+from .errors import (DegreeOutOfRange, EvenPrime, ForbiddenResidue,
+                     InternalInvariantFailure, NotPrime)
 
 WittConvention = Literal["standard", "twisted"]
 
@@ -149,7 +150,8 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
         m = list(_digits(n, p, d)) + [1]
         if _is_irreducible(m, p):
             return tuple(m)
-    raise AssertionError("no irreducible modulus found")  # unreachable
+    # unreachable: F_p has monic irreducibles of every degree
+    raise InternalInvariantFailure(f"no irreducible modulus of degree {d} over F_{p}")
 
 
 def _reduction_table(modulus: tuple[int, ...], mod: int) -> np.ndarray:
@@ -300,10 +302,11 @@ class ReductionContext:
     def w_divexact_p(self, a):
         """Divide a Witt vec by p; the result is a field vec.
 
-        Requires every coordinate divisible by p.
+        Requires every coordinate divisible by p; callers guarantee it, so a
+        remainder is an internal fault.
         """
         if any(x % self.p for x in a):
-            raise ValueError("vec not divisible by p")
+            raise InternalInvariantFailure("Witt vec not divisible by p")
         return tuple([x // self.p for x in a])
 
     def f_from_int(self, n: int) -> "FieldElement":
@@ -351,7 +354,7 @@ class ReductionContext:
             v = self.f_from_index(n).vec
             if not self.f_is_square(v):
                 return v
-        raise AssertionError("no non-square found")  # unreachable for q odd
+        raise InternalInvariantFailure(f"no non-square in F_{self.q}")  # unreachable: q is odd
 
     def f_sqrt(self, a):
         """Tonelli-Shanks square root in F_q; None when a is a non-square."""
@@ -566,7 +569,7 @@ def teichmuller(x0: FieldElement) -> WittRingElement:
         if nxt == w:
             return WittRingElement(ctx, w)
         w = nxt
-    raise AssertionError("Teichmueller iteration did not stabilise")
+    raise InternalInvariantFailure("Teichmueller iteration did not stabilise")
 
 
 def frobenius_w2(x: WittRingElement) -> WittRingElement:

@@ -289,5 +289,5 @@ def beauville_catalog() -> list[BeauvilleEntry]:
             rational=tuple(e["rational"]) if "rational" in e else None,
             radical=e.get("radical")))
     if len(entries) != 17:
-        raise AssertionError("catalog must hold exactly 17 entries")
+        raise InternalInvariantFailure("catalog must hold exactly 17 entries")
     return entries

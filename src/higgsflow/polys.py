@@ -207,14 +207,6 @@ class Poly:
             return -1
         return self.divide_out_one(len(self.v))[1]
 
-    def divexact_one_pow(self, k: int) -> "Poly":
-        """Exact division by (z-1)^k."""
-        q, j = self.divide_out_one(k)
-        if j < k and not self.is_zero():
-            raise InternalDivisibilityFailure(
-                f"not divisible by (z-1)^{k}: only (z-1)^{j} divides")
-        return q
-
     def taylor_at_one(self) -> "Poly":
         """Coefficients of self(s+1) in s: the Taylor expansion at z = 1.
 
@@ -322,37 +314,6 @@ def z_minus_one_pow(ctx: ReductionContext, k: int) -> Poly:
     v = np.zeros((len(coeffs), ctx.d), np.int64)
     v[:, 0] = coeffs
     return Poly(ctx, v)
-
-
-def series_div_at_one(V: Poly, H: Poly, k: int) -> Poly:
-    """The unique t with t = V/H mod (z-1)^k and deg t < k.
-
-    Requires H(1) != 0.  Works in s = z - 1: H is inverted as a power
-    series to order k by Newton iteration, and t(z) = (V/H)(z - 1) is
-    rebuilt by Horner's rule in z.
-    """
-    ctx = V.ctx
-    if k <= 0:
-        return Poly.zero(ctx)
-    vs = V.taylor_at_one()
-    hs = H.taylor_at_one()
-    h0 = hs.coeff(0)
-    if h0.is_zero():
-        raise ZeroDivisionError("series division by a function vanishing at z = 1")
-    two = Poly.from_ints(ctx, [2])
-    inv, n = Poly(ctx, h0.inverse().vec), 1
-    while n < k:
-        # inv <- inv * (2 - hs * inv) doubles the number of correct terms
-        n = min(2 * n, k)
-        inv = Poly(ctx, (inv * (two - Poly(ctx, hs.v[:n]) * inv)).v[:n])
-    ts = (vs * inv).v[:k]
-    t = np.zeros((k, ctx.d), np.int64)
-    for c in ts[::-1]:
-        # t <- t * (z - 1) + c
-        t[1:] = t[:-1] - t[1:]
-        t[0] = c - t[0]
-        t %= ctx.p
-    return Poly(ctx, t)
 
 
 # ---------------------------------------------------------------------------

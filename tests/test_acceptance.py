@@ -47,7 +47,7 @@ def test_ac1_micro_case_periodic():
         closed = build_A_closed(ctx, ctx.f_from_int(2), ctx.zero)
         expect_a = P(ctx, 0, 2, 0, 0, 0, 1)  # z^5 + 2z
         assert prim.A == expect_a and closed.A == expect_a
-        f, g, h, l = birkhoff_step1(ctx, prim.A)
+        f, g, h, l, _, _ = birkhoff_step1(ctx, prim.A)
         assert f == P(ctx, 2, 0, 1) and g == P(ctx, 1, 1, 1) and l == 1
         cert = factorization_certificate(ctx, lam)
         assert cert.c == 2 and cert.n == 1
@@ -68,7 +68,7 @@ def test_ac2_micro_case_exceptional():
         from higgsflow.linalg import mat_det
         t0 = t_submatrix(build_T(ctx, wp.lam0, wp.lam1), 0)
         assert mat_det(t0) == ctx.f_from_int(2)
-        f, g, h, l = birkhoff_step1(ctx, prim.A)
+        f, g, h, l, _, _ = birkhoff_step1(ctx, prim.A)
         assert f == P(ctx, 2, 0, 1, 1) and g == P(ctx, 1, 2) and l == 0
         cert = factorization_certificate(ctx, lam)
         assert cert.c == 3 and cert.n == 0

@@ -138,6 +138,32 @@ def test_polynomial_layer_failure_in_step1_exits_internal(monkeypatch, capsys):
     assert err.startswith("internal error:") and "leading coefficient" in err
 
 
+def test_witt_layer_inexact_division_exits_internal(monkeypatch, capsys):
+    # a wrong Teichmueller lift leaves lam - tau(lam0) prime to p: a bug, not bad input
+    import higgsflow.fields as fields_mod
+
+    teichmuller = fields_mod.teichmuller
+
+    def off_by_one(x0):
+        t = teichmuller(x0)
+        return t + t.ctx.w_from_int(1)
+
+    monkeypatch.setattr(fields_mod, "teichmuller", off_by_one)
+    code, _, err = run_cli(capsys, "scan", "--rational", "-1", "--prime-range", "5:5")
+    assert code == 3
+    assert err.startswith("internal error:") and "not divisible by p" in err
+
+
+def test_teichmuller_iteration_cap_exits_internal(monkeypatch, capsys):
+    # the Teichmueller iteration always stabilises; hitting its cap is a bug
+    import higgsflow.fields as fields_mod
+
+    monkeypatch.setattr(fields_mod, "_TEICHMULLER_ITERATION_CAP", 0)
+    code, _, err = run_cli(capsys, "scan", "--rational", "-1", "--prime-range", "5:5")
+    assert code == 3
+    assert err.startswith("internal error:") and "Teichmueller" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])

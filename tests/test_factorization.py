@@ -28,27 +28,30 @@ def _pf_matmul(x, y):
 def test_step1_micro_case_periodic():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    f, g, h, l = birkhoff_step1(ctx, co.A)
+    f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
     assert f == P(ctx, 2, 0, 1)       # z^2 + 2
     assert g == P(ctx, 1, 1, 1)       # z^2 + z + 1
     assert l == 1
     assert f * co.A + g * Poly.monomial(ctx, 3) == h * z_minus_one_pow(ctx, 6)
+    assert f * gamma + g * beta == z_minus_one_pow(ctx, 6)
 
 
 def test_step1_micro_case_nonperiodic():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(2))
-    f, g, h, l = birkhoff_step1(ctx, co.A)
+    f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
     assert f == P(ctx, 2, 0, 1, 1)    # z^3 + z^2 + 2
     assert g == P(ctx, 1, 2)          # 2z + 1
     assert l == 0
     assert f.eval(ctx.one) == ctx.one  # f(1) = 1 != 0
+    assert f * gamma + g * beta == z_minus_one_pow(ctx, 6)
 
 
 def test_step1_zero_cocycle_degenerate():
     ctx = make_context(3, 1)
-    f, g, h, l = birkhoff_step1(ctx, Poly.zero(ctx))
+    f, g, h, l, beta, gamma = birkhoff_step1(ctx, Poly.zero(ctx))
     assert f == Poly.one(ctx) and g.is_zero() and h.is_zero() and l == 0
+    assert beta.is_zero() and gamma == z_minus_one_pow(ctx, 6)
 
 
 def test_step1_degree_guard():
@@ -84,6 +87,7 @@ def test_step2_exact_diagonalization_micro_case():
 
 def test_step2_exact_diagonalization_small_sample():
     # every lambda at a few small (p, d): P*M*Q multiplied out in full
+    reduced = gcd_at_one = 0
     for p, d in ((3, 1), (5, 1), (7, 1), (3, 2)):
         ctx = make_context(p, d)
         for w in ctx.witt_elements():
@@ -97,6 +101,10 @@ def test_step2_exact_diagonalization_small_sample():
             assert prod[1][1] == PoleFraction(Poly.one(ctx), 0, p - cert.c)
             assert prod[0][1].is_zero() and prod[1][0].is_zero()
             assert cert.alpha.poly.is_zero() or cert.alpha.valuation() >= -2 * p
+            reduced += not cert.g.is_zero() and cert.g.degree > cert.f.degree
+            gcd_at_one += cert.l > 0
+    # both step-1 paths stay covered: gamma' reduced mod g, and gcd (z-1)^l, l > 0
+    assert reduced > 0 and gcd_at_one > 0
 
 
 def test_step1_minimality_rank_characterization():
@@ -111,7 +119,7 @@ def test_step1_minimality_rank_characterization():
             if not (r.is_zero() or r == ctx.one):
                 break
         co = build_A_primitive(ctx, w)
-        f, g, h, l = birkhoff_step1(ctx, co.A)
+        f, g, h, l, _, _ = birkhoff_step1(ctx, co.A)
         c = max(f.degree, g.degree if not g.is_zero() else -1)
         wp = witt_decompose(w, "twisted")
         tm = build_T(ctx, wp.lam0, wp.lam1)
@@ -142,10 +150,14 @@ def test_step1_exhaustive_against_criterion_ranks():
             if r.is_zero() or r == ctx.one:
                 continue
             A = build_A_primitive(ctx, w).A
-            f, g, h, l = birkhoff_step1(ctx, A)
+            f, g, h, l, beta, gamma = birkhoff_step1(ctx, A)
             assert f * A + g * zp == h * d2
             assert f.lead() == ctx.one and g.degree <= p - 1
             c = max(f.degree, g.degree)
+            # the Bezout partner from the previous Euclid row
+            assert f * gamma + g * beta == d2
+            assert (zp * gamma - A * beta).order_at_one() >= 2 * p
+            assert beta.degree <= 2 * p - c and gamma.degree <= 2 * p - c
             wp = witt_decompose(w, "twisted")
             n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
             assert c == p - n
@@ -284,14 +296,30 @@ def test_step2_names_the_identity_its_certificate_breaks(monkeypatch):
 def test_step2_rejects_inconsistent_input():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    f, g, h, l = birkhoff_step1(ctx, co.A)
-    with pytest.raises(CertificateCheckFailed):
-        birkhoff_step2(ctx, co, f + Poly.one(ctx), g, h, l)
+    f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
+    with pytest.raises(CertificateCheckFailed, match="identity step-1"):
+        birkhoff_step2(ctx, co, f + Poly.one(ctx), g, h, l, beta, gamma)
+
+
+def test_step2_rejects_degrees_out_of_bounds():
+    ctx = make_context(5, 1)
+    co = build_A_primitive(ctx, ctx.w_from_int(-1))
+    f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
+    c = max(f.degree, g.degree)
+    with pytest.raises(CertificateCheckFailed, match="combined degree"):
+        birkhoff_step2(ctx, co, Poly.monomial(ctx, 6), g, h, l, beta, gamma)
+    with pytest.raises(CertificateCheckFailed, match="combined degree"):
+        birkhoff_step2(ctx, co, Poly.zero(ctx), Poly.zero(ctx), h, l, beta, gamma)
+    over = Poly.monomial(ctx, 10 - c + 1)  # degree 2p - c + 1
+    with pytest.raises(CertificateCheckFailed, match="degree bounds"):
+        birkhoff_step2(ctx, co, f, g, h, l, beta + over, gamma)
+    with pytest.raises(CertificateCheckFailed, match="degree bounds"):
+        birkhoff_step2(ctx, co, f, g, h, l, beta, gamma + over)
 
 
 def test_step2_gcd_check_rejects_factor_coprime_to_z_minus_one():
-    # step 1 reads l off the orders at z = 1 only; step 2's extended gcd is
-    # the one check that gcd(f, g) has no other factor
+    # step 1 reads l off the orders at z = 1 only; the Bezout identity is the
+    # one check that gcd(f, g) has no other factor
     for p, d in ((5, 1), (7, 1), (3, 2)):
         ctx = make_context(p, d)
         cases = 0
@@ -300,13 +328,15 @@ def test_step2_gcd_check_rejects_factor_coprime_to_z_minus_one():
             if r.is_zero() or r == ctx.one:
                 continue
             co = build_A_primitive(ctx, w)
-            f, g, h, l = birkhoff_step1(ctx, co.A)
+            f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
             if max(f.degree, g.degree) >= p:
                 continue  # the extra factor would push c past p first
             cases += 1
             extra = P(ctx, -2, 1)
-            with pytest.raises(CertificateCheckFailed, match="gcd"):
-                birkhoff_step2(ctx, co, f * extra, g * extra, h * extra, l)
+            # (beta', gamma') fit the old c, or their Bezout sum is extra*(z-1)^(2p)
+            with pytest.raises(CertificateCheckFailed,
+                               match=r"identity Bezout|degree bounds"):
+                birkhoff_step2(ctx, co, f * extra, g * extra, h * extra, l, beta, gamma)
         assert cases > 0
 
 
@@ -320,9 +350,7 @@ def test_certificate_determinism():
     assert a.beta_prime == b.beta_prime and a.gamma_prime == b.gamma_prime
 
 
-def test_branch_recorded_only_when_gcd_nontrivial():
+def test_certificate_records_gcd_order_at_one():
     ctx = make_context(3, 1)
-    cert1 = factorization_certificate(ctx, ctx.w_from_int(-1))
-    assert cert1.l == 1 and cert1.branch in ("A", "B")
-    cert2 = factorization_certificate(ctx, ctx.w_from_int(2))
-    assert cert2.l == 0 and cert2.branch is None and cert2.sigma.is_zero()
+    assert factorization_certificate(ctx, ctx.w_from_int(-1)).l == 1
+    assert factorization_certificate(ctx, ctx.w_from_int(2)).l == 0

@@ -9,8 +9,7 @@ from higgsflow.errors import (DivisionByZeroPoly, InternalDivisibilityFailure,
                              InternalError, InternalInvariantFailure)
 from higgsflow.fields import make_context
 from higgsflow.polys import (LaurentPoly, Poly, PoleFraction, poly_divexact,
-                             poly_divrem, poly_ext_gcd, series_div_at_one,
-                             z_minus_one_pow)
+                             poly_divrem, poly_ext_gcd, z_minus_one_pow)
 
 
 def P(ctx, *ints):
@@ -66,14 +65,6 @@ def test_divexact_inexact_is_internal_failure():
     assert poly_divexact(P(ctx, 4, 0, 1), P(ctx, 1, 1)) == P(ctx, 4, 1)
     with pytest.raises(InternalDivisibilityFailure, match="inexact"):
         poly_divexact(P(ctx, 0, 1), P(ctx, 1, 1))        # z / (z + 1)
-
-
-def test_divexact_one_pow_short_is_internal_failure():
-    ctx = make_context(5, 1)
-    f = z_minus_one_pow(ctx, 2) * P(ctx, 2, 1)
-    assert f.divexact_one_pow(2) == P(ctx, 2, 1)
-    with pytest.raises(InternalDivisibilityFailure, match=r"\(z-1\)\^3"):
-        f.divexact_one_pow(3)
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 2), (7, 1), (23, 1)])
@@ -240,21 +231,10 @@ def test_taylor_and_order_at_one():
     ctx = make_context(5, 1)
     f = z_minus_one_pow(ctx, 3) * P(ctx, 2, 1)
     assert f.order_at_one() == 3
-    assert f.divexact_one_pow(3) == P(ctx, 2, 1)
     shifted = f.taylor_at_one()
     assert shifted.coeff(0) == ctx.zero and shifted.coeff(2) == ctx.zero
     # f(s+1) = s^3 (s + 3): coefficient of s^3 is 3
     assert shifted.coeff(3) == ctx.f_from_int(3)
-
-
-def test_series_div_at_one():
-    ctx = make_context(7, 1)
-    h = P(ctx, 3, 1, 5)
-    t_true = P(ctx, 2, 4, 0, 1)
-    v = h * t_true
-    t = series_div_at_one(v, h, 4)
-    diff = t - t_true
-    assert diff.is_zero() or diff.order_at_one() >= 4
 
 
 def test_pole_fraction_arithmetic_and_normalization():
