@@ -17,6 +17,17 @@ updated by one float64 matmul per panel.  That is exact while
 bound the kernel raises ``InternalInvariantFailure`` rather than round.
 A rank reads the pivots off the echelon form; a null space
 back-substitutes from it.
+
+The kernel brings each pivot row up by rotating the rows between it and
+its target, not by a swap, so the rows without a pivot keep their order,
+and it returns the original row of every pivot.  A row is then only ever
+changed by rows above it, and the pivots inside a leading block are that
+block's rank: one elimination gives the rank of every leading block (the
+rank profile matrix of Dumas, Pernet and Sultan, ISSAC 2015 and
+J. Symbolic Comput. 83, 2017).  ``mat_leading_ranks`` reads them off; the
+t method's scan of T_0, T_1, ... and the Cech oracle's pair of ansatz
+bounds each use it.  ``mat_rank`` eliminates one matrix and counts all
+of its pivots.
 """
 
 from __future__ import annotations
@@ -38,21 +49,33 @@ def _check_exact(terms: int, p: int, what: str) -> None:
             "so a float64 product of residues would round")
 
 
-def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
     """Row echelon form mod p, by right-looking blocked forward elimination.
 
-    Returns (m, pivots): the rows of m below len(pivots) are zero, and row
-    i has a 1 at column pivots[i] and zeros to its left.  Entries above a
-    pivot are NOT cleared: this is echelon form, not reduced echelon form
+    Returns (m, pivots, pivot_rows): the rows of m below len(pivots) are
+    zero, row i has a 1 at column pivots[i] and zeros to its left, and it
+    comes from row pivot_rows[i] of mat.  Entries above a pivot are NOT
+    cleared: this is echelon form, not reduced echelon form
     (``_nullspace_mod_p`` back-substitutes when it needs the reduced one).
-    Pivoting is first-nonzero; the pivot columns are the matrix's column
-    rank profile either way.
+
+    The pivot of a column is the first row without a pivot that is nonzero
+    there, and it is brought up by rotating the rows between it and its
+    target down by one, not by a swap, so the rows still without a pivot
+    keep the order they have in mat.  Each row operation therefore adds a
+    multiple of a row only to rows that come after it in mat (the rows
+    before the pivot row are zero in its column, so their multiplier is 0),
+    and eliminating the leading block mat[:i, :j] alone makes the same
+    choices on it.  Hence every leading block's rank is read off one
+    elimination: rank(mat[:i, :j]) = #{k : pivots[k] < j and
+    pivot_rows[k] < i}.  These pivots are the rank profile matrix of
+    Dumas, Pernet and Sultan (ISSAC 2015; J. Symbolic Comput. 83, 2017).
 
     Columns go in panels of ``_PANEL``.  A panel is factored on the rows
     still without a pivot in int64, keeping the multipliers in place (the
-    LAPACK layout); the panel's row operations are replayed on the pivot
-    rows' trailing part by a lower-triangular solve, and every other row's
-    trailing block takes one float64 matmul, exact while
+    LAPACK layout).  Its row rotations reach the trailing columns as one
+    permutation.  Its row operations are replayed on the pivot rows'
+    trailing part by a lower-triangular solve, one dot product per row, and
+    every other row's trailing block takes one float64 matmul, exact while
     ``_PANEL*(p-1)^2 < 2^53`` (checked at entry).  The difference goes back
     to int64 before it is reduced: an int64 remainder is some 20 times
     faster than ``np.fmod`` on float64 at these magnitudes.  Inside a
@@ -64,6 +87,7 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     _check_exact(_PANEL, p, "panel update")
     m = np.remainder(np.asarray(mat, np.int64), p, order="C")   # rows contiguous
     rows, cols = m.shape
+    origin = np.arange(rows)             # the row of mat that each row of m is
     pivots: list[int] = []
     r = 0
     for c0 in range(0, cols, _PANEL):
@@ -71,38 +95,54 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             break
         c1 = min(c0 + _PANEL, cols)
         panel = m[r:, c0:c1].copy()      # the rows without a pivot yet
-        trail = m[r:, c1:]               # a view: row swaps act on m
+        order = np.arange(len(panel))    # the row of m[r:] each panel row is
+        moved = 0                        # panel rows [0, moved) were rotated
         piv: list[int] = []              # pivot columns of this panel, local
+        inv: list[int] = []              # inverses of their pivot values
         for c in range(c1 - c0):
             i = len(piv)
             if i >= len(panel):
                 break
             col = panel[i:, c]
             col %= p
-            nz = np.flatnonzero(col)
+            nz = col.nonzero()[0]
             if not nz.size:
                 continue
-            if nz[0]:
-                swap = [i + nz[0], i]
-                panel[[i, i + nz[0]]] = panel[swap]
-                trail[[i, i + nz[0]]] = trail[swap]
+            t = i + int(nz[0])
+            if t > i:
+                # rotate rows i..t down by one, bringing row t up to i
+                row, o = panel[t].copy(), order[t]
+                panel[i + 1:t + 1] = panel[i:t]
+                order[i + 1:t + 1] = order[i:t]
+                panel[i], order[i] = row, o
+                moved = max(moved, t + 1)
             # the multipliers stay in column c; row i becomes the unit
             # echelon row, with the pivot value kept at (i, c)
-            panel[i, c + 1:] = panel[i, c + 1:] % p * pow(int(panel[i, c]), p - 2, p) % p
-            below = panel[i + 1:, c]
-            if below.any():
-                panel[i + 1:, c + 1:] -= np.outer(below, panel[i, c + 1:])
+            inv.append(pow(int(panel[i, c]), p - 2, p))
+            prow = panel[i, c + 1:]
+            prow %= p
+            prow *= inv[-1]
+            prow %= p
+            panel[i + 1:, c + 1:] -= panel[i + 1:, c, None] * prow
             piv.append(c)
         k = len(piv)
         if not k:
             continue
+        if moved:
+            origin[r:r + moved] = origin[r + order[:moved]]
         if c1 < cols:
+            trail = m[r:, c1:]
+            if moved:
+                trail[:moved] = trail[order[:moved]]
             # pivot rows: solve lower * x = trailing part, one row at a time;
             # lower has the multipliers below its diagonal and the pivots on it
             lower, top = panel[:k, piv], trail[:k]
             for j in range(k):
-                top[j] = top[j] % p * pow(int(lower[j, j]), p - 2, p) % p
-                top[j + 1:] -= np.outer(lower[j + 1:, j], top[j])
+                tj = top[j]
+                tj -= lower[j, :j] @ top[:j]
+                tj %= p
+                tj *= inv[j]
+                tj %= p
             if k < len(panel):
                 prod = panel[k:, piv].astype(np.float64) @ top.astype(np.float64)
                 block = trail[k:]
@@ -117,7 +157,7 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         m[r:, c0:c1] = panel
         pivots.extend(c0 + c for c in piv)
         r += k
-    return m, pivots
+    return m, pivots, origin[:r].tolist()
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
@@ -141,7 +181,7 @@ def _nullspace_mod_p(mat: np.ndarray, p: int) -> list[np.ndarray]:
     if rows == 0:
         return [np.eye(cols, dtype=np.int64)[i] for i in range(cols)]
     _check_exact(rows, p, "back-substitution")
-    ech, pivots = _rref_mod_p(mat, p)
+    ech, pivots, _ = _rref_mod_p(mat, p)
     k = len(pivots)
     is_free = np.ones(cols, bool)
     is_free[pivots] = False
@@ -231,6 +271,23 @@ def mat_rank(m: FqMatrix) -> int:
     if m.nrows == 0 or m.ncols == 0:
         return 0
     return _rank_mod_p(m.blowup(), m.ctx.p) // m.ctx.d
+
+
+def mat_leading_ranks(m: FqMatrix, shapes) -> list[int]:
+    """Ranks over F_{p^d} of the leading blocks m[:rows, :cols], one per
+    (rows, cols) in `shapes`, from a single elimination of the blow-up.
+
+    The leading F_q block is the leading (rows*d) x (cols*d) F_p block of
+    the blow-up, so its rank is the number of pivots inside that block
+    (see ``_rref_mod_p``) divided by d.
+    """
+    d = m.ctx.d
+    if m.nrows == 0 or m.ncols == 0:
+        return [0] * len(shapes)
+    _, pivots, pivot_rows = _rref_mod_p(m.blowup(), m.ctx.p)
+    cols, rows = np.array(pivots), np.array(pivot_rows)
+    return [int(np.count_nonzero((rows < i * d) & (cols < j * d))) // d
+            for i, j in shapes]
 
 
 def mat_det(m: FqMatrix) -> FieldElement:

@@ -8,8 +8,8 @@ from higgsflow.criterion import (build_T, det_T0_in_lam1, periodicity_pair,
                                  remainder_system, splitting_from_T,
                                  t_r_first_mismatch, t_submatrix, validate_T_R)
 from higgsflow.errors import DegreeTooLarge, ForbiddenResidue, IndexOutOfRange
-from higgsflow.fields import make_context
-from higgsflow.linalg import mat_rank
+from higgsflow.fields import make_context, witt_decompose
+from higgsflow.linalg import mat_leading_ranks, mat_rank
 from higgsflow.polys import Poly, poly_divrem, z_minus_one_pow
 
 
@@ -130,6 +130,44 @@ def test_periodicity_iff_splitting_one_exhaustive():
                 lam0, lam1 = ctx.f_from_int(a), ctx.f_from_int(b)
                 pp = periodicity_pair(ctx, lam0, lam1)
                 assert pp == (splitting_from_T(ctx, lam0, lam1).n == 1)
+
+
+def _lifts(p, d):
+    """(ctx, lam0, lam1) of every lift at (p, d), in the scan's convention."""
+    ctx = make_context(p, d)
+    for w in ctx.witt_elements():
+        r = w.residue()
+        if not (r.is_zero() or r == ctx.one):
+            wp = witt_decompose(w, "twisted")
+            yield ctx, wp.lam0, wp.lam1
+
+
+def test_leading_ranks_of_T_match_mat_rank():
+    # every leading block of T, not only the T_m, from one elimination
+    for p, d, picks in ((3, 1, 3), (5, 1, 6), (7, 1, 4), (3, 2, 6), (5, 2, 2)):
+        for ctx, lam0, lam1 in list(_lifts(p, d))[::7][:picks]:
+            T = build_T(ctx, lam0, lam1).T
+            shapes = [(i, j) for i in range(p + 1) for j in range(2 * p + 2)]
+            assert mat_leading_ranks(T, shapes) == \
+                [mat_rank(T.submatrix(i, j)) for i, j in shapes]
+
+
+def test_splitting_from_T_equals_per_m_rank_scan_exhaustive():
+    # all 933 lifts at d = 1, p <= 13 and d = 2, p <= 5, against the scan
+    # that eliminates each T_m on its own
+    cases, beyond_one = 0, 0
+    for p, d in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)):
+        for ctx, lam0, lam1 in _lifts(p, d):
+            tm = build_T(ctx, lam0, lam1)
+            n = next((m for m in range(p)
+                      if mat_rank(t_submatrix(tm, m)) == p - m), p)
+            assert splitting_from_T(ctx, lam0, lam1).n == n
+            assert periodicity_pair(ctx, lam0, lam1) == (n == 1)
+            cases += 1
+            beyond_one += n >= 2
+    assert cases == 933
+    # these take the second elimination, of the columns of T_(p-1)
+    assert beyond_one == 4
 
 
 def test_remainder_system_micro_case():

@@ -138,7 +138,7 @@ def _check_against_oracle(a, p):
     from higgsflow.linalg import _nullspace_mod_p, _rank_mod_p, _rref_mod_p
 
     pivots, basis = _oracle(a, p)
-    ech, got = _rref_mod_p(a, p)
+    ech, got, _ = _rref_mod_p(a, p)
     assert got == pivots
     assert _rank_mod_p(a, p) == len(pivots)
     assert [v.tolist() for v in _nullspace_mod_p(a, p)] == basis
@@ -154,7 +154,7 @@ def _with_profile(rng, rows, cols, pivots, p, zero_cols=()):
 
     Its rows mix the echelon rows with a row-permuted unit lower
     triangular matrix, so the rank is exact at every p and pivoting has
-    to swap rows; `zero_cols` are all zero.
+    to move rows; `zero_cols` are all zero.
     """
     r = len(pivots)
     ech = np.zeros((r, cols), np.int64)
@@ -239,6 +239,73 @@ def test_kernel_narrow_panels_match_oracle(monkeypatch, width):
             a = _with_profile(rng, rows, cols, pivots, p, [c for c in range(cols)
                                                            if c % 5 == 4 and c not in pivots])
             assert _check_against_oracle(a, p) == pivots
+
+
+def _sympy_rank(a, p):
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix(a.tolist(), a.shape, ZZ).convert_to(GF(p)).rank()
+
+
+def _check_leading_ranks(a, p, reference):
+    """Every leading block's rank, read off one elimination, against
+    `reference` run on the explicit block."""
+    from higgsflow.linalg import _rref_mod_p
+
+    _, pivots, pivot_rows = _rref_mod_p(a, p)
+    assert sorted(pivot_rows) == sorted(set(pivot_rows))
+    cols, rows = np.array(pivots), np.array(pivot_rows)
+    for i in range(a.shape[0] + 1):
+        for j in range(a.shape[1] + 1):
+            got = int(np.count_nonzero((rows < i) & (cols < j)))
+            assert got == (reference(a[:i, :j], p) if i and j else 0), (i, j)
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_leading_block_ranks_match_sympy(monkeypatch, width):
+    # planted-profile matrices with their rows permuted, so that pivots are
+    # found below their target rows; narrow panels put panel edges everywhere
+    import higgsflow.linalg as linalg
+
+    monkeypatch.setattr(linalg, "_PANEL", width)
+    rng = np.random.default_rng([width, 2])
+    for p in (2, 3, 401, 9973):
+        for rows, cols in ((7, 12), (12, 7), (9, 9)):
+            pivots = sorted(rng.choice(cols, min(rows, cols) - 2, replace=False).tolist())
+            a = _with_profile(rng, rows, cols, pivots, p, [c for c in range(cols)
+                                                           if c % 4 == 3 and c not in pivots])
+            _check_leading_ranks(a, p, _sympy_rank)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_leading_block_ranks_across_panel_edges_match_mat_rank(p):
+    # 70 columns cross the default panel edge; the reference rank of each
+    # block comes from its own elimination, which sympy checks above
+    from higgsflow.linalg import _rank_mod_p
+
+    rng = np.random.default_rng([p, 3])
+    rows, cols = 12, 70
+    pivots = sorted(rng.choice(cols, 9, replace=False).tolist())
+    a = _with_profile(rng, rows, cols, pivots, p, [60, 66])
+    _check_leading_ranks(a, p, _rank_mod_p)
+    _check_leading_ranks(a.T.copy(), p, _rank_mod_p)
+
+
+def test_mat_leading_ranks_on_blowups_match_mat_rank():
+    from higgsflow.linalg import mat_leading_ranks
+
+    rng = np.random.default_rng(8)
+    for p, d in ((3, 2), (5, 2), (401, 2), (3, 1)):
+        ctx = make_context(p, d)
+        arr = rng.integers(0, p, (9, 11, d))
+        arr[:, 4] = 0
+        arr[6:] = arr[1:4]                    # rows repeat over F_q
+        arr[:, 8:] = arr[:, 1:4] + arr[:, 2:5]
+        m = FqMatrix(ctx, arr)
+        shapes = [(i, j) for i in range(10) for j in range(12)]
+        got = mat_leading_ranks(m, shapes)
+        assert got == [mat_rank(m.submatrix(i, j)) for i, j in shapes]
 
 
 def test_kernel_refuses_a_prime_where_float64_products_would_round():

@@ -1,10 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
+from higgsflow import sections
 from higgsflow.cocycle import build_A_primitive, build_transition
+from higgsflow.criterion import splitting_from_T
+from higgsflow.errors import ProfileMismatch, UnstableDimension
 from higgsflow.factorization import splitting_from_birkhoff
-from higgsflow.fields import make_context
+from higgsflow.fields import make_context, witt_decompose
+from higgsflow.linalg import FqMatrix, mat_rank
+from higgsflow.polys import Poly
 from higgsflow.sections import (SectionSpaceProblem, h0_of_twist,
                                 splitting_from_cech)
 
@@ -88,3 +94,82 @@ def test_quadratic_field_agreement_sampled():
             continue
         picks += 1
         assert splitting_from_cech(ctx, w).n == splitting_from_birkhoff(ctx, w).n
+
+
+def _h0_naive(trans, twist, bound):
+    """Nullity of the ansatz at one bound, built in its natural order.
+
+    Conditions are the coefficients of s^0 .. s^(C-1); unknowns the b1
+    principal-part orders 0 .. twist+p (column A * s^(bound-k)) and the b2
+    orders 0 .. bound (column u*z^p * s^(bound-k)).
+    """
+    ctx = trans.cocycle.ctx
+    p = ctx.p
+    a = trans.cocycle.A.taylor_at_one()
+    uzp = (Poly.one(ctx) + Poly.monomial(ctx, p)).scale(trans.cocycle.unit)
+    n_cond = bound + p - twist
+    cols = [(a, bound - k) for k in range(twist + p + 1)]
+    cols += [(uzp, bound - k) for k in range(bound + 1)]
+    arr = np.zeros((n_cond, len(cols), ctx.d), np.int64)
+    for j, (poly, shift) in enumerate(cols):
+        for e, coeff in enumerate(poly.v):
+            if 0 <= e + shift < n_cond:
+                arr[e + shift, j] = coeff
+    return len(cols) - mat_rank(FqMatrix(ctx, arr))
+
+
+def test_h0_at_both_bounds_matches_two_separate_eliminations():
+    # every lift at d = 1, p <= 7 and d = 2, p = 3, twists -1 .. n+2
+    lifts = 0
+    for p, d in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        ctx = make_context(p, d)
+        uzp = (Poly.one(ctx) + Poly.monomial(ctx, p))
+        for w in ctx.witt_elements():
+            r = w.residue()
+            if r.is_zero() or r == ctx.one:
+                continue
+            wp = witt_decompose(w, "twisted")
+            n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
+            trans = build_transition(build_A_primitive(ctx, w))
+            a = trans.cocycle.A.taylor_at_one()
+            for twist in range(-1, n + 3):
+                b = 2 * p + abs(twist) + 4
+                problem = SectionSpaceProblem(matrix=trans, twist=twist, bound=b)
+                got = sections._h0_dimensions(problem, a, uzp.scale(trans.cocycle.unit))
+                assert got == (_h0_naive(trans, twist, b), _h0_naive(trans, twist, b + 2))
+            lifts += 1
+    assert lifts == 116
+
+
+def test_unstable_dimension_is_raised_and_exits_internal(monkeypatch, capsys):
+    from higgsflow.cli import main
+
+    dims = sections._h0_dimensions
+
+    def unstable(problem, a_shift, uzp):
+        dim, dim_again = dims(problem, a_shift, uzp)
+        return dim, dim_again + 1
+
+    monkeypatch.setattr(sections, "_h0_dimensions", unstable)
+    ctx = make_context(3, 1)
+    with pytest.raises(UnstableDimension, match="when the bound grew"):
+        h0_of_twist(_transition(ctx, -1), 0)
+    assert main(["enumerate", "3", "--methods", "cech"]) == 3
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_profile_mismatch_is_raised_and_exits_internal(monkeypatch, capsys):
+    from higgsflow.cli import main
+
+    h0 = sections.h0_of_twist
+
+    def off_at_twist_one(m, twist, bound=None):
+        # h0 at twists 0 and -1 still decides n; h0(1) breaks the profile
+        return h0(m, twist, bound) + (twist == 1)
+
+    monkeypatch.setattr(sections, "h0_of_twist", off_at_twist_one)
+    ctx = make_context(3, 1)
+    with pytest.raises(ProfileMismatch, match=r"h0\(1\)"):
+        splitting_from_cech(ctx, ctx.w_from_int(-1))
+    assert main(["enumerate", "3", "--methods", "cech"]) == 3
+    assert capsys.readouterr().err.startswith("internal error:")
