@@ -282,8 +282,6 @@ def mat_leading_ranks(m: FqMatrix, shapes) -> list[int]:
     (see ``_rref_mod_p``) divided by d.
     """
     d = m.ctx.d
-    if m.nrows == 0 or m.ncols == 0:
-        return [0] * len(shapes)
     _, pivots, pivot_rows = _rref_mod_p(m.blowup(), m.ctx.p)
     cols, rows = np.array(pivots), np.array(pivot_rows)
     return [int(np.count_nonzero((rows < i * d) & (cols < j * d))) // d
