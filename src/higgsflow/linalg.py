@@ -57,6 +57,8 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
     comes from row pivot_rows[i] of mat.  Entries above a pivot are NOT
     cleared: this is echelon form, not reduced echelon form
     (``_nullspace_mod_p`` back-substitutes when it needs the reduced one).
+    The name keeps "rref" only because the benchmark's tracer patches this
+    function by name; renaming it waits for a change to the benchmark.
 
     The pivot of a column is the first row without a pivot that is nonzero
     there, and it is brought up by rotating the rows between it and its
