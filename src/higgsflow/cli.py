@@ -37,6 +37,22 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
+def _join_target_values(argv: list[str]) -> list[str]:
+    """Attach a value like -1/8 or -9,1 to its --rational/--minpoly flag.
+
+    argparse takes a token that starts with "-" for an option unless it
+    reads as a plain number, so ``--rational -1/8`` would lack its value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if (out and out[-1] in ("--rational", "--minpoly")
+                and tok[:1] == "-" and tok[1:2].isdigit()):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _default_jobs() -> int:
     env = os.environ.get("HIGGSFLOW_JOBS", "")
     try:
@@ -59,8 +75,6 @@ def _emit_report(report: ScanReport, fmt: str, out: str) -> None:
 
 def _add_common(sp: argparse.ArgumentParser, default_range: str) -> None:
     sp.add_argument("--prime-range", default=default_range, metavar="MIN:MAX")
-    sp.add_argument("--witt-convention", choices=("standard", "twisted"),
-                    default="twisted")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default="-", metavar="PATH|-")
     sp.add_argument("--seed", type=int, default=0)
@@ -109,7 +123,6 @@ def _run_scan(args) -> int:
     spec = parse_lambda_spec(args.rational if args.rational is not None else args.minpoly)
     report = run_scan(spec, _parse_prime_range(args.prime_range),
                       methods=_parse_methods(args.methods),
-                      convention=args.witt_convention,
                       both_embeddings=args.both_embeddings,
                       seed=args.seed, jobs=args.jobs)
     _emit_report(report, args.format, args.out)
@@ -141,7 +154,6 @@ def _run_selftest(args) -> int:
 def _run_beauville(args) -> int:
     report = run_verify_beauville(_parse_prime_range(args.prime_range),
                                   methods=_parse_methods(args.methods),
-                                  convention=args.witt_convention,
                                   seed=args.seed, jobs=args.jobs)
     _emit_report(report, args.format, args.out)
     return EXIT_MISMATCH if report.summary["mismatches"] else EXIT_OK
@@ -149,7 +161,7 @@ def _run_beauville(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_target_values(sys.argv[1:] if argv is None else argv))
     handlers = {"scan": _run_scan, "enumerate": _run_enumerate,
                 "selftest": _run_selftest, "beauville": _run_beauville}
     try:

@@ -17,8 +17,7 @@ from math import comb
 import numpy as np
 
 from .errors import ForbiddenResidue, InternalDivisibilityFailure
-from .fields import (FieldElement, ReductionContext, WittParameter,
-                     WittRingElement, frobenius_w2, witt_compose, witt_decompose)
+from .fields import FieldElement, ReductionContext, WittRingElement, frobenius_w2
 from .polys import LaurentPoly, Poly, PoleFraction, z_minus_one_pow
 
 
@@ -34,7 +33,6 @@ class CocyclePolynomial:
     """The cocycle numerator A (degree <= 2p-1) and its scalar unit."""
 
     ctx: ReductionContext
-    witt: WittParameter
     A: Poly
     unit: FieldElement
 
@@ -99,8 +97,7 @@ def build_A_primitive(ctx: ReductionContext, lam: WittRingElement) -> CocyclePol
         raise InternalDivisibilityFailure("z^(2p) term failed to cancel")
 
     unit = ctx.one - lam0 ** p
-    witt = witt_decompose(lam, "twisted")
-    return CocyclePolynomial(ctx=ctx, witt=witt, A=a_poly, unit=unit)
+    return CocyclePolynomial(ctx=ctx, A=a_poly, unit=unit)
 
 
 def build_A_closed(ctx: ReductionContext, lam0: FieldElement,
@@ -125,9 +122,7 @@ def build_A_closed(ctx: ReductionContext, lam0: FieldElement,
     coeffs[0] = ctx.fadd(coeffs[0], lam1.vec)
     a_poly = Poly(ctx, coeffs)
     unit = ctx.one - pw[p]
-    witt = WittParameter(witt=witt_compose(lam0, lam1, "twisted"),
-                         lam0=lam0, lam1=lam1, convention="twisted")
-    return CocyclePolynomial(ctx=ctx, witt=witt, A=a_poly, unit=unit)
+    return CocyclePolynomial(ctx=ctx, A=a_poly, unit=unit)
 
 
 def build_transition(cocycle: CocyclePolynomial) -> TransitionMatrix:

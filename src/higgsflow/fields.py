@@ -548,12 +548,11 @@ class WittRingElement:
 
 @dataclass(frozen=True)
 class WittParameter:
-    """A lifted parameter with its Witt coordinates under a fixed convention."""
+    """A lifted parameter with its Witt coordinates."""
 
     witt: WittRingElement
     lam0: FieldElement
     lam1: FieldElement
-    convention: str
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +607,7 @@ def witt_decompose(lam: WittRingElement, convention: WittConvention = "standard"
     t = teichmuller(lam0)
     mu = FieldElement(ctx, ctx.w_divexact_p(ctx.wsub(lam.vec, t.vec)))
     lam1 = mu if convention == "standard" else mu.frobenius_inverse()
-    return WittParameter(witt=lam, lam0=lam0, lam1=lam1, convention=convention)
+    return WittParameter(witt=lam, lam0=lam0, lam1=lam1)
 
 
 def witt_compose(lam0: FieldElement, lam1: FieldElement,

@@ -1,9 +1,9 @@
 """Algebraic numbers to scan, their reductions, and the built-in catalog.
 
 A scan target is a primitive integer minimal polynomial of degree 1 or 2.
-Reduction at an odd prime factors the polynomial mod p: split roots are
-lifted to the integers mod p² by one Newton step, inert quadratics land in
-the degree-2 Galois ring.  Degenerate reductions (prime divides leading
+Reduction at an odd prime finds the roots mod p in F_p, or in F_{p^2} when
+the quadratic is inert, and lifts each to the Galois ring of characteristic
+p² by one Newton step.  Degenerate reductions (prime divides leading
 coefficient or discriminant, residue 0 or 1) are reported as bad-prime
 data rather than failures.
 """
@@ -11,15 +11,15 @@ data rather than failures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from math import gcd, isqrt
 
 from .errors import (DegreeUnsupported, ForbiddenResidue, ForbiddenValue,
                      InternalInvariantFailure, NonInvertible, NotPrime,
                      ReducibleMinpoly)
-from .fields import (ReductionContext, WittParameter, WittRingElement,
-                     is_prime, make_context, witt_decompose)
+from .fields import (FieldElement, WittParameter, WittRingElement, is_prime,
+                     make_context, witt_decompose)
 
 BAD_DIVIDES_LEADING = "DividesLeadingCoeff"
 BAD_DIVIDES_DISC = "DividesDiscriminant"
@@ -48,7 +48,7 @@ class ReductionDatum:
     p: int
     place: int
     d: int
-    witt: WittParameter | None
+    witt: WittParameter | None = None
     bad_reason: str | None = None
 
     @property
@@ -135,13 +135,6 @@ def parse_lambda_spec(text: str) -> LambdaSpec:
     return LambdaSpec(minpoly=mp, label=label)
 
 
-def _minpoly_eval_int(coeffs, x: int, mod: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % mod
-    return acc
-
-
 def _minpoly_eval_ring(coeffs, x: WittRingElement) -> WittRingElement:
     ctx = x.ctx
     acc = ctx.w_from_int(0)
@@ -150,102 +143,55 @@ def _minpoly_eval_ring(coeffs, x: WittRingElement) -> WittRingElement:
     return acc
 
 
-def _datum_for_residue_fault(p: int, place: int, d: int, residue_is_zero: bool) -> ReductionDatum:
-    reason = BAD_RESIDUE_ZERO if residue_is_zero else BAD_RESIDUE_ONE
-    return ReductionDatum(p=p, place=place, d=d, witt=None, bad_reason=reason)
-
-
-def _lift_prime_root(spec: LambdaSpec, p: int, root: int, place: int,
-                     convention: str) -> ReductionDatum:
-    c = spec.minpoly
-    p2 = p * p
-    fp = 0
-    for k in range(1, len(c)):
-        fp = (fp + k * c[k] * pow(root, k - 1, p2)) % p
-    lam = (root - _minpoly_eval_int(c, root, p2) * pow(fp, p - 2, p)) % p2
-    r = lam % p
-    if r == 0:
-        return _datum_for_residue_fault(p, place, 1, True)
-    if r == 1:
-        return _datum_for_residue_fault(p, place, 1, False)
-    ctx = make_context(p, 1)
-    w = ctx.w_from_int(lam)
-    if not _minpoly_eval_ring(c, w).is_zero():
-        raise InternalInvariantFailure(f"Hensel lift failed at p = {p}")
-    return ReductionDatum(p=p, place=place, d=1,
-                          witt=witt_decompose(w, convention))
-
-
-def _inert_roots(spec: LambdaSpec, ctx: ReductionContext):
-    c0, c1, c2 = spec.minpoly
-    disc = ctx.f_from_int(c1 * c1 - 4 * c0 * c2)
-    theta_vec = ctx.f_sqrt(disc.vec)
-    if theta_vec is None:
-        raise InternalInvariantFailure(
-            f"discriminant is not a square in F_{{p^2}} at p = {ctx.p}")
-    theta = type(disc)(ctx, theta_vec)
-    half = (ctx.f_from_int(2) * ctx.f_from_int(c2)).inverse()
-    minus_c1 = ctx.f_from_int(-c1)
-    roots = [(minus_c1 + theta) * half, (minus_c1 - theta) * half]
-    roots.sort(key=lambda r: r.index())
-    return roots
-
-
-def reduce_at_prime(spec: LambdaSpec, p: int, convention: str = "standard",
+def reduce_at_prime(spec: LambdaSpec, p: int,
                     both_embeddings: bool = False) -> list[ReductionDatum]:
     """All reduction data of the scan target at one prime.
 
-    Split primes contribute one datum per root (each root is its own
-    place); inert primes contribute the canonical embedding, or both when
-    both_embeddings is set.  Degenerate reductions come back as bad-prime
-    markers, never as exceptions.
+    The roots of the minimal polynomial live in F_p (d = 1) when the target
+    is rational or the quadratic splits mod p, and in F_{p^2} (d = 2) when
+    it is inert.  Each root is lifted to the Galois ring by one Newton step
+    and split into twisted Witt coordinates, the convention of the cocycle
+    numerator A.  Split primes contribute one datum per root (each root is
+    its own place), sorted by field index; inert primes contribute the
+    canonical embedding, or both when both_embeddings is set.  Degenerate
+    reductions come back as bad-prime markers, never as exceptions.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p < 3:
-        return [ReductionDatum(p=p, place=0, d=1, witt=None,
-                               bad_reason=BAD_PRIME_TOO_SMALL)]
+        return [ReductionDatum(p=p, place=0, d=1, bad_reason=BAD_PRIME_TOO_SMALL)]
     c = spec.minpoly
     if c[-1] % p == 0:
-        return [ReductionDatum(p=p, place=0, d=1, witt=None,
-                               bad_reason=BAD_DIVIDES_LEADING)]
+        return [ReductionDatum(p=p, place=0, d=1, bad_reason=BAD_DIVIDES_LEADING)]
     if spec.degree == 1:
-        root = (-c[0]) * pow(c[1], p - 2, p) % p
-        return [_lift_prime_root(spec, p, root, 0, convention)]
-
-    c0, c1, c2 = c
-    disc = c1 * c1 - 4 * c0 * c2
-    if disc % p == 0:
-        return [ReductionDatum(p=p, place=0, d=1, witt=None,
-                               bad_reason=BAD_DIVIDES_DISC)]
-    if pow(disc % p, (p - 1) // 2, p) == 1:
         ctx = make_context(p, 1)
-        s = ctx.f_sqrt(ctx.f_from_int(disc).vec)[0]
-        inv = pow(2 * c2 % p, p - 2, p)
-        roots = sorted(((-c1 + s) * inv % p, (-c1 - s) * inv % p))
-        if roots[0] == roots[1]:
-            raise InternalInvariantFailure(f"split roots coincide at p = {p}")
-        return [_lift_prime_root(spec, p, r, i, convention)
-                for i, r in enumerate(roots)]
-
-    ctx = make_context(p, 2)
-    roots = _inert_roots(spec, ctx)
-    chosen = roots if both_embeddings else roots[:1]
+        roots = [ctx.f_from_int(-c[0]) / ctx.f_from_int(c[1])]
+    else:
+        c0, c1, c2 = c
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc % p == 0:
+            return [ReductionDatum(p=p, place=0, d=1, bad_reason=BAD_DIVIDES_DISC)]
+        ctx = make_context(p, 1 if pow(disc, (p - 1) // 2, p) == 1 else 2)
+        root_disc = ctx.f_from_coeffs(ctx.f_sqrt(ctx.f_from_int(disc).vec))
+        half = ctx.f_from_int(2 * c2).inverse()
+        minus_c1 = ctx.f_from_int(-c1)
+        roots = sorted([(minus_c1 + root_disc) * half, (minus_c1 - root_disc) * half],
+                       key=FieldElement.index)
+        if ctx.d == 2 and not both_embeddings:
+            roots = roots[:1]
+    derivative = [k * c[k] for k in range(1, len(c))]
     out = []
-    for place, r in enumerate(chosen):
-        if r.is_zero():
-            out.append(_datum_for_residue_fault(p, place, 2, True))
-            continue
-        if r == ctx.one:
-            out.append(_datum_for_residue_fault(p, place, 2, False))
+    for place, r in enumerate(roots):
+        if r.is_zero() or r == ctx.one:
+            reason = BAD_RESIDUE_ZERO if r.is_zero() else BAD_RESIDUE_ONE
+            out.append(ReductionDatum(p=p, place=place, d=ctx.d, bad_reason=reason))
             continue
         x = r.lift()
-        fpx = ctx.w_from_int(2 * c2) * x + ctx.w_from_int(c1)
-        lam = x - _minpoly_eval_ring(c, x) * fpx.inverse()
+        lam = x - _minpoly_eval_ring(c, x) * _minpoly_eval_ring(derivative, x).inverse()
         if not _minpoly_eval_ring(c, lam).is_zero():
-            raise InternalInvariantFailure(f"ring Hensel lift failed at p = {p}")
-        out.append(ReductionDatum(p=p, place=place, d=2,
-                                  witt=witt_decompose(lam, convention)))
+            raise InternalInvariantFailure(f"Hensel lift failed at p = {p}")
+        out.append(ReductionDatum(p=p, place=place, d=ctx.d,
+                                  witt=witt_decompose(lam, "twisted")))
     return out
 
 

@@ -139,9 +139,9 @@ def _scan_prime_task(args) -> list[ScanRow]:
     The rows are computed under the first label; every further label (a
     catalog entry with the same minimal polynomial) gets a relabelled copy.
     """
-    minpoly, labels, selector, p, methods, convention, both = args
+    minpoly, labels, selector, p, methods, both = args
     spec = LambdaSpec(minpoly=minpoly, label=labels[0], root_selector=selector)
-    data = reduce_at_prime(spec, p, convention, both_embeddings=both)
+    data = reduce_at_prime(spec, p, both_embeddings=both)
     if selector != "all":
         data = [d for d in data if d.is_bad or d.place == selector]
     rows = [_row_from_datum(labels[0], d, methods) for d in data]
@@ -182,18 +182,17 @@ def _primes_between(lo: int, hi: int) -> list[int]:
 
 
 def run_scan(spec: LambdaSpec, p_range: tuple[int, int],
-             methods=("t", "birkhoff"), convention: str = "twisted",
-             both_embeddings: bool = False, seed: int = 0,
-             jobs: int = 1) -> ScanReport:
+             methods=("t", "birkhoff"), both_embeddings: bool = False,
+             seed: int = 0, jobs: int = 1) -> ScanReport:
     """One row per (prime, place) of the reduction of the scan target."""
     lo, hi = p_range
     if not (3 <= lo <= hi <= SCAN_MAX_PRIME):
         raise InvalidRange(f"prime range must sit inside 3..{SCAN_MAX_PRIME}")
     methods = _check_methods(methods, hi)
     tasks = [(spec.minpoly, (spec.label,), spec.root_selector, p, methods,
-              convention, both_embeddings) for p in _primes_between(lo, hi)]
+              both_embeddings) for p in _primes_between(lo, hi)]
     rows = _run_tasks(tasks, jobs)
-    meta = {"version": __version__, "convention": convention, "seed": seed}
+    meta = {"version": __version__, "convention": "twisted", "seed": seed}
     return ScanReport(meta=meta, rows=rows, summary=_summarize(rows))
 
 
@@ -208,7 +207,7 @@ def run_enumerate(p: int, methods=("t",), seed: int = 0) -> ScanReport:
         lam0 = ctx.f_from_int(a)
         for b in range(p):
             lam1 = ctx.f_from_int(b)
-            wp = WittParameter(witt_compose(lam0, lam1, "standard"), lam0, lam1, "standard")
+            wp = WittParameter(witt_compose(lam0, lam1), lam0, lam1)
             datum = ReductionDatum(p=p, place=0, d=1, witt=wp)
             rows.append(_row_from_datum(f"{a};{b}", datum, methods))
     rows.sort(key=ScanRow.sort_key)
@@ -222,8 +221,8 @@ def run_enumerate(p: int, methods=("t",), seed: int = 0) -> ScanReport:
 
 
 def run_verify_beauville(p_range: tuple[int, int] = (5, 97),
-                         methods=("t", "birkhoff"), convention: str = "twisted",
-                         seed: int = 0, jobs: int = 1) -> ScanReport:
+                         methods=("t", "birkhoff"), seed: int = 0,
+                         jobs: int = 1) -> ScanReport:
     """Sweep every catalog entry; tabulate evidence, assert nothing.
 
     The summary carries, per entry, the good-prime pass rate and the
@@ -241,7 +240,7 @@ def run_verify_beauville(p_range: tuple[int, int] = (5, 97),
     labels_of: dict[tuple[int, ...], list[str]] = {}
     for entry in catalog:
         labels_of.setdefault(entry.spec.minpoly, []).append(entry.spec.label)
-    tasks = [(minpoly, tuple(labels), "all", p, methods, convention, False)
+    tasks = [(minpoly, tuple(labels), "all", p, methods, False)
              for p in reversed(_primes_between(lo, hi))
              for minpoly, labels in labels_of.items()]
     rows = _run_tasks(tasks, jobs)
@@ -254,7 +253,7 @@ def run_verify_beauville(p_range: tuple[int, int] = (5, 97),
             "exceptional_primes": s["exceptional_primes"],
             "mismatches": s["mismatches"],
         }
-    meta = {"version": __version__, "convention": convention, "seed": seed}
+    meta = {"version": __version__, "convention": "twisted", "seed": seed}
     summary = _summarize(rows)
     summary["per_entry"] = per_entry
     return ScanReport(meta=meta, rows=rows, summary=summary)

@@ -37,6 +37,15 @@ def test_scan_minpoly_flag(capsys):
     assert "1;-1;1" in out  # label stays comma-free
 
 
+@pytest.mark.parametrize("flag, value", [("--rational", "-1/8"), ("--minpoly", "-9,1")])
+def test_negative_target_parses_after_a_space(capsys, flag, value):
+    # argparse alone reads "-1/8" and "-9,1" as options and exits 2
+    code, spaced, _ = run_cli(capsys, "scan", flag, value, "--prime-range", "3:13")
+    assert code == 0
+    _, joined, _ = run_cli(capsys, "scan", f"{flag}={value}", "--prime-range", "3:13")
+    assert spaced == joined and spaced.count("\n") == 6
+
+
 def test_scan_bad_input_exit_code(capsys):
     code, _, err = run_cli(capsys, "scan", "--rational", "0",
                            "--prime-range", "3:5")

@@ -1,10 +1,15 @@
+import hashlib
+
 import pytest
 
 from higgsflow import lambdas
+from higgsflow.criterion import splitting_from_T
 from higgsflow.errors import (DegreeUnsupported, ForbiddenResidue,
-                              ForbiddenValue, InternalInvariantFailure,
-                              NotPrime, ReducibleMinpoly)
-from higgsflow.fields import make_context, teichmuller
+                              ForbiddenValue, HiggsflowError,
+                              InternalInvariantFailure, NotPrime,
+                              ReducibleMinpoly)
+from higgsflow.factorization import splitting_from_birkhoff
+from higgsflow.fields import is_prime, make_context, teichmuller
 from higgsflow.lambdas import (BAD_DIVIDES_DISC, BAD_DIVIDES_LEADING,
                                BAD_PRIME_TOO_SMALL, BAD_RESIDUE_ONE,
                                BAD_RESIDUE_ZERO, _minpoly_eval_ring,
@@ -124,6 +129,54 @@ def test_split_lifts_satisfy_minpoly_mod_p_squared():
                 if datum.is_bad:
                     continue
                 assert _minpoly_eval_ring(e.spec.minpoly, datum.witt.witt).is_zero()
+
+
+def _box_specs():
+    """Every valid target c0 + c1 x + c2 x^2 with c0, c1 in -3..3, c2 in {1, 2}."""
+    specs = []
+    for c2 in (1, 2):
+        for c1 in range(-3, 4):
+            for c0 in range(-3, 4):
+                try:
+                    specs.append(parse_lambda_spec(f"{c0},{c1},{c2}"))
+                except HiggsflowError:
+                    continue
+    return specs
+
+
+def test_t_and_birkhoff_agree_on_every_reduction_datum():
+    # the t method reads lam1 while birkhoff reads the lift itself, so lam1
+    # must be in the convention of the cocycle numerator A at inert places
+    seen, degrees = 0, set()
+    for spec in _box_specs():
+        for p in (3, 5, 7):
+            for datum in reduce_at_prime(spec, p, both_embeddings=True):
+                if datum.is_bad:
+                    continue
+                wp = datum.witt
+                ctx = wp.witt.ctx
+                assert (splitting_from_T(ctx, wp.lam0, wp.lam1).n
+                        == splitting_from_birkhoff(ctx, wp.witt).n), (spec.minpoly, p, datum.place)
+                seen += 1
+                degrees.add(datum.d)
+    assert seen == 279 and degrees == {1, 2}
+
+
+def test_reduction_data_are_pinned():
+    # every field of every datum over the catalog and the box, p = 3..31
+    digest = hashlib.sha256()
+    count = 0
+    for spec in [e.spec for e in beauville_catalog()] + _box_specs():
+        for p in filter(is_prime, range(3, 32)):
+            for datum in reduce_at_prime(spec, p, both_embeddings=True):
+                wp = datum.witt
+                vecs = None if wp is None else (wp.lam0.vec, wp.lam1.vec, wp.witt.vec)
+                digest.update(repr((spec.minpoly, datum.p, datum.place, datum.d,
+                                    datum.bad_reason, vecs)).encode())
+                count += 1
+    assert count == 1496
+    assert digest.hexdigest() == (
+        "aa8fa9f97e448dba33d2dcb5fcaf3c6da396809f72cf41212f72df808a5103fc")
 
 
 def test_w2_orbit_micro_cases():

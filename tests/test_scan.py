@@ -45,12 +45,11 @@ def test_scan_validates_inputs():
         run_scan(spec, (3, 37), methods=("t", "cech"))
 
 
-def test_scan_rows_sorted_and_custom_convention_recorded():
-    report = run_scan(parse_lambda_spec("1,-1,1"), (3, 13),
-                      convention="standard", both_embeddings=True)
+def test_scan_rows_sorted_and_twisted_convention_recorded():
+    report = run_scan(parse_lambda_spec("1,-1,1"), (3, 13), both_embeddings=True)
     keys = [r.sort_key() for r in report.rows]
     assert keys == sorted(keys)
-    assert report.meta["convention"] == "standard"
+    assert report.meta["convention"] == "twisted"
 
 
 def test_reports_byte_identical_across_runs():
