@@ -216,7 +216,10 @@ def test_mismatch_exit_code(monkeypatch, capsys):
      "73634d9cd8efb2167e97da490030f04e4205e6f81731479d3620b0492ef14115"),
     (("beauville", "--prime-range", "5:23", "--methods", "t,birkhoff", "--format", "json"),
      "d46c96b40eb97b3dd1b74c6ad2b4c565df52b5376d6796ea8af1938200e5a493"),
-], ids=["enumerate-7", "scan-minus-one", "beauville-5-23"])
+    (("scan", "--minpoly", "1,-1,1", "--prime-range", "5:97", "--both-embeddings",
+      "--format", "json"),
+     "fc489551ae2eda2e63d3f305251c9a68d3eead10cc5fbc13816faf388d682165"),
+], ids=["enumerate-7", "scan-minus-one", "beauville-5-23", "scan-inert"])
 def test_report_bytes_match_golden_hash(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
