@@ -12,20 +12,28 @@ null space, or splitting integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .errors import ForbiddenResidue, InternalDivisibilityFailure
 from .fields import FieldElement, ReductionContext, WittRingElement, frobenius_w2
-from .polys import LaurentPoly, Poly, PoleFraction, z_minus_one_pow
+from .polys import Poly, PoleFraction, z_minus_one_pow
 
 
 def binomial_over_p(p: int, i: int) -> int:
-    """The integer C(p, i)/p reduced mod p, for 1 <= i <= p-1."""
+    """The integer C(p, i)/p reduced mod p, for 1 <= i <= p-1.
+
+    C(p, i)/p = C(p-1, i-1)/i, and C(p-1, i-1) = (-1)^(i-1) mod p, so the
+    value is (-1)^(i-1)/i mod p, with no big binomial.
+    """
     if not 1 <= i <= p - 1:
         raise ValueError("binomial scalar defined for 1 <= i <= p-1")
-    return (comb(p, i) // p) % p
+    return (-1) ** (i - 1) * pow(i, -1, p) % p
+
+
+def binomials_mod_p2(p: int) -> np.ndarray:
+    """C(p, k) mod p² for k = 0..p, from C(p, k) = p * (C(p, k)/p) in O(p)."""
+    return np.array([1] + [p * binomial_over_p(p, k) for k in range(1, p)] + [1], np.int64)
 
 
 @dataclass(frozen=True)
@@ -35,10 +43,6 @@ class CocyclePolynomial:
     ctx: ReductionContext
     A: Poly
     unit: FieldElement
-
-    def laurent(self) -> LaurentPoly:
-        """The cocycle a = A / (u z^p) as a Laurent element."""
-        return LaurentPoly(self.A.scale(self.unit.inverse()), -self.ctx.p)
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ def build_A_primitive(ctx: ReductionContext, lam: WittRingElement) -> CocyclePol
     one = np.array(ctx.w_from_int(1).vec, np.int64)
 
     # index k = coefficient of z^k: C(p,k), (z-1)^p and (z-lam)^p
-    binom = np.array([comb(p, k) % p2 for k in range(p + 1)], np.int64)
+    binom = binomials_mod_p2(p)
     zm1 = binom * np.where((p - np.arange(p + 1)) % 2 == 0, 1, -1)
     neg_lam = ctx.wneg(lam.vec)
     pw = [one.tolist()]

@@ -32,7 +32,7 @@ from .cocycle import CocyclePolynomial, TransitionMatrix, build_A_primitive, bui
 from .criterion import SplittingType
 from .errors import CertificateCheckFailed, DegreeTooLarge
 from .fields import ReductionContext, WittRingElement
-from .polys import LaurentPoly, Poly, PoleFraction, poly_divrem, z_minus_one_pow
+from .polys import Poly, PoleFraction, poly_divrem, z_minus_one_pow
 # unused here; kept because perfbench/hooks.py patches them by name in this module
 from .criterion import remainder_system  # noqa: F401
 from .linalg import _rank_mod_p, left_nullspace_vecs  # noqa: F401
@@ -59,7 +59,7 @@ class FactorizationCertificate:
     n: int
     beta_prime: Poly
     gamma_prime: Poly
-    alpha: LaurentPoly
+    alpha: PoleFraction
     P: tuple
     Q: tuple
 
@@ -165,14 +165,14 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
     # the quotient is exact when the alpha identity of check_certificate holds
     alpha_num, _ = poly_divrem(zp * gamma_prime - cocycle.A * beta_prime,
                                z_minus_one_pow(ctx, 2 * p))
-    alpha = LaurentPoly(alpha_num, -p)
+    alpha = PoleFraction(alpha_num, p, 0)
 
     # P and Q hold g, h and beta' against A/u, the numerator that M carries
     u = cocycle.unit
     uinv = u.inverse()
     gp, hp, beta_p = g.scale(uinv), h.scale(uinv), beta_prime.scale(u)
     pf = PoleFraction
-    P = ((pf(alpha_num, p, 0), pf(beta_p)),
+    P = ((alpha, pf(beta_p)),
          (pf(-hp, p, 0), pf(f)))
     Q = ((pf(f, 0, c), pf(-beta_p, 0, 2 * p - c)),
          (pf(gp, 0, c), pf(gamma_prime, 0, 2 * p - c)))
@@ -230,8 +230,8 @@ def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> No
 
     require(cert.f * A + cert.g * zp == cert.h * d2, "step-1")
     require(cert.f * cert.gamma_prime + cert.g * cert.beta_prime == d2, "Bezout")
-    require(cert.alpha * LaurentPoly(zp * d2)
-            == LaurentPoly(zp * cert.gamma_prime - A * cert.beta_prime), "alpha")
+    require(cert.alpha * PoleFraction(zp * d2)
+            == PoleFraction(zp * cert.gamma_prime - A * cert.beta_prime), "alpha")
     (p00, p01), (p10, p11) = cert.P
     (q00, q01), (q10, q11) = cert.Q
     require(p00 * p11 - p01 * p10 == one, "det P")

@@ -1,32 +1,35 @@
-"""Exact arithmetic in F_{p^d} and in the characteristic-p² ring lifting it.
+"""Exact arithmetic in F_p, F_{p²} and the characteristic-p² rings lifting them.
 
-The length-2 Witt ring of F_{p^d} is realised as a Galois ring: integers
-mod p² reduced by a fixed monic modulus whose image mod p is irreducible.
-Ring operations are then ordinary polynomial arithmetic; Witt coordinates
-(Teichmueller part, p-part) are recovered on demand.
+Beauville's parameters are rational or quadratic irrationals, so a
+reduction lives in F_p (d = 1) or F_{p²} (d = 2) and no other degree is
+built.  The length-2 Witt ring of F_q is realised as a Galois ring:
+integers mod p² reduced by a fixed monic modulus whose image mod p is
+irreducible, x at d = 1 and x² + c0 at d = 2.  Ring operations are then
+ordinary polynomial arithmetic; Witt coordinates (Teichmueller part,
+p-part) are recovered on demand, in the one Verschiebung-normalised
+convention of :func:`witt_decompose`.
 
 An element is stored as its coefficient "vec", a length-d tuple of ints
 at every d, d = 1 included; a sequence of elements (polynomial
 coefficients, matrix entries) is an int64 array whose trailing axis has
 length d.  One reduction table per modulus multiplies both.  The wrapper
 classes :class:`FieldElement` and :class:`WittRingElement` expose
-operators on top of the vec layer.
+operators on top of the vec layer.  A context is rebuilt on every
+:func:`make_context` call, no cache holds it, and contexts compare by
+(p, d).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
 import numpy as np
 
 from .errors import (DegreeOutOfRange, EvenPrime, ForbiddenResidue,
                      InternalInvariantFailure, NotPrime)
 
-WittConvention = Literal["standard", "twisted"]
-
-MAX_EXTENSION_DEGREE = 4
+MAX_EXTENSION_DEGREE = 2
 
 _TEICHMULLER_ITERATION_CAP = 8
 
@@ -47,90 +50,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_convention(convention: str) -> str:
-    if convention not in ("standard", "twisted"):
-        raise ValueError(f"unknown Witt convention {convention!r}")
-    return convention
-
-
-# ---------------------------------------------------------------------------
-# int-list polynomial helpers over F_p (lowest degree first), used only for
-# modulus selection.
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for j, mj in enumerate(m):
-            a[shift + j] = (a[shift + j] - c * mj) % p
-        _ptrim(a)
-    return a
-
-
-def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _pmod(list(base), m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, acc, p), m, p)
-        acc = _pmod(_pmul(acc, acc, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Irreducibility over F_p via the distinct-degree criterion."""
-    d = len(coeffs) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    # x^(p^d) == x mod f
-    t = x
-    for _ in range(d):
-        t = _ppowmod(t, p, coeffs, p)
-    if _ptrim([(ti - xi) % p for ti, xi in
-               zip(t + [0] * len(x), x + [0] * len(t))]):
-        return False
-    for r in {f for f in (2, 3) if d % f == 0}:
-        t = x
-        for _ in range(d // r):
-            t = _ppowmod(t, p, coeffs, p)
-        diff = _ptrim([(a - b) % p for a, b in
-                       zip(t + [0] * len(x), x + [0] * len(t))])
-        g = _pgcd(list(coeffs), diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
 def _digits(n: int, base: int, d: int) -> tuple[int, ...]:
     """The d lowest base-`base` digits of n, least significant first."""
     out = []
@@ -141,17 +60,19 @@ def _digits(n: int, base: int, d: int) -> tuple[int, ...]:
 
 
 def _find_modulus(p: int, d: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree d over F_p.
+    """The monic modulus of F_{p^d}: x at d = 1, x^2 + c0 at d = 2.
 
-    Candidates x^d + c_{d-1} x^{d-1} + ... + c_0 are ordered by the integer
-    sum(c_i p^i), so the choice is reproducible bit for bit.
+    The modulus at d = 2 is the first irreducible x^2 + c1 x + c0 in the
+    order c0 + c1 p, so the choice is reproducible bit for bit.  For odd p
+    a monic quadratic is irreducible exactly when its discriminant
+    c1^2 - 4 c0 is a non-square; with c1 = 0 that reads "-c0 is a
+    non-square", which some c0 < p satisfies, so the first candidate has
+    c1 = 0.
     """
-    for n in range(p ** d):
-        m = list(_digits(n, p, d)) + [1]
-        if _is_irreducible(m, p):
-            return tuple(m)
-    # unreachable: F_p has monic irreducibles of every degree
-    raise InternalInvariantFailure(f"no irreducible modulus of degree {d} over F_{p}")
+    if d == 1:
+        return (0, 1)
+    c0 = next(c for c in range(1, p) if pow(-c, (p - 1) // 2, p) == p - 1)
+    return (c0, 0, 1)
 
 
 def _reduction_table(modulus: tuple[int, ...], mod: int) -> np.ndarray:
@@ -198,7 +119,7 @@ def _vec_ops(mod: int, red: list[list[int]]):
 
 
 class ReductionContext:
-    """A prime p >= 3, extension degree d, and the rings they induce.
+    """A prime p >= 3, extension degree d in {1, 2}, and the rings they induce.
 
     Holds the fixed modulus (lifted to mod p²) and the one multiplication
     rule it induces, the reduction table of x^d .. x^(2d-2) mod p and mod
@@ -395,13 +316,20 @@ class ReductionContext:
         """
         raise NotImplementedError("no evaluation extension: certificates are checked exactly")
 
+    # the modulus, and with it every table, is a function of (p, d)
+    def __eq__(self, other):
+        return (isinstance(other, ReductionContext)
+                and (self.p, self.d) == (other.p, other.d))
+
+    def __hash__(self):
+        return hash((self.p, self.d))
+
     def __repr__(self):
         return f"ReductionContext(p={self.p}, d={self.d})"
 
 
-@functools.lru_cache(maxsize=None)
 def make_context(p: int, d: int = 1) -> ReductionContext:
-    """Context for F_{p^d} with a deterministically chosen modulus."""
+    """A fresh context for F_{p^d}; contexts with equal (p, d) compare equal."""
     return ReductionContext(p, d)
 
 
@@ -480,11 +408,11 @@ class FieldElement:
         return _vec_string(self.coeffs(), sym)
 
     def __eq__(self, other):
-        return (isinstance(other, FieldElement) and self.ctx is other.ctx
+        return (isinstance(other, FieldElement) and self.ctx == other.ctx
                 and self.vec == other.vec)
 
     def __hash__(self):
-        return hash((id(self.ctx), self.vec))
+        return hash((self.ctx, self.vec))
 
     def __bool__(self):
         return not self.is_zero()
@@ -533,11 +461,11 @@ class WittRingElement:
         return _vec_string(self.coeffs(), sym)
 
     def __eq__(self, other):
-        return (isinstance(other, WittRingElement) and self.ctx is other.ctx
+        return (isinstance(other, WittRingElement) and self.ctx == other.ctx
                 and self.vec == other.vec)
 
     def __hash__(self):
-        return hash((id(self.ctx), "w", self.vec))
+        return hash((self.ctx, "w", self.vec))
 
     def __bool__(self):
         return not self.is_zero()
@@ -592,31 +520,26 @@ def _check_residue(lam0: FieldElement):
         raise ForbiddenResidue("reduction of the parameter lies in {0, 1}")
 
 
-def witt_decompose(lam: WittRingElement, convention: WittConvention = "standard") -> WittParameter:
-    """Split a lifted parameter into coordinates (lam0, lam1).
+def witt_decompose(lam: WittRingElement) -> WittParameter:
+    """Split a lifted parameter into Witt coordinates (lam0, lam1).
 
-    standard: lam1 is the residue of (lam - tau(lam0)) / p.
-    twisted:  additionally applies the inverse residue-field Frobenius,
-              recovering the Verschiebung-normalised Witt coordinate.
-    The two conventions coincide when d = 1.
+    lam1 is the inverse residue-field Frobenius of the residue of
+    (lam - tau(lam0)) / p: the Verschiebung-normalised coordinate, in
+    which the cocycle numerator A is written.  At d = 1 the Frobenius is
+    the identity and lam1 is that residue itself.
     """
-    check_convention(convention)
     ctx = lam.ctx
     lam0 = lam.residue()
     _check_residue(lam0)
     t = teichmuller(lam0)
     mu = FieldElement(ctx, ctx.w_divexact_p(ctx.wsub(lam.vec, t.vec)))
-    lam1 = mu if convention == "standard" else mu.frobenius_inverse()
-    return WittParameter(witt=lam, lam0=lam0, lam1=lam1)
+    return WittParameter(witt=lam, lam0=lam0, lam1=mu.frobenius_inverse())
 
 
-def witt_compose(lam0: FieldElement, lam1: FieldElement,
-                 convention: WittConvention = "standard") -> WittRingElement:
+def witt_compose(lam0: FieldElement, lam1: FieldElement) -> WittRingElement:
     """Inverse of :func:`witt_decompose`; exact round-trip both ways."""
-    check_convention(convention)
     _check_residue(lam0)
     ctx = lam0.ctx
-    mu = lam1 if convention == "standard" else lam1.frobenius()
+    mu = lam1.frobenius()
     t = teichmuller(lam0)
     return WittRingElement(ctx, ctx.wadd(t.vec, ctx.w_times_p(ctx.f_lift(mu.vec))))
-

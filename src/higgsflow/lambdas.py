@@ -191,7 +191,7 @@ def reduce_at_prime(spec: LambdaSpec, p: int,
         if not _minpoly_eval_ring(c, lam).is_zero():
             raise InternalInvariantFailure(f"Hensel lift failed at p = {p}")
         out.append(ReductionDatum(p=p, place=place, d=ctx.d,
-                                  witt=witt_decompose(lam, "twisted")))
+                                  witt=witt_decompose(lam)))
     return out
 
 

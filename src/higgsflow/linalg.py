@@ -249,7 +249,7 @@ class FqMatrix:
         return FqMatrix(self.ctx, self.arr.transpose(1, 0, 2))
 
     def __eq__(self, other):
-        return (isinstance(other, FqMatrix) and self.ctx is other.ctx
+        return (isinstance(other, FqMatrix) and self.ctx == other.ctx
                 and self.arr.shape == other.arr.shape
                 and bool(np.all(self.arr == other.arr)))
 

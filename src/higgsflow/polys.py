@@ -1,11 +1,11 @@
-"""Dense univariate polynomial arithmetic over F_{p^d} coefficients.
+"""Dense univariate polynomial arithmetic over F_p or F_{p²} coefficients.
 
-Three shapes of object live here:
+Two shapes of object live here:
 
 * :class:`Poly` -- ordinary polynomials, lowest degree first;
-* :class:`LaurentPoly` -- polynomials times a power of z (poles at 0 only);
-* :class:`PoleFraction` -- num / (z^a (z-1)^b), the shape every entry of
-  the transition matrix and its diagonalising frames takes.
+* :class:`PoleFraction` -- num / (z^a (z-1)^b), the one fraction type: every
+  entry of the transition matrix and its diagonalising frames, and every
+  Laurent polynomial (b = 0), takes this shape.
 
 Everything is exact.  A polynomial's coefficients are one int64 array of
 shape (n, d), so products are integer convolutions (each sum has at most
@@ -28,7 +28,7 @@ NEG_INF = float("-inf")
 
 
 class Poly:
-    """Polynomial over F_{p^d}: an int64 array v of shape (n, d).
+    """Polynomial over F_q: an int64 array v of shape (n, d).
 
     Row k of v is the coefficient vec of z^k, entries in [0, p); the top
     row is nonzero, so len(v) counts the coefficients (0 for the zero
@@ -157,11 +157,11 @@ class Poly:
         return self.scale(self.lead().inverse())
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.ctx is other.ctx
+        return (isinstance(other, Poly) and self.ctx == other.ctx
                 and np.array_equal(self.v, other.v))
 
     def __hash__(self):
-        return hash((id(self.ctx), self.v.tobytes()))
+        return hash((self.ctx, self.v.tobytes()))
 
     def __repr__(self):
         if self.is_zero():
@@ -317,63 +317,6 @@ def z_minus_one_pow(ctx: ReductionContext, k: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-
-
-class LaurentPoly:
-    """A polynomial times z^val: elements of F_q[z, 1/z].
-
-    Canonical form keeps the lowest stored coefficient nonzero (unless zero).
-    """
-
-    __slots__ = ("poly", "val")
-
-    def __init__(self, poly: Poly, val: int = 0):
-        if poly.is_zero():
-            self.poly, self.val = poly, 0
-            return
-        k = int(np.flatnonzero(poly.v.any(axis=1))[0])
-        self.poly = poly.shift(-k) if k else poly
-        self.val = val + k
-
-    @property
-    def ctx(self):
-        return self.poly.ctx
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def valuation(self):
-        return NEG_INF if self.is_zero() else self.val
-
-    def coeff(self, k: int) -> FieldElement:
-        return self.poly.coeff(k - self.val)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        v = min(self.val, other.val)
-        return LaurentPoly(self.poly.shift(self.val - v) + other.poly.shift(other.val - v), v)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(-self.poly, self.val)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(self.poly * other.poly, self.val + other.val)
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentPoly) and self.poly == other.poly
-                and self.val == other.val)
-
-    def __hash__(self):
-        return hash((self.poly, self.val))
-
-    def __repr__(self):
-        return f"LaurentPoly({self.poly!r}, z^{self.val})"
 
 
 class PoleFraction:

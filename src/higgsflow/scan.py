@@ -212,6 +212,7 @@ def run_enumerate(p: int, methods=("t",), seed: int = 0) -> ScanReport:
             rows.append(_row_from_datum(f"{a};{b}", datum, methods))
     rows.sort(key=ScanRow.sort_key)
     periodic = Counter(r.lambda0 for r in rows if r.periodic)
+    # d = 1, where the Witt conventions coincide; the field keeps its bytes
     meta = {"version": __version__, "convention": "standard", "seed": seed}
     summary = _summarize(rows)
     summary["periodic_pairs"] = [[r.lambda0, r.lambda1] for r in rows if r.periodic]
@@ -296,39 +297,29 @@ def _suite_witt_roundtrip(primes) -> dict:
                         return _suite(False, cases, f"tau not multiplicative at p={p} d={d}")
                     if taus[a.index()].residue() != a:
                         return _suite(False, cases, f"tau not a section at p={p} d={d}")
-            for conv in ("standard", "twisted"):
-                for w in _valid_witt_elements(ctx):
-                    cases += 1
-                    wp = witt_decompose(w, conv)
-                    if witt_compose(wp.lam0, wp.lam1, conv) != w:
-                        return _suite(False, cases,
-                                      f"decompose/compose broken at p={p} d={d} {conv}")
+            for w in _valid_witt_elements(ctx):
+                cases += 1
+                wp = witt_decompose(w)
+                if witt_compose(wp.lam0, wp.lam1) != w:
+                    return _suite(False, cases, f"decompose/compose broken at p={p} d={d}")
     return _suite(True, cases)
 
 
 def _suite_cocycle_equality(primes) -> dict:
     cases = 0
-    convs = {"standard": True, "twisted": True}
-    first_bad = None
+    note = "closed form read in twisted lambda1"
     for p in primes:
         for d in (1, 2):
             if d == 2 and p > 5:
                 continue
             ctx = make_context(p, d)
             for w in _valid_witt_elements(ctx):
-                prim = build_A_primitive(ctx, w).A
-                for conv in convs:
-                    cases += 1
-                    wp = witt_decompose(w, conv)
-                    closed = build_A_closed(ctx, wp.lam0, wp.lam1).A
-                    if closed != prim:
-                        convs[conv] = False
-                        if first_bad is None:
-                            first_bad = f"{conv} convention differs at p={p} d={d}"
-    note = "matching conventions: " + ",".join(k for k, v in convs.items() if v)
-    if convs["twisted"]:
-        return _suite(True, cases, note=note)
-    return _suite(False, cases, first_bad, note=note)
+                cases += 1
+                wp = witt_decompose(w)
+                if build_A_closed(ctx, wp.lam0, wp.lam1).A != build_A_primitive(ctx, w).A:
+                    return _suite(False, cases, f"p={p} d={d} lam={w.to_string()}",
+                                  note=note)
+    return _suite(True, cases, note=note)
 
 
 def _suite_t_r(primes) -> dict:
@@ -354,15 +345,18 @@ def _suite_t_r(primes) -> dict:
 def _suite_agreement(primes) -> dict:
     cases = 0
     for p in primes:
-        ctx = make_context(p, 1)
-        for w in _valid_witt_elements(ctx):
-            cases += 1
-            datum = ReductionDatum(p=p, place=0, d=1, witt=witt_decompose(w, "twisted"))
-            row = _row_from_datum("selftest", datum, KNOWN_METHODS)
-            if not row.agree:
-                return _suite(False, cases,
-                              f"p={p} lam={w.to_string()}: t={row.n_t} "
-                              f"birkhoff={row.n_birkhoff} cech={row.n_cech}")
+        for d in (1, 2):
+            if d == 2 and p > 3:
+                continue
+            ctx = make_context(p, d)
+            for w in _valid_witt_elements(ctx):
+                cases += 1
+                datum = ReductionDatum(p=p, place=0, d=d, witt=witt_decompose(w))
+                row = _row_from_datum("selftest", datum, KNOWN_METHODS)
+                if not row.agree:
+                    return _suite(False, cases,
+                                  f"p={p} d={d} lam={w.to_string()}: t={row.n_t} "
+                                  f"birkhoff={row.n_birkhoff} cech={row.n_cech}")
     return _suite(True, cases)
 
 

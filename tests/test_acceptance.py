@@ -86,7 +86,7 @@ def test_ac3_exhaustive_cross_method_agreement():
                 r = lam.residue()
                 if r.is_zero() or r == ctx.one:
                     continue
-                wp = witt_decompose(lam, "twisted")
+                wp = witt_decompose(lam)
                 nt = splitting_from_T(ctx, wp.lam0, wp.lam1).n
                 cert = factorization_certificate(ctx, lam)
                 nb = cert.n
@@ -150,20 +150,19 @@ def test_ac7_witt_layer_exhaustive():
                     assert taus[a.index()].residue() == a
                     for b in ctx.field_elements():
                         assert taus[a.index()] * taus[b.index()] == taus[(a * b).index()]
-                for conv in ("standard", "twisted"):
-                    for lam in ctx.witt_elements():
-                        r = lam.residue()
-                        if r.is_zero() or r == ctx.one:
-                            continue
-                        wp = witt_decompose(lam, conv)
-                        assert witt_compose(wp.lam0, wp.lam1, conv) == lam
-                    for lam0 in ctx.field_elements():
-                        if lam0.is_zero() or lam0 == ctx.one:
-                            continue
-                        for lam1 in ctx.field_elements():
-                            w = witt_compose(lam0, lam1, conv)
-                            got = witt_decompose(w, conv)
-                            assert (got.lam0, got.lam1) == (lam0, lam1)
+                for lam in ctx.witt_elements():
+                    r = lam.residue()
+                    if r.is_zero() or r == ctx.one:
+                        continue
+                    wp = witt_decompose(lam)
+                    assert witt_compose(wp.lam0, wp.lam1) == lam
+                for lam0 in ctx.field_elements():
+                    if lam0.is_zero() or lam0 == ctx.one:
+                        continue
+                    for lam1 in ctx.field_elements():
+                        w = witt_compose(lam0, lam1)
+                        got = witt_decompose(w)
+                        assert (got.lam0, got.lam1) == (lam0, lam1)
 
 
 def test_ac8_beauville_evidence_report():

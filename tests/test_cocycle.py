@@ -1,8 +1,9 @@
 import random
+from math import comb
 
 import pytest
 
-from higgsflow.cocycle import (binomial_over_p, build_A_closed,
+from higgsflow.cocycle import (binomial_over_p, binomials_mod_p2, build_A_closed,
                                build_A_primitive, build_transition)
 from higgsflow.errors import ForbiddenResidue
 from higgsflow.fields import make_context, witt_decompose
@@ -51,27 +52,18 @@ def test_closed_equals_primitive_exhaustive_prime_fields():
             r = w.residue()
             if r.is_zero() or r == ctx.one:
                 continue
-            prim = build_A_primitive(ctx, w)
-            for conv in ("standard", "twisted"):
-                wp = witt_decompose(w, conv)
-                assert build_A_closed(ctx, wp.lam0, wp.lam1).A == prim.A
+            wp = witt_decompose(w)
+            assert build_A_closed(ctx, wp.lam0, wp.lam1).A == build_A_primitive(ctx, w).A
 
 
 def test_closed_equals_primitive_quadratic_field_twisted_only():
     ctx = make_context(3, 2)
-    mismatch_standard = 0
     for w in ctx.witt_elements():
         r = w.residue()
         if r.is_zero() or r == ctx.one:
             continue
-        prim = build_A_primitive(ctx, w)
-        tw = witt_decompose(w, "twisted")
-        assert build_A_closed(ctx, tw.lam0, tw.lam1).A == prim.A
-        std = witt_decompose(w, "standard")
-        if build_A_closed(ctx, std.lam0, std.lam1).A != prim.A:
-            mismatch_standard += 1
-    # the naive convention must genuinely differ somewhere, else the flag is moot
-    assert mismatch_standard > 0
+        tw = witt_decompose(w)
+        assert build_A_closed(ctx, tw.lam0, tw.lam1).A == build_A_primitive(ctx, w).A
 
 
 def test_degree_bound_and_top_cancellation_random():
@@ -92,7 +84,12 @@ def test_degree_bound_and_top_cancellation_random():
 def test_binomial_scalar_identity():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for i in range(1, p):
-            assert binomial_over_p(p, i) == (-1) ** (i - 1) * pow(i, p - 2, p) % p
+            assert binomial_over_p(p, i) == comb(p, i) // p % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 97, 9973])
+def test_binomials_mod_p2_match_exact_binomials(p):
+    assert binomials_mod_p2(p).tolist() == [comb(p, k) % p ** 2 for k in range(p + 1)]
 
 
 def test_unit_is_nonzero_and_correct():
@@ -106,10 +103,9 @@ def test_laurent_form_of_the_cocycle():
     # a = A/(u z^p): for the periodic micro-case, (z^5+2z)/(2z^3) = 2z^2 + z^-2
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    a = co.laurent()
-    assert a.val == -2
-    assert a.poly == P(ctx, 1, 0, 0, 0, 2)
-    assert a.coeff(2) == ctx.f_from_int(2) and a.coeff(-2) == ctx.one
+    a = PoleFraction(co.A.scale(co.unit.inverse()), ctx.p, 0)
+    assert a == PoleFraction(P(ctx, 1, 0, 0, 0, 2), 2, 0)   # (2z^4 + 1)/z^2
+    assert a != PoleFraction(P(ctx, 1, 0, 0, 0, 2), 3, 0)
 
 
 def test_transition_shape_and_determinant():

@@ -138,7 +138,7 @@ def _lifts(p, d):
     for w in ctx.witt_elements():
         r = w.residue()
         if not (r.is_zero() or r == ctx.one):
-            wp = witt_decompose(w, "twisted")
+            wp = witt_decompose(w)
             yield ctx, wp.lam0, wp.lam1
 
 

@@ -13,7 +13,7 @@ from higgsflow.factorization import (birkhoff_step1, birkhoff_step2, check_certi
                                      splitting_from_birkhoff, verify_certificate)
 from higgsflow.fields import make_context, witt_decompose
 from higgsflow.linalg import mat_rank
-from higgsflow.polys import LaurentPoly, Poly, PoleFraction, z_minus_one_pow
+from higgsflow.polys import Poly, PoleFraction, z_minus_one_pow
 
 
 def P(ctx, *ints):
@@ -100,7 +100,8 @@ def test_step2_exact_diagonalization_small_sample():
             assert prod[0][0] == PoleFraction(Poly.one(ctx), 0, cert.c - p)
             assert prod[1][1] == PoleFraction(Poly.one(ctx), 0, p - cert.c)
             assert prod[0][1].is_zero() and prod[1][0].is_zero()
-            assert cert.alpha.poly.is_zero() or cert.alpha.valuation() >= -2 * p
+            # alpha is a Laurent polynomial of valuation >= -2p: poles at z = 0 only
+            assert cert.alpha.b == 0 and cert.alpha.a <= 2 * p
             reduced += not cert.g.is_zero() and cert.g.degree > cert.f.degree
             gcd_at_one += cert.l > 0
     # both step-1 paths stay covered: gamma' reduced mod g, and gcd (z-1)^l, l > 0
@@ -121,7 +122,7 @@ def test_step1_minimality_rank_characterization():
         co = build_A_primitive(ctx, w)
         f, g, h, l, _, _ = birkhoff_step1(ctx, co.A)
         c = max(f.degree, g.degree if not g.is_zero() else -1)
-        wp = witt_decompose(w, "twisted")
+        wp = witt_decompose(w)
         tm = build_T(ctx, wp.lam0, wp.lam1)
         if c < p:
             sub = t_submatrix(tm, p - c)
@@ -158,7 +159,7 @@ def test_step1_exhaustive_against_criterion_ranks():
             assert f * gamma + g * beta == d2
             assert (zp * gamma - A * beta).order_at_one() >= 2 * p
             assert beta.degree <= 2 * p - c and gamma.degree <= 2 * p - c
-            wp = witt_decompose(w, "twisted")
+            wp = witt_decompose(w)
             n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
             assert c == p - n
             tm = build_T(ctx, wp.lam0, wp.lam1)
@@ -190,7 +191,7 @@ def test_agreement_with_T_exhaustive_p3():
         r = w.residue()
         if r.is_zero() or r == ctx.one:
             continue
-        wp = witt_decompose(w, "twisted")
+        wp = witt_decompose(w)
         assert splitting_from_birkhoff(ctx, w).n == \
             splitting_from_T(ctx, wp.lam0, wp.lam1).n
 
@@ -210,7 +211,7 @@ def test_agreement_with_T_randomized_larger_p_and_quadratic_field():
             if not (r.is_zero() or r == ctx.one):
                 break
         nb = splitting_from_birkhoff(ctx, lam).n
-        wp = witt_decompose(lam, "twisted")
+        wp = witt_decompose(lam)
         assert nb == splitting_from_T(ctx, wp.lam0, wp.lam1).n
 
 
@@ -226,7 +227,7 @@ def _tampered(cert):
            for name in ("f", "g", "h", "beta_prime", "gamma_prime")}
     return bad | {
         "c": dataclasses.replace(cert, c=cert.c - 1, n=cert.n + 1),
-        "alpha": dataclasses.replace(cert, alpha=cert.alpha + LaurentPoly(one)),
+        "alpha": dataclasses.replace(cert, alpha=cert.alpha + PoleFraction(one)),
         "P entry": dataclasses.replace(cert, P=((p00 + PoleFraction(one), p01), (p10, p11))),
         "Q entry": dataclasses.replace(cert, Q=(q0, (q10, q11 + PoleFraction(one, 1, 0)))),
         # adding one row of P to the other keeps det P = 1, so only P*M*Q

@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from higgsflow.errors import DegreeOutOfRange, EvenPrime, ForbiddenResidue, NotPrime
-from higgsflow.fields import (frobenius_w2, make_context, teichmuller, witt_compose,
-                              witt_decompose)
+from higgsflow.fields import (frobenius_w2, is_prime, make_context, teichmuller,
+                              witt_compose, witt_decompose)
+from higgsflow.linalg import FqMatrix
+from higgsflow.polys import Poly
 
 
 def test_context_construction():
@@ -23,16 +26,43 @@ def test_context_rejects_bad_parameters():
     with pytest.raises(EvenPrime):
         make_context(2, 1)
     with pytest.raises(DegreeOutOfRange):
-        make_context(3, 5)
+        make_context(3, 3)  # only F_p and F_{p^2} are built
     with pytest.raises(DegreeOutOfRange):
         make_context(3, 0)
 
 
 def test_modulus_is_deterministic_and_irreducible():
-    # same object back from the cache, and a fresh context agrees
-    assert make_context(5, 2) is make_context(5, 2)
     assert make_context(5, 2).modulus == (2, 0, 1)  # x^2 + 2 over F_5
-    assert make_context(7, 3).modulus[-1] == 1
+    assert make_context(5, 2).modulus == make_context(5, 2).modulus
+    assert make_context(7, 1).modulus == (0, 1)
+
+
+def test_quadratic_modulus_is_first_rootless_candidate():
+    # candidates x^2 + c1 x + c0 in the order c0 + c1 p; roots found by evaluation
+    for p in range(3, 1000, 2):
+        if not is_prime(p):
+            continue
+        x = np.arange(p)
+        first = next((c0, c1, 1) for c1 in range(p) for c0 in range(p)
+                     if np.all((x * x + c1 * x + c0) % p))
+        assert make_context(p, 2).modulus == first, p
+
+
+def test_separate_contexts_compare_and_hash_equal():
+    # no cache hands back one object: equality and hashing go by (p, d)
+    for p, d in ((3, 1), (5, 2)):
+        a, b = make_context(p, d), make_context(p, d)
+        assert a is not b and a == b and hash(a) == hash(b)
+        x, y = a.f_from_coeffs([1, 2]), b.f_from_coeffs([1, 2])
+        assert x == y and hash(x) == hash(y)
+        wx, wy = a.w_from_coeffs([4, 7]), b.w_from_coeffs([4, 7])
+        assert wx == wy and hash(wx) == hash(wy)
+        f, g = Poly.from_ints(a, [1, 0, 2]), Poly.from_ints(b, [1, 0, 2])
+        assert f == g and hash(f) == hash(g)
+        m = FqMatrix(a, np.ones((2, 3, d), np.int64))
+        assert m == FqMatrix(b, np.ones((2, 3, d), np.int64))
+    assert make_context(5, 1) != make_context(5, 2)
+    assert make_context(5, 1).one != make_context(7, 1).one
 
 
 def test_teichmuller_examples():
@@ -132,36 +162,23 @@ def test_witt_compose_examples():
         witt_decompose(ctx.w_from_int(1 + 3))  # residue 1
 
 
-def test_witt_roundtrip_exhaustive_both_conventions():
+def test_witt_roundtrip_exhaustive():
     for p in (3, 5, 7):
         for d in (1, 2):
             ctx = make_context(p, d)
-            for conv in ("standard", "twisted"):
-                for w in ctx.witt_elements():
-                    r = w.residue()
-                    if r.is_zero() or r == ctx.one:
-                        continue
-                    wp = witt_decompose(w, conv)
-                    assert witt_compose(wp.lam0, wp.lam1, conv) == w
-                for lam0 in ctx.field_elements():
-                    if lam0.is_zero() or lam0 == ctx.one:
-                        continue
-                    for lam1 in ctx.field_elements():
-                        w = witt_compose(lam0, lam1, conv)
-                        wp = witt_decompose(w, conv)
-                        assert (wp.lam0, wp.lam1) == (lam0, lam1)
-
-
-def test_conventions_coincide_for_prime_field():
-    ctx = make_context(7, 1)
-    for n in range(49):
-        w = ctx.w_from_int(n)
-        r = w.residue()
-        if r.is_zero() or r == ctx.one:
-            continue
-        a = witt_decompose(w, "standard")
-        b = witt_decompose(w, "twisted")
-        assert (a.lam0, a.lam1) == (b.lam0, b.lam1)
+            for w in ctx.witt_elements():
+                r = w.residue()
+                if r.is_zero() or r == ctx.one:
+                    continue
+                wp = witt_decompose(w)
+                assert witt_compose(wp.lam0, wp.lam1) == w
+            for lam0 in ctx.field_elements():
+                if lam0.is_zero() or lam0 == ctx.one:
+                    continue
+                for lam1 in ctx.field_elements():
+                    w = witt_compose(lam0, lam1)
+                    wp = witt_decompose(w)
+                    assert (wp.lam0, wp.lam1) == (lam0, lam1)
 
 
 def test_element_string_forms():

@@ -128,7 +128,7 @@ def test_h0_at_both_bounds_matches_two_separate_eliminations():
             r = w.residue()
             if r.is_zero() or r == ctx.one:
                 continue
-            wp = witt_decompose(w, "twisted")
+            wp = witt_decompose(w)
             n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
             trans = build_transition(build_A_primitive(ctx, w))
             a = trans.cocycle.A.taylor_at_one()
