@@ -14,13 +14,19 @@ P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).  It runs no second gcd: the
 Bezout identity shows that gcd(f, g) divides (z-1)^(2p), so it is
 (z-1)^l.
 
+The three divisions by (z-1)^(2p) (B and h in step 1, alpha in step 2)
+use :func:`~higgsflow.polys.divrem_z_minus_one_2p`, which divides by
+z^(2p) - 2z^p + 1 a block of p coefficients at a time.
+
 Everything is certified: the returned object carries (f, g, h, l, c,
 beta', gamma', alpha, P, Q), and step 2 hands it back only after
 :func:`check_certificate` has proved every identity exactly, in the ring
 of rational functions with poles in {0, 1, infinity}: the step-1
 congruence, the Bezout relation, the alpha relation, det P = det Q = 1 and
-the diagonalization itself.  Each is a polynomial identity or an identity
-of pole fractions, which compare by cross-multiplying, so the check is
+the diagonalization itself.  Once det P = 1 is proved, P^(-1) = adj(P),
+so the diagonalization is proved as M*Q = adj(P)*diag, which needs no
+product with P.  Each is a polynomial identity or an identity of pole
+fractions, which compare by cross-multiplying, so the check is
 deterministic and draws no sample points.
 """
 
@@ -32,7 +38,7 @@ from .cocycle import CocyclePolynomial, TransitionMatrix, build_A_primitive, bui
 from .criterion import SplittingType
 from .errors import CertificateCheckFailed, DegreeTooLarge
 from .fields import ReductionContext, WittRingElement
-from .polys import Poly, PoleFraction, poly_divrem, z_minus_one_pow
+from .polys import Poly, PoleFraction, divrem_z_minus_one_2p, poly_divrem, z_minus_one_pow
 # unused here; kept because perfbench/hooks.py patches them by name in this module
 from .criterion import remainder_system  # noqa: F401
 from .linalg import _rank_mod_p, left_nullspace_vecs  # noqa: F401
@@ -117,7 +123,7 @@ def birkhoff_step1(ctx: ReductionContext,
         return Poly.one(ctx), Poly.zero(ctx), Poly.zero(ctx), 0, Poly.zero(ctx), d2
 
     zp = Poly.monomial(ctx, p)
-    _, B = poly_divrem(A * (Poly.from_ints(ctx, [2]) - zp), d2)
+    _, B = divrem_z_minus_one_2p(A * (Poly.from_ints(ctx, [2]) - zp))
     r0, r1 = d2, B
     t0, t1 = Poly.zero(ctx), Poly.one(ctx)
     sign = 1  # t1*r0 - t0*r1 = sign * (z-1)^(2p)
@@ -130,7 +136,7 @@ def birkhoff_step1(ctx: ReductionContext,
     lead = t1.lead()
     inv = lead.inverse()
     f, g = t1.scale(inv), -r1.scale(inv)
-    h, rem = poly_divrem(f * A + g * zp, d2)
+    h, rem = divrem_z_minus_one_2p(f * A + g * zp)
     if not rem.is_zero():
         _fail("step-1 sum f*A + g*z^p is not divisible by (z-1)^(2p)")
 
@@ -163,8 +169,7 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
 
     zp = Poly.monomial(ctx, p)
     # the quotient is exact when the alpha identity of check_certificate holds
-    alpha_num, _ = poly_divrem(zp * gamma_prime - cocycle.A * beta_prime,
-                               z_minus_one_pow(ctx, 2 * p))
+    alpha_num, _ = divrem_z_minus_one_2p(zp * gamma_prime - cocycle.A * beta_prime)
     alpha = PoleFraction(alpha_num, p, 0)
 
     # P and Q hold g, h and beta' against A/u, the numerator that M carries
@@ -215,6 +220,8 @@ def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> No
     (f*gamma' + g*beta' = (z-1)^(2p)), alpha
     (alpha*z^p*(z-1)^(2p) = z^p*gamma' - A*beta'), det P = 1, det Q = 1, and
     P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)), all in pole-fraction arithmetic.
+    The last is proved after det P = 1 as M*Q = adj(P)*diag, entry by entry:
+    the same statement, since P^(-1) = adj(P) when det P = 1.
     Raises CertificateCheckFailed naming the identity.
     """
     ctx = m.cocycle.ctx
@@ -236,10 +243,14 @@ def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> No
     (q00, q01), (q10, q11) = cert.Q
     require(p00 * p11 - p01 * p10 == one, "det P")
     require(q00 * q11 - q01 * q10 == one, "det Q")
-    zero = PoleFraction.zero(ctx)
-    diag = ((PoleFraction(one.num, 0, cert.c - p), zero),
-            (zero, PoleFraction(one.num, 0, p - cert.c)))
-    require(_matmul(cert.P, _matmul(m.entries, cert.Q)) == diag, "P*M*Q")
+    # x*(z-1)^k: multiplying by the diagonal only moves pole orders at 1
+    def times_z_minus_one_pow(x: PoleFraction, k: int) -> PoleFraction:
+        return PoleFraction(x.num, x.a, x.b - k)
+
+    k = p - cert.c
+    adj_diag = ((times_z_minus_one_pow(p11, k), times_z_minus_one_pow(-p01, -k)),
+                (times_z_minus_one_pow(-p10, k), times_z_minus_one_pow(p00, -k)))
+    require(_matmul(m.entries, cert.Q) == adj_diag, "P*M*Q")
 
 
 def verify_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> bool:

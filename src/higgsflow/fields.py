@@ -271,7 +271,12 @@ class ReductionContext:
         return self.fpow(a, (self.q - 1) // 2) == one
 
     def f_nonsquare(self):
-        for n in range(1, self.q):
+        """First non-square in index order.
+
+        Every element of F_p is a square in F_(p^2), so the search starts
+        at index q // p: the first index past F_p when d = 2, and 1 when d = 1.
+        """
+        for n in range(self.q // self.p, self.q):
             v = self.f_from_index(n).vec
             if not self.f_is_square(v):
                 return v

@@ -11,7 +11,10 @@ Everything is exact.  A polynomial's coefficients are one int64 array of
 shape (n, d), so products are integer convolutions (each sum has at most
 n*d terms below p^2, inside int64 for every supported p) and divisions
 update whole coefficient slices; degrees stay below a few thousand, so the
-dense quadratic algorithms are the right tool.
+dense quadratic algorithms are the right tool.  The one divisor that every
+birkhoff row meets three times, (z-1)^(2p) = z^(2p) - 2z^p + 1 in
+characteristic p, has its own division (:func:`divrem_z_minus_one_2p`):
+it moves a block of p coefficients per step instead of one.
 """
 
 from __future__ import annotations
@@ -252,6 +255,34 @@ def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         q[base] = c
         rem[base * d:(base + m) * d] -= c @ gx
     return Poly(ctx, q), Poly(ctx, rem[: (m - 1) * d] % p)
+
+
+def divrem_z_minus_one_2p(f: Poly) -> tuple[Poly, Poly]:
+    """f = q*(z-1)^(2p) + r with deg r < 2p, a block of p coefficients at a time.
+
+    In characteristic p, (z-1)^(2p) = z^(2p) - 2z^p + 1, so the top p
+    coefficients of what is left to divide are their own quotient block:
+    subtracting the block times the divisor cancels it, adds twice the
+    block p places lower (the next block down) and subtracts it 2p places
+    lower.  Each block is reduced mod p before use, so every entry receives
+    at most one addition (below 2p) and one subtraction (below p) and stays
+    inside (-p, 3p).
+    """
+    ctx = f.ctx
+    p = ctx.p
+    hi = len(f.v)
+    if hi <= 2 * p:
+        return Poly.zero(ctx), f
+    rem = f.v.copy()
+    q = np.zeros((hi - 2 * p, ctx.d), np.int64)
+    while hi > 2 * p:
+        lo = max(hi - p, 2 * p)
+        block = rem[lo:hi] % p
+        q[lo - 2 * p:hi - 2 * p] = block
+        rem[lo - p:hi - p] += 2 * block
+        rem[lo - 2 * p:hi - 2 * p] -= block
+        hi = lo
+    return Poly(ctx, q), Poly(ctx, rem[:2 * p] % p)
 
 
 def poly_divexact(f: Poly, g: Poly) -> Poly:

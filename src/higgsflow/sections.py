@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import TransitionMatrix, build_A_primitive, build_transition
-from .criterion import SplittingType
+from .criterion import SplittingType, _windows
 from .errors import ProfileMismatch, UnstableDimension
 from .fields import ReductionContext, WittRingElement
 from .linalg import FqMatrix, mat_leading_ranks
@@ -60,44 +60,45 @@ def _h0_dimensions(problem: SectionSpaceProblem, a_shift: Poly, uzp: Poly) -> tu
     bound = problem.bound + 2
 
     n_conditions = bound + p - m
-    b1_orders = range(0, m + p + 1) if m + p >= 0 else range(0)
-    b2_orders = range(0, bound + 1)
-    n_unknowns = len(b1_orders) + len(b2_orders)
+    n_b1 = max(m + p + 1, 0)     # b1 principal parts (z-1)^(-k), k = 0..m+p
+    n_b2 = bound + 1             # b2 principal parts, k = 0..bound
 
-    arr = np.zeros((n_conditions, n_unknowns, ctx.d), dtype=np.int64)
+    def toeplitz(poly: Poly, n_cols: int) -> np.ndarray:
+        # column k is poly * s^(bound-k) on s^0..s^(n_conditions-1): window k
+        # of poly with bound zeros in front
+        padded = np.zeros((n_cols + n_conditions, ctx.d), np.int64)
+        seg = poly.v[: len(padded) - bound]
+        padded[bound: bound + len(seg)] = seg
+        return _windows(padded, n_conditions)[:n_cols].transpose(1, 0, 2)
 
-    def fill(col: int, poly: Poly, shift: int):
-        # contribution poly(s) * s^shift, truncated to s^0..s^(C-1)
-        lo = max(shift, 0)
-        seg = poly.v[lo - shift: max(n_conditions - shift, 0)]
-        arr[lo: lo + len(seg), col] = seg
-
-    col = 0
-    for k in b1_orders:          # b1 principal part (z-1)^(-k) -> A * s^(B-k)
-        fill(col, a_shift, bound - k)
-        col += 1
-    for k in b2_orders:          # b2 principal part -> u z^p * s^(B-k)
-        fill(col, uzp, bound - k)
-        col += 1
-
+    arr = np.concatenate([toeplitz(a_shift, n_b1), toeplitz(uzp, n_b2)], axis=1)
+    n_unknowns = n_b1 + n_b2
     ranks = mat_leading_ranks(FqMatrix(ctx, np.roll(arr, -2, axis=0)),
                               [(n_conditions - 2, n_unknowns - 2), (n_conditions, n_unknowns)])
     return n_unknowns - 2 - ranks[0], n_unknowns - ranks[1]
 
 
-def h0_of_twist(m: TransitionMatrix, twist: int, bound: int | None = None) -> int:
+def series_at_one(m: TransitionMatrix) -> tuple[Poly, Poly]:
+    """A and u*z^p in powers of s = z - 1, the two columns of every ansatz."""
+    ctx = m.cocycle.ctx
+    # u * z^p = u * (s+1)^p = u * (1 + s^p) in characteristic p
+    uzp = (Poly.one(ctx) + Poly.monomial(ctx, ctx.p)).scale(m.cocycle.unit)
+    return m.cocycle.A.taylor_at_one(), uzp
+
+
+def h0_of_twist(m: TransitionMatrix, twist: int, bound: int | None = None, *,
+                series: tuple[Poly, Poly] | None = None) -> int:
     """Dimension of the twisted global-section space.
 
     The ansatz bound defaults to 2p + |twist| + 4; the computed dimension
     must not change when the bound grows by 2, otherwise the ansatz was
-    too small and UnstableDimension is raised.
+    too small and UnstableDimension is raised.  series is
+    :func:`series_at_one` of m, computed here when not given, so that one
+    row expands A once for all its twists.
     """
-    ctx = m.cocycle.ctx
-    p = ctx.p
+    p = m.cocycle.ctx.p
     b = bound if bound is not None else 2 * p + abs(twist) + 4
-    a_shift = m.cocycle.A.taylor_at_one()
-    # u * z^p = u * (s+1)^p = u * (1 + s^p) in characteristic p
-    uzp = (Poly.one(ctx) + Poly.monomial(ctx, p)).scale(m.cocycle.unit)
+    a_shift, uzp = series if series is not None else series_at_one(m)
     dim, dim_again = _h0_dimensions(SectionSpaceProblem(matrix=m, twist=twist, bound=b),
                                     a_shift, uzp)
     if dim != dim_again:
@@ -121,7 +122,8 @@ def splitting_from_cech(ctx: ReductionContext, lam: WittRingElement) -> Splittin
     """
     cocycle = build_A_primitive(ctx, lam)
     trans = build_transition(cocycle)
-    h = {0: h0_of_twist(trans, 0), -1: h0_of_twist(trans, -1)}
+    series = series_at_one(trans)
+    h = {0: h0_of_twist(trans, 0, series=series), -1: h0_of_twist(trans, -1, series=series)}
     s = h[0]
     if s >= 3:
         n = s - 1
@@ -131,7 +133,7 @@ def splitting_from_cech(ctx: ReductionContext, lam: WittRingElement) -> Splittin
         raise ProfileMismatch(f"h0 at twist 0 is {s}, below any split value")
     for m in range(-1, n + 2):
         if m not in h:
-            h[m] = h0_of_twist(trans, m)
+            h[m] = h0_of_twist(trans, m, series=series)
         if h[m] != _expected_h0(n, m):
             raise ProfileMismatch(
                 f"h0({m}) = {h[m]} but a split bundle with n = {n} "

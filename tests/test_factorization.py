@@ -108,6 +108,23 @@ def test_step2_exact_diagonalization_small_sample():
     assert reduced > 0 and gcd_at_one > 0
 
 
+@pytest.mark.parametrize("p, d, coeffs", [(7, 1, (2,)), (5, 2, (1, 1))])
+def test_no_school_division_by_degree_2p(monkeypatch, p, d, coeffs):
+    # the three divisions by (z-1)^(2p) go through the block division; school
+    # division is left to the Euclid steps and the reduction of gamma'
+    divisor_degrees = []
+    divrem = factorization.poly_divrem
+
+    def counted(f, g):
+        divisor_degrees.append(g.degree)
+        return divrem(f, g)
+
+    monkeypatch.setattr(factorization, "poly_divrem", counted)
+    ctx = make_context(p, d)
+    factorization_certificate(ctx, ctx.w_from_coeffs(coeffs))
+    assert divisor_degrees and 2 * p not in divisor_degrees
+
+
 def test_step1_minimality_rank_characterization():
     # T_{p-c-1} is rank deficient while T_{p-c} has full rank
     rng = random.Random(77)

@@ -201,3 +201,13 @@ def test_field_sqrt():
         non_sq = ctx.f_nonsquare()
         assert ctx.f_sqrt(non_sq) is None
 
+
+
+def test_nonsquare_is_first_in_index_order():
+    for p in (3, 5, 7, 11, 13):
+        for d in (1, 2):
+            ctx = make_context(p, d)
+            squares = {(b * b).vec for b in ctx.field_elements()}
+            first = next(ctx.f_from_index(n).vec for n in range(1, ctx.q)
+                         if ctx.f_from_index(n).vec not in squares)
+            assert ctx.f_nonsquare() == first, (p, d)

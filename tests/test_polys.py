@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from higgsflow.errors import (DivisionByZeroPoly, InternalDivisibilityFailure,
                              InternalError, InternalInvariantFailure)
 from higgsflow.fields import make_context
-from higgsflow.polys import (Poly, PoleFraction, poly_divexact, poly_divrem,
-                             poly_ext_gcd, z_minus_one_pow)
+from higgsflow.polys import (Poly, PoleFraction, divrem_z_minus_one_2p, poly_divexact,
+                             poly_divrem, poly_ext_gcd, z_minus_one_pow)
 
 
 def P(ctx, *ints):
@@ -28,6 +28,22 @@ def test_divrem_small_dividend():
     f = P(ctx, 0, 2, 0, 0, 0, 1)  # z^5 + 2z
     q, r = poly_divrem(f, z_minus_one_pow(ctx, 6))
     assert q.is_zero() and r == f
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (401, 1)])
+def test_block_division_matches_school_division(p, d):
+    ctx = make_context(p, d)
+    rng = random.Random(p * 10 + d)
+    d2 = z_minus_one_pow(ctx, 2 * p)
+    lengths = [0, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p, 4 * p + 1]
+    lengths += [rng.randrange(5 * p) for _ in range(6)]
+    for n in lengths:
+        rows = [[rng.randrange(p) for _ in range(d)] for _ in range(n)]
+        if n:
+            rows[-1][0] = rng.randrange(1, p)
+        f = Poly(ctx, rows)
+        assert len(f.v) == n
+        assert divrem_z_minus_one_2p(f) == poly_divrem(f, d2), (p, d, n)
 
 
 def test_divrem_by_zero():

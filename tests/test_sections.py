@@ -163,9 +163,9 @@ def test_profile_mismatch_is_raised_and_exits_internal(monkeypatch, capsys):
 
     h0 = sections.h0_of_twist
 
-    def off_at_twist_one(m, twist, bound=None):
+    def off_at_twist_one(m, twist, bound=None, **kwargs):
         # h0 at twists 0 and -1 still decides n; h0(1) breaks the profile
-        return h0(m, twist, bound) + (twist == 1)
+        return h0(m, twist, bound, **kwargs) + (twist == 1)
 
     monkeypatch.setattr(sections, "h0_of_twist", off_at_twist_one)
     ctx = make_context(3, 1)
