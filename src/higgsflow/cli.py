@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -53,14 +52,6 @@ def _join_target_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("HIGGSFLOW_JOBS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
@@ -78,7 +69,7 @@ def _add_common(sp: argparse.ArgumentParser, default_range: str) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default="-", metavar="PATH|-")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=_default_jobs(), metavar="N")
+    sp.add_argument("--jobs", type=int, default=1, metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,8 +3,10 @@
 The lifted parameter determines a 1-cocycle on the two-chart cover of the
 projective line minus the four marked points.  Its numerator A is computed
 two independent ways: from the characteristic-p² primitive (expand, check
-divisibility by p, divide), and from the expanded closed form.  A is kept
-unnormalised (the displayed numerator itself); the scalar unit
+divisibility by p, divide), and from the expanded closed form.  The closed
+form is the one transcription of A's coefficients in (lam0, lam1): the
+criterion matrix T of ``criterion.py`` is a window view of its table.  A is
+kept unnormalised (the displayed numerator itself); the scalar unit
 u = 1 - lam0^p is carried separately, since rescaling A touches no rank,
 null space, or splitting integer.
 """
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ForbiddenResidue, InternalDivisibilityFailure
-from .fields import FieldElement, ReductionContext, WittRingElement, frobenius_w2
+from .errors import InternalDivisibilityFailure
+from .fields import (FieldElement, ReductionContext, WittRingElement, check_residue,
+                     frobenius_w2)
 from .polys import Poly, PoleFraction, z_minus_one_pow
 
 
@@ -60,11 +63,6 @@ class TransitionMatrix:
         return self.entries[i][j]
 
 
-def _check_lam0(lam0: FieldElement) -> None:
-    if lam0.is_zero() or lam0 == lam0.ctx.one:
-        raise ForbiddenResidue("lam0 must avoid {0, 1}")
-
-
 def build_A_primitive(ctx: ReductionContext, lam: WittRingElement) -> CocyclePolynomial:
     """A from the characteristic-p² bracket.
 
@@ -74,7 +72,7 @@ def build_A_primitive(ctx: ReductionContext, lam: WittRingElement) -> CocyclePol
     """
     p, p2 = ctx.p, ctx.p2
     lam0 = lam.residue()
-    _check_lam0(lam0)
+    check_residue(lam0)
     flam = np.array(frobenius_w2(lam).vec, np.int64)
     one = np.array(ctx.w_from_int(1).vec, np.int64)
 
@@ -111,20 +109,24 @@ def build_A_closed(ctx: ReductionContext, lam0: FieldElement,
     A = sum_i (-1)^i (C(p,i)/p) (1 - lam0^i) z^(2p-i)
       + sum_i (-1)^i (C(p,i)/p) (lam0^i - lam0^p) z^(p-i)
       - lam1 (z^p - 1),   i running over 1..p-1.
+
+    The z^(2p-1) coefficient is lam0 - 1, never zero, so A.v holds all 2p
+    rows of the table.
     """
-    _check_lam0(lam0)
+    check_residue(lam0)
     p = ctx.p
-    coeffs = [ctx.zero.vec] * (2 * p)
     pw = [ctx.one]
     for _ in range(p):
         pw.append(pw[-1] * lam0)
-    for i in range(1, p):
-        ci = ctx.f_from_int(binomial_over_p(p, i) * (-1) ** i)
-        coeffs[2 * p - i] = (ci * (ctx.one - pw[i])).vec
-        coeffs[p - i] = (ci * (pw[i] - pw[p])).vec
-    coeffs[p] = ctx.fsub(coeffs[p], lam1.vec)
-    coeffs[0] = ctx.fadd(coeffs[0], lam1.vec)
-    a_poly = Poly(ctx, coeffs)
+    pwv = np.array([e.vec for e in pw], np.int64)  # lam0^i, shape (p+1, d)
+    # (-1)^i C(p,i)/p for i = 1..p-1, as a column against the coordinates
+    c = np.array([(-1) ** i * binomial_over_p(p, i) for i in range(1, p)], np.int64)[:, None]
+    coeffs = np.zeros((2 * p, ctx.d), np.int64)
+    coeffs[2 * p - 1:p:-1] = c * (np.array(ctx.one.vec, np.int64) - pwv[1:p])
+    coeffs[p - 1:0:-1] = c * (pwv[1:p] - pwv[p])
+    coeffs[0] = lam1.vec
+    coeffs[p] = -coeffs[0]
+    a_poly = Poly(ctx, coeffs % p)
     unit = ctx.one - pw[p]
     return CocyclePolynomial(ctx=ctx, A=a_poly, unit=unit)
 

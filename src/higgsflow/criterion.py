@@ -1,16 +1,21 @@
 """The explicit matrix criterion for periodicity and the splitting integer.
 
-T is a p x (2p+1) matrix over F_q built from (lam0, lam1); its leading
-submatrices T_m ((p-m) x (p+m)) are scanned for the first full-rank index,
-which is the splitting integer n.  Periodicity is the pair condition
-det T_0 = 0 and rank T_1 = p-1, equivalently n = 1.  Each T_m is a leading
-block of T, so one elimination gives the ranks of many of them at once
-(``linalg.mat_leading_ranks``).
+T is a p x (2p+1) matrix over F_q whose entries are the coefficients a_k
+of the cocycle numerator A = sum_k a_k z^k, read from the closed form of
+``cocycle.build_A_closed``: with 0-indexed (i, j),
+  T[i, j] = a_(j-i) for i <= j < p, T[i, j] = -a_(2p+j-i) for j < i,
+  T[i, p+k] = a_(2p-1-i-k) for k <= p-2-i, and 0 otherwise.
+Its leading submatrices T_m ((p-m) x (p+m)) are scanned for the first
+full-rank index, which is the splitting integer n.  Periodicity is the pair
+condition det T_0 = 0 and rank T_1 = p-1, equivalently n = 1.  Each T_m is
+a leading block of T, so one elimination gives the ranks of many of them
+at once (``linalg.mat_leading_ranks``).
 
-The remainder system R ties T to the cocycle numerator: row i of R holds
-z^i * A reduced mod (z-1)^(2p).  Entrywise, R reproduces T on the left
-block, and reflected on the upper band; validate_T_R checks both index
-identities on the exact ranges where the band is defined.
+The remainder system R is the independent reference for that arrangement:
+row i of R holds z^i * A reduced mod (z-1)^(2p), built by recurrence.
+Entrywise, R reproduces T on the left block, and reflected on the upper
+band; validate_T_R checks both index identities on the exact ranges where
+the band is defined.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import binomial_over_p, build_A_closed
-from .errors import DegreeTooLarge, ForbiddenResidue, IndexOutOfRange
+from .cocycle import build_A_closed
+from .errors import DegreeTooLarge, IndexOutOfRange
 from .fields import FieldElement, ReductionContext
 from .linalg import FqMatrix, mat_leading_ranks
 # unused here; kept because perfbench/hooks.py patches it by name in this module
@@ -64,46 +69,25 @@ class SplittingType:
         return cls(n=n, method=method, periodic=(n == 1))
 
 
-def _check_lam0(lam0: FieldElement) -> None:
-    if lam0.is_zero() or lam0 == lam0.ctx.one:
-        raise ForbiddenResidue("lam0 must avoid {0, 1}")
-
-
 def _windows(table: np.ndarray, n: int) -> np.ndarray:
     """Read-only view whose row s is table[s:s+n], shape (len(table)-n+1, n, d)."""
     return np.moveaxis(np.lib.stride_tricks.sliding_window_view(table, n, axis=0), -1, 1)
 
 
 def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> CriterionMatrix:
-    """Assemble T from the four-case entry formula.
+    """Assemble T from the coefficients a_0..a_(2p-1) of the closed-form A.
 
-    With 1-indexed (i, j) and scalars c_k = C(p,k)/p mod p:
-      diagonal           lam1
-      i > j              (-1)^(i-j+1) c_(i-j)   (1 - lam0^(i-j))
-      i < j <= p         (-1)^(j-i+1) c_(p-j+i) (lam0^(p-j+i) - lam0^p)
-      p < j <= 2p-i      (-1)^(i+j-p-1) c_(i+j-p-1) (1 - lam0^(i+j-p-1))
-      j > 2p-i           0
+    The left block is Toeplitz and the band Hankel, so each is one window
+    view of a short table of a_k, copied once into T:
+      left = (-a_(p+1), ..., -a_(2p-1), a_0, ..., a_(p-1)),
+      T[i, j] = left[j - i + p - 1] for j < p;
+      band = (a_(2p-1), ..., a_(p+1)) followed by p zeros,
+      T[i, p + k] = band[i + k].
     """
-    _check_lam0(lam0)
     p = ctx.p
-    # c_k for k = 0..p, with c_0 = c_p = 0 so the unused ends vanish
-    c = np.array([0] + [binomial_over_p(p, k) for k in range(1, p)] + [0], np.int64)
-    pw = [ctx.one]
-    for _ in range(p):
-        pw.append(pw[-1] * lam0)
-    pwv = np.array([e.vec for e in pw], np.int64)  # lam0^k, shape (p+1, d)
-    one = np.array(ctx.one.vec, np.int64)
-    sgn = np.where(np.arange(p + 1) % 2 == 1, 1, -1)  # (-1)^(k+1)
-    # k -> (-1)^(k+1) c_k (1 - lam0^k); m -> (-1)^(m+1) c_(p-m) (lam0^(p-m) - lam0^p);
-    # m -> (-1)^m c_m (1 - lam0^m)
-    lower = (sgn * c)[:, None] * (one - pwv) % p
-    upper = (sgn * c[::-1])[:, None] * (pwv[::-1] - pwv[p]) % p
-    high = -lower % p
-    # the left block is Toeplitz and the band Hankel, so each is one window
-    # view of a short table, copied once into T.  With 0-indexed (i, j):
-    # T[i, j] = left[j - i + p - 1] for j < p, and T[i, p + k] = band[i + k]
-    left = np.concatenate([lower[p - 1:0:-1], np.array([lam1.vec], np.int64), upper[1:p]])
-    band = np.concatenate([high[1:p], np.zeros((p, ctx.d), np.int64)])
+    a = build_A_closed(ctx, lam0, lam1).A.v
+    left = np.concatenate([-a[p + 1:] % p, a[:p]])
+    band = np.concatenate([a[:p:-1], np.zeros((p, ctx.d), np.int64)])
     T = np.zeros((p, 2 * p + 1, ctx.d), np.int64)
     T[:, :p] = _windows(left, p)[::-1]
     T[:, p:2 * p] = _windows(band, p)
@@ -206,7 +190,6 @@ def t_r_first_mismatch(ctx: ReductionContext, lam0: FieldElement, lam1: FieldEle
 
 def validate_T_R(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> bool:
     """Both index identities hold entrywise for the closed-form A."""
-    _check_lam0(lam0)
     return t_r_first_mismatch(ctx, lam0, lam1) is None
 
 

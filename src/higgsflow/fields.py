@@ -115,6 +115,17 @@ def _vec_ops(mod: int, red: list[list[int]]):
     return add, sub, neg, mul
 
 
+def _power(mul, one, a, e: int):
+    """a^e for e >= 0 by square-and-multiply under `mul`."""
+    result, acc = one, a
+    while e:
+        if e & 1:
+            result = mul(result, acc)
+        acc = mul(acc, acc)
+        e >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -166,24 +177,10 @@ class ReductionContext:
                 ).reshape(d, d) % self.p
 
     def fpow(self, a, e: int):
-        result = self.one.vec
-        acc = a
-        while e:
-            if e & 1:
-                result = self.fmul(result, acc)
-            acc = self.fmul(acc, acc)
-            e >>= 1
-        return result
+        return _power(self.fmul, self.one.vec, a, e)
 
     def wpow(self, a, e: int):
-        result = self.w_from_int(1).vec
-        acc = a
-        while e:
-            if e & 1:
-                result = self.wmul(result, acc)
-            acc = self.wmul(acc, acc)
-            e >>= 1
-        return result
+        return _power(self.wmul, self.w_from_int(1).vec, a, e)
 
     def finv(self, a):
         """a^-1 = a^(r-1) / N(a): the norm N(a) = a^r, r = (q-1)/(p-1), lies in F_p."""
@@ -520,7 +517,8 @@ def frobenius_w2(x: WittRingElement) -> WittRingElement:
     return WittRingElement(ctx, ctx.wadd(head.vec, tail))
 
 
-def _check_residue(lam0: FieldElement):
+def check_residue(lam0: FieldElement) -> None:
+    """The one rule on a residue: it must avoid {0, 1}, where marked points collide."""
     if lam0.is_zero() or lam0 == lam0.ctx.one:
         raise ForbiddenResidue("reduction of the parameter lies in {0, 1}")
 
@@ -535,7 +533,7 @@ def witt_decompose(lam: WittRingElement) -> WittParameter:
     """
     ctx = lam.ctx
     lam0 = lam.residue()
-    _check_residue(lam0)
+    check_residue(lam0)
     t = teichmuller(lam0)
     mu = FieldElement(ctx, ctx.w_divexact_p(ctx.wsub(lam.vec, t.vec)))
     return WittParameter(witt=lam, lam0=lam0, lam1=mu.frobenius_inverse())
@@ -543,7 +541,7 @@ def witt_decompose(lam: WittRingElement) -> WittParameter:
 
 def witt_compose(lam0: FieldElement, lam1: FieldElement) -> WittRingElement:
     """Inverse of :func:`witt_decompose`; exact round-trip both ways."""
-    _check_residue(lam0)
+    check_residue(lam0)
     ctx = lam0.ctx
     mu = lam1.frobenius()
     t = teichmuller(lam0)

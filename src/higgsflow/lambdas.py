@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from importlib import resources
 from math import gcd, isqrt
 
-from .errors import (DegreeUnsupported, ForbiddenResidue, ForbiddenValue,
-                     InternalInvariantFailure, NonInvertible, NotPrime,
-                     ReducibleMinpoly)
-from .fields import (FieldElement, WittParameter, WittRingElement, is_prime,
-                     make_context, witt_decompose)
+from .errors import (DegreeUnsupported, ForbiddenValue, InternalInvariantFailure,
+                     NonInvertible, NotPrime, ReducibleMinpoly)
+from .fields import (FieldElement, WittParameter, WittRingElement, check_residue,
+                     is_prime, make_context, witt_decompose)
 
 BAD_DIVIDES_LEADING = "DividesLeadingCoeff"
 BAD_DIVIDES_DISC = "DividesDiscriminant"
@@ -34,7 +33,6 @@ class LambdaSpec:
 
     minpoly: tuple[int, ...]
     label: str
-    root_selector: str | int = "all"
 
     @property
     def degree(self) -> int:
@@ -203,9 +201,7 @@ def w2_orbit(lam: WittRingElement) -> list[WittRingElement]:
     NonInvertible guard is purely defensive.
     """
     ctx = lam.ctx
-    r = lam.residue()
-    if r.is_zero() or r == ctx.one:
-        raise ForbiddenResidue("orbit defined only away from residues {0, 1}")
+    check_residue(lam.residue())
     one = ctx.w_from_int(1)
     try:
         one_minus = one - lam

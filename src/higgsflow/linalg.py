@@ -238,9 +238,6 @@ class FqMatrix:
     def entry(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.ctx, tuple(self.arr[i, j].tolist()))
 
-    def row(self, i: int) -> list[FieldElement]:
-        return [self.entry(i, j) for j in range(self.ncols)]
-
     def submatrix(self, rows: int, cols: int) -> "FqMatrix":
         """Leading rows x cols block."""
         return FqMatrix(self.ctx, self.arr[:rows, :cols])

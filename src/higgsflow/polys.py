@@ -144,16 +144,6 @@ class Poly:
             raise InternalDivisibilityFailure(f"not divisible by z^{-k}")
         return Poly(self.ctx, self.v[-k:])
 
-    def __pow__(self, e: int) -> "Poly":
-        result = Poly.one(self.ctx)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self

@@ -136,14 +136,13 @@ def _row_from_datum(label: str, datum: ReductionDatum, methods) -> ScanRow:
 def _scan_prime_task(args) -> list[ScanRow]:
     """Rows of one minimal polynomial at one prime, once per label.
 
-    The rows are computed under the first label; every further label (a
-    catalog entry with the same minimal polynomial) gets a relabelled copy.
+    args is (minpoly, labels, both_embeddings, p, methods).  The rows are
+    computed under the first label; every further label (a catalog entry
+    with the same minimal polynomial) gets a relabelled copy.
     """
-    minpoly, labels, selector, p, methods, both = args
-    spec = LambdaSpec(minpoly=minpoly, label=labels[0], root_selector=selector)
-    data = reduce_at_prime(spec, p, both_embeddings=both)
-    if selector != "all":
-        data = [d for d in data if d.is_bad or d.place == selector]
+    minpoly, labels, both, p, methods = args
+    data = reduce_at_prime(LambdaSpec(minpoly=minpoly, label=labels[0]), p,
+                           both_embeddings=both)
     rows = [_row_from_datum(labels[0], d, methods) for d in data]
     return rows + [replace(r, lambda_label=label)
                    for label in labels[1:] for r in rows]
@@ -151,6 +150,8 @@ def _scan_prime_task(args) -> list[ScanRow]:
 
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[ScanRow]:
     """Run the row tasks serially or on one process pool; rows sorted."""
+    if jobs < 1:
+        raise InvalidRange(f"jobs must be at least 1, got {jobs}")
     rows: list[ScanRow] = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -189,8 +190,8 @@ def run_scan(spec: LambdaSpec, p_range: tuple[int, int],
     if not (3 <= lo <= hi <= SCAN_MAX_PRIME):
         raise InvalidRange(f"prime range must sit inside 3..{SCAN_MAX_PRIME}")
     methods = _check_methods(methods, hi)
-    tasks = [(spec.minpoly, (spec.label,), spec.root_selector, p, methods,
-              both_embeddings) for p in _primes_between(lo, hi)]
+    tasks = [(spec.minpoly, (spec.label,), both_embeddings, p, methods)
+             for p in _primes_between(lo, hi)]
     rows = _run_tasks(tasks, jobs)
     meta = {"version": __version__, "convention": "twisted", "seed": seed}
     return ScanReport(meta=meta, rows=rows, summary=_summarize(rows))
@@ -241,7 +242,7 @@ def run_verify_beauville(p_range: tuple[int, int] = (5, 97),
     labels_of: dict[tuple[int, ...], list[str]] = {}
     for entry in catalog:
         labels_of.setdefault(entry.spec.minpoly, []).append(entry.spec.label)
-    tasks = [(minpoly, tuple(labels), "all", p, methods, False)
+    tasks = [(minpoly, tuple(labels), False, p, methods)
              for p in reversed(_primes_between(lo, hi))
              for minpoly, labels in labels_of.items()]
     rows = _run_tasks(tasks, jobs)

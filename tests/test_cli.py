@@ -179,15 +179,30 @@ def test_version_flag(capsys):
     assert e.value.code == 0
 
 
-def test_jobs_default_from_environment(monkeypatch):
+def test_jobs_default_ignores_environment(monkeypatch):
     from higgsflow.cli import build_parser
 
+    # --jobs is the one knob for the worker count
     monkeypatch.setenv("HIGGSFLOW_JOBS", "4")
     args = build_parser().parse_args(["scan", "--rational", "-1"])
-    assert args.jobs == 4
-    monkeypatch.setenv("HIGGSFLOW_JOBS", "junk")
-    args = build_parser().parse_args(["scan", "--rational", "-1"])
     assert args.jobs == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("argv", [("scan", "--rational", "-1", "--prime-range", "5:13"),
+                                  ("beauville", "--prime-range", "5:13")],
+                         ids=["scan", "beauville"])
+def test_jobs_below_one_is_rejected(monkeypatch, capsys, argv, jobs):
+    import higgsflow.scan as scan_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, *argv, f"--jobs={jobs}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
 def test_mismatch_exit_code(monkeypatch, capsys):

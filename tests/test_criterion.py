@@ -55,17 +55,22 @@ def test_build_T_agrees_between_fast_and_generic_paths():
                     assert t2.T.entry(i, j).coeffs()[1] == 0
 
 
-@pytest.mark.parametrize("p, d", [(7, 1), (5, 2)])
-def test_build_T_matches_entry_formula(p, d):
-    # every entry against the four cases of the docstring, 1-indexed
-    ctx = make_context(p, d)
-    lam0, lam1 = ctx.f_from_coeffs([3, 1][:d]), ctx.f_from_coeffs([2, 4][:d])
-    T = build_T(ctx, lam0, lam1).T
+def _T_by_entry_formula(ctx, lam0, lam1):
+    """T from the four-case entry formula, 1-indexed, with c_k = C(p,k)/p:
+      diagonal           lam1
+      i > j              (-1)^(i-j+1) c_(i-j)   (1 - lam0^(i-j))
+      i < j <= p         (-1)^(j-i+1) c_(p-j+i) (lam0^(p-j+i) - lam0^p)
+      p < j <= 2p-i      (-1)^(i+j-p-1) c_(i+j-p-1) (1 - lam0^(i+j-p-1))
+      j > 2p-i           0
+    """
+    p = ctx.p
 
     def term(sign, k, value):
         return ctx.f_from_int((-1) ** sign * binomial_over_p(p, k)) * value
 
+    rows = []
     for i in range(1, p + 1):
+        row = []
         for j in range(1, 2 * p + 2):
             k = i + j - p - 1
             if i == j:
@@ -78,7 +83,25 @@ def test_build_T_matches_entry_formula(p, d):
                 want = term(k, k, ctx.one - lam0 ** k)
             else:
                 want = ctx.zero
-            assert T.entry(i - 1, j - 1) == want, (i, j)
+            row.append(list(want.vec))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2)])
+def test_build_T_matches_entry_formula(p, d):
+    # every entry, for every lam0 outside {0, 1} and three lam1 each, against
+    # the four-case formula: a second transcription, independent of A's table
+    ctx = make_context(p, d)
+    rng = random.Random(10 * p + d)
+    for lam0 in ctx.field_elements():
+        if lam0.is_zero() or lam0 == ctx.one:
+            continue
+        for b in rng.sample(range(ctx.q), 3):
+            lam1 = ctx.f_from_index(b)
+            T = build_T(ctx, lam0, lam1).T
+            assert T.arr.tolist() == _T_by_entry_formula(ctx, lam0, lam1), \
+                (lam0, lam1)
 
 
 def test_build_T_allocates_one_copy_of_T():

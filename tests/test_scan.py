@@ -86,17 +86,6 @@ def test_scan_with_jobs_matches_sequential():
     assert seq.to_csv() == par.to_csv()
 
 
-def test_root_selector_restricts_split_places():
-    from higgsflow.lambdas import LambdaSpec
-
-    spec = parse_lambda_spec("1,-1,1")
-    both = run_scan(spec, (7, 7), methods=("t",))
-    assert len(both.rows) == 2
-    only1 = run_scan(LambdaSpec(minpoly=spec.minpoly, label=spec.label,
-                                root_selector=1), (7, 7), methods=("t",))
-    assert len(only1.rows) == 1 and only1.rows[0].place == 1
-
-
 def test_enumerate_p3_unique_periodic_pair():
     report = run_enumerate(3, methods=("t", "birkhoff", "cech"))
     assert report.summary["periodic_pairs"] == [["2", "0"]]
