@@ -71,7 +71,9 @@ class SplittingType:
 
 def _windows(table: np.ndarray, n: int) -> np.ndarray:
     """Read-only view whose row s is table[s:s+n], shape (len(table)-n+1, n, d)."""
-    return np.moveaxis(np.lib.stride_tricks.sliding_window_view(table, n, axis=0), -1, 1)
+    step, inner = table.strides
+    return np.lib.stride_tricks.as_strided(
+        table, (len(table) - n + 1, n, table.shape[1]), (step, step, inner), writeable=False)
 
 
 def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> CriterionMatrix:

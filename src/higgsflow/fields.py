@@ -163,6 +163,8 @@ class ReductionContext:
         self.basis_products = self.fold_matrix[np.add.outer(np.arange(d), np.arange(d))]
         self.zero = self.f_from_int(0)
         self.one = self.f_from_int(1)
+        # a -> a^p is F_p-linear: row k is x^(kp) reduced, found once by powering
+        self.frobenius_rows = [self.fpow(e, p) for e in np.eye(d, dtype=np.int64).tolist()]
 
     # -- vec arithmetic ----------------------------------------------------
 
@@ -182,11 +184,21 @@ class ReductionContext:
     def wpow(self, a, e: int):
         return _power(self.wmul, self.w_from_int(1).vec, a, e)
 
+    def ffrob(self, a):
+        """a^p, as the vec a times the Frobenius matrix."""
+        p = self.p
+        return tuple([sum(x * y for x, y in zip(a, col)) % p
+                      for col in zip(*self.frobenius_rows)])
+
     def finv(self, a):
-        """a^-1 = a^(r-1) / N(a): the norm N(a) = a^r, r = (q-1)/(p-1), lies in F_p."""
+        """a^-1 = a^(r-1) / N(a), r = (q-1)/(p-1): a^(r-1) is the product of the
+        conjugates a^p .. a^(p^(d-1)), and the norm N(a) = a^r lies in F_p."""
         if self.f_is_zero(a):
             raise ZeroDivisionError("inverse of zero field element")
-        b = self.fpow(a, (self.q - 1) // (self.p - 1) - 1)
+        b, c = self.one.vec, a
+        for _ in range(self.d - 1):
+            c = self.ffrob(c)
+            b = self.fmul(b, c)
         s = pow(self.fmul(a, b)[0], -1, self.p)
         return tuple([x * s % self.p for x in b])
 
@@ -388,14 +400,14 @@ class FieldElement:
         return self.ctx.f_is_zero(self.vec)
 
     def frobenius(self) -> "FieldElement":
-        if self.ctx.d == 1:
-            return self
-        return self ** self.ctx.p
+        return FieldElement(self.ctx, self.ctx.ffrob(self.vec))
 
     def frobenius_inverse(self) -> "FieldElement":
-        if self.ctx.d == 1:
-            return self
-        return self ** (self.ctx.p ** (self.ctx.d - 1))
+        # the Frobenius has order d on F_{p^d}
+        vec = self.vec
+        for _ in range(self.ctx.d - 1):
+            vec = self.ctx.ffrob(vec)
+        return FieldElement(self.ctx, vec)
 
     def coeffs(self) -> list[int]:
         return list(self.vec)

@@ -9,6 +9,12 @@ ansatz therefore carries principal parts at z = 1 only.  Writing
 everything in powers of s = z - 1 turns the regularity constraints into a
 linear system, whose nullity is the section dimension h0.
 
+Every twist at one bound comes from one elimination.  Raising the twist
+drops conditions from the end of the system and adds unknowns at its end,
+so with the twist-independent unknowns first, each twist's system is a
+leading block of one ansatz, and the rank profile of a single elimination
+gives all their ranks.
+
 This oracle touches neither the criterion matrix nor the factorization:
 it is deliberately naive and serves as the ground truth the two fast
 methods are validated against.
@@ -44,24 +50,19 @@ class SectionSpaceProblem:
             raise ValueError("ansatz bound below the safe minimum 2p + |m| + 2")
 
 
-def _h0_dimensions(problem: SectionSpaceProblem, a_shift: Poly, uzp: Poly) -> tuple[int, int]:
-    """Nullities of the ansatz system at the bounds b and b+2, where b is
-    the problem's bound; a_shift is A and uzp is u*z^p, in s.
+def _h0_at_bound(ctx: ReductionContext, series: tuple[Poly, Poly], bound: int,
+                 twists: range) -> list[int]:
+    """h0 of each twist in twists at one ansatz bound, from one elimination;
+    series is :func:`series_at_one` of the transition matrix.
 
-    Only the bound-(b+2) system is built, with the conditions on s^0 and
-    s^1 moved last.  Its columns are those of the bound-b system times s^2,
-    then u*z^p*s and u*z^p; the first ones all have s-order >= 2, since
-    b >= 2p + |m| + 2, so the bound-b system is its leading block and one
-    elimination gives both ranks (see mat_leading_ranks).
+    Row i is the condition on s^i, and twist t keeps the first bound+p-t
+    rows.  The columns are u*z^p*s^(bound-k) for k = 0..bound, which every
+    twist shares, then A*s^(bound-k) for k = 0..t+p, which twist t keeps.
+    So every twist's system is a leading block (see mat_leading_ranks).
     """
-    ctx = problem.matrix.cocycle.ctx
+    a_shift, uzp = series
     p = ctx.p
-    m = problem.twist
-    bound = problem.bound + 2
-
-    n_conditions = bound + p - m
-    n_b1 = max(m + p + 1, 0)     # b1 principal parts (z-1)^(-k), k = 0..m+p
-    n_b2 = bound + 1             # b2 principal parts, k = 0..bound
+    n_conditions = bound + p - twists[0]
 
     def toeplitz(poly: Poly, n_cols: int) -> np.ndarray:
         # column k is poly * s^(bound-k) on s^0..s^(n_conditions-1): window k
@@ -71,11 +72,24 @@ def _h0_dimensions(problem: SectionSpaceProblem, a_shift: Poly, uzp: Poly) -> tu
         padded[bound: bound + len(seg)] = seg
         return _windows(padded, n_conditions)[:n_cols].transpose(1, 0, 2)
 
-    arr = np.concatenate([toeplitz(a_shift, n_b1), toeplitz(uzp, n_b2)], axis=1)
-    n_unknowns = n_b1 + n_b2
-    ranks = mat_leading_ranks(FqMatrix(ctx, np.roll(arr, -2, axis=0)),
-                              [(n_conditions - 2, n_unknowns - 2), (n_conditions, n_unknowns)])
-    return n_unknowns - 2 - ranks[0], n_unknowns - ranks[1]
+    arr = np.concatenate([toeplitz(uzp, bound + 1),
+                          toeplitz(a_shift, max(twists[-1] + p + 1, 0))], axis=1)
+    n_unknowns = [bound + 1 + max(t + p + 1, 0) for t in twists]
+    ranks = mat_leading_ranks(FqMatrix(ctx, arr),
+                              [(bound + p - t, n) for t, n in zip(twists, n_unknowns)])
+    return [n - r for n, r in zip(n_unknowns, ranks)]
+
+
+def _h0_profile(ctx: ReductionContext, series: tuple[Poly, Poly], bound: int,
+                twists: range) -> dict[int, int]:
+    """h0 of each twist at the bound, which must not change at bound + 2:
+    otherwise the ansatz was too small and UnstableDimension is raised."""
+    dims = _h0_at_bound(ctx, series, bound, twists)
+    for t, dim, dim_again in zip(twists, dims, _h0_at_bound(ctx, series, bound + 2, twists)):
+        if dim != dim_again:
+            raise UnstableDimension(
+                f"h0({t}) changed from {dim} to {dim_again} when the bound grew; raise it")
+    return dict(zip(twists, dims))
 
 
 def series_at_one(m: TransitionMatrix) -> tuple[Poly, Poly]:
@@ -93,18 +107,13 @@ def h0_of_twist(m: TransitionMatrix, twist: int, bound: int | None = None, *,
     The ansatz bound defaults to 2p + |twist| + 4; the computed dimension
     must not change when the bound grows by 2, otherwise the ansatz was
     too small and UnstableDimension is raised.  series is
-    :func:`series_at_one` of m, computed here when not given, so that one
-    row expands A once for all its twists.
+    :func:`series_at_one` of m, computed here when not given.
     """
     p = m.cocycle.ctx.p
     b = bound if bound is not None else 2 * p + abs(twist) + 4
-    a_shift, uzp = series if series is not None else series_at_one(m)
-    dim, dim_again = _h0_dimensions(SectionSpaceProblem(matrix=m, twist=twist, bound=b),
-                                    a_shift, uzp)
-    if dim != dim_again:
-        raise UnstableDimension(
-            f"h0 changed from {dim} to {dim_again} when the bound grew; raise it")
-    return dim
+    SectionSpaceProblem(matrix=m, twist=twist, bound=b)  # rejects a bound below the minimum
+    series = series if series is not None else series_at_one(m)
+    return _h0_profile(m.cocycle.ctx, series, b, range(twist, twist + 1))[twist]
 
 
 def _expected_h0(n: int, m: int) -> int:
@@ -115,15 +124,22 @@ def splitting_from_cech(ctx: ReductionContext, lam: WittRingElement) -> Splittin
     """Splitting integer from the h0 profile of the glued bundle.
 
     h0 at twist 0 determines n except for the 2-dimensional ambiguity
-    between n = 0 and n = 1, which twist -1 resolves.  The full profile
-    over twists -1 .. n+1 is then checked against the split-bundle formula
+    between n = 0 and n = 1, which twist -1 resolves.  One ansatz per bound
+    gives twists -1 .. 2, enough for n and, when n <= 1, for its profile
+    over twists -1 .. n+1; a larger n rebuilds the ansatz up to twist n+1.
+    Every twist computed is checked against the split-bundle formula
     max(0, m+1-n) + max(0, m+1+n); any deviation means a bug somewhere and
     raises ProfileMismatch.
     """
     cocycle = build_A_primitive(ctx, lam)
     trans = build_transition(cocycle)
     series = series_at_one(trans)
-    h = {0: h0_of_twist(trans, 0, series=series), -1: h0_of_twist(trans, -1, series=series)}
+
+    def profile(top: int) -> dict[int, int]:
+        # twists -1 .. top at h0_of_twist's default bound for the top twist
+        return _h0_profile(ctx, series, 2 * ctx.p + top + 4, range(-1, top + 1))
+
+    h = profile(2)
     s = h[0]
     if s >= 3:
         n = s - 1
@@ -131,11 +147,11 @@ def splitting_from_cech(ctx: ReductionContext, lam: WittRingElement) -> Splittin
         n = 1 if h[-1] == 1 else 0
     else:
         raise ProfileMismatch(f"h0 at twist 0 is {s}, below any split value")
-    for m in range(-1, n + 2):
-        if m not in h:
-            h[m] = h0_of_twist(trans, m, series=series)
-        if h[m] != _expected_h0(n, m):
+    if n >= 2:
+        h = profile(n + 1)
+    for m, dim in h.items():
+        if dim != _expected_h0(n, m):
             raise ProfileMismatch(
-                f"h0({m}) = {h[m]} but a split bundle with n = {n} "
+                f"h0({m}) = {dim} but a split bundle with n = {n} "
                 f"needs {_expected_h0(n, m)}")
     return SplittingType.of(n, "cech")

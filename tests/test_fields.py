@@ -120,7 +120,13 @@ def test_frobenius_examples_and_order():
     ctx = make_context(3, 2)
     for a in ctx.field_elements():
         assert frobenius_w2(teichmuller(a)) == teichmuller(a ** 3)
-
+    # the Frobenius matrix and the inverse through it, against powering
+    for p in (3, 5, 7, 11, 13):
+        ctx = make_context(p, 2)
+        for a in list(ctx.field_elements())[1:]:
+            assert a * a.inverse() == ctx.one
+            assert a.frobenius() == a ** p
+            assert a.frobenius().frobenius_inverse() == a
 
 def test_frobenius_is_ring_homomorphism():
     # exhaustive over all pairs for p = 3, d = 2

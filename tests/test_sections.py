@@ -119,11 +119,11 @@ def _h0_naive(trans, twist, bound):
 
 
 def test_h0_at_both_bounds_matches_two_separate_eliminations():
-    # every lift at d = 1, p <= 7 and d = 2, p = 3, twists -1 .. n+2
+    # every lift at d = 1, p <= 7 and d = 2, p = 3: one ansatz per bound
+    # gives twists -1 .. n+2, each checked against its own elimination
     lifts = 0
     for p, d in ((3, 1), (5, 1), (7, 1), (3, 2)):
         ctx = make_context(p, d)
-        uzp = (Poly.one(ctx) + Poly.monomial(ctx, p))
         for w in ctx.witt_elements():
             r = w.residue()
             if r.is_zero() or r == ctx.one:
@@ -131,29 +131,49 @@ def test_h0_at_both_bounds_matches_two_separate_eliminations():
             wp = witt_decompose(w)
             n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
             trans = build_transition(build_A_primitive(ctx, w))
-            a = trans.cocycle.A.taylor_at_one()
-            for twist in range(-1, n + 3):
-                b = 2 * p + abs(twist) + 4
-                problem = SectionSpaceProblem(matrix=trans, twist=twist, bound=b)
-                got = sections._h0_dimensions(problem, a, uzp.scale(trans.cocycle.unit))
-                assert got == (_h0_naive(trans, twist, b), _h0_naive(trans, twist, b + 2))
+            series = sections.series_at_one(trans)
+            twists = range(-1, n + 3)
+            b = 2 * p + twists[-1] + 4
+            for bound in (b, b + 2):
+                got = sections._h0_at_bound(ctx, series, bound, twists)
+                assert got == [_h0_naive(trans, t, bound) for t in twists]
             lifts += 1
     assert lifts == 116
+
+
+def test_cech_eliminates_once_per_bound(monkeypatch):
+    # n <= 1: twists -1 .. 2 at two bounds; n = 2 (lambda0 = 4 at p = 5)
+    # rebuilds up to twist 3 at two more
+    calls = []
+    ranks = sections.mat_leading_ranks
+
+    def counting(m, shapes):
+        calls.append(len(shapes))
+        return ranks(m, shapes)
+
+    monkeypatch.setattr(sections, "mat_leading_ranks", counting)
+    ctx = make_context(5, 1)
+    for lam_int, n, want in ((2, 1, [4, 4]), (3, 0, [4, 4]), (9, 2, [4, 4, 5, 5])):
+        calls.clear()
+        assert splitting_from_cech(ctx, ctx.w_from_int(lam_int)).n == n
+        assert calls == want
 
 
 def test_unstable_dimension_is_raised_and_exits_internal(monkeypatch, capsys):
     from higgsflow.cli import main
 
-    dims = sections._h0_dimensions
+    h0s = sections._h0_at_bound
 
-    def unstable(problem, a_shift, uzp):
-        dim, dim_again = dims(problem, a_shift, uzp)
-        return dim, dim_again + 1
+    def unstable(ctx, series, bound, twists):
+        # every h0 grows with the bound, as if the ansatz were too small
+        return [h + bound for h in h0s(ctx, series, bound, twists)]
 
-    monkeypatch.setattr(sections, "_h0_dimensions", unstable)
+    monkeypatch.setattr(sections, "_h0_at_bound", unstable)
     ctx = make_context(3, 1)
     with pytest.raises(UnstableDimension, match="when the bound grew"):
         h0_of_twist(_transition(ctx, -1), 0)
+    with pytest.raises(UnstableDimension, match=r"h0\(-1\)"):
+        splitting_from_cech(ctx, ctx.w_from_int(-1))
     assert main(["enumerate", "3", "--methods", "cech"]) == 3
     assert capsys.readouterr().err.startswith("internal error:")
 
@@ -161,13 +181,13 @@ def test_unstable_dimension_is_raised_and_exits_internal(monkeypatch, capsys):
 def test_profile_mismatch_is_raised_and_exits_internal(monkeypatch, capsys):
     from higgsflow.cli import main
 
-    h0 = sections.h0_of_twist
+    h0s = sections._h0_at_bound
 
-    def off_at_twist_one(m, twist, bound=None, **kwargs):
+    def off_at_twist_one(ctx, series, bound, twists):
         # h0 at twists 0 and -1 still decides n; h0(1) breaks the profile
-        return h0(m, twist, bound, **kwargs) + (twist == 1)
+        return [h + (t == 1) for t, h in zip(twists, h0s(ctx, series, bound, twists))]
 
-    monkeypatch.setattr(sections, "h0_of_twist", off_at_twist_one)
+    monkeypatch.setattr(sections, "_h0_at_bound", off_at_twist_one)
     ctx = make_context(3, 1)
     with pytest.raises(ProfileMismatch, match=r"h0\(1\)"):
         splitting_from_cech(ctx, ctx.w_from_int(-1))
