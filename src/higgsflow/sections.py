@@ -9,11 +9,9 @@ ansatz therefore carries principal parts at z = 1 only.  Writing
 everything in powers of s = z - 1 turns the regularity constraints into a
 linear system, whose nullity is the section dimension h0.
 
-Every twist at one bound comes from one elimination.  Raising the twist
+Every twist at one bound comes from one elimination: raising the twist
 drops conditions from the end of the system and adds unknowns at its end,
-so with the twist-independent unknowns first, each twist's system is a
-leading block of one ansatz, and the rank profile of a single elimination
-gives all their ranks.
+so each twist's system is a leading block of one ansatz.
 
 This oracle touches neither the criterion matrix nor the factorization:
 it is deliberately naive and serves as the ground truth the two fast
