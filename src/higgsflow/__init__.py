@@ -28,7 +28,7 @@ from .criterion import (CriterionMatrix, RemainderSystem, SplittingType,
 from .factorization import (FactorizationCertificate, birkhoff_step1,
                             birkhoff_step2, factorization_certificate,
                             splitting_from_birkhoff, verify_certificate)
-from .sections import SectionSpaceProblem, h0_of_twist, splitting_from_cech
+from .sections import h0_of_twist, splitting_from_cech
 from .lambdas import (BeauvilleEntry, LambdaSpec, ReductionDatum,
                       beauville_catalog, parse_lambda_spec, reduce_at_prime,
                       w2_orbit)

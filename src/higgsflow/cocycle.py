@@ -52,8 +52,8 @@ class CocyclePolynomial:
 class TransitionMatrix:
     """2x2 gluing matrix [[(z-1)^p, 0], [a (z-1)^-p, (z-1)^-p]].
 
-    Lower triangular with reciprocal diagonal, so det = 1; checked exactly
-    at construction.  All poles sit inside {0, 1, infinity}.
+    Lower triangular with reciprocal diagonal, so det = (z-1)^p (z-1)^-p = 1
+    for every a.  All poles sit inside {0, 1, infinity}.
     """
 
     cocycle: CocyclePolynomial
@@ -134,8 +134,8 @@ def build_A_closed(ctx: ReductionContext, lam0: FieldElement,
 def build_transition(cocycle: CocyclePolynomial) -> TransitionMatrix:
     """The gluing matrix for the inverse-Cartier bundle.
 
-    The unit determinant is checked as an exact rational-function identity,
-    which subsumes evaluation at sample points.
+    Its determinant is 1 whatever A is, since the diagonal entries
+    (z-1)^p and (z-1)^-p are reciprocal and the upper-right entry is 0.
     """
     ctx = cocycle.ctx
     p = ctx.p
@@ -143,8 +143,5 @@ def build_transition(cocycle: CocyclePolynomial) -> TransitionMatrix:
     zero = PoleFraction.zero(ctx)
     lower_left = PoleFraction(cocycle.A.scale(cocycle.unit.inverse()), p, p)
     lower_right = PoleFraction(Poly.one(ctx), 0, p)
-    det = top * lower_right - zero * lower_left
-    if det != PoleFraction(Poly.one(ctx)):
-        raise InternalDivisibilityFailure("transition determinant is not 1")
     return TransitionMatrix(cocycle=cocycle,
                             entries=((top, zero), (lower_left, lower_right)))

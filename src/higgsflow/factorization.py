@@ -34,12 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cocycle import CocyclePolynomial, TransitionMatrix, build_A_primitive, build_transition
+from .cocycle import CocyclePolynomial, TransitionMatrix, build_transition
 from .criterion import SplittingType
 from .errors import CertificateCheckFailed, DegreeTooLarge
-from .fields import ReductionContext, WittRingElement
+from .fields import ReductionContext
 from .polys import Poly, PoleFraction, divrem_z_minus_one_2p, poly_divrem, z_minus_one_pow
 # unused here; kept because perfbench/hooks.py patches them by name in this module
+from .cocycle import build_A_primitive  # noqa: F401
 from .criterion import remainder_system  # noqa: F401
 from .linalg import _rank_mod_p, left_nullspace_vecs  # noqa: F401
 from .polys import poly_divexact, poly_ext_gcd  # noqa: F401
@@ -194,17 +195,14 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
     return cert
 
 
-def factorization_certificate(ctx: ReductionContext,
-                              lam: WittRingElement) -> FactorizationCertificate:
-    """Full pipeline: cocycle, step 1, step 2."""
-    cocycle = build_A_primitive(ctx, lam)
-    return birkhoff_step2(ctx, cocycle, *birkhoff_step1(ctx, cocycle.A))
+def factorization_certificate(cocycle: CocyclePolynomial) -> FactorizationCertificate:
+    """Full pipeline on the cocycle: step 1, step 2."""
+    return birkhoff_step2(cocycle.ctx, cocycle, *birkhoff_step1(cocycle.ctx, cocycle.A))
 
 
-def splitting_from_birkhoff(ctx: ReductionContext, lam: WittRingElement) -> SplittingType:
+def splitting_from_birkhoff(cocycle: CocyclePolynomial) -> SplittingType:
     """Splitting integer n = p - c read off a verified certificate."""
-    cert = factorization_certificate(ctx, lam)
-    return SplittingType.of(cert.n, "birkhoff")
+    return SplittingType.of(factorization_certificate(cocycle).n, "birkhoff")
 
 
 def _matmul(x, y):

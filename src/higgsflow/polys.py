@@ -144,11 +144,6 @@ class Poly:
             raise InternalDivisibilityFailure(f"not divisible by z^{-k}")
         return Poly(self.ctx, self.v[-k:])
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(self.lead().inverse())
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ctx == other.ctx
                 and np.array_equal(self.v, other.v))
@@ -170,15 +165,6 @@ class Poly:
                 zs = "z" if k == 1 else f"z^{k}"
                 terms.append(zs if cs == "1" else f"({cs})*{zs}")
         return "Poly(" + " + ".join(terms) + ")"
-
-    # -- evaluation ------------------------------------------------------------
-
-    def eval(self, x: FieldElement) -> FieldElement:
-        ctx = self.ctx
-        acc = ctx.zero.vec
-        for c in reversed(self.v.tolist()):
-            acc = ctx.fadd(ctx.fmul(acc, x.vec), c)
-        return FieldElement(ctx, acc)
 
     # -- structure around z = 1 --------------------------------------------------
 

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .cocycle import build_A_closed, build_A_primitive
+from .cocycle import build_A_closed, build_A_primitive, build_transition
 from .criterion import det_T0_in_lam1, splitting_from_T, t_r_first_mismatch
 from .errors import InvalidRange, MethodUnavailable
 from .factorization import (factorization_certificate, splitting_from_birkhoff,
@@ -30,6 +30,7 @@ from .factorization import (factorization_certificate, splitting_from_birkhoff,
 from .fields import (WittParameter, is_prime, make_context, teichmuller,
                      witt_compose, witt_decompose)
 from .lambdas import LambdaSpec, ReductionDatum, beauville_catalog, reduce_at_prime
+from .polys import Poly
 from .sections import splitting_from_cech
 
 CSV_COLUMNS = ("lambda", "p", "place", "d", "lambda0", "lambda1",
@@ -119,10 +120,13 @@ def _row_from_datum(label: str, datum: ReductionDatum, methods) -> ScanRow:
     values = {}
     if "t" in methods:
         values["n_t"] = splitting_from_T(ctx, wp.lam0, wp.lam1).n
-    if "birkhoff" in methods:
-        values["n_birkhoff"] = splitting_from_birkhoff(ctx, wp.witt).n
-    if "cech" in methods:
-        values["n_cech"] = splitting_from_cech(ctx, wp.witt).n
+    if "birkhoff" in methods or "cech" in methods:
+        # one cocycle for both methods; only birkhoff builds the gluing matrix
+        cocycle = build_A_primitive(ctx, wp.witt)
+        if "birkhoff" in methods:
+            values["n_birkhoff"] = splitting_from_birkhoff(cocycle).n
+        if "cech" in methods:
+            values["n_cech"] = splitting_from_cech(cocycle).n
     present = list(values.values())
     agree = len(set(present)) == 1
     periodic = (present[0] == 1) if agree else None
@@ -362,9 +366,6 @@ def _suite_agreement(primes) -> dict:
 
 
 def _suite_certificates(max_p: int, seed: int, cases: int = 30) -> dict:
-    from .cocycle import build_transition
-    from .polys import Poly
-
     rng = random.Random(seed)
     primes = [p for p in (3, 5, 7, 11, 13) if p <= max(max_p, 5)]
     done = 0
@@ -383,12 +384,13 @@ def _suite_certificates(max_p: int, seed: int, cases: int = 30) -> dict:
             if not (rv.is_zero() or rv == ctx.one):
                 break
         try:
-            cert = factorization_certificate(ctx, w)
+            cocycle = build_A_primitive(ctx, w)
+            cert = factorization_certificate(cocycle)
         except Exception as exc:  # noqa: BLE001 - reported, not raised
             return _suite(False, done, f"certificate failed at p={p} d={d}: {exc}")
         done += 1
         if k % 6 == 0:
-            trans = build_transition(build_A_primitive(ctx, w))
+            trans = build_transition(cocycle)
             bad = replace(cert, f=cert.f + Poly.one(ctx))
             if verify_certificate(trans, bad):
                 return _suite(False, done, f"perturbed certificate accepted at p={p}")

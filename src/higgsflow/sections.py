@@ -7,7 +7,9 @@ away from {0, infinity} apart from the allowed pole.  The gluing matrix is
 invertible at z = lam0, so a section can have no pole there either; the
 ansatz therefore carries principal parts at z = 1 only.  Writing
 everything in powers of s = z - 1 turns the regularity constraints into a
-linear system, whose nullity is the section dimension h0.
+linear system, whose nullity is the section dimension h0.  Only the
+cocycle numerator A and the unit u of M enter that system, so the oracle
+reads them from the cocycle and builds no gluing matrix.
 
 Every twist at one bound comes from one elimination: raising the twist
 drops conditions from the end of the system and adds unknowns at its end,
@@ -20,38 +22,23 @@ methods are validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cocycle import TransitionMatrix, build_A_primitive, build_transition
+from .cocycle import CocyclePolynomial
 from .criterion import SplittingType, _windows
 from .errors import ProfileMismatch, UnstableDimension
-from .fields import ReductionContext, WittRingElement
+from .fields import ReductionContext
 from .linalg import FqMatrix, mat_leading_ranks
-# unused here; kept because perfbench/hooks.py patches it by name in this module
+# unused here; kept because perfbench/hooks.py patches them by name in this module
+from .cocycle import build_A_primitive, build_transition  # noqa: F401
 from .linalg import mat_rank  # noqa: F401
 from .polys import Poly
-
-
-@dataclass(frozen=True)
-class SectionSpaceProblem:
-    """Finite-dimensional ansatz for sections of one twist of the bundle."""
-
-    matrix: TransitionMatrix
-    twist: int
-    bound: int
-
-    def __post_init__(self):
-        p = self.matrix.cocycle.ctx.p
-        if self.bound < 2 * p + abs(self.twist) + 2:
-            raise ValueError("ansatz bound below the safe minimum 2p + |m| + 2")
 
 
 def _h0_at_bound(ctx: ReductionContext, series: tuple[Poly, Poly], bound: int,
                  twists: range) -> list[int]:
     """h0 of each twist in twists at one ansatz bound, from one elimination;
-    series is :func:`series_at_one` of the transition matrix.
+    series is :func:`series_at_one` of the cocycle.
 
     Row i is the condition on s^i, and twist t keeps the first bound+p-t
     rows.  The columns are u*z^p*s^(bound-k) for k = 0..bound, which every
@@ -90,35 +77,36 @@ def _h0_profile(ctx: ReductionContext, series: tuple[Poly, Poly], bound: int,
     return dict(zip(twists, dims))
 
 
-def series_at_one(m: TransitionMatrix) -> tuple[Poly, Poly]:
+def series_at_one(cocycle: CocyclePolynomial) -> tuple[Poly, Poly]:
     """A and u*z^p in powers of s = z - 1, the two columns of every ansatz."""
-    ctx = m.cocycle.ctx
+    ctx = cocycle.ctx
     # u * z^p = u * (s+1)^p = u * (1 + s^p) in characteristic p
-    uzp = (Poly.one(ctx) + Poly.monomial(ctx, ctx.p)).scale(m.cocycle.unit)
-    return m.cocycle.A.taylor_at_one(), uzp
+    uzp = (Poly.one(ctx) + Poly.monomial(ctx, ctx.p)).scale(cocycle.unit)
+    return cocycle.A.taylor_at_one(), uzp
 
 
-def h0_of_twist(m: TransitionMatrix, twist: int, bound: int | None = None, *,
-                series: tuple[Poly, Poly] | None = None) -> int:
+def h0_of_twist(cocycle: CocyclePolynomial, twist: int, bound: int | None = None) -> int:
     """Dimension of the twisted global-section space.
 
-    The ansatz bound defaults to 2p + |twist| + 4; the computed dimension
-    must not change when the bound grows by 2, otherwise the ansatz was
-    too small and UnstableDimension is raised.  series is
-    :func:`series_at_one` of m, computed here when not given.
+    The ansatz bound defaults to 2p + |twist| + 4, and a bound below
+    2p + |twist| + 2 raises ValueError; the computed dimension must not
+    change when the bound grows by 2, otherwise the ansatz was too small
+    and UnstableDimension is raised.
     """
-    p = m.cocycle.ctx.p
-    b = bound if bound is not None else 2 * p + abs(twist) + 4
-    SectionSpaceProblem(matrix=m, twist=twist, bound=b)  # rejects a bound below the minimum
-    series = series if series is not None else series_at_one(m)
-    return _h0_profile(m.cocycle.ctx, series, b, range(twist, twist + 1))[twist]
+    p = cocycle.ctx.p
+    if bound is None:
+        bound = 2 * p + abs(twist) + 4
+    elif bound < 2 * p + abs(twist) + 2:
+        raise ValueError("ansatz bound below the safe minimum 2p + |m| + 2")
+    return _h0_profile(cocycle.ctx, series_at_one(cocycle), bound,
+                       range(twist, twist + 1))[twist]
 
 
 def _expected_h0(n: int, m: int) -> int:
     return max(0, m + 1 - n) + max(0, m + 1 + n)
 
 
-def splitting_from_cech(ctx: ReductionContext, lam: WittRingElement) -> SplittingType:
+def splitting_from_cech(cocycle: CocyclePolynomial) -> SplittingType:
     """Splitting integer from the h0 profile of the glued bundle.
 
     h0 at twist 0 determines n except for the 2-dimensional ambiguity
@@ -129,9 +117,8 @@ def splitting_from_cech(ctx: ReductionContext, lam: WittRingElement) -> Splittin
     max(0, m+1-n) + max(0, m+1+n); any deviation means a bug somewhere and
     raises ProfileMismatch.
     """
-    cocycle = build_A_primitive(ctx, lam)
-    trans = build_transition(cocycle)
-    series = series_at_one(trans)
+    ctx = cocycle.ctx
+    series = series_at_one(cocycle)
 
     def profile(top: int) -> dict[int, int]:
         # twists -1 .. top at h0_of_twist's default bound for the top twist

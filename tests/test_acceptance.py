@@ -49,10 +49,10 @@ def test_ac1_micro_case_periodic():
         assert prim.A == expect_a and closed.A == expect_a
         f, g, h, l, _, _ = birkhoff_step1(ctx, prim.A)
         assert f == P(ctx, 2, 0, 1) and g == P(ctx, 1, 1, 1) and l == 1
-        cert = factorization_certificate(ctx, lam)
+        cert = factorization_certificate(prim)
         assert cert.c == 2 and cert.n == 1
         assert splitting_from_T(ctx, ctx.f_from_int(2), ctx.zero).n == 1
-        assert splitting_from_cech(ctx, lam).n == 1
+        assert splitting_from_cech(prim).n == 1
         assert periodicity_pair(ctx, ctx.f_from_int(2), ctx.zero) is True
 
 
@@ -70,10 +70,10 @@ def test_ac2_micro_case_exceptional():
         assert mat_det(t0) == ctx.f_from_int(2)
         f, g, h, l, _, _ = birkhoff_step1(ctx, prim.A)
         assert f == P(ctx, 2, 0, 1, 1) and g == P(ctx, 1, 2) and l == 0
-        cert = factorization_certificate(ctx, lam)
+        cert = factorization_certificate(prim)
         assert cert.c == 3 and cert.n == 0
         assert splitting_from_T(ctx, wp.lam0, wp.lam1).n == 0
-        assert splitting_from_cech(ctx, lam).n == 0
+        assert splitting_from_cech(prim).n == 0
 
 
 def test_ac3_exhaustive_cross_method_agreement():
@@ -88,12 +88,12 @@ def test_ac3_exhaustive_cross_method_agreement():
                     continue
                 wp = witt_decompose(lam)
                 nt = splitting_from_T(ctx, wp.lam0, wp.lam1).n
-                cert = factorization_certificate(ctx, lam)
+                co = build_A_primitive(ctx, lam)
+                cert = factorization_certificate(co)
                 nb = cert.n
-                nc = splitting_from_cech(ctx, lam).n
+                nc = splitting_from_cech(co).n
                 ok_tr = validate_T_R(ctx, wp.lam0, wp.lam1)
-                ok_cert = verify_certificate(
-                    build_transition(build_A_primitive(ctx, lam)), cert)
+                ok_cert = verify_certificate(build_transition(co), cert)
                 if not (nt == nb == nc and ok_tr and ok_cert):
                     mismatches.append((p, n, nt, nb, nc, ok_tr, ok_cert))
         assert not mismatches, f"minimal counterexample: {mismatches[0]}"
@@ -132,8 +132,9 @@ def test_ac6_certificate_soundness_randomized():
                 r = lam.residue()
                 if not (r.is_zero() or r == ctx.one):
                     break
-            cert = factorization_certificate(ctx, lam)
-            trans = build_transition(build_A_primitive(ctx, lam))
+            co = build_A_primitive(ctx, lam)
+            cert = factorization_certificate(co)
+            trans = build_transition(co)
             assert verify_certificate(trans, cert)
             if k % 10 == 0:
                 bad = dataclasses.replace(cert, f=cert.f + Poly.one(ctx))

@@ -122,7 +122,8 @@ def test_inexact_division_exits_internal(monkeypatch, capsys):
     import higgsflow.scan as scan_mod
     from higgsflow.polys import Poly, poly_divexact
 
-    def inexact(ctx, lam):
+    def inexact(cocycle):
+        ctx = cocycle.ctx
         z = Poly.monomial(ctx, 1)
         return poly_divexact(z, z + Poly.one(ctx))
 

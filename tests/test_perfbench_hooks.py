@@ -1,5 +1,7 @@
 """The benchmark's tracer patches package functions by name; keep them there."""
 
+import ast
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -19,14 +21,47 @@ PROBE_CALLS = (
 )
 
 
-def test_every_traced_name_resolves():
+def _hooks():
     # imports the hooks module without installing it
     spec = importlib.util.spec_from_file_location("perfbench_hooks", HOOKS)
     hooks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(hooks)
+    return hooks
+
+
+def test_every_traced_name_resolves():
+    hooks = _hooks()
     missing = [f"{getattr(owner, '__name__', owner)}.{name}"
                for owner, name, *_ in hooks.SPANS if not hasattr(owner, name)]
     assert not missing
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names a module imports at module level and never references."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_unused_imports_are_only_traced_names():
+    # an import nothing in its module uses is kept only for the tracer to
+    # patch by name there; anything else is a leftover
+    spans = _hooks().SPANS
+    stray = {}
+    for path in sorted((ROOT / "src" / "higgsflow").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"higgsflow.{path.stem}")
+        traced = {name for owner, name, *_ in spans if owner is module}
+        extra = _unused_imports(path) - traced
+        if extra:
+            stray[path.stem] = sorted(extra)
+    assert not stray
 
 
 def _report_rows(report: str) -> int:

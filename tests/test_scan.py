@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from higgsflow import factorization, scan, sections
 from higgsflow.errors import InvalidRange, MethodUnavailable
 from higgsflow.lambdas import parse_lambda_spec
 from higgsflow.scan import (CSV_COLUMNS, run_enumerate, run_scan, run_selftest,
@@ -91,6 +93,30 @@ def test_enumerate_p3_unique_periodic_pair():
     assert report.summary["periodic_pairs"] == [["2", "0"]]
     assert report.summary["periodic_per_lambda0"] == {"2": 1}
     assert report.summary["mismatches"] == []
+
+
+def test_one_cocycle_and_one_transition_per_row(monkeypatch):
+    # birkhoff and cech share the row's cocycle and only birkhoff builds the
+    # gluing matrix; a t-only sweep builds neither
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # at every module that imports them
+    for module in (scan, factorization, sections):
+        for name in ("build_A_primitive", "build_transition"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    report = run_enumerate(5, methods=("t", "birkhoff", "cech"))
+    assert len(report.rows) == 15
+    assert calls == {"build_A_primitive": 15, "build_transition": 15}
+    calls.clear()
+    run_enumerate(5, methods=("t",))
+    assert calls == {}
 
 
 def test_enumerate_bounds():
