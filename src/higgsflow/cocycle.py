@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InternalDivisibilityFailure
 from .fields import (FieldElement, ReductionContext, WittRingElement, check_residue,
                      frobenius_w2)
-from .polys import Poly, PoleFraction, z_minus_one_pow
+from .polys import Poly, PoleFraction
 
 
 def binomial_over_p(p: int, i: int) -> int:
@@ -53,7 +53,9 @@ class TransitionMatrix:
     """2x2 gluing matrix [[(z-1)^p, 0], [a (z-1)^-p, (z-1)^-p]].
 
     Lower triangular with reciprocal diagonal, so det = (z-1)^p (z-1)^-p = 1
-    for every a.  All poles sit inside {0, 1, infinity}.
+    for every a.  All poles sit inside {0, 1, infinity}; the diagonal is
+    stored as the pole fractions 1/(z-1)^(-p) and 1/(z-1)^p, so a product
+    with it only moves orders at z = 1.
     """
 
     cocycle: CocyclePolynomial
@@ -136,12 +138,15 @@ def build_transition(cocycle: CocyclePolynomial) -> TransitionMatrix:
 
     Its determinant is 1 whatever A is, since the diagonal entries
     (z-1)^p and (z-1)^-p are reciprocal and the upper-right entry is 0.
+    Both diagonal entries have numerator 1 and signed order -p and p at
+    z = 1 (see :class:`~higgsflow.polys.PoleFraction`).
     """
     ctx = cocycle.ctx
     p = ctx.p
-    top = PoleFraction(z_minus_one_pow(ctx, p))
+    one = Poly.one(ctx)
+    top = PoleFraction(one, 0, -p)
     zero = PoleFraction.zero(ctx)
     lower_left = PoleFraction(cocycle.A.scale(cocycle.unit.inverse()), p, p)
-    lower_right = PoleFraction(Poly.one(ctx), 0, p)
+    lower_right = PoleFraction(one, 0, p)
     return TransitionMatrix(cocycle=cocycle,
                             entries=((top, zero), (lower_left, lower_right)))

@@ -3,10 +3,12 @@
 Step 1 finds the minimal pair (f, g) with f*A + g*z^p divisible by
 (z-1)^(2p) by extended Euclid, as a rational reconstruction of A*z^(-p)
 (see :func:`birkhoff_step1`); n = p - max(deg f, deg g).  It shares no
-linear algebra with the t method's rank scan.  The Euclid row before the
-stopping row is a Bezout partner: it gives (beta', gamma') with
-f*gamma' + g*beta' = (z-1)^(2p) and z^p*gamma' = A*beta' mod (z-1)^(2p),
-reduced so that both have degree <= 2p - c.
+linear algebra with the t method's rank scan.  The Euclid rows (r, t)
+live in two preallocated arrays that each step updates in place
+(:func:`euclid_rows`), so a step builds no polynomial object.  The Euclid
+row before the stopping row is a Bezout partner: it gives (beta', gamma')
+with f*gamma' + g*beta' = (z-1)^(2p) and z^p*gamma' = A*beta' mod
+(z-1)^(2p), reduced so that both have degree <= 2p - c.
 
 Step 2 divides the off-frame entry alpha out of z^p*gamma' - A*beta' and
 assembles unimodular frames P, Q with
@@ -16,7 +18,9 @@ Bezout identity shows that gcd(f, g) divides (z-1)^(2p), so it is
 
 The three divisions by (z-1)^(2p) (B and h in step 1, alpha in step 2)
 use :func:`~higgsflow.polys.divrem_z_minus_one_2p`, which divides by
-z^(2p) - 2z^p + 1 a block of p coefficients at a time.
+z^(2p) - 2z^p + 1 a block of p coefficients at a time.  The one school
+division left is the reduction of gamma' mod g in step 1, by a divisor of
+degree < p, when deg g > deg f.
 
 Everything is certified: the returned object carries (f, g, h, l, c,
 beta', gamma', alpha, P, Q), and step 2 hands it back only after
@@ -27,12 +31,17 @@ the diagonalization itself.  Once det P = 1 is proved, P^(-1) = adj(P),
 so the diagonalization is proved as M*Q = adj(P)*diag, which needs no
 product with P.  Each is a polynomial identity or an identity of pole
 fractions, which compare by cross-multiplying, so the check is
-deterministic and draws no sample points.
+deterministic and draws no sample points.  Powers of z - 1 enter only as
+signed orders at 1 (the diagonal of M and diag, the (z-1)^(2p) of the
+step-1, Bezout and alpha relations), and cross-multiplying by one costs a
+shifted subtraction per factor z^p - 1, never a general product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cocycle import CocyclePolynomial, TransitionMatrix, build_transition
 from .criterion import SplittingType
@@ -79,6 +88,61 @@ def _deg(f: Poly) -> int:
     return f.degree if not f.is_zero() else -1
 
 
+def euclid_rows(G: Poly, B: Poly, stop: int) -> tuple[Poly, Poly, Poly, Poly, int]:
+    """Extended Euclid on (G, B), deg B < deg G, to the first remainder of degree < stop.
+
+    Rows (r_j, t_j) start at (G, 0) and (B, 1) and keep r_j = t_j*B mod G.
+    The last two come back as r0, t0, r1, t1, with the sign of
+    t1*r0 - t0*r1 = sign * G.  A zero remainder ends the loop too.
+
+    A row is one int64 array of shape (2, deg G + 1, d), r stacked on t
+    (deg t_j = deg G - deg r_(j-1) never passes deg G).  A step works out
+    the quotient from the top k+1 coefficients of r0 and r1 with the
+    context's scalar field ops, subtracts each quotient coefficient's
+    multiple of row 1 from row 0 in place (coordinate by coordinate,
+    against row 1 times 1, x, .., x^(d-1)), reduces mod p once (entries
+    stay above -(k+1)*d*p^2 before it) and walks r's degree down from
+    deg r1 - 1.  The two rows then swap roles.
+    """
+    ctx = G.ctx
+    p = ctx.p
+    top = len(G.v) - 1                      # deg G
+    rows = np.zeros((2, 2, top + 1, ctx.d), np.int64)
+    e0, e1 = rows
+    e0[0] = G.v
+    e1[0, :len(B.v)] = B.v
+    e1[1, 0] = ctx.one.vec
+    n0, n1 = top, len(B.v) - 1              # deg r0, deg r1 (-1 for zero)
+    sign = 1
+    while n1 >= stop:
+        k = n0 - n1
+        inv = ctx.finv(tuple(e1[0, n1].tolist()))
+        head = [tuple(x) for x in e0[0, n0 - k:n0 + 1][::-1].tolist()]
+        div = [tuple(x) for x in e1[0, max(n1 - k, 0):n1 + 1][::-1].tolist()]
+        q = [None] * (k + 1)                # q[i]: coefficient of z^i
+        for i in range(k + 1):
+            c = head[i]
+            for j in range(max(i - n1, 0), i):
+                c = ctx.fsub(c, ctx.fmul(q[k - j], div[i - j]))
+            q[k - i] = ctx.fmul(c, inv)
+        width = max(n0, top - n1) + 1       # r0 and the new t fit below it
+        row1 = e1[:, :width]
+        multiples = [row1] + [row1 @ ctx.basis_products[col] % p for col in range(1, ctx.d)]
+        for i, qi in enumerate(q):
+            for coord, m in zip(qi, multiples):
+                if coord:
+                    e0[:, i:width] -= coord * m[:, :width - i]
+        np.remainder(e0[:, :width], p, out=e0[:, :width])
+        n = n1 - 1
+        while n >= 0 and not any(e0[0, n].tolist()):
+            n -= 1
+        e0, e1 = e1, e0
+        n0, n1 = n1, n
+        sign = -sign
+    return (Poly(ctx, e0[0, :n0 + 1]), Poly(ctx, e0[1]),
+            Poly(ctx, e1[0, :n1 + 1]), Poly(ctx, e1[1]), sign)
+
+
 def birkhoff_step1(ctx: ReductionContext,
                    A: Poly) -> tuple[Poly, Poly, Poly, int, Poly, Poly]:
     """Minimal (f, g) with f*A + g*z^p = h*(z-1)^(2p), and a Bezout partner.
@@ -86,12 +150,14 @@ def birkhoff_step1(ctx: ReductionContext,
     Rational reconstruction of B = A*z^(-p) mod (z-1)^(2p): a pair solves
     step 1 exactly when f*B = -g mod (z-1)^(2p).  In characteristic p,
     z^p*(2 - z^p) = 1 - (z-1)^(2p), so z^(-p) = 2 - z^p and B needs no
-    inverse.  Extended Euclid on ((z-1)^(2p), B) keeps r_j = t_j*B, with
+    inverse.  Extended Euclid on ((z-1)^(2p), B) (:func:`euclid_rows`, in
+    place, with no polynomial objects per step) keeps r_j = t_j*B, with
     deg r_j falling and deg t_j = 2p - deg r_(j-1) rising.  The first row
     with deg r_j <= p-1 is the answer: every earlier row has
     max(deg t, deg r) >= p, every later one deg t >= p+1.  f = t_j and
     g = -r_j, scaled so that f is monic; c = max(deg f, deg g) <= p.  A
-    remainder that reaches zero ends the loop too, and then g = 0.
+    remainder that reaches zero ends the loop too, and then g = 0; so does
+    A = 0, where B = 0 leaves f = 1.
 
     f is unique up to a scalar.  For c < p, two solutions of degree <= c
     satisfy f1*g2 = f2*g1 mod (z-1)^(2p) in degree < 2p, hence exactly, so
@@ -109,7 +175,9 @@ def birkhoff_step1(ctx: ReductionContext,
     z^p*gamma' - A*beta' divisible by (z-1)^(2p).  deg gamma' = 2p - deg f
     and deg beta' < deg f.  When deg g > deg f, gamma' is reduced mod g
     (beta' gains the quotient times f), which keeps both relations and
-    brings both degrees to <= 2p - c.
+    brings both degrees to <= 2p - c.  That reduction, by a divisor of
+    degree < p, is step 1's one school division; the divisions by
+    (z-1)^(2p) use :func:`~higgsflow.polys.divrem_z_minus_one_2p`.
 
     Returns (f, g, h, l, beta', gamma').  l is the smaller of the orders
     of f and g at z = 1 (f's alone when g = 0).  The Bezout identity,
@@ -119,25 +187,13 @@ def birkhoff_step1(ctx: ReductionContext,
     p = ctx.p
     if A.degree > 2 * p - 1:
         raise DegreeTooLarge("step 1 requires deg A <= 2p-1")
-    d2 = z_minus_one_pow(ctx, 2 * p)
-    if A.is_zero():
-        return Poly.one(ctx), Poly.zero(ctx), Poly.zero(ctx), 0, Poly.zero(ctx), d2
-
-    zp = Poly.monomial(ctx, p)
-    _, B = divrem_z_minus_one_2p(A * (Poly.from_ints(ctx, [2]) - zp))
-    r0, r1 = d2, B
-    t0, t1 = Poly.zero(ctx), Poly.one(ctx)
-    sign = 1  # t1*r0 - t0*r1 = sign * (z-1)^(2p)
-    while r1.degree >= p:
-        q, r = poly_divrem(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-        sign = -sign
+    _, B = divrem_z_minus_one_2p(A + A - A.shift(p))
+    r0, t0, r1, t1, sign = euclid_rows(z_minus_one_pow(ctx, 2 * p), B, p)
 
     lead = t1.lead()
     inv = lead.inverse()
     f, g = t1.scale(inv), -r1.scale(inv)
-    h, rem = divrem_z_minus_one_2p(f * A + g * zp)
+    h, rem = divrem_z_minus_one_2p(f * A + g.shift(p))
     if not rem.is_zero():
         _fail("step-1 sum f*A + g*z^p is not divisible by (z-1)^(2p)")
 
@@ -168,9 +224,8 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
     if _deg(beta_prime) > 2 * p - c or _deg(gamma_prime) > 2 * p - c:
         _fail("degree bounds on (beta', gamma') violated")
 
-    zp = Poly.monomial(ctx, p)
     # the quotient is exact when the alpha identity of check_certificate holds
-    alpha_num, _ = divrem_z_minus_one_2p(zp * gamma_prime - cocycle.A * beta_prime)
+    alpha_num, _ = divrem_z_minus_one_2p(gamma_prime.shift(p) - cocycle.A * beta_prime)
     alpha = PoleFraction(alpha_num, p, 0)
 
     # P and Q hold g, h and beta' against A/u, the numerator that M carries
@@ -225,29 +280,26 @@ def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> No
     ctx = m.cocycle.ctx
     p = ctx.p
     A = m.cocycle.A
-    d2 = z_minus_one_pow(ctx, 2 * p)
-    zp = Poly.monomial(ctx, p)
     one = PoleFraction(Poly.one(ctx))
 
     def require(holds: bool, name: str):
         if not holds:
             _fail(f"certificate identity {name} does not hold")
 
-    require(cert.f * A + cert.g * zp == cert.h * d2, "step-1")
-    require(cert.f * cert.gamma_prime + cert.g * cert.beta_prime == d2, "Bezout")
-    require(cert.alpha * PoleFraction(zp * d2)
-            == PoleFraction(zp * cert.gamma_prime - A * cert.beta_prime), "alpha")
+    require(cert.f * A + cert.g.shift(p) == cert.h.times_z_minus_one_pow(2 * p), "step-1")
+    require(cert.f * cert.gamma_prime + cert.g * cert.beta_prime
+            == z_minus_one_pow(ctx, 2 * p), "Bezout")
+    alpha = cert.alpha
+    # alpha*z^p*(z-1)^(2p): both factors only move alpha's orders
+    require(PoleFraction(alpha.num, alpha.a - p, alpha.b - 2 * p)
+            == PoleFraction(cert.gamma_prime.shift(p) - A * cert.beta_prime), "alpha")
     (p00, p01), (p10, p11) = cert.P
     (q00, q01), (q10, q11) = cert.Q
     require(p00 * p11 - p01 * p10 == one, "det P")
     require(q00 * q11 - q01 * q10 == one, "det Q")
-    # x*(z-1)^k: multiplying by the diagonal only moves pole orders at 1
-    def times_z_minus_one_pow(x: PoleFraction, k: int) -> PoleFraction:
-        return PoleFraction(x.num, x.a, x.b - k)
-
     k = p - cert.c
-    adj_diag = ((times_z_minus_one_pow(p11, k), times_z_minus_one_pow(-p01, -k)),
-                (times_z_minus_one_pow(-p10, k), times_z_minus_one_pow(p00, -k)))
+    adj_diag = ((p11.times_z_minus_one_pow(k), (-p01).times_z_minus_one_pow(-k)),
+                ((-p10).times_z_minus_one_pow(k), p00.times_z_minus_one_pow(-k)))
     require(_matmul(m.entries, cert.Q) == adj_diag, "P*M*Q")
 
 

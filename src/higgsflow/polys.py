@@ -5,16 +5,21 @@ Two shapes of object live here:
 * :class:`Poly` -- ordinary polynomials, lowest degree first;
 * :class:`PoleFraction` -- num / (z^a (z-1)^b), the one fraction type: every
   entry of the transition matrix and its diagonalising frames, and every
-  Laurent polynomial (b = 0), takes this shape.
+  Laurent polynomial (b = 0), takes this shape.  The order b at z = 1 is
+  signed: b < 0 is a zero at 1, so (z-1)^p is the fraction 1 / (z-1)^(-p).
 
 Everything is exact.  A polynomial's coefficients are one int64 array of
 shape (n, d), so products are integer convolutions (each sum has at most
 n*d terms below p^2, inside int64 for every supported p) and divisions
 update whole coefficient slices; degrees stay below a few thousand, so the
-dense quadratic algorithms are the right tool.  The one divisor that every
-birkhoff row meets three times, (z-1)^(2p) = z^(2p) - 2z^p + 1 in
-characteristic p, has its own division (:func:`divrem_z_minus_one_2p`):
-it moves a block of p coefficients per step instead of one.
+dense quadratic algorithms are the right tool.  Powers of z - 1 never need
+a general product: in characteristic p, (z-1)^(p^i) = z^(p^i) - 1, so
+multiplying by (z-1)^k (:meth:`Poly.times_z_minus_one_pow`) is one dense
+factor for k's low base-p digit and one shifted subtraction per unit of
+each higher digit, and the divisor that every birkhoff row meets three
+times, (z-1)^(2p) = z^(2p) - 2z^p + 1, has its own division
+(:func:`divrem_z_minus_one_2p`): it moves a block of p coefficients per
+step instead of one.
 """
 
 from __future__ import annotations
@@ -135,9 +140,9 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z^k (k >= 0) or divide exactly by z^k (k < 0)."""
-        if self.is_zero():
+        if self.is_zero() or k == 0:
             return self
-        if k >= 0:
+        if k > 0:
             zeros = np.zeros((k, self.ctx.d), np.int64)
             return Poly(self.ctx, np.concatenate([zeros, self.v]))
         if self.v[:-k].any():
@@ -201,6 +206,32 @@ class Poly:
             np.add.accumulate(head, axis=0, out=head)
             np.remainder(head, self.ctx.p, out=head)
         return Poly(self.ctx, rev[::-1])
+
+    def times_z_minus_one_pow(self, k: int) -> "Poly":
+        """self * (z-1)^k for k >= 0, digit by digit in base p.
+
+        In characteristic p, (z-1)^(k0 + k1*p + k2*p^2 + ...) is
+        (z-1)^k0 * (z^p - 1)^k1 * (z^(p^2) - 1)^k2 * ...: the low digit is
+        one convolution with the k0 + 1 binomials of (z-1)^k0, and each
+        unit of a higher digit i one shifted subtraction v*z^(p^i) - v.
+        """
+        ctx = self.ctx
+        p = ctx.p
+        k, k0 = divmod(k, p)
+        v = self.v
+        if k0 and len(v):
+            c = np.array(_minus_one_binomials(k0, p), np.int64)
+            v = np.stack([np.convolve(col, c) for col in v.T], axis=1) % p
+        step = p                          # p^i
+        while k and len(v):
+            k, digit = divmod(k, p)
+            for _ in range(digit):
+                out = np.zeros((len(v) + step, ctx.d), np.int64)
+                out[step:] = v
+                out[:len(v)] -= v
+                v = out % p
+            step *= p
+        return self if v is self.v else Poly(ctx, v)
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +360,22 @@ def z_minus_one_pow(ctx: ReductionContext, k: int) -> Poly:
 class PoleFraction:
     """num / (z^a (z-1)^b): rational functions with poles in {0, 1, infinity}.
 
-    Kept as built, never reduced, so no operation pays for dividing out
-    the factors of z and z - 1 that cancel.  Equality cross-multiplies;
-    instances are unhashable.
+    a >= 0, and the order b at z = 1 is signed: b < 0 stands for the zero
+    (z-1)^(-b), so multiplying by (z-1)^(+-k) only moves b
+    (:meth:`times_z_minus_one_pow`).  Kept as built, never reduced, so no
+    operation pays for dividing out the factors of z and z - 1 that cancel.
+    Sums and equality bring both sides over z^max(a) (z-1)^max(b): a shift
+    for z, and :meth:`Poly.times_z_minus_one_pow` for z - 1, which needs no
+    general product.  A zero operand needs neither.  Equality
+    cross-multiplies; instances are unhashable.
     """
 
     __slots__ = ("num", "a", "b")
 
     def __init__(self, num: Poly, a: int = 0, b: int = 0):
-        ctx = num.ctx
         if a < 0:
             num = num.shift(-a)
             a = 0
-        if b < 0:
-            num = num * z_minus_one_pow(ctx, -b)
-            b = 0
         self.num, self.a, self.b = num, a, b
 
     @property
@@ -357,12 +389,19 @@ class PoleFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def times_z_minus_one_pow(self, k: int) -> "PoleFraction":
+        """self * (z-1)^k for any integer k: exponent arithmetic."""
+        return PoleFraction(self.num, self.a, self.b - k)
+
     def _over(self, a: int, b: int) -> Poly:
         """The numerator over the larger denominator z^a (z-1)^b."""
-        num = self.num.shift(a - self.a)
-        return num if b == self.b else num * z_minus_one_pow(self.ctx, b - self.b)
+        return self.num.shift(a - self.a).times_z_minus_one_pow(b - self.b)
 
     def __add__(self, other: "PoleFraction") -> "PoleFraction":
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         a, b = max(self.a, other.a), max(self.b, other.b)
         return PoleFraction(self._over(a, b) + other._over(a, b), a, b)
 
@@ -378,6 +417,8 @@ class PoleFraction:
     def __eq__(self, other):
         if not isinstance(other, PoleFraction):
             return False
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
         a, b = max(self.a, other.a), max(self.b, other.b)
         return self._over(a, b) == other._over(a, b)
 

@@ -123,10 +123,16 @@ def test_transition_shape_and_determinant():
 
 
 def test_transition_poles_confined():
+    # no pole outside {0, 1, infinity}: a >= 0, the numerator is a
+    # polynomial, and a negative order b at z = 1 is a zero there, not a pole
     ctx = make_context(5, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(3))
     m = build_transition(co)
     for i in range(2):
         for j in range(2):
             e = m.entry(i, j)
-            assert e.a >= 0 and e.b >= 0  # poles only at 0 and 1 (and infinity)
+            assert e.a >= 0 and isinstance(e.num, Poly)
+            if e.b < 0:
+                poly = e.num * z_minus_one_pow(ctx, -e.b)
+                assert e == PoleFraction(poly) and poly.order_at_one() >= -e.b
+    assert m.entry(0, 0).b == -ctx.p                     # (z-1)^p

@@ -9,11 +9,12 @@ from higgsflow.cocycle import build_A_primitive, build_transition
 from higgsflow.criterion import splitting_from_T, t_submatrix, build_T
 from higgsflow.errors import CertificateCheckFailed, DegreeTooLarge
 from higgsflow.factorization import (birkhoff_step1, birkhoff_step2, check_certificate,
-                                     factorization_certificate,
+                                     euclid_rows, factorization_certificate,
                                      splitting_from_birkhoff, verify_certificate)
 from higgsflow.fields import make_context, witt_decompose
 from higgsflow.linalg import mat_rank
-from higgsflow.polys import Poly, PoleFraction, z_minus_one_pow
+from higgsflow.polys import (Poly, PoleFraction, divrem_z_minus_one_2p, poly_divrem,
+                             z_minus_one_pow)
 
 
 def P(ctx, *ints):
@@ -108,10 +109,12 @@ def test_step2_exact_diagonalization_small_sample():
     assert reduced > 0 and gcd_at_one > 0
 
 
-@pytest.mark.parametrize("p, d, coeffs", [(7, 1, (2,)), (5, 2, (1, 1))])
+# lambda = 17 at p = 7 has deg g > deg f, so gamma' is reduced mod g
+@pytest.mark.parametrize("p, d, coeffs", [(7, 1, (2,)), (5, 2, (1, 1)), (7, 1, (17,))])
 def test_no_school_division_by_degree_2p(monkeypatch, p, d, coeffs):
-    # the three divisions by (z-1)^(2p) go through the block division; school
-    # division is left to the Euclid steps and the reduction of gamma'
+    # step 1's Euclid makes no school division; only the reduction of gamma'
+    # may, by g of degree < p, and the three divisions by (z-1)^(2p) go
+    # through the block division
     divisor_degrees = []
     divrem = factorization.poly_divrem
 
@@ -121,8 +124,34 @@ def test_no_school_division_by_degree_2p(monkeypatch, p, d, coeffs):
 
     monkeypatch.setattr(factorization, "poly_divrem", counted)
     ctx = make_context(p, d)
-    factorization_certificate(build_A_primitive(ctx, ctx.w_from_coeffs(coeffs)))
-    assert divisor_degrees and 2 * p not in divisor_degrees
+    co = build_A_primitive(ctx, ctx.w_from_coeffs(coeffs))
+    _, B = divrem_z_minus_one_2p(co.A * (Poly.from_ints(ctx, [2]) - Poly.monomial(ctx, p)))
+    euclid_rows(z_minus_one_pow(ctx, 2 * p), B, p)
+    assert divisor_degrees == []
+    cert = factorization_certificate(co)
+    reduced = not cert.g.is_zero() and cert.g.degree > cert.f.degree
+    assert divisor_degrees == ([cert.g.degree] if reduced else [])
+    assert all(deg < 2 * p for deg in divisor_degrees)
+
+
+def test_step1_builds_no_polynomial_per_euclid_step(monkeypatch):
+    # the Euclid rows live in two preallocated arrays: the number of Poly
+    # objects one step-1 call builds does not grow with p
+    built = []
+    init = Poly.__init__
+
+    def counted(self, *args, **kwargs):
+        built[-1] += 1
+        init(self, *args, **kwargs)
+
+    for p in (53, 101):
+        ctx = make_context(p, 1)
+        A = build_A_primitive(ctx, ctx.w_from_int(-1)).A
+        built.append(0)
+        monkeypatch.setattr(Poly, "__init__", counted)
+        birkhoff_step1(ctx, A)
+        monkeypatch.undo()
+    assert built[0] == built[1]
 
 
 def test_step1_minimality_rank_characterization():
@@ -149,6 +178,42 @@ def test_step1_minimality_rank_characterization():
             assert mat_rank(sub) < c + 1
 
 
+def _reference_euclid(G, B, stop, quotient_degrees):
+    """Step 1's Euclid loop as written with poly_divrem and Poly rows.
+
+    The reference for euclid_rows; records the degree of every quotient.
+    """
+    ctx = G.ctx
+    r0, r1 = G, B
+    t0, t1 = Poly.zero(ctx), Poly.one(ctx)
+    sign = 1
+    while r1.degree >= stop:
+        q, r = poly_divrem(r0, r1)
+        quotient_degrees.add(q.degree)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+        sign = -sign
+    return r0, t0, r1, t1, sign
+
+
+def _reference_step1(ctx, A, quotient_degrees):
+    """birkhoff_step1 around the reference loop, products written out."""
+    p = ctx.p
+    d2, zp = z_minus_one_pow(ctx, 2 * p), Poly.monomial(ctx, p)
+    _, B = divrem_z_minus_one_2p(A * (Poly.from_ints(ctx, [2]) - zp))
+    r0, t0, r1, t1, sign = _reference_euclid(d2, B, p, quotient_degrees)
+    lead = t1.lead()
+    f, g = t1.scale(lead.inverse()), -r1.scale(lead.inverse())
+    h, _ = divrem_z_minus_one_2p(f * A + g * zp)
+    s = lead if sign == 1 else -lead
+    beta, gamma = t0.scale(s), r0.scale(s)
+    if not g.is_zero() and g.degree > f.degree:
+        q, gamma = poly_divrem(gamma, g)
+        beta = beta + q * f
+    l = f.order_at_one() if g.is_zero() else min(f.order_at_one(), g.order_at_one())
+    return f, g, h, l, beta, gamma
+
+
 # sha256 of every step-1 output (f, g, h, l) of the exhaustive test below, as
 # computed by the remainder-system rank scan and null space that step 1 was
 # before extended Euclid replaced it
@@ -157,9 +222,11 @@ STEP1_EXHAUSTIVE_SHA256 = "cbb404c03feef9766dd65f8749fd6c56cae4cbc77b8e8462fb7b4
 
 def test_step1_exhaustive_against_criterion_ranks():
     # every lift at d = 1 for p <= 11 and at d = 2 for p <= 5; the t method's
-    # rank scan is the independent oracle for the minimal combined degree c
+    # rank scan is the independent oracle for the minimal combined degree c,
+    # and the Euclid loop on Poly rows the reference for the in-place one
     digest = hashlib.sha256()
     cases = 0
+    quotient_degrees = set()
     for p, d in ((3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2)):
         ctx = make_context(p, d)
         zp, d2 = Poly.monomial(ctx, p), z_minus_one_pow(ctx, 2 * p)
@@ -168,7 +235,8 @@ def test_step1_exhaustive_against_criterion_ranks():
             if r.is_zero() or r == ctx.one:
                 continue
             A = build_A_primitive(ctx, w).A
-            f, g, h, l, beta, gamma = birkhoff_step1(ctx, A)
+            f, g, h, l, beta, gamma = out = birkhoff_step1(ctx, A)
+            assert out == _reference_step1(ctx, A, quotient_degrees)
             assert f * A + g * zp == h * d2
             assert f.lead() == ctx.one and g.degree <= p - 1
             c = max(f.degree, g.degree)
@@ -189,8 +257,15 @@ def test_step1_exhaustive_against_criterion_ranks():
                 digest.update(poly.v.tobytes())
             digest.update(l.to_bytes(4, "little"))
             cases += 1
+        # no lift's remainder reaches zero; a residue divisible by (z-1)^p does
+        B = z_minus_one_pow(ctx, p) * (Poly.monomial(ctx, p - 1) + Poly.one(ctx))
+        rows = euclid_rows(d2, B, p)
+        assert rows == _reference_euclid(d2, B, p, set())
+        assert rows[2].is_zero() and rows[0] == z_minus_one_pow(ctx, p).scale(rows[0].lead())
     assert cases == 790
     assert digest.hexdigest() == STEP1_EXHAUSTIVE_SHA256
+    # the in-place quotient step is met beyond degree 1
+    assert max(quotient_degrees) >= 2
 
 
 def test_splitting_from_birkhoff_micro_cases():

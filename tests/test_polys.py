@@ -235,7 +235,7 @@ def test_pole_fraction_arithmetic_and_normalization():
     assert f == PoleFraction(Poly.one(ctx))
     g = PoleFraction(z_minus_one_pow(ctx, 2), 0, 1)  # (z-1)^2/(z-1) = z-1
     assert g == PoleFraction(z_minus_one_pow(ctx, 1))
-    h = PoleFraction(Poly.one(ctx), 0, -2)    # negative order multiplies in
+    h = PoleFraction(Poly.one(ctx), 0, -2)    # a negative order is a zero at 1
     assert h == PoleFraction(z_minus_one_pow(ctx, 2))
     a = PoleFraction(P(ctx, 1), 1, 0)   # 1/z
     b = PoleFraction(P(ctx, 1), 0, 1)   # 1/(z-1)
@@ -244,3 +244,56 @@ def test_pole_fraction_arithmetic_and_normalization():
     assert (a * b) == PoleFraction(P(ctx, 1), 1, 1)
     assert (s - s).is_zero()
 
+
+@pytest.mark.parametrize("p, d", [(5, 1), (7, 1), (3, 2), (5, 2)])
+def test_times_z_minus_one_pow_matches_product(p, d):
+    # digit by digit against the product with (z-1)^k, which
+    # test_z_minus_one_pow_matches_binomials pins to the binomials
+    ctx = make_context(p, d)
+    rng = random.Random(p * 10 + d)
+    for k in (0, 1, p - 1, p, 2 * p + 1, p * p + p + 1):
+        for f in [Poly.zero(ctx)] + [random_poly(ctx, rng, 9, min_len=1) for _ in range(4)]:
+            assert f.times_z_minus_one_pow(k) == f * z_minus_one_pow(ctx, k), (k, f)
+
+
+def _value(x, pt):
+    """A pole fraction's value at a point outside {0, 1}, by field arithmetic."""
+    at_one = (pt - pt.ctx.one) ** abs(x.b)
+    if x.b > 0:
+        at_one = at_one.inverse()
+    return _horner(x.num, pt) * (pt ** x.a).inverse() * at_one
+
+
+@pytest.mark.parametrize("p, d", [(7, 1), (3, 2)])
+def test_pole_fraction_signed_order_at_one(p, d):
+    # sums, products and equality where b takes either sign, against values
+    # at every point of F_q outside {0, 1}, and against b >= 0 forms built
+    # with an explicit (z-1)^(-b)
+    ctx = make_context(p, d)
+    rng = random.Random(p + d)
+    points = [x for x in ctx.field_elements() if not (x.is_zero() or x == ctx.one)]
+
+    def nonneg(x):
+        if x.b >= 0:
+            return x
+        return PoleFraction(x.num * z_minus_one_pow(ctx, -x.b), x.a, 0)
+
+    fractions = [PoleFraction(random_poly(ctx, rng, 6), rng.randrange(3), rng.randrange(-4, 5))
+                 for _ in range(12)]
+    for x in fractions:
+        assert x == nonneg(x) and nonneg(x) == x
+        assert x.times_z_minus_one_pow(3).times_z_minus_one_pow(-3) == x
+        for y in fractions:
+            s, m = x + y, x * y
+            assert s == nonneg(x) + nonneg(y)
+            assert m == nonneg(x) * nonneg(y)
+            assert (x == y) == (x - y).is_zero() == (nonneg(x) - nonneg(y)).is_zero()
+            for pt in points:
+                assert _value(s, pt) == _value(x, pt) + _value(y, pt)
+                assert _value(m, pt) == _value(x, pt) * _value(y, pt)
+    # the same function with zeros at 1 of different orders
+    f = P(ctx, 2, 1)
+    assert PoleFraction(f * z_minus_one_pow(ctx, 3), 0, 1) == PoleFraction(f, 0, -2)
+    assert PoleFraction(f, 0, -2) != PoleFraction(f, 0, -1)
+    assert PoleFraction(f, 0, -2) != PoleFraction.zero(ctx)
+    assert PoleFraction.zero(ctx) + PoleFraction(f, 0, -2) == PoleFraction(f, 0, -2)
