@@ -9,7 +9,10 @@ Its leading submatrices T_m ((p-m) x (p+m)) are scanned for the first
 full-rank index, which is the splitting integer n.  Periodicity is the pair
 condition det T_0 = 0 and rank T_1 = p-1, equivalently n = 1.  Each T_m is
 a leading block of T, so one elimination gives the ranks of many of them
-at once (``linalg.mat_leading_ranks``).
+at once (``linalg.blowup_leading_ranks``).  Ranks over F_q are ranks of
+the F_p realisation (the blow-up) divided by d: ``build_T`` writes T's
+realisation once, from the blow-ups of its 4p-2 distinct entries, and T
+itself is a view of it, so no rank of T blows T up or reduces it again.
 
 The remainder system R is the independent reference for that arrangement:
 row i of R holds z^i * A reduced mod (z-1)^(2p), built by recurrence.
@@ -20,14 +23,14 @@ the band is defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cocycle import build_A_closed
 from .errors import DegreeTooLarge, IndexOutOfRange
 from .fields import FieldElement, ReductionContext
-from .linalg import FqMatrix, mat_leading_ranks
+from .linalg import FqMatrix, blowup_leading_ranks
 # unused here; kept because perfbench/hooks.py patches it by name in this module
 from .linalg import mat_rank  # noqa: F401
 from .polys import Poly
@@ -35,12 +38,17 @@ from .polys import Poly
 
 @dataclass(frozen=True)
 class CriterionMatrix:
-    """T with 1-indexed semantics as documented; storage is 0-indexed."""
+    """T with 1-indexed semantics as documented; storage is 0-indexed.
+
+    `blowup` is T's F_p realisation, equal to ``T.blowup()``; T.arr is a
+    view of its rows (i, 0).
+    """
 
     ctx: ReductionContext
     lam0: FieldElement
     lam1: FieldElement
     T: FqMatrix
+    blowup: np.ndarray = field(repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -70,30 +78,35 @@ class SplittingType:
 
 
 def _windows(table: np.ndarray, n: int) -> np.ndarray:
-    """Read-only view whose row s is table[s:s+n], shape (len(table)-n+1, n, d)."""
-    step, inner = table.strides
-    return np.lib.stride_tricks.as_strided(
-        table, (len(table) - n + 1, n, table.shape[1]), (step, step, inner), writeable=False)
+    """View whose row s is table[s:s+n], shape (len(table)-n+1, n, ...);
+    table must be C-contiguous, since the view is made on its buffer."""
+    return np.ndarray((len(table) - n + 1, n) + table.shape[1:], table.dtype, table,
+                      strides=table.strides[:1] + table.strides)
 
 
 def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> CriterionMatrix:
     """Assemble T from the coefficients a_0..a_(2p-1) of the closed-form A.
 
     The left block is Toeplitz and the band Hankel, so each is one window
-    view of a short table of a_k, copied once into T:
+    view of a short table of a_k:
       left = (-a_(p+1), ..., -a_(2p-1), a_0, ..., a_(p-1)),
       T[i, j] = left[j - i + p - 1] for j < p;
       band = (a_(2p-1), ..., a_(p+1)) followed by p zeros,
       T[i, p + k] = band[i + k].
+    Only the two tables are blown up (``ctx.mul_matrix``, one integer
+    product for both), and their window views are copied once into T's
+    (p*d) x ((2p+1)*d) realisation, whose row (i, k) holds x^k times
+    row i.  T is the view of its rows (i, 0).
     """
-    p = ctx.p
+    p, d = ctx.p, ctx.d
     a = build_A_closed(ctx, lam0, lam1).A.v
-    left = np.concatenate([-a[p + 1:] % p, a[:p]])
-    band = np.concatenate([a[:p:-1], np.zeros((p, ctx.d), np.int64)])
-    T = np.zeros((p, 2 * p + 1, ctx.d), np.int64)
-    T[:, :p] = _windows(left, p)[::-1]
-    T[:, p:2 * p] = _windows(band, p)
-    return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, T=FqMatrix(ctx, T))
+    tables = ctx.mul_matrix(np.concatenate(                # left, then band: (2p-1, d, d) each
+        [-a[p + 1:], a[:p], a[:p:-1], np.zeros((p, d), np.int64)]))
+    big = np.zeros((p, d, 2 * p + 1, d), np.int64)    # row (i, k), column (j, l)
+    big[:, :, :p] = _windows(tables[:2 * p - 1], p)[::-1].transpose(0, 2, 1, 3)
+    big[:, :, p:2 * p] = _windows(tables[2 * p - 1:], p).transpose(0, 2, 1, 3)
+    return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, T=FqMatrix(ctx, big[:, 0]),
+                           blowup=big.reshape(p * d, (2 * p + 1) * d))
 
 
 def t_submatrix(tm: CriterionMatrix, m: int) -> FqMatrix:
@@ -106,9 +119,11 @@ def t_submatrix(tm: CriterionMatrix, m: int) -> FqMatrix:
 
 def _t_ranks(tm: CriterionMatrix, ms) -> list[int]:
     """Ranks of T_m for each m in ms, from one elimination of the columns
-    of the widest: every T_m is a leading block of T (see mat_leading_ranks)."""
-    p = tm.p
-    return mat_leading_ranks(tm.T.submatrix(p, p + max(ms)), [(p - m, p + m) for m in ms])
+    of the widest in T's prebuilt realisation: every T_m is a leading
+    block of T (see ``linalg.blowup_leading_ranks``)."""
+    p, d = tm.p, tm.ctx.d
+    return blowup_leading_ranks(tm.ctx, tm.blowup[:, :(p + max(ms)) * d],
+                                [(p - m, p + m) for m in ms])
 
 
 def periodicity_pair(ctx: ReductionContext, lam0: FieldElement,

@@ -173,10 +173,15 @@ class ReductionContext:
         return t % self.p @ self.fold_matrix % self.p
 
     def mul_matrix(self, c) -> np.ndarray:
-        """(d, d) matrix M with v @ M = v * c for every vec v."""
+        """(d, d) matrix M with v @ M = v * c for every vec v.
+
+        Row k of M is x^k * c.  A stack of vecs (..., d) gives a stack of
+        matrices (..., d, d), all from one integer product.
+        """
         d = self.d
-        return (np.asarray(c, np.int64) @ self.basis_products.reshape(d, d * d)
-                ).reshape(d, d) % self.p
+        c = np.asarray(c, np.int64)
+        return (c @ self.basis_products.reshape(d, d * d)
+                ).reshape(c.shape[:-1] + (d, d)) % self.p
 
     def fpow(self, a, e: int):
         return _power(self.fmul, self.one.vec, a, e)

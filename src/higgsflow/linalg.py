@@ -11,12 +11,14 @@ coordinates.
 Every rank and null space goes through one kernel, ``_rref_mod_p``:
 right-looking blocked forward elimination (the FFLAS-FFPACK design of
 Dumas, Giorgi and Pernet, ACM TOMS 35, 2008).  Panels of ``_PANEL``
-columns are factored exactly in int64, and the rest of the matrix is
+columns are factored exactly in integers, and the rest of the matrix is
 updated by one float64 matmul per panel.  That is exact while
 ``_PANEL*(p-1)^2 < 2^53``, which holds for every p below 1.1e7; past the
 bound the kernel raises ``InternalInvariantFailure`` rather than round.
-A rank reads the pivots off the echelon form; a null space
-back-substitutes from it.
+As in FFLAS-FFPACK, residues are held in the smallest integer type that
+the delayed reductions fit: int32 while ``_PANEL*(p-1)^2 + p < 2^31``
+(every p <= 5791), int64 above.  A rank reads the pivots off the echelon
+form; a null space back-substitutes from it.
 
 The kernel brings each pivot row up by rotating the rows between it and
 its target, not by a swap, so the rows without a pivot keep their order,
@@ -24,10 +26,12 @@ and it returns the original row of every pivot.  A row is then only ever
 changed by rows above it, and the pivots inside a leading block are that
 block's rank: one elimination gives the rank of every leading block (the
 rank profile matrix of Dumas, Pernet and Sultan, ISSAC 2015 and
-J. Symbolic Comput. 83, 2017).  ``mat_leading_ranks`` reads them off; the
-t method's scan of T_0, T_1, ... and the Cech oracle's pair of ansatz
-bounds each use it.  ``mat_rank`` eliminates one matrix and counts all
-of its pivots.
+J. Symbolic Comput. 83, 2017).  ``blowup_leading_ranks`` reads them off
+the blow-up of a matrix over F_q.  The t method's scan of T_0, T_1, ...
+hands it T's blow-up, which ``criterion.build_T`` writes once; the Cech
+oracle's pair of ansatz bounds goes through ``mat_leading_ranks``, which
+blows its matrix up first.  ``mat_rank`` eliminates one matrix and counts
+all of its pivots.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .fields import FieldElement, ReductionContext
 
 _PANEL = 64
 _EXACT = 2 ** 53  # float64 holds every integer below this exactly
+_INT32 = 2 ** 31  # int32 holds every integer of smaller magnitude
 
 
 def _check_exact(terms: int, p: int, what: str) -> None:
@@ -47,6 +52,12 @@ def _check_exact(terms: int, p: int, what: str) -> None:
         raise InternalInvariantFailure(
             f"{what}: {terms}*(p-1)^2 >= 2^53 at p={p}, "
             "so a float64 product of residues would round")
+
+
+def _residue_dtype(p: int) -> type:
+    """The kernel's integer type: int32 when a residue below p less
+    ``_PANEL`` products of residues stays inside it, else int64."""
+    return np.int32 if _PANEL * (p - 1) ** 2 + p < _INT32 else np.int64
 
 
 def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
@@ -72,22 +83,29 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
     pivot_rows[k] < i}.  These pivots are the rank profile matrix of
     Dumas, Pernet and Sultan (ISSAC 2015; J. Symbolic Comput. 83, 2017).
 
+    Residues are held in ``_residue_dtype(p)``: int32 while
+    ``_PANEL*(p-1)^2 + p < 2^31``, which bounds every value the delayed
+    reductions below leave (p <= 5791), and int64 above.  The input is
+    reduced once, on its way into that type, and the echelon form comes
+    back in it: a rank reads only the pivots, so it is never widened.
+
     Columns go in panels of ``_PANEL``.  A panel is factored on the rows
-    still without a pivot in int64, keeping the multipliers in place (the
-    LAPACK layout).  Its row rotations reach the trailing columns as one
+    still without a pivot, keeping the multipliers in place (the LAPACK
+    layout).  Its row rotations reach the trailing columns as one
     permutation.  Its row operations are replayed on the pivot rows'
     trailing part by a lower-triangular solve, one dot product per row, and
     every other row's trailing block takes one float64 matmul, exact while
     ``_PANEL*(p-1)^2 < 2^53`` (checked at entry).  The difference goes back
-    to int64 before it is reduced: an int64 remainder is some 20 times
-    faster than ``np.fmod`` on float64 at these magnitudes.  Inside a
-    panel, entries are reduced only when read: a column when it is
+    to the integer type before it is reduced: an integer remainder is some
+    20 times faster than ``np.fmod`` on float64 at these magnitudes.  Inside
+    a panel, entries are reduced only when read: a column when it is
     searched for a pivot, a row when it becomes a pivot row.  Between reads
-    at most ``_PANEL`` products below p^2 pile up, inside int64 under the
-    same bound.
+    at most ``_PANEL`` products below p^2 pile up onto a residue, and so
+    does the float64 product taken from a trailing residue.
     """
     _check_exact(_PANEL, p, "panel update")
-    m = np.remainder(np.asarray(mat, np.int64), p, order="C")   # rows contiguous
+    m = np.empty(np.shape(mat), _residue_dtype(p))     # rows contiguous
+    np.remainder(mat, p, out=m, casting="unsafe")
     rows, cols = m.shape
     origin = np.arange(rows)             # the row of mat that each row of m is
     pivots: list[int] = []
@@ -150,6 +168,7 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
                 block = trail[k:]
                 # block - prod in float64 is an exact integer above -2^53
                 np.subtract(block, prod, out=block, casting="unsafe")
+                del prod                 # before the next panel makes its own
                 block %= p
         # the panel in echelon form: unit pivots, zeros below and left of them
         for j, c in enumerate(piv):
@@ -176,6 +195,8 @@ def _nullspace_mod_p(mat: np.ndarray, p: int) -> list[np.ndarray]:
     reduced echelon form is unique, so it follows from the echelon form by
     back-substitution; blocks of ``_PANEL`` pivot rows take the rows below
     them in one float64 matmul, exact while ``rows*(p-1)^2 < 2^53``.
+    The echelon form arrives in the kernel's residue type; inside a block
+    a row takes fewer than ``_PANEL`` products, which that type holds.
     """
     rows, cols = mat.shape
     if cols == 0:
@@ -258,11 +279,18 @@ class FqMatrix:
     def blowup(self) -> np.ndarray:
         """F_p matrix of shape (rows*d, cols*d) realising the F_q action.
 
-        Row (i, k) holds the coordinates of x^k times row i.
+        Row (i, k) holds the coordinates of x^k times row i: block (i, j)
+        is ``ctx.mul_matrix`` of entry (i, j).  One batched integer product
+        against ``ctx.basis_products`` writes every x^k times row i straight
+        into that order, so the result is a reshape of it, reduced in
+        place.  At d = 1 it is the matrix reduced mod p.
         """
-        ctx = self.ctx
-        big = np.einsum("rci,ikl->rkcl", self.arr, ctx.basis_products)
-        return big.reshape(self.nrows * ctx.d, self.ncols * ctx.d) % ctx.p
+        rows, cols, d = self.arr.shape
+        # (rows, 1, cols, d) @ (d, d, d): batch (i, k) is row i times the
+        # matrix of multiplication by x^k
+        big = np.matmul(self.arr[:, None], self.ctx.basis_products.transpose(1, 0, 2))
+        big %= self.ctx.p
+        return big.reshape(rows * d, cols * d)
 
 
 def mat_rank(m: FqMatrix) -> int:
@@ -272,19 +300,25 @@ def mat_rank(m: FqMatrix) -> int:
     return _rank_mod_p(m.blowup(), m.ctx.p) // m.ctx.d
 
 
-def mat_leading_ranks(m: FqMatrix, shapes) -> list[int]:
+def blowup_leading_ranks(ctx: ReductionContext, big: np.ndarray, shapes) -> list[int]:
     """Ranks over F_{p^d} of the leading blocks m[:rows, :cols], one per
-    (rows, cols) in `shapes`, from a single elimination of the blow-up.
+    (rows, cols) in `shapes`, of the matrix m over F_q whose blow-up
+    (``FqMatrix.blowup``) is `big`, from a single elimination of `big`.
 
     The leading F_q block is the leading (rows*d) x (cols*d) F_p block of
     the blow-up, so its rank is the number of pivots inside that block
     (see ``_rref_mod_p``) divided by d.
     """
-    d = m.ctx.d
-    _, pivots, pivot_rows = _rref_mod_p(m.blowup(), m.ctx.p)
+    d = ctx.d
+    _, pivots, pivot_rows = _rref_mod_p(big, ctx.p)
     cols, rows = np.array(pivots), np.array(pivot_rows)
     return [int(np.count_nonzero((rows < i * d) & (cols < j * d))) // d
             for i, j in shapes]
+
+
+def mat_leading_ranks(m: FqMatrix, shapes) -> list[int]:
+    """``blowup_leading_ranks`` of m's blow-up."""
+    return blowup_leading_ranks(m.ctx, m.blowup(), shapes)
 
 
 def mat_det(m: FqMatrix) -> FieldElement:

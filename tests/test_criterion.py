@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from higgsflow.cocycle import binomial_over_p, build_A_closed
@@ -9,7 +10,7 @@ from higgsflow.criterion import (build_T, det_T0_in_lam1, periodicity_pair,
                                  t_r_first_mismatch, t_submatrix, validate_T_R)
 from higgsflow.errors import DegreeTooLarge, ForbiddenResidue, IndexOutOfRange
 from higgsflow.fields import make_context, witt_decompose
-from higgsflow.linalg import mat_leading_ranks, mat_rank
+from higgsflow.linalg import FqMatrix, mat_leading_ranks, mat_rank
 from higgsflow.polys import Poly, poly_divrem, z_minus_one_pow
 
 
@@ -104,17 +105,54 @@ def test_build_T_matches_entry_formula(p, d):
                 (lam0, lam1)
 
 
-def test_build_T_allocates_one_copy_of_T():
-    # T is written once into its own array; no full-size index, mask or
-    # choice arrays are built on the way
-    ctx = make_context(401, 1)
+def _random_lambdas(ctx, seed):
+    rng = random.Random(seed)
+    lam0 = ctx.f_from_index(rng.randrange(2, ctx.q))    # index 0 is 0, 1 is 1
+    return lam0, ctx.f_from_index(rng.randrange(ctx.q))
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (7, 1), (401, 1), (3, 2), (5, 2), (11, 2), (173, 2)])
+def test_build_T_realisation_is_the_blowup_of_T(p, d):
+    # the realisation is written from the blown-up tables, T is a view of it
+    ctx = make_context(p, d)
+    for seed in range(2):
+        tm = build_T(ctx, *_random_lambdas(ctx, 100 * p + 10 * d + seed))
+        assert tm.blowup.shape == (p * d, (2 * p + 1) * d)
+        assert np.array_equal(tm.blowup, tm.T.blowup())
+        assert np.shares_memory(tm.T.arr, tm.blowup)
+
+
+@pytest.mark.parametrize("p, d", [(401, 1), (173, 2)])
+def test_build_T_allocates_one_copy_of_the_realisation(p, d):
+    # the realisation is written once into its own array; no full-size
+    # index, mask or choice arrays are built on the way, and T is a view
+    ctx = make_context(p, d)
+    lam0, lam1 = ctx.f_from_int(2), ctx.f_from_int(3)
     tracemalloc.start()
     try:
-        T = build_T(ctx, ctx.f_from_int(2), ctx.f_from_int(3)).T.arr
+        big = build_T(ctx, lam0, lam1).blowup
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * T.nbytes
+    assert peak <= 3 * big.nbytes
+
+
+def test_t_method_never_blows_T_up(monkeypatch):
+    # every rank of the t method reads the realisation build_T wrote; the
+    # w = 9 rows at p = 5 have n = 2, so they take the second elimination too
+    def refuse(self):
+        raise AssertionError("FqMatrix.blowup called")
+
+    monkeypatch.setattr(FqMatrix, "blowup", refuse)
+    for p, d in ((5, 1), (5, 2)):
+        ctx = make_context(p, d)
+        wp = witt_decompose(ctx.w_from_int(9))
+        assert splitting_from_T(ctx, wp.lam0, wp.lam1).n == 2
+    for p, d in ((401, 1), (173, 2)):
+        ctx = make_context(p, d)
+        lam0, lam1 = _random_lambdas(ctx, p)
+        splitting_from_T(ctx, lam0, lam1)
+        periodicity_pair(ctx, lam0, lam1)
 
 
 def test_t_submatrix():

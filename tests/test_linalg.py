@@ -117,6 +117,27 @@ def test_blowup_rank_is_multiple_of_degree():
     assert _rank_mod_p(m.blowup(), 3) == 2 * mat_rank(m)
 
 
+def _einsum_blowup(m):
+    """The blow-up by its definition: row (i, k) holds x^k times row i."""
+    ctx = m.ctx
+    big = np.einsum("rci,ikl->rkcl", m.arr, ctx.basis_products)
+    return big.reshape(m.nrows * ctx.d, m.ncols * ctx.d) % ctx.p
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (401, 1), (3, 2), (5, 2), (173, 2), (9973, 2)])
+def test_blowup_matches_einsum_reference(p, d):
+    # unreduced and negative entries, and a transposed (strided) operand
+    rng = np.random.default_rng([p, d])
+    ctx = make_context(p, d)
+    arr = rng.integers(-3 * p, 3 * p, (7, 12, d))
+    for m in (FqMatrix(ctx, arr), FqMatrix(ctx, arr).transpose()):
+        big = m.blowup()
+        assert big.shape == (m.nrows * d, m.ncols * d)
+        assert np.array_equal(big, _einsum_blowup(m))
+    if d == 1:
+        assert np.array_equal(FqMatrix(ctx, arr).blowup(), arr[:, :, 0] % p)
+
+
 # -- the blocked kernel against sympy's DomainMatrix over GF(p) ----------------
 
 ORACLE_PRIMES = (2, 3, 401, 9973)
@@ -318,3 +339,68 @@ def test_kernel_refuses_a_prime_where_float64_products_would_round():
         _rank_mod_p(a, p)
     with pytest.raises(InternalInvariantFailure, match=r"2\^53"):
         _nullspace_mod_p(a, p)
+
+
+def _pile_up(p, width, rng):
+    """Unit pivot rows over the first `width` columns, p-1 right of them,
+    and rows below with p-1 in those columns: each trailing entry below
+    the pivots takes `width` products (p-1)^2 in one panel update, and the
+    all-zero last row lands on exactly -width*(p-1)^2."""
+    a = np.zeros((width + 6, width + 40), np.int64)
+    a[:width, :width] = np.eye(width, dtype=np.int64)
+    a[:width, width:] = p - 1
+    a[width:, :width] = p - 1
+    a[width:-1, width:] = rng.integers(0, p, (5, 40))
+    return a
+
+
+# 64*(p-1)^2 + p < 2^31 up to p = 5791; 5801 is the next prime
+@pytest.mark.parametrize("p, dtype", [(5791, np.int32), (5801, np.int64)])
+def test_kernel_either_side_of_the_int32_bound_matches_oracle(p, dtype):
+    from higgsflow.linalg import _PANEL, _residue_dtype, _rref_mod_p
+
+    assert _residue_dtype(p) is dtype
+    rng = np.random.default_rng(p)
+    a = _pile_up(p, _PANEL, rng)
+    assert _rref_mod_p(a, p)[0].dtype == dtype
+    _check_against_oracle(a, p)
+    _check_against_oracle(rng.integers(0, p, (70, 140)), p)
+    pivots = sorted(rng.choice(140, 60, replace=False).tolist())
+    a = _with_profile(rng, 75, 140, pivots, p, [c for c in range(140)
+                                                if c % 9 == 8 and c not in pivots])
+    assert _check_against_oracle(a, p) == pivots
+
+
+def test_narrower_panel_moves_the_int32_bound(monkeypatch):
+    # 32*(p-1)^2 + p < 2^31 up to p = 8191; 8209 is the next prime
+    import higgsflow.linalg as linalg
+
+    assert linalg._residue_dtype(5801) is np.int64
+    monkeypatch.setattr(linalg, "_PANEL", 32)
+    assert linalg._residue_dtype(5801) is np.int32
+    assert linalg._residue_dtype(8191) is np.int32
+    assert linalg._residue_dtype(8209) is np.int64
+    rng = np.random.default_rng(32)
+    for p, dtype in ((8191, np.int32), (8209, np.int64)):
+        a = _pile_up(p, 32, rng)
+        assert linalg._rref_mod_p(a, p)[0].dtype == dtype
+        _check_against_oracle(a, p)
+
+
+def test_kernel_holds_one_panel_product_at_a_time():
+    # each panel's float64 product is dropped before the next panel makes
+    # its own: the peak is the int32 residues and about one product
+    import tracemalloc
+
+    from higgsflow.linalg import _PANEL, _rref_mod_p
+
+    p, n = 401, 640
+    a = np.random.default_rng(1).integers(0, p, (n, n))
+    tracemalloc.start()
+    try:
+        _rref_mod_p(a, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    residues, product = n * n * 4, (n - _PANEL) ** 2 * 8
+    assert peak <= 1.35 * (residues + product)
