@@ -10,9 +10,12 @@ full-rank index, which is the splitting integer n.  Periodicity is the pair
 condition det T_0 = 0 and rank T_1 = p-1, equivalently n = 1.  Each T_m is
 a leading block of T, so one elimination gives the ranks of many of them
 at once (``linalg.blowup_leading_ranks``).  Ranks over F_q are ranks of
-the F_p realisation (the blow-up) divided by d: ``build_T`` writes T's
-realisation once, from the blow-ups of its 4p-2 distinct entries, and T
-itself is a view of it, so no rank of T blows T up or reduces it again.
+the F_p realisation (the blow-up) divided by d.  ``build_T`` keeps only the
+blow-ups of T's 4p-2 distinct entries, as two tables; each elimination
+writes from their window views just the leading columns it reads, in the
+kernel's residue type, so no rank of T blows T up or reduces it again, and
+no row holds more of the realisation than the block it is eliminating.
+T over F_q itself is assembled only on request.
 
 The remainder system R is the independent reference for that arrangement:
 row i of R holds z^i * A reduced mod (z-1)^(2p), built by recurrence.
@@ -30,7 +33,7 @@ import numpy as np
 from .cocycle import build_A_closed
 from .errors import DegreeTooLarge, IndexOutOfRange
 from .fields import FieldElement, ReductionContext
-from .linalg import FqMatrix, blowup_leading_ranks
+from .linalg import FqMatrix, _residue_dtype, blowup_leading_ranks
 # unused here; kept because perfbench/hooks.py patches it by name in this module
 from .linalg import mat_rank  # noqa: F401
 from .polys import Poly
@@ -40,19 +43,39 @@ from .polys import Poly
 class CriterionMatrix:
     """T with 1-indexed semantics as documented; storage is 0-indexed.
 
-    `blowup` is T's F_p realisation, equal to ``T.blowup()``; T.arr is a
-    view of its rows (i, 0).
+    Only the blow-ups of T's two coefficient tables are stored (see
+    ``build_T``): `tables` stacks ``ctx.mul_matrix`` of the left table, then
+    of the band table, 2p-1 entries each.  `T` and `realisation` assemble
+    T over F_q and leading columns of its F_p realisation from their window
+    views, each time they are asked for.
     """
 
     ctx: ReductionContext
     lam0: FieldElement
     lam1: FieldElement
-    T: FqMatrix
-    blowup: np.ndarray = field(repr=False, compare=False)
+    tables: np.ndarray = field(repr=False, compare=False)
 
     @property
     def p(self) -> int:
         return self.ctx.p
+
+    @property
+    def T(self) -> FqMatrix:
+        """T over F_q, read off the tables' row 0: row 0 of
+        ``mul_matrix(c)`` is x^0 * c = c."""
+        p = self.p
+        out = np.zeros((p, 2 * p + 1, self.ctx.d), np.int64)
+        _fill_T(out, np.ascontiguousarray(self.tables[:, 0]), p)
+        return FqMatrix(self.ctx, out)
+
+    def realisation(self, cols: int) -> np.ndarray:
+        """The leading (p*d) x (cols*d) block of T's F_p realisation, in the
+        elimination kernel's residue type: row (i, k) holds x^k times row i,
+        so the full one (cols = 2p+1) equals ``T.blowup()``."""
+        p, d = self.p, self.ctx.d
+        out = np.zeros((p, d, cols, d), _residue_dtype(p))  # row (i, k), column (j, l)
+        _fill_T(out.transpose(0, 2, 1, 3), self.tables, p)
+        return out.reshape(p * d, cols * d)
 
 
 @dataclass(frozen=True)
@@ -84,6 +107,16 @@ def _windows(table: np.ndarray, n: int) -> np.ndarray:
                       strides=table.strides[:1] + table.strides)
 
 
+def _fill_T(out: np.ndarray, tables: np.ndarray, p: int) -> None:
+    """Write T's leading out.shape[1] columns into the zeroed `out`, whose
+    entry (i, j) has the trailing axes of the two stacked tables:
+    out[i, j] = left[j - i + p - 1] for j < p, out[i, p + k] = band[i + k]."""
+    cols = out.shape[1]
+    out[:, :p] = _windows(tables[:2 * p - 1], p)[::-1, :cols]
+    if cols > p:
+        out[:, p:2 * p] = _windows(tables[2 * p - 1:], p)[:, :cols - p]
+
+
 def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> CriterionMatrix:
     """Assemble T from the coefficients a_0..a_(2p-1) of the closed-form A.
 
@@ -94,19 +127,15 @@ def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> Cr
       band = (a_(2p-1), ..., a_(p+1)) followed by p zeros,
       T[i, p + k] = band[i + k].
     Only the two tables are blown up (``ctx.mul_matrix``, one integer
-    product for both), and their window views are copied once into T's
-    (p*d) x ((2p+1)*d) realisation, whose row (i, k) holds x^k times
-    row i.  T is the view of its rows (i, 0).
+    product for both), and only they are kept: O(p*d^2) entries.  The
+    realisation, whose row (i, k) holds x^k times row i, is written from
+    their window views by whoever reads it (``CriterionMatrix``).
     """
     p, d = ctx.p, ctx.d
     a = build_A_closed(ctx, lam0, lam1).A.v
     tables = ctx.mul_matrix(np.concatenate(                # left, then band: (2p-1, d, d) each
         [-a[p + 1:], a[:p], a[:p:-1], np.zeros((p, d), np.int64)]))
-    big = np.zeros((p, d, 2 * p + 1, d), np.int64)    # row (i, k), column (j, l)
-    big[:, :, :p] = _windows(tables[:2 * p - 1], p)[::-1].transpose(0, 2, 1, 3)
-    big[:, :, p:2 * p] = _windows(tables[2 * p - 1:], p).transpose(0, 2, 1, 3)
-    return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, T=FqMatrix(ctx, big[:, 0]),
-                           blowup=big.reshape(p * d, (2 * p + 1) * d))
+    return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, tables=tables)
 
 
 def t_submatrix(tm: CriterionMatrix, m: int) -> FqMatrix:
@@ -119,10 +148,12 @@ def t_submatrix(tm: CriterionMatrix, m: int) -> FqMatrix:
 
 def _t_ranks(tm: CriterionMatrix, ms) -> list[int]:
     """Ranks of T_m for each m in ms, from one elimination of the columns
-    of the widest in T's prebuilt realisation: every T_m is a leading
-    block of T (see ``linalg.blowup_leading_ranks``)."""
-    p, d = tm.p, tm.ctx.d
-    return blowup_leading_ranks(tm.ctx, tm.blowup[:, :(p + max(ms)) * d],
+    of the widest: every T_m is a leading block of T (see
+    ``linalg.blowup_leading_ranks``).  Those columns of T's realisation are
+    written for this elimination alone, in the kernel's residue type, so
+    its entry copy does not widen them and nothing outlives the call."""
+    p = tm.p
+    return blowup_leading_ranks(tm.ctx, tm.realisation(p + max(ms)),
                                 [(p - m, p + m) for m in ms])
 
 

@@ -12,7 +12,8 @@ Every rank and null space goes through one kernel, ``_rref_mod_p``:
 right-looking blocked forward elimination (the FFLAS-FFPACK design of
 Dumas, Giorgi and Pernet, ACM TOMS 35, 2008).  Panels of ``_PANEL``
 columns are factored exactly in integers, and the rest of the matrix is
-updated by one float64 matmul per panel.  That is exact while
+updated by float64 matmuls, ``_PANEL`` rows at a time, so the kernel's
+temporaries are O(``_PANEL``*cols) beside its residues.  That is exact while
 ``_PANEL*(p-1)^2 < 2^53``, which holds for every p below 1.1e7; past the
 bound the kernel raises ``InternalInvariantFailure`` rather than round.
 As in FFLAS-FFPACK, residues are held in the smallest integer type that
@@ -28,10 +29,11 @@ block's rank: one elimination gives the rank of every leading block (the
 rank profile matrix of Dumas, Pernet and Sultan, ISSAC 2015 and
 J. Symbolic Comput. 83, 2017).  ``blowup_leading_ranks`` reads them off
 the blow-up of a matrix over F_q.  The t method's scan of T_0, T_1, ...
-hands it T's blow-up, which ``criterion.build_T`` writes once; the Cech
-oracle's pair of ansatz bounds goes through ``mat_leading_ranks``, which
-blows its matrix up first.  ``mat_rank`` eliminates one matrix and counts
-all of its pivots.
+hands it the leading columns of T's blow-up, which ``criterion`` writes
+for each elimination from two blown-up tables; the Cech oracle's pair of
+ansatz bounds goes through ``mat_leading_ranks``, which blows its matrix
+up first.  ``mat_rank`` eliminates one matrix and counts all of its
+pivots.
 """
 
 from __future__ import annotations
@@ -94,14 +96,16 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
     layout).  Its row rotations reach the trailing columns as one
     permutation.  Its row operations are replayed on the pivot rows'
     trailing part by a lower-triangular solve, one dot product per row, and
-    every other row's trailing block takes one float64 matmul, exact while
-    ``_PANEL*(p-1)^2 < 2^53`` (checked at entry).  The difference goes back
-    to the integer type before it is reduced: an integer remainder is some
-    20 times faster than ``np.fmod`` on float64 at these magnitudes.  Inside
-    a panel, entries are reduced only when read: a column when it is
-    searched for a pivot, a row when it becomes a pivot row.  Between reads
-    at most ``_PANEL`` products below p^2 pile up onto a residue, and so
-    does the float64 product taken from a trailing residue.
+    every other row's trailing part takes a float64 matmul against the
+    solved rows, ``_PANEL`` rows at a time, so no temporary grows with the
+    number of rows; each is exact while ``_PANEL*(p-1)^2 < 2^53`` (checked
+    at entry).  The difference goes back to the integer type before it is
+    reduced: an integer remainder is some 20 times faster than ``np.fmod``
+    on float64 at these magnitudes.  Inside a panel, entries are reduced
+    only when read: a column when it is searched for a pivot, a row when it
+    becomes a pivot row.  Between reads at most ``_PANEL`` products below
+    p^2 pile up onto a residue, and so does the float64 product taken from
+    a trailing residue.
     """
     _check_exact(_PANEL, p, "panel update")
     m = np.empty(np.shape(mat), _residue_dtype(p))     # rows contiguous
@@ -163,12 +167,13 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
                 tj %= p
                 tj *= inv[j]
                 tj %= p
-            if k < len(panel):
-                prod = panel[k:, piv].astype(np.float64) @ top.astype(np.float64)
-                block = trail[k:]
-                # block - prod in float64 is an exact integer above -2^53
+            # every other row, _PANEL rows at a time: block - prod in
+            # float64 is an exact integer above -2^53
+            ftop = top.astype(np.float64)
+            for b0 in range(k, len(panel), _PANEL):
+                block = trail[b0:b0 + _PANEL]
+                prod = panel[b0:b0 + _PANEL, piv].astype(np.float64) @ ftop
                 np.subtract(block, prod, out=block, casting="unsafe")
-                del prod                 # before the next panel makes its own
                 block %= p
         # the panel in echelon form: unit pivots, zeros below and left of them
         for j, c in enumerate(piv):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import __version__
@@ -158,6 +157,9 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[ScanRow]:
         raise InvalidRange(f"jobs must be at least 1, got {jobs}")
     rows: list[ScanRow] = []
     if jobs > 1 and len(tasks) > 1:
+        # imported here: the pool's modules cost a serial run start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(_scan_prime_task, tasks):
                 rows.extend(chunk)

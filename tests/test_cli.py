@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,16 +198,30 @@ def test_jobs_default_ignores_environment(monkeypatch):
                                   ("beauville", "--prime-range", "5:13")],
                          ids=["scan", "beauville"])
 def test_jobs_below_one_is_rejected(monkeypatch, capsys, argv, jobs):
-    import higgsflow.scan as scan_mod
+    # the runner imports the pool class when it builds a pool
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was built")
 
-    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, out, err = run_cli(capsys, *argv, f"--jobs={jobs}")
     assert code == 2
     assert out == ""
     assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+def test_cli_import_loads_no_process_pool():
+    # a serial run never starts a pool, so importing the CLI must not pay
+    # for multiprocessing and what it imports
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, higgsflow.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_mismatch_exit_code(monkeypatch, capsys):

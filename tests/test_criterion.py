@@ -10,7 +10,7 @@ from higgsflow.criterion import (build_T, det_T0_in_lam1, periodicity_pair,
                                  t_r_first_mismatch, t_submatrix, validate_T_R)
 from higgsflow.errors import DegreeTooLarge, ForbiddenResidue, IndexOutOfRange
 from higgsflow.fields import make_context, witt_decompose
-from higgsflow.linalg import FqMatrix, mat_leading_ranks, mat_rank
+from higgsflow.linalg import FqMatrix, _residue_dtype, mat_leading_ranks, mat_rank
 from higgsflow.polys import Poly, poly_divrem, z_minus_one_pow
 
 
@@ -113,28 +113,61 @@ def _random_lambdas(ctx, seed):
 
 @pytest.mark.parametrize("p, d", [(3, 1), (7, 1), (401, 1), (3, 2), (5, 2), (11, 2), (173, 2)])
 def test_build_T_realisation_is_the_blowup_of_T(p, d):
-    # the realisation is written from the blown-up tables, T is a view of it
+    # the leading columns an elimination reads, written from the blown-up
+    # tables in the kernel's residue type, are those of T's blow-up
     ctx = make_context(p, d)
     for seed in range(2):
         tm = build_T(ctx, *_random_lambdas(ctx, 100 * p + 10 * d + seed))
-        assert tm.blowup.shape == (p * d, (2 * p + 1) * d)
-        assert np.array_equal(tm.blowup, tm.T.blowup())
-        assert np.shares_memory(tm.T.arr, tm.blowup)
+        full = tm.T.blowup()
+        assert full.shape == (p * d, (2 * p + 1) * d)
+        for m in (1, p - 1):
+            big = tm.realisation(p + m)
+            assert big.dtype == _residue_dtype(p)
+            assert np.array_equal(big, full[:, :(p + m) * d])
+        assert np.array_equal(tm.realisation(2 * p + 1), full)
 
 
-@pytest.mark.parametrize("p, d", [(401, 1), (173, 2)])
-def test_build_T_allocates_one_copy_of_the_realisation(p, d):
-    # the realisation is written once into its own array; no full-size
-    # index, mask or choice arrays are built on the way, and T is a view
-    ctx = make_context(p, d)
-    lam0, lam1 = ctx.f_from_int(2), ctx.f_from_int(3)
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        big = build_T(ctx, lam0, lam1).blowup
+        out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * big.nbytes
+    return out, peak
+
+
+@pytest.mark.parametrize("p, d", [(401, 1), (173, 2)])
+def test_build_T_allocates_only_the_tables(p, d):
+    # build_T keeps the two blown-up tables, (2p-1)*d*d entries each, and
+    # writes no part of the (p*d) x ((2p+1)*d) realisation: O(p*d^2) bytes
+    ctx = make_context(p, d)
+    tm, peak = _traced_peak(build_T, ctx, ctx.f_from_int(2), ctx.f_from_int(3))
+    assert tm.tables.shape == (2 * (2 * p - 1), d, d)
+    assert peak <= 6 * tm.tables.nbytes
+
+
+@pytest.mark.parametrize("p, d", [(401, 1), (173, 2)])
+def test_t_row_peaks_near_the_block_it_eliminates(p, d):
+    # a row with n <= 1 eliminates T's first p+1 columns, written in the
+    # kernel's residue type: it holds that block, the kernel's copy of it
+    # and O(_PANEL) rows of temporaries, not T's whole realisation
+    ctx = make_context(p, d)
+    lam0, lam1 = ctx.f_from_int(2), ctx.f_from_int(3)
+    split, peak = _traced_peak(splitting_from_T, ctx, lam0, lam1)
+    assert split.n <= 1
+    block = p * d * (p + 1) * d * np.dtype(_residue_dtype(p)).itemsize
+    assert peak <= 4 * block
+
+
+def test_t_row_at_p_2003_stays_below_40_mb():
+    # lambda = -1 has n = 1 at p = 2003; one elimination of 2003 x 2004
+    # residues in int32 is 16 MB, the whole int64 realisation 64 MB
+    ctx = make_context(2003, 1)
+    wp = witt_decompose(ctx.w_from_int(-1))
+    split, peak = _traced_peak(splitting_from_T, ctx, wp.lam0, wp.lam1)
+    assert split.n == 1
+    assert peak <= 40e6
 
 
 def test_t_method_never_blows_T_up(monkeypatch):

@@ -341,16 +341,16 @@ def test_kernel_refuses_a_prime_where_float64_products_would_round():
         _nullspace_mod_p(a, p)
 
 
-def _pile_up(p, width, rng):
+def _pile_up(p, width, rng, below=6):
     """Unit pivot rows over the first `width` columns, p-1 right of them,
-    and rows below with p-1 in those columns: each trailing entry below
-    the pivots takes `width` products (p-1)^2 in one panel update, and the
-    all-zero last row lands on exactly -width*(p-1)^2."""
-    a = np.zeros((width + 6, width + 40), np.int64)
+    and `below` rows below with p-1 in those columns: each trailing entry
+    below the pivots takes `width` products (p-1)^2 in one panel update,
+    and the all-zero last row lands on exactly -width*(p-1)^2."""
+    a = np.zeros((width + below, width + 40), np.int64)
     a[:width, :width] = np.eye(width, dtype=np.int64)
     a[:width, width:] = p - 1
     a[width:, :width] = p - 1
-    a[width:-1, width:] = rng.integers(0, p, (5, 40))
+    a[width:-1, width:] = rng.integers(0, p, (below - 1, 40))
     return a
 
 
@@ -388,8 +388,9 @@ def test_narrower_panel_moves_the_int32_bound(monkeypatch):
 
 
 def test_kernel_holds_one_panel_product_at_a_time():
-    # each panel's float64 product is dropped before the next panel makes
-    # its own: the peak is the int32 residues and about one product
+    # each panel's trailing update runs _PANEL rows at a time: besides the
+    # int32 residues the kernel holds a few (_PANEL, cols) float64 blocks,
+    # never a product as large as the matrix
     import tracemalloc
 
     from higgsflow.linalg import _PANEL, _rref_mod_p
@@ -402,5 +403,25 @@ def test_kernel_holds_one_panel_product_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    residues, product = n * n * 4, (n - _PANEL) ** 2 * 8
-    assert peak <= 1.35 * (residues + product)
+    residues, block = n * n * 4, _PANEL * n * 8
+    assert peak <= residues + 5 * block
+
+
+# 64 rows of trailing update per block at the default width; 5791 is the
+# largest prime whose pile-up of 64 products stays in int32
+@pytest.mark.parametrize("width, p", [(4, 401), (8, 9973), (64, 5791)])
+def test_trailing_update_in_row_blocks_matches_oracle(monkeypatch, width, p):
+    # matrices several row blocks tall: the rows below each panel's pivots
+    # are updated _PANEL at a time, and the last one lands on -width*(p-1)^2
+    import higgsflow.linalg as linalg
+
+    monkeypatch.setattr(linalg, "_PANEL", width)
+    rng = np.random.default_rng([width, p])
+    a = _pile_up(p, width, rng, below=3 * width + 5)
+    assert linalg._rref_mod_p(a, p)[0].dtype == linalg._residue_dtype(p)
+    _check_against_oracle(a, p)
+    rows, cols = 4 * width + 7, 2 * width + 9
+    pivots = sorted(rng.choice(cols, cols - 3, replace=False).tolist())
+    a = _with_profile(rng, rows, cols, pivots, p, [c for c in range(cols)
+                                                   if c % 7 == 6 and c not in pivots])
+    assert _check_against_oracle(a, p) == pivots
