@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 bad input, 3 cross-method mismatch, a failed
 self-test suite, or an internal error (an invariant that holds for every
-valid input broke, reported as "internal error: ...").  The formulas under
+valid input broke, or a ``ValueError`` escaped, reported as "internal
+error: ...").  Every bad-input path raises a ``HiggsflowError``.  The formulas under
 test are treated as claims: a mismatch between methods is reportable data
 plus a nonzero exit, never a silent drop.
 """
@@ -157,13 +158,12 @@ def main(argv=None) -> int:
                 "selftest": _run_selftest, "beauville": _run_beauville}
     try:
         return handlers[args.command](args)
-    except InternalError as exc:
+    except (InternalError, ValueError) as exc:
+        # bad input arrives as a HiggsflowError; a ValueError is a fault in
+        # the program, such as mismatched array shapes
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except HiggsflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -9,13 +9,15 @@ Its leading submatrices T_m ((p-m) x (p+m)) are scanned for the first
 full-rank index, which is the splitting integer n.  Periodicity is the pair
 condition det T_0 = 0 and rank T_1 = p-1, equivalently n = 1.  Each T_m is
 a leading block of T, so one elimination gives the ranks of many of them
-at once (``linalg.blowup_leading_ranks``).  Ranks over F_q are ranks of
-the F_p realisation (the blow-up) divided by d.  ``build_T`` keeps only the
-blow-ups of T's 4p-2 distinct entries, as two tables; each elimination
-writes from their window views just the leading columns it reads, in the
-kernel's residue type, so no rank of T blows T up or reduces it again, and
-no row holds more of the realisation than the block it is eliminating.
-T over F_q itself is assembled only on request.
+at once (``linalg.blowup_leading_ranks``), and every T of a sweep at one
+prime has the same shape, so one elimination covers all of them
+(``splittings_from_T``).  Ranks over F_q are ranks of the F_p realisation
+(the blow-up) divided by d.  ``build_T`` keeps only the blow-ups of T's
+4p-2 distinct entries, as two tables; each elimination writes from their
+window views just the leading columns it reads, in the kernel's residue
+type, into the stack the kernel eliminates in place, so no rank of T blows
+T up, reduces it again or copies it.  T over F_q itself is assembled only
+on request.
 
 The remainder system R is the independent reference for that arrangement:
 row i of R holds z^i * A reduced mod (z-1)^(2p), built by recurrence.
@@ -33,7 +35,7 @@ import numpy as np
 from .cocycle import build_A_closed
 from .errors import DegreeTooLarge, IndexOutOfRange
 from .fields import FieldElement, ReductionContext
-from .linalg import FqMatrix, _residue_dtype, blowup_leading_ranks
+from .linalg import FqMatrix, _residue_dtype, blowup_leading_ranks, stack_slices
 # unused here; kept because perfbench/hooks.py patches it by name in this module
 from .linalg import mat_rank  # noqa: F401
 from .polys import Poly
@@ -72,10 +74,7 @@ class CriterionMatrix:
         """The leading (p*d) x (cols*d) block of T's F_p realisation, in the
         elimination kernel's residue type: row (i, k) holds x^k times row i,
         so the full one (cols = 2p+1) equals ``T.blowup()``."""
-        p, d = self.p, self.ctx.d
-        out = np.zeros((p, d, cols, d), _residue_dtype(p))  # row (i, k), column (j, l)
-        _fill_T(out.transpose(0, 2, 1, 3), self.tables, p)
-        return out.reshape(p * d, cols * d)
+        return _realisations([self], cols)[0]
 
 
 @dataclass(frozen=True)
@@ -146,43 +145,65 @@ def t_submatrix(tm: CriterionMatrix, m: int) -> FqMatrix:
     return tm.T.submatrix(p - m, p + m)
 
 
-def _t_ranks(tm: CriterionMatrix, ms) -> list[int]:
-    """Ranks of T_m for each m in ms, from one elimination of the columns
-    of the widest: every T_m is a leading block of T (see
-    ``linalg.blowup_leading_ranks``).  Those columns of T's realisation are
-    written for this elimination alone, in the kernel's residue type, so
-    its entry copy does not widen them and nothing outlives the call."""
-    p = tm.p
-    return blowup_leading_ranks(tm.ctx, tm.realisation(p + max(ms)),
-                                [(p - m, p + m) for m in ms])
+def _realisations(tms: list[CriterionMatrix], cols: int) -> np.ndarray:
+    """The leading (p*d) x (cols*d) blocks of the realisations of every T in
+    tms, as one fresh stack in the kernel's residue type."""
+    p, d = tms[0].p, tms[0].ctx.d
+    out = np.zeros((len(tms), p, d, cols, d), _residue_dtype(p))  # row (i, k), column (j, l)
+    for tm, block in zip(tms, out):
+        _fill_T(block.transpose(0, 2, 1, 3), tm.tables, p)
+    return out.reshape(len(tms), p * d, cols * d)
+
+
+def _t_ranks(tms: list[CriterionMatrix], ms) -> np.ndarray:
+    """Ranks of T_m, one column per m in ms, of every T in tms (one row
+    each), all at one (p, d): one elimination of the columns of the widest
+    T_m covers every T_m (see ``linalg.blowup_leading_ranks``), and one
+    stack covers every T, up to ``linalg.stack_slices``.  Those columns of
+    T's realisation are written for this elimination alone, into the stack
+    that the kernel reduces in place, so nothing outlives the call."""
+    ctx, p = tms[0].ctx, tms[0].p
+    cols = p + max(ms)
+    shapes = [(p - m, p + m) for m in ms]
+    return np.concatenate([blowup_leading_ranks(ctx, _realisations(tms[part], cols), shapes)
+                           for part in stack_slices(len(tms), p * cols * ctx.d ** 2)])
 
 
 def periodicity_pair(ctx: ReductionContext, lam0: FieldElement,
                      lam1: FieldElement) -> bool:
     """det T_0 = 0 and rank T_1 = p-1 (singularity tested via rank)."""
     p = ctx.p
-    r0, r1 = _t_ranks(build_T(ctx, lam0, lam1), (0, 1))
+    r0, r1 = _t_ranks([build_T(ctx, lam0, lam1)], (0, 1))[0].tolist()
     return r0 < p and r1 == p - 1
+
+
+def splittings_from_T(ctx: ReductionContext, pairs) -> list[SplittingType]:
+    """First full-rank index of {T_0, ..., T_(p-1)} for each (lam0, lam1) in
+    pairs; n = p when none is.
+
+    One elimination of the first p+1 columns of every T gives the ranks of
+    T_0 and T_1, which decide n <= 1; only the pairs with rank T_1 < p-1
+    take one more elimination, of the columns of T_(p-1), for the ranks of
+    the rest.
+    """
+    p = ctx.p
+    tms = [build_T(ctx, lam0, lam1) for lam0, lam1 in pairs]
+    if not tms:
+        return []
+    ns = [0 if r0 == p else 1 if r1 == p - 1 else None
+          for r0, r1 in _t_ranks(tms, (0, 1)).tolist()]
+    rest = [i for i, n in enumerate(ns) if n is None]
+    if rest:
+        ms = range(2, p)
+        for i, ranks in zip(rest, _t_ranks([tms[i] for i in rest], ms).tolist()):
+            ns[i] = next((m for m, r in zip(ms, ranks) if r == p - m), p)
+    return [SplittingType.of(n, "t") for n in ns]
 
 
 def splitting_from_T(ctx: ReductionContext, lam0: FieldElement,
                      lam1: FieldElement) -> SplittingType:
-    """First full-rank index of {T_0, ..., T_(p-1)}; n = p when none is.
-
-    One elimination of T's first p+1 columns gives the ranks of T_0 and
-    T_1, which decide n <= 1; only when rank T_1 < p-1 does one more
-    elimination, of the columns of T_(p-1), give the ranks of the rest.
-    """
-    tm = build_T(ctx, lam0, lam1)
-    p = ctx.p
-    r0, r1 = _t_ranks(tm, (0, 1))
-    if r0 == p:
-        return SplittingType.of(0, "t")
-    if r1 == p - 1:
-        return SplittingType.of(1, "t")
-    ms = range(2, p)
-    n = next((m for m, r in zip(ms, _t_ranks(tm, ms)) if r == p - m), p)
-    return SplittingType.of(n, "t")
+    """``splittings_from_T`` of one pair."""
+    return splittings_from_T(ctx, [(lam0, lam1)])[0]
 
 
 def remainder_system(ctx: ReductionContext, A: Poly) -> RemainderSystem:

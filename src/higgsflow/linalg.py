@@ -8,32 +8,36 @@ which multiplies both dimensions by d and divides the resulting rank by d
 correspond exactly to null vectors over F_{p^d} by re-chunking
 coordinates.
 
-Every rank and null space goes through one kernel, ``_rref_mod_p``:
-right-looking blocked forward elimination (the FFLAS-FFPACK design of
-Dumas, Giorgi and Pernet, ACM TOMS 35, 2008).  Panels of ``_PANEL``
-columns are factored exactly in integers, and the rest of the matrix is
-updated by float64 matmuls, ``_PANEL`` rows at a time, so the kernel's
-temporaries are O(``_PANEL``*cols) beside its residues.  That is exact while
+Every rank and null space goes through one kernel, ``_rank_profiles``,
+which eliminates a whole stack of equally shaped matrices, (n, rows, cols),
+in one column loop: right-looking blocked forward elimination (the
+FFLAS-FFPACK design of Dumas, Giorgi and Pernet, ACM TOMS 35, 2008).
+Panels of ``_PANEL`` columns are factored exactly in integers, held
+column-major so that the pivot search and the in-panel updates run along
+contiguous memory, and the rest of each matrix is updated by float64
+matmuls, ``_PANEL`` rows at a time, so the kernel's temporaries are
+O(n*``_PANEL``*cols) beside its residues.  That is exact while
 ``_PANEL*(p-1)^2 < 2^53``, which holds for every p below 1.1e7; past the
 bound the kernel raises ``InternalInvariantFailure`` rather than round.
 As in FFLAS-FFPACK, residues are held in the smallest integer type that
 the delayed reductions fit: int32 while ``_PANEL*(p-1)^2 + p < 2^31``
-(every p <= 5791), int64 above.  A rank reads the pivots off the echelon
-form; a null space back-substitutes from it.
+(every p <= 5791), int64 above.  Callers write a fresh stack in that type
+(``_residue_dtype``) and the kernel reduces it in place; one stack holds at
+most ``_STACK`` residues (``stack_slices``).
 
-The kernel brings each pivot row up by rotating the rows between it and
-its target, not by a swap, so the rows without a pivot keep their order,
-and it returns the original row of every pivot.  A row is then only ever
+Rows never move.  The pivot of a column, in each matrix, is the first row
+without a pivot that is nonzero there; rows that already have a pivot are
+masked out of the search and of the updates.  A row is then only ever
 changed by rows above it, and the pivots inside a leading block are that
 block's rank: one elimination gives the rank of every leading block (the
 rank profile matrix of Dumas, Pernet and Sultan, ISSAC 2015 and
-J. Symbolic Comput. 83, 2017).  ``blowup_leading_ranks`` reads them off
-the blow-up of a matrix over F_q.  The t method's scan of T_0, T_1, ...
-hands it the leading columns of T's blow-up, which ``criterion`` writes
-for each elimination from two blown-up tables; the Cech oracle's pair of
-ansatz bounds goes through ``mat_leading_ranks``, which blows its matrix
-up first.  ``mat_rank`` eliminates one matrix and counts all of its
-pivots.
+J. Symbolic Comput. 83, 2017).  ``blowup_leading_ranks`` reads them off a
+stack of blow-ups of matrices over F_q.  The t method's scan of T_0, T_1,
+... hands it the leading columns of T's blow-up for every row of a sweep
+at one prime, which ``criterion`` writes from two blown-up tables per row;
+the Cech oracle hands it one ansatz per row at each bound.
+``_rref_mod_p`` is the kernel on a stack of one matrix, returning the
+echelon form; ``mat_rank`` counts its pivots.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .errors import InternalInvariantFailure, NotSquare
 from .fields import FieldElement, ReductionContext
 
 _PANEL = 64
+_STACK = 2 ** 20  # residues in one stack of matrices eliminated together
 _EXACT = 2 ** 53  # float64 holds every integer below this exactly
 _INT32 = 2 ** 31  # int32 holds every integer of smaller magnitude
 
@@ -62,8 +67,245 @@ def _residue_dtype(p: int) -> type:
     return np.int32 if _PANEL * (p - 1) ** 2 + p < _INT32 else np.int64
 
 
+def stack_slices(count: int, residues: int) -> list[slice]:
+    """Consecutive slices of `count` matrices of `residues` entries each,
+    every slice one stack of at most ``_STACK`` residues (or one matrix)."""
+    step = max(1, _STACK // max(residues, 1))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _rank_profiles(m: np.ndarray, p: int, echelon: bool = False):
+    """Pivots of every matrix of the stack m (n, rows, cols), by right-looking
+    blocked forward elimination mod p; m is the caller's fresh stack in
+    ``_residue_dtype(p)``, and it is reduced and eliminated in place.
+
+    Returns three arrays (matrix, column, row), one entry per pivot, ordered
+    by matrix and then by column: the pivots of matrix s are the rank
+    profile of m[s], and rank(m[s][:i, :j]) = #{pivots of s with row < i and
+    column < j} (see the module docstring).  With `echelon`, each pivot row
+    of m ends up holding its echelon row from its pivot's panel on: 1 at
+    the pivot, the reduced entries right of it, zeros between.
+
+    Each matrix keeps an index of its rows without a pivot ("slots"); a
+    matrix with fewer of them than another is padded with rows that have a
+    pivot, whose panel entries are zeroed.  A panel (n, w, slots) is
+    gathered from those rows, column-major.  Its pivot search reduces a
+    column, takes the first nonzero slot, normalises the pivot row's panel
+    entries, zeroes them in the panel, and subtracts the row from the slots
+    after it; the column then holds every slot's multiplier.  Entries are
+    reduced only when read, so between reads at most ``_PANEL`` products
+    below p^2 pile up onto a residue, which ``_residue_dtype`` holds.
+
+    The panel's row operations reach the trailing columns in float64,
+    exact while ``_PANEL*(p-1)^2 < 2^53`` (checked at entry).  With D the
+    pivot values and L the pivot rows' multipliers (strictly lower
+    triangular), the pivot rows' trailing part is (D + L)^-1 times its
+    original, from ``_inverse_lower``; every slot left without a pivot
+    takes a matmul of its multipliers against that, ``_PANEL`` slots at a
+    time, and is reduced after the difference goes back to the integer
+    type (an integer remainder is some 20 times faster than ``np.fmod`` on
+    float64 at these magnitudes).
+    """
+    _check_exact(_PANEL, p, "panel update")
+    n, rows, cols = m.shape
+    np.remainder(m, p, out=m)
+    at = np.arange(n)[:, None]
+    idx = None                 # slot -> row of m, (n, slots); None: slot s is row s
+    valid = None               # False at padding slots; None: no padding
+    found = []                 # per panel: (matrix, column, row) of its pivots
+    width = rows
+    for c0 in range(0, cols, _PANEL):
+        if not width:
+            break
+        c1 = min(c0 + _PANEL, cols)
+        if idx is None:
+            pan = m[:, :, c0:c1].transpose(0, 2, 1).copy()
+        else:
+            pan = m[at, idx, c0:c1].transpose(0, 2, 1).copy()
+            if valid is not None:
+                pan *= valid[:, None, :]
+        ech = np.zeros_like(pan) if echelon else None
+        if n == 1:
+            # the column step with scalar indices: no per-matrix bookkeeping
+            cs, ts, invs = _panel_one(pan[0], p, None if ech is None else ech[0])
+            if not cs:
+                continue
+            kk, jj = np.zeros(len(cs), np.intp), np.arange(len(cs))
+            pc, ps, pinv = np.array([cs]), np.array([ts]), np.array([invs], np.int64)
+        else:
+            recs = _panel_stack(pan, p, ech)
+            if not recs:
+                continue
+            kk, jj, pc, ps, pinv = _by_matrix(recs, n)
+        prows = ps if idx is None else idx[at, ps]     # (n, kmax): rows of m
+        found.append((kk, c0 + pc[kk, jj], prows[kk, jj]))
+        if echelon:
+            m[kk, prows[kk, jj], c0:c1] = ech[kk, :, ps[kk, jj]]
+            del ech
+        if c1 == cols:
+            break
+        keep = np.ones((n, pan.shape[2]), bool) if valid is None else valid
+        keep[kk, ps[kk, jj]] = False
+        pos, valid = _compact(keep)
+        lower = pan[at, pc, :]                         # (n, kmax, slots)
+        del pan
+        top = np.matmul(_inverse_lower(lower[at, :, ps], pinv, p),
+                        m[at, prows, c1:].astype(np.float64)).astype(m.dtype)
+        top %= p
+        ftop = top.astype(np.float64)
+        if not echelon:
+            del top
+        idx = pos if idx is None else idx[at, pos]
+        width = idx.shape[1]
+        for b0 in range(0, width, _PANEL):
+            # block - prod in float64 is an exact integer above -2^53.  A
+            # padding slot is a row with a pivot: one from an earlier panel
+            # has zero multipliers, and one from this panel is never read
+            # again, or overwritten by its echelon row below
+            r = idx[:, b0:b0 + _PANEL]
+            mult = lower[at, :, pos[:, b0:b0 + _PANEL]].astype(np.float64)
+            block = m[at, r, c1:]
+            prod = np.matmul(mult, ftop)
+            np.subtract(block, prod, out=block, casting="unsafe")
+            del prod
+            block %= p
+            m[at, r, c1:] = block
+        if echelon:
+            m[kk, prows[kk, jj], c1:] = top[kk, jj]
+    if not found:
+        none = np.zeros(0, np.intp)
+        return none, none, none
+    if len(found) == 1:
+        return found[0]
+    kk, cc, rr = (np.concatenate(x) for x in zip(*found))
+    if n > 1:
+        order = np.argsort(kk, kind="stable")
+        kk, cc, rr = kk[order], cc[order], rr[order]
+    return kk, cc, rr
+
+
+def _panel_one(pan: np.ndarray, p: int, ech):
+    """Eliminate the column-major panel (w, slots) of a single matrix; returns
+    the pivots' panel columns, slots and inverted pivot values.  `ech`, when
+    given, receives each pivot row's echelon entries in the panel."""
+    cs, ts, invs = [], [], []
+    left = pan.shape[1]
+    for c in range(pan.shape[0]):
+        col = pan[c]
+        col %= p
+        nz = col.nonzero()[0]
+        if not nz.size:
+            continue
+        t = int(nz[0])
+        inv = pow(int(col[t]), -1, p)
+        prow = pan[c + 1:, t] % p
+        pan[c:, t] = 0                   # masked from now on; col[t] too
+        prow *= inv
+        prow %= p
+        # slots before t are zero in this column or masked
+        pan[c + 1:, t + 1:] -= prow[:, None] * col[t + 1:]
+        if ech is not None:
+            ech[c, t] = 1
+            ech[c + 1:, t] = prow
+        cs.append(c)
+        ts.append(t)
+        invs.append(inv)
+        left -= 1
+        if not left:
+            break
+    return cs, ts, invs
+
+
+def _panel_stack(pan: np.ndarray, p: int, ech) -> list[tuple]:
+    """``_panel_one`` on every matrix of a panel stack (n, w, slots) at once;
+    returns one (column, matrices, slots, inverses) per column with a pivot.
+    A matrix without a pivot in a column is zero there, so every matrix
+    takes the column's update."""
+    every = np.arange(len(pan))
+    recs = []
+    for c in range(pan.shape[1]):
+        col = pan[:, c]
+        col %= p
+        t = (col != 0).argmax(1)
+        v = col[every, t]
+        ks = v.nonzero()[0]
+        if not ks.size:
+            continue
+        tk = t[ks]
+        inv = np.zeros(len(pan), pan.dtype)
+        inv[ks] = [pow(x, -1, p) for x in v[ks].tolist()]
+        prow = pan[every, c + 1:, t] % p
+        pan[ks, c:, tk] = 0
+        prow *= inv[:, None]
+        prow %= p
+        lo = int(tk.min()) + 1
+        pan[:, c + 1:, lo:] -= prow[:, :, None] * col[:, None, lo:]
+        if ech is not None:
+            ech[ks, c, tk] = 1
+            ech[ks, c + 1:, tk] = prow[ks]
+        recs.append((c, ks, tk, inv[ks]))
+    return recs
+
+
+def _by_matrix(recs: list[tuple], n: int):
+    """A panel's pivots by matrix, each matrix's in column order, padded to
+    the most any matrix has: (matrix, rank within it) of every pivot, and
+    their (n, kmax) columns, slots and inverses.  A padding entry has
+    inverse 0, so ``_inverse_lower`` gives it a zero column and row, and the
+    multipliers and pivot row it reads are never used."""
+    kk = np.concatenate([r[1] for r in recs])
+    order = np.argsort(kk, kind="stable")
+    kk = kk[order]
+    cc = np.concatenate([np.full(len(r[1]), r[0]) for r in recs])[order]
+    tt = np.concatenate([r[2] for r in recs])[order]
+    ii = np.concatenate([r[3] for r in recs])[order]
+    counts = np.bincount(kk, minlength=n)
+    kmax = int(counts.max())
+    jj = np.arange(len(kk)) - (np.cumsum(counts) - counts)[kk]
+    pc = np.zeros((n, kmax), np.intp)
+    ps = np.zeros((n, kmax), np.intp)
+    pinv = np.zeros((n, kmax), np.int64)
+    pc[kk, jj], ps[kk, jj], pinv[kk, jj] = cc, tt, ii
+    return kk, jj, pc, ps, pinv
+
+
+def _compact(keep: np.ndarray):
+    """The kept slots of each matrix, in order, as (n, most kept) positions,
+    and which of them are kept (None when every matrix keeps as many): a
+    matrix that keeps fewer is padded with slots it does not keep."""
+    if len(keep) == 1:
+        return keep[0].nonzero()[0][None], None
+    counts = keep.sum(1)
+    most = int(counts.max())
+    pos = np.argsort(~keep, axis=1, kind="stable")[:, :most]
+    if counts.min() == most:
+        return pos, None
+    return pos, keep[np.arange(len(keep))[:, None], pos]
+
+
+def _inverse_lower(lower: np.ndarray, inv: np.ndarray, p: int) -> np.ndarray:
+    """(D + L)^-1 mod p in float64, for a stack of strictly lower triangular
+    L (k x k) and D = diag(1/inv): with N = D^-1 L, nilpotent,
+    (I + N)^-1 = (I - N)(I + N^2)(I + N^4)..., times D^-1 on the right.
+    Every product is of residues over k <= ``_PANEL`` terms."""
+    k = lower.shape[-1]
+    nil = lower * inv[:, :, None] % p
+    eye = np.eye(k, dtype=np.int64)
+    x = (eye - nil) % p
+    span = 2
+    while span < k:
+        f = nil.astype(np.float64)
+        nil = np.matmul(f, f).astype(np.int64) % p
+        x = np.matmul(x.astype(np.float64), (eye + nil).astype(np.float64)
+                      ).astype(np.int64) % p
+        span *= 2
+    x *= inv[:, None, :]
+    x %= p
+    return x.astype(np.float64)
+
+
 def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Row echelon form mod p, by right-looking blocked forward elimination.
+    """Row echelon form mod p: ``_rank_profiles`` on a stack of one matrix.
 
     Returns (m, pivots, pivot_rows): the rows of m below len(pivots) are
     zero, row i has a 1 at column pivots[i] and zeros to its left, and it
@@ -73,117 +315,35 @@ def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
     The name keeps "rref" only because the benchmark's tracer patches this
     function by name; renaming it waits for a change to the benchmark.
 
-    The pivot of a column is the first row without a pivot that is nonzero
-    there, and it is brought up by rotating the rows between it and its
-    target down by one, not by a swap, so the rows still without a pivot
-    keep the order they have in mat.  Each row operation therefore adds a
-    multiple of a row only to rows that come after it in mat (the rows
-    before the pivot row are zero in its column, so their multiplier is 0),
-    and eliminating the leading block mat[:i, :j] alone makes the same
-    choices on it.  Hence every leading block's rank is read off one
-    elimination: rank(mat[:i, :j]) = #{k : pivots[k] < j and
-    pivot_rows[k] < i}.  These pivots are the rank profile matrix of
-    Dumas, Pernet and Sultan (ISSAC 2015; J. Symbolic Comput. 83, 2017).
-
-    Residues are held in ``_residue_dtype(p)``: int32 while
-    ``_PANEL*(p-1)^2 + p < 2^31``, which bounds every value the delayed
-    reductions below leave (p <= 5791), and int64 above.  The input is
-    reduced once, on its way into that type, and the echelon form comes
-    back in it: a rank reads only the pivots, so it is never widened.
-
-    Columns go in panels of ``_PANEL``.  A panel is factored on the rows
-    still without a pivot, keeping the multipliers in place (the LAPACK
-    layout).  Its row rotations reach the trailing columns as one
-    permutation.  Its row operations are replayed on the pivot rows'
-    trailing part by a lower-triangular solve, one dot product per row, and
-    every other row's trailing part takes a float64 matmul against the
-    solved rows, ``_PANEL`` rows at a time, so no temporary grows with the
-    number of rows; each is exact while ``_PANEL*(p-1)^2 < 2^53`` (checked
-    at entry).  The difference goes back to the integer type before it is
-    reduced: an integer remainder is some 20 times faster than ``np.fmod``
-    on float64 at these magnitudes.  Inside a panel, entries are reduced
-    only when read: a column when it is searched for a pivot, a row when it
-    becomes a pivot row.  Between reads at most ``_PANEL`` products below
-    p^2 pile up onto a residue, and so does the float64 product taken from
-    a trailing residue.
+    The input is reduced once, on its way into ``_residue_dtype(p)``, and
+    the echelon form comes back in that type.  The kernel leaves each
+    echelon row in its pivot row; they are moved up in place, one cycle of
+    the row permutation at a time, so no second copy of the matrix exists.
     """
-    _check_exact(_PANEL, p, "panel update")
-    m = np.empty(np.shape(mat), _residue_dtype(p))     # rows contiguous
-    np.remainder(mat, p, out=m, casting="unsafe")
-    rows, cols = m.shape
-    origin = np.arange(rows)             # the row of mat that each row of m is
-    pivots: list[int] = []
-    r = 0
-    for c0 in range(0, cols, _PANEL):
-        if r >= rows:
-            break
-        c1 = min(c0 + _PANEL, cols)
-        panel = m[r:, c0:c1].copy()      # the rows without a pivot yet
-        order = np.arange(len(panel))    # the row of m[r:] each panel row is
-        moved = 0                        # panel rows [0, moved) were rotated
-        piv: list[int] = []              # pivot columns of this panel, local
-        inv: list[int] = []              # inverses of their pivot values
-        for c in range(c1 - c0):
-            i = len(piv)
-            if i >= len(panel):
-                break
-            col = panel[i:, c]
-            col %= p
-            nz = col.nonzero()[0]
-            if not nz.size:
-                continue
-            t = i + int(nz[0])
-            if t > i:
-                # rotate rows i..t down by one, bringing row t up to i
-                row, o = panel[t].copy(), order[t]
-                panel[i + 1:t + 1] = panel[i:t]
-                order[i + 1:t + 1] = order[i:t]
-                panel[i], order[i] = row, o
-                moved = max(moved, t + 1)
-            # the multipliers stay in column c; row i becomes the unit
-            # echelon row, with the pivot value kept at (i, c)
-            inv.append(pow(int(panel[i, c]), p - 2, p))
-            prow = panel[i, c + 1:]
-            prow %= p
-            prow *= inv[-1]
-            prow %= p
-            panel[i + 1:, c + 1:] -= panel[i + 1:, c, None] * prow
-            piv.append(c)
-        k = len(piv)
-        if not k:
+    rows, cols = np.shape(mat)
+    m = np.empty((1, rows, cols), _residue_dtype(p))
+    np.remainder(mat, p, out=m[0], casting="unsafe")
+    _, pivots, pivot_rows = _rank_profiles(m, p, echelon=True)
+    m = m[0]
+    # new row i is old row order[i]: the pivot rows first, then the rest
+    order = np.concatenate([pivot_rows, np.setdiff1d(np.arange(rows), pivot_rows)])
+    done = order == np.arange(rows)
+    for i in np.flatnonzero(~done).tolist():
+        if done[i]:
             continue
-        if moved:
-            origin[r:r + moved] = origin[r + order[:moved]]
-        if c1 < cols:
-            trail = m[r:, c1:]
-            if moved:
-                trail[:moved] = trail[order[:moved]]
-            # pivot rows: solve lower * x = trailing part, one row at a time;
-            # lower has the multipliers below its diagonal and the pivots on it
-            lower, top = panel[:k, piv], trail[:k]
-            for j in range(k):
-                tj = top[j]
-                tj -= lower[j, :j] @ top[:j]
-                tj %= p
-                tj *= inv[j]
-                tj %= p
-            # every other row, _PANEL rows at a time: block - prod in
-            # float64 is an exact integer above -2^53
-            ftop = top.astype(np.float64)
-            for b0 in range(k, len(panel), _PANEL):
-                block = trail[b0:b0 + _PANEL]
-                prod = panel[b0:b0 + _PANEL, piv].astype(np.float64) @ ftop
-                np.subtract(block, prod, out=block, casting="unsafe")
-                block %= p
-        # the panel in echelon form: unit pivots, zeros below and left of them
-        for j, c in enumerate(piv):
-            panel[j, :c] = 0
-            panel[j, c] = 1
-        panel[k:] = 0
-        m[r:, c0:c1] = panel
-        pivots.extend(c0 + c for c in piv)
-        r += k
-    return m, pivots, origin[:r].tolist()
+        held, j = m[i].copy(), i
+        while order[j] != i:
+            m[j] = m[order[j]]
+            done[j] = True
+            j = order[j]
+        m[j] = held
+        done[j] = True
+    r = len(pivots)
+    m[r:] = 0
+    for b0 in range(0, r, _PANEL):       # zeros left of each pivot
+        b1 = min(b0 + _PANEL, r)
+        m[b0:b1] *= np.arange(cols) >= pivots[b0:b1, None]
+    return m, pivots.tolist(), pivot_rows.tolist()
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
@@ -305,25 +465,30 @@ def mat_rank(m: FqMatrix) -> int:
     return _rank_mod_p(m.blowup(), m.ctx.p) // m.ctx.d
 
 
-def blowup_leading_ranks(ctx: ReductionContext, big: np.ndarray, shapes) -> list[int]:
-    """Ranks over F_{p^d} of the leading blocks m[:rows, :cols], one per
-    (rows, cols) in `shapes`, of the matrix m over F_q whose blow-up
-    (``FqMatrix.blowup``) is `big`, from a single elimination of `big`.
+def blowup_leading_ranks(ctx: ReductionContext, big: np.ndarray, shapes) -> np.ndarray:
+    """Ranks over F_{p^d} of the leading blocks m[:rows, :cols], one column
+    per (rows, cols) in `shapes`, of every matrix m over F_q whose blow-up
+    (``FqMatrix.blowup``) is a matrix of the stack `big` (n, rows*d, cols*d),
+    from a single elimination of the stack; returns an (n, len(shapes))
+    array.  `big` is a fresh stack in ``_residue_dtype(p)``, which the
+    kernel eliminates in place.
 
     The leading F_q block is the leading (rows*d) x (cols*d) F_p block of
     the blow-up, so its rank is the number of pivots inside that block
-    (see ``_rref_mod_p``) divided by d.
+    (see ``_rank_profiles``) divided by d.
     """
-    d = ctx.d
-    _, pivots, pivot_rows = _rref_mod_p(big, ctx.p)
-    cols, rows = np.array(pivots), np.array(pivot_rows)
-    return [int(np.count_nonzero((rows < i * d) & (cols < j * d))) // d
-            for i, j in shapes]
+    d, n = ctx.d, len(big)
+    mats, cols, rows = _rank_profiles(big, ctx.p)
+    out = np.empty((n, len(shapes)), np.intp)
+    for s, (i, j) in enumerate(shapes):
+        out[:, s] = np.bincount(mats[(rows < i * d) & (cols < j * d)], minlength=n)
+    return out // d
 
 
 def mat_leading_ranks(m: FqMatrix, shapes) -> list[int]:
     """``blowup_leading_ranks`` of m's blow-up."""
-    return blowup_leading_ranks(m.ctx, m.blowup(), shapes)
+    big = m.blowup().astype(_residue_dtype(m.ctx.p))[None]
+    return blowup_leading_ranks(m.ctx, big, shapes)[0].tolist()
 
 
 def mat_det(m: FqMatrix) -> FieldElement:

@@ -121,6 +121,21 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "internal error" in err
 
 
+def test_value_error_is_an_internal_error(monkeypatch, capsys):
+    # every bad input is a HiggsflowError; a ValueError, such as a shape
+    # mismatch in stacked array code, is a bug: exit 3, not 2
+    import higgsflow.scan as scan_mod
+
+    def mismatched(ctx, pairs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(scan_mod, "splittings_from_T", mismatched)
+    code, out, err = run_cli(capsys, "enumerate", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: operands could not be broadcast together\n"
+
+
 def test_inexact_division_exits_internal(monkeypatch, capsys):
     # an inexact division that must be exact is a bug, not bad input
     import higgsflow.scan as scan_mod
@@ -253,7 +268,15 @@ def test_mismatch_exit_code(monkeypatch, capsys):
     (("scan", "--minpoly", "1,-1,1", "--prime-range", "5:97", "--both-embeddings",
       "--format", "json"),
      "fc489551ae2eda2e63d3f305251c9a68d3eead10cc5fbc13816faf388d682165"),
-], ids=["enumerate-7", "scan-minus-one", "beauville-5-23", "scan-inert"])
+    (("enumerate", "5", "--methods", "t,birkhoff,cech", "--format", "json"),
+     "9cd51385b16e0b38f77a8807305f61a05b9ad2d25fa29c74f352a6e3c8412dce"),
+    (("enumerate", "11", "--methods", "t,birkhoff,cech", "--format", "json"),
+     "922470e19b300a34b831d599c6870550ff78d0e6b98e9232f023ee19f1285c38"),
+    # 3p + 10 = 67 ansatz columns: the cech stacks cross the 64-column panel edge
+    (("enumerate", "19", "--methods", "t,cech", "--format", "json"),
+     "e1ea22a881c491fceef79146a8fdd07f3d771fff582ba204058b7a6105f176b5"),
+], ids=["enumerate-7", "scan-minus-one", "beauville-5-23", "scan-inert", "enumerate-5-json",
+        "enumerate-11-json", "enumerate-19-t-cech"])
 def test_report_bytes_match_golden_hash(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

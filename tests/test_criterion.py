@@ -6,11 +6,11 @@ import pytest
 
 from higgsflow.cocycle import binomial_over_p, build_A_closed
 from higgsflow.criterion import (build_T, det_T0_in_lam1, periodicity_pair,
-                                 remainder_system, splitting_from_T,
+                                 remainder_system, splitting_from_T, splittings_from_T,
                                  t_r_first_mismatch, t_submatrix, validate_T_R)
 from higgsflow.errors import DegreeTooLarge, ForbiddenResidue, IndexOutOfRange
 from higgsflow.fields import make_context, witt_decompose
-from higgsflow.linalg import FqMatrix, _residue_dtype, mat_leading_ranks, mat_rank
+from higgsflow.linalg import FqMatrix, _PANEL, _residue_dtype, mat_leading_ranks, mat_rank
 from higgsflow.polys import Poly, poly_divrem, z_minus_one_pow
 
 
@@ -160,6 +160,18 @@ def test_t_row_peaks_near_the_block_it_eliminates(p, d):
     assert peak <= 4 * block
 
 
+@pytest.mark.parametrize("p, d", [(401, 1), (173, 2)])
+def test_t_row_holds_one_realisation_and_a_few_strips(p, d):
+    # the kernel eliminates the block _t_ranks wrote in place: no copy of
+    # it, only a few _PANEL-row float64 strips of its width
+    ctx = make_context(p, d)
+    lam0, lam1 = ctx.f_from_int(2), ctx.f_from_int(3)
+    _, peak = _traced_peak(splitting_from_T, ctx, lam0, lam1)
+    cols = (p + 1) * d
+    block = p * d * cols * np.dtype(_residue_dtype(p)).itemsize
+    assert peak <= block + 4 * _PANEL * cols * 8
+
+
 def test_t_row_at_p_2003_stays_below_40_mb():
     # lambda = -1 has n = 1 at p = 2003; one elimination of 2003 x 2004
     # residues in int32 is 16 MB, the whole int64 realisation 64 MB
@@ -262,6 +274,21 @@ def test_splitting_from_T_equals_per_m_rank_scan_exhaustive():
     assert cases == 933
     # these take the second elimination, of the columns of T_(p-1)
     assert beyond_one == 4
+
+
+def test_splittings_from_T_equal_the_single_rows():
+    # every lift at d = 1, p <= 7 and d = 2, p <= 5, all lifts at one (p, d)
+    # as one call: among them rows with n >= 2, which take the second
+    # stacked elimination, and rows with n = 0 and 1, which do not
+    for p, d in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2)):
+        pairs = [(lam0, lam1) for _, lam0, lam1 in _lifts(p, d)]
+        ctx = make_context(p, d)
+        stacked = splittings_from_T(ctx, pairs)
+        single = [splitting_from_T(ctx, lam0, lam1) for lam0, lam1 in pairs]
+        assert stacked == single
+        if (p, d) in ((5, 1), (5, 2)):
+            assert {st.n for st in stacked} >= {0, 1, 2}
+    assert splittings_from_T(make_context(5, 1), []) == []
 
 
 def test_remainder_system_micro_case():

@@ -425,3 +425,70 @@ def test_trailing_update_in_row_blocks_matches_oracle(monkeypatch, width, p):
     a = _with_profile(rng, rows, cols, pivots, p, [c for c in range(cols)
                                                    if c % 7 == 6 and c not in pivots])
     assert _check_against_oracle(a, p) == pivots
+
+
+# -- the stacked kernel: one column loop over a stack of matrices ---------------
+
+def _stack_cases(rng, p, rows, cols):
+    """Stacks (n, rows, cols) with n in {1, 2, 7}: a zero matrix, equal
+    matrices, and planted profiles that differ between the matrices, so
+    some columns pivot in only some of them."""
+    def planted(rank):
+        pivots = sorted(rng.choice(cols, rank, replace=False).tolist())
+        return _with_profile(rng, rows, cols, pivots, p,
+                             [c for c in range(cols) if c % 6 == 5 and c not in pivots])
+
+    top = min(rows, cols)
+    yield np.stack([planted(top // 2)])
+    yield np.stack([np.zeros((rows, cols), np.int64), planted(top - 1)])
+    mats = [planted(int(r)) for r in rng.integers(0, top + 1, 4)]
+    mats += [np.zeros((rows, cols), np.int64), mats[0], rng.integers(0, p, (rows, cols))]
+    yield np.stack(mats)
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+@pytest.mark.parametrize("p", [3, 401, 9973])
+def test_stacked_kernel_matches_each_matrix_alone_and_sympy(monkeypatch, p, width):
+    import higgsflow.linalg as linalg
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    monkeypatch.setattr(linalg, "_PANEL", width)
+    rng = np.random.default_rng([p, width])
+    ctx = make_context(p, 1)
+    shapes = [(i, j) for i in (0, 3, 9, 20) for j in (0, 5, 40, 70)]
+    for rows, cols in ((9, 70), (20, 13), (70, 20)):
+        for stack in _stack_cases(rng, p, rows, cols):
+            mats, got_cols, got_rows = linalg._rank_profiles(
+                stack.astype(linalg._residue_dtype(p)), p)
+            leading = linalg.blowup_leading_ranks(
+                ctx, stack.astype(linalg._residue_dtype(p)), shapes)
+            assert leading.shape == (len(stack), len(shapes))
+            ech = stack.astype(linalg._residue_dtype(p))
+            linalg._rank_profiles(ech, p, echelon=True)
+            for s, a in enumerate(stack):
+                want, pivots, pivot_rows = linalg._rref_mod_p(a, p)
+                assert got_cols[mats == s].tolist() == pivots
+                assert got_rows[mats == s].tolist() == pivot_rows
+                # each echelon row is left in its pivot row, from the
+                # pivot's panel on
+                for i, (c, r) in enumerate(zip(pivots, pivot_rows)):
+                    c0 = c - c % width
+                    assert ech[s, r, c0:].tolist() == want[i, c0:].tolist()
+                dm = DomainMatrix(a.tolist(), a.shape, ZZ).convert_to(GF(p))
+                assert pivots == list(dm.to_sparse().rref()[1])
+                # each leading block eliminated on its own
+                assert leading[s].tolist() == [linalg._rank_mod_p(a[:i, :j], p)
+                                               for i, j in shapes]
+
+
+def test_stack_slices_cap_the_residues_of_a_stack():
+    from higgsflow.linalg import _STACK, stack_slices
+
+    # enumerate 31 with cech: 899 ansatzes of about 100 x 103 residues
+    parts = stack_slices(899, 100 * 103)
+    assert [i for part in parts for i in range(899)[part]] == list(range(899))
+    assert max(len(range(899)[part]) for part in parts) * 100 * 103 <= _STACK
+    # a matrix larger than the cap is a stack of its own
+    assert stack_slices(3, 2 * _STACK) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert stack_slices(0, 10) == []

@@ -121,43 +121,67 @@ def _h0_naive(cocycle, twist, bound):
 
 def test_h0_at_both_bounds_matches_two_separate_eliminations():
     # every lift at d = 1, p <= 7 and d = 2, p = 3: one ansatz per bound
-    # gives twists -1 .. n+2, each checked against its own elimination
+    # gives twists -1 .. n+2, each checked against its own elimination; the
+    # lifts with one n at one (p, d) are one stack
     lifts = 0
     for p, d in ((3, 1), (5, 1), (7, 1), (3, 2)):
         ctx = make_context(p, d)
+        by_n = {}
         for w in ctx.witt_elements():
             r = w.residue()
             if r.is_zero() or r == ctx.one:
                 continue
             wp = witt_decompose(w)
             n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
-            cocycle = build_A_primitive(ctx, w)
-            series = sections.series_at_one(cocycle)
+            by_n.setdefault(n, []).append(build_A_primitive(ctx, w))
+        for n, cocycles in by_n.items():
+            series = [sections.series_at_one(c) for c in cocycles]
             twists = range(-1, n + 3)
             b = 2 * p + twists[-1] + 4
             for bound in (b, b + 2):
                 got = sections._h0_at_bound(ctx, series, bound, twists)
-                assert got == [_h0_naive(cocycle, t, bound) for t in twists]
-            lifts += 1
+                assert got.shape == (len(cocycles), len(twists))
+                for cocycle, row in zip(cocycles, got.tolist()):
+                    assert row == [_h0_naive(cocycle, t, bound) for t in twists]
+            lifts += len(cocycles)
     assert lifts == 116
 
 
 def test_cech_eliminates_once_per_bound(monkeypatch):
     # n <= 1: twists -1 .. 2 at two bounds; n = 2 (lambda0 = 4 at p = 5)
-    # rebuilds up to twist 3 at two more
+    # rebuilds up to twist 3 at two more; several cocycles share each stack
     calls = []
-    ranks = sections.mat_leading_ranks
+    ranks = sections.blowup_leading_ranks
 
-    def counting(m, shapes):
-        calls.append(len(shapes))
-        return ranks(m, shapes)
+    def counting(ctx, big, shapes):
+        calls.append((len(big), len(shapes)))
+        return ranks(ctx, big, shapes)
 
-    monkeypatch.setattr(sections, "mat_leading_ranks", counting)
+    monkeypatch.setattr(sections, "blowup_leading_ranks", counting)
     ctx = make_context(5, 1)
-    for lam_int, n, want in ((2, 1, [4, 4]), (3, 0, [4, 4]), (9, 2, [4, 4, 5, 5])):
+    cocycles = [build_A_primitive(ctx, ctx.w_from_int(lam_int)) for lam_int in (2, 3, 9)]
+    for cocycle, n, want in zip(cocycles, (1, 0, 2), ([4, 4], [4, 4], [4, 4, 5, 5])):
         calls.clear()
-        assert splitting_from_cech(build_A_primitive(ctx, ctx.w_from_int(lam_int))).n == n
-        assert calls == want
+        assert splitting_from_cech(cocycle).n == n
+        assert calls == [(1, k) for k in want]
+    calls.clear()
+    assert [st.n for st in sections.splittings_from_cech(cocycles)] == [1, 0, 2]
+    assert calls == [(3, 4), (3, 4), (1, 5), (1, 5)]
+
+
+def test_splittings_from_cech_equal_the_single_rows():
+    # every lift at d = 1, p <= 7 and d = 2, p <= 5, all lifts at one (p, d)
+    # as one call; p = 5 has n = 2 (lambda0 = 4), which is rebuilt as its
+    # own stack
+    for p, d in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2)):
+        ctx = make_context(p, d)
+        cocycles = [build_A_primitive(ctx, w) for w in ctx.witt_elements()
+                    if not (w.residue().is_zero() or w.residue() == ctx.one)]
+        stacked = sections.splittings_from_cech(cocycles)
+        assert stacked == [splitting_from_cech(c) for c in cocycles]
+        if p == 5:
+            assert 2 in {st.n for st in stacked}
+    assert sections.splittings_from_cech([]) == []
 
 
 def test_unstable_dimension_is_raised_and_exits_internal(monkeypatch, capsys):
@@ -186,7 +210,7 @@ def test_profile_mismatch_is_raised_and_exits_internal(monkeypatch, capsys):
 
     def off_at_twist_one(ctx, series, bound, twists):
         # h0 at twists 0 and -1 still decides n; h0(1) breaks the profile
-        return [h + (t == 1) for t, h in zip(twists, h0s(ctx, series, bound, twists))]
+        return h0s(ctx, series, bound, twists) + (np.array(twists) == 1)
 
     monkeypatch.setattr(sections, "_h0_at_bound", off_at_twist_one)
     ctx = make_context(3, 1)
