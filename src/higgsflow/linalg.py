@@ -48,7 +48,7 @@ from .errors import InternalInvariantFailure, NotSquare
 from .fields import FieldElement, ReductionContext
 
 _PANEL = 64
-_STACK = 2 ** 20  # residues in one stack of matrices eliminated together
+_STACK = 2 ** 18  # residues in one stack of matrices eliminated together
 _EXACT = 2 ** 53  # float64 holds every integer below this exactly
 _INT32 = 2 ** 31  # int32 holds every integer of smaller magnitude
 

@@ -57,28 +57,30 @@ def _h0_at_bound(ctx: ReductionContext, series: list[tuple[Poly, Poly]], bound: 
     p, d = ctx.p, ctx.d
     n_conditions = bound + p - twists[0]
     widths = (bound + 1, max(twists[-1] + p + 1, 0))     # u*z^p columns, A columns
-    tables = np.zeros((len(series), 2, sum(widths) + n_conditions, d), np.int64)
-    for table, polys in zip(tables, series):
-        for row, poly in zip(table, polys[::-1]):
-            seg = poly.v[: len(row) - bound]
-            row[bound: bound + len(seg)] = seg
-    tables = ctx.mul_matrix(tables)
+    cols = sum(widths)
     n_unknowns = np.array([bound + 1 + max(t + p + 1, 0) for t in twists])
     shapes = [(bound + p - t, n) for t, n in zip(twists, n_unknowns)]
-    ranks = np.empty((len(series), len(twists)), np.intp)
-    cols = sum(widths)
-    for part in stack_slices(len(series), n_conditions * cols * d * d):
-        stack = np.empty((len(tables[part]), n_conditions, d, cols, d), _residue_dtype(p))
-        for out, pair in zip(stack, tables[part]):
+
+    def ranks(part: list[tuple[Poly, Poly]]) -> np.ndarray:
+        tables = np.zeros((len(part), 2, cols + n_conditions, d), np.int64)
+        for table, polys in zip(tables, part):
+            for row, poly in zip(table, polys[::-1]):
+                seg = poly.v[: len(row) - bound]
+                row[bound: bound + len(seg)] = seg
+        tables = ctx.mul_matrix(tables)
+        stack = np.empty((len(part), n_conditions, d, cols, d), _residue_dtype(p))
+        for out, pair in zip(stack, tables):
             lo = 0
             for table, width in zip(pair, widths):
                 # (n_conditions, width, d, d): entry (i, k) is table[i + k]
                 window = _windows(table, n_conditions)[:width].transpose(1, 0, 2, 3)
                 out.transpose(0, 2, 1, 3)[:, lo:lo + width] = window
                 lo += width
-        ranks[part] = blowup_leading_ranks(
-            ctx, stack.reshape(len(stack), n_conditions * d, cols * d), shapes)
-    return n_unknowns - ranks
+        return blowup_leading_ranks(
+            ctx, stack.reshape(len(part), n_conditions * d, cols * d), shapes)
+
+    return n_unknowns - np.concatenate(
+        [ranks(series[part]) for part in stack_slices(len(series), n_conditions * cols * d * d)])
 
 
 def _h0_profile(ctx: ReductionContext, series: list[tuple[Poly, Poly]], bound: int,
