@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InternalDivisibilityFailure
 from .fields import (FieldElement, ReductionContext, WittRingElement, check_residue,
                      frobenius_w2)
-from .polys import Poly, PoleFraction
+from .polys import Poly
 
 
 def binomial_over_p(p: int, i: int) -> int:
@@ -50,19 +50,17 @@ class CocyclePolynomial:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """2x2 gluing matrix [[(z-1)^p, 0], [a (z-1)^-p, (z-1)^-p]].
+    """The 2x2 gluing matrix M = [[(z-1)^p, 0], [a (z-1)^-p, (z-1)^-p]], a = A/(u z^p).
 
-    Lower triangular with reciprocal diagonal, so det = (z-1)^p (z-1)^-p = 1
-    for every a.  All poles sit inside {0, 1, infinity}; the diagonal is
-    stored as the pole fractions 1/(z-1)^(-p) and 1/(z-1)^p, so a product
-    with it only moves orders at z = 1.
+    Kept as M~ = z^p (z-1)^p M = [[z^p G, 0], [A/u, z^p]] over the fixed
+    denominator z^p (z-1)^p, where G = (z-1)^(2p).  Only the lower-left
+    numerator A/u is stored: the diagonal is structure, the same for every
+    cocycle, and never a product.  M is lower triangular with reciprocal
+    diagonal, so det M = 1 for every A; its poles lie in {0, 1, infinity}.
     """
 
     cocycle: CocyclePolynomial
-    entries: tuple
-
-    def entry(self, i: int, j: int) -> PoleFraction:
-        return self.entries[i][j]
+    lower_left: Poly
 
 
 def build_A_primitive(ctx: ReductionContext, lam: WittRingElement) -> CocyclePolynomial:
@@ -134,19 +132,11 @@ def build_A_closed(ctx: ReductionContext, lam0: FieldElement,
 
 
 def build_transition(cocycle: CocyclePolynomial) -> TransitionMatrix:
-    """The gluing matrix for the inverse-Cartier bundle.
+    """The gluing matrix for the inverse-Cartier bundle, as its numerator A/u.
 
-    Its determinant is 1 whatever A is, since the diagonal entries
-    (z-1)^p and (z-1)^-p are reciprocal and the upper-right entry is 0.
-    Both diagonal entries have numerator 1 and signed order -p and p at
-    z = 1 (see :class:`~higgsflow.polys.PoleFraction`).
+    M~ = [[z^p (z-1)^(2p), 0], [A/u, z^p]] over z^p (z-1)^p (see
+    :class:`TransitionMatrix`); the one entry that depends on the cocycle
+    is A scaled by the inverse of the unit u.
     """
-    ctx = cocycle.ctx
-    p = ctx.p
-    one = Poly.one(ctx)
-    top = PoleFraction(one, 0, -p)
-    zero = PoleFraction.zero(ctx)
-    lower_left = PoleFraction(cocycle.A.scale(cocycle.unit.inverse()), p, p)
-    lower_right = PoleFraction(one, 0, p)
     return TransitionMatrix(cocycle=cocycle,
-                            entries=((top, zero), (lower_left, lower_right)))
+                            lower_left=cocycle.A.scale(cocycle.unit.inverse()))

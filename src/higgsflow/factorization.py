@@ -23,18 +23,19 @@ division left is the reduction of gamma' mod g in step 1, by a divisor of
 degree < p, when deg g > deg f.
 
 Everything is certified: the returned object carries (f, g, h, l, c,
-beta', gamma', alpha, P, Q), and step 2 hands it back only after
-:func:`check_certificate` has proved every identity exactly, in the ring
-of rational functions with poles in {0, 1, infinity}: the step-1
-congruence, the Bezout relation, the alpha relation, det P = det Q = 1 and
-the diagonalization itself.  Once det P = 1 is proved, P^(-1) = adj(P),
-so the diagonalization is proved as M*Q = adj(P)*diag, which needs no
-product with P.  Each is a polynomial identity or an identity of pole
-fractions, which compare by cross-multiplying, so the check is
-deterministic and draws no sample points.  Powers of z - 1 enter only as
-signed orders at 1 (the diagonal of M and diag, the (z-1)^(2p) of the
-step-1, Bezout and alpha relations), and cross-multiplying by one costs a
-shifted subtraction per factor z^p - 1, never a general product.
+beta', gamma', alpha~, P~, Q~), and step 2 hands it back only after
+:func:`check_certificate` has proved every identity exactly: the step-1
+congruence, the Bezout relation, the alpha relation, det P = det Q = 1,
+the diagonalization itself and the degree bounds that make Q regular at
+infinity.  P, Q and the gluing matrix M are kept as polynomial matrices
+over fixed denominators (P~ = P diag(z^p, 1),
+Q~ = Q diag((z-1)^c, (z-1)^(2p-c)), M~ = z^p (z-1)^p M), so every
+identity is a polynomial identity: a signed sum of products, shifts by z^s
+and multiples of G = (z-1)^(2p) = z^(2p) - 2z^p + 1 (three shifted adds),
+accumulated in unreduced int64 rows that are reduced mod p once.  The
+check builds no polynomial object and draws no sample points.  Once
+det P~ = z^p is proved, P^(-1) = adj(P), so the diagonalization is proved
+as M~ Q~ = G diag(z^p, 1) adj(P~), which needs no product with P.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from .cocycle import CocyclePolynomial, TransitionMatrix, build_transition
 from .criterion import SplittingType
 from .errors import CertificateCheckFailed, DegreeTooLarge
 from .fields import ReductionContext
-from .polys import Poly, PoleFraction, divrem_z_minus_one_2p, poly_divrem, z_minus_one_pow
+from .polys import (Poly, convolve_into, divrem_z_minus_one_2p, poly_divrem,
+                    z_minus_one_pow)
 # unused here; kept because perfbench/hooks.py patches them by name in this module
 from .cocycle import build_A_primitive  # noqa: F401
 from .criterion import remainder_system  # noqa: F401
@@ -60,11 +62,19 @@ class FactorizationCertificate:
     """Machine-checkable witness of the splitting computation.
 
     f, g, h and beta', gamma' are stored against the cocycle normalisation
-    of A, so that f*A + g*z^p = h*(z-1)^(2p),
-    f*gamma' + g*beta' = (z-1)^(2p) and
-    alpha*z^p*(z-1)^(2p) = z^p*gamma' - A*beta' hold verbatim; l is the
-    order of gcd(f, g) at z = 1.  P and Q absorb the scalar unit
-    internally; their entries are exact pole fractions.
+    of A, so that f*A + g*z^p = h*G, f*gamma' + g*beta' = G and
+    z^p*gamma' - A*beta' = G*alpha~ hold verbatim, with G = (z-1)^(2p); l
+    is the order of gcd(f, g) at z = 1.  alpha is the numerator alpha~ of
+    the off-frame entry alpha~/z^p.  The frames P and Q, with
+    P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)), are stored as polynomial
+    matrices over fixed column denominators, which are never stored:
+
+    * P holds P~ = P diag(z^p, 1) = [[alpha~, u beta'], [-h/u, f]];
+    * Q holds Q~ = Q diag((z-1)^c, (z-1)^(2p-c)) = [[f, -u beta'], [g/u, gamma']].
+
+    u is the cocycle's unit, which the lower-left entry A/u of the gluing
+    matrix carries.  Only P's first column has a pole at 0, so scaling the
+    columns, not P itself, stores no run of zero coefficients.
     """
 
     f: Poly
@@ -75,7 +85,7 @@ class FactorizationCertificate:
     n: int
     beta_prime: Poly
     gamma_prime: Poly
-    alpha: PoleFraction
+    alpha: Poly
     P: tuple
     Q: tuple
 
@@ -207,6 +217,27 @@ def birkhoff_step1(ctx: ReductionContext,
     return f, g, h, l, beta, gamma
 
 
+def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly, l: int,
+                         beta_prime: Poly, gamma_prime: Poly,
+                         alpha: Poly) -> FactorizationCertificate:
+    """The certificate of (f, g, h, l, beta', gamma', alpha~), its frames built, unchecked.
+
+    c = max(deg f, deg g), and P~, Q~ are laid out as
+    :class:`FactorizationCertificate` says, g, h and beta' scaled by the
+    cocycle's unit.
+    """
+    p = cocycle.ctx.p
+    c = max(_deg(f), _deg(g))
+    u = cocycle.unit
+    uinv = u.inverse()
+    beta_u = beta_prime.scale(u)
+    P = ((alpha, beta_u), (-h.scale(uinv), f))
+    Q = ((f, -beta_u), (g.scale(uinv), gamma_prime))
+    return FactorizationCertificate(
+        f=f, g=g, h=h, l=l, c=c, n=p - c,
+        beta_prime=beta_prime, gamma_prime=gamma_prime, alpha=alpha, P=P, Q=Q)
+
+
 def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
                    f: Poly, g: Poly, h: Poly, l: int,
                    beta_prime: Poly, gamma_prime: Poly) -> FactorizationCertificate:
@@ -225,23 +256,8 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
         _fail("degree bounds on (beta', gamma') violated")
 
     # the quotient is exact when the alpha identity of check_certificate holds
-    alpha_num, _ = divrem_z_minus_one_2p(gamma_prime.shift(p) - cocycle.A * beta_prime)
-    alpha = PoleFraction(alpha_num, p, 0)
-
-    # P and Q hold g, h and beta' against A/u, the numerator that M carries
-    u = cocycle.unit
-    uinv = u.inverse()
-    gp, hp, beta_p = g.scale(uinv), h.scale(uinv), beta_prime.scale(u)
-    pf = PoleFraction
-    P = ((alpha, pf(beta_p)),
-         (pf(-hp, p, 0), pf(f)))
-    Q = ((pf(f, 0, c), pf(-beta_p, 0, 2 * p - c)),
-         (pf(gp, 0, c), pf(gamma_prime, 0, 2 * p - c)))
-
-    cert = FactorizationCertificate(
-        f=f, g=g, h=h, l=l, c=c, n=p - c,
-        beta_prime=beta_prime, gamma_prime=gamma_prime,
-        alpha=alpha, P=P, Q=Q)
+    alpha, _ = divrem_z_minus_one_2p(gamma_prime.shift(p) - cocycle.A * beta_prime)
+    cert = assemble_certificate(cocycle, f, g, h, l, beta_prime, gamma_prime, alpha)
     # verify_certificate is the check perfbench traces as factorization.verify;
     # only when it fails does check_certificate run again to name the identity
     m = build_transition(cocycle)
@@ -260,47 +276,96 @@ def splitting_from_birkhoff(cocycle: CocyclePolynomial) -> SplittingType:
     return SplittingType.of(factorization_certificate(cocycle).n, "birkhoff")
 
 
-def _matmul(x, y):
-    """Product of two 2x2 matrices of pole fractions."""
-    return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2))
-                 for i in range(2))
+def _nonzero_entries(ctx: ReductionContext, entries: list) -> np.ndarray:
+    """For each entry (name, products, shifted, over_G): is its sum nonzero?
+
+    An entry stands for the polynomial sum(k*a*b over products) +
+    sum(k*z^s*x over shifted) + G*sum(k*z^s*x over over_G), with signs
+    k = +-1, coefficient arrays (n, d) and G = (z-1)^(2p) = z^(2p) - 2z^p + 1.
+    Each entry is one row of an int64 stack in
+    :func:`~higgsflow.polys.convolve_into`'s unreduced layout (the shifted
+    arrays in its first d columns).  The multiples of G are gathered in a
+    stack of their own and added as three shifted copies, and the stack is
+    reduced mod p once.  A product adds entries below n*d*p^2 and the other
+    terms less than 10p in all, so an entry with two products stays inside
+    int64 for every supported p.
+    """
+    p, d = ctx.p, ctx.d
+    g_rows = max(s + len(x) for e in entries for _, s, x in e[3])
+    rows = max([len(a) + len(b) - 1 for e in entries for _, a, b in e[1]]
+               + [s + len(x) for e in entries for _, s, x in e[2]] + [2 * p + g_rows])
+    buf = np.zeros((len(entries), rows, 2 * d - 1), np.int64)
+    over = np.zeros((len(entries), g_rows, d), np.int64)
+    for out, g_out, (_, products, shifted, over_g) in zip(buf, over, entries):
+        for k, a, b in products:
+            convolve_into(out, a, b, k)
+        for dst, terms in ((out[:, :d], shifted), (g_out, over_g)):
+            for k, s, x in terms:
+                if k > 0:
+                    dst[s:s + len(x)] += x
+                else:
+                    dst[s:s + len(x)] -= x
+    buf[:, :g_rows, :d] += over
+    buf[:, p:p + g_rows, :d] -= 2 * over
+    buf[:, 2 * p:2 * p + g_rows, :d] += over
+    del over                    # freed before the reduction allocates its result
+    return ctx.fold(buf).any(axis=(1, 2))
 
 
 def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> None:
     """Prove every certificate identity exactly, or name the first that fails.
 
-    In order: step-1 (f*A + g*z^p = h*(z-1)^(2p)), Bezout
-    (f*gamma' + g*beta' = (z-1)^(2p)), alpha
-    (alpha*z^p*(z-1)^(2p) = z^p*gamma' - A*beta'), det P = 1, det Q = 1, and
-    P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)), all in pole-fraction arithmetic.
-    The last is proved after det P = 1 as M*Q = adj(P)*diag, entry by entry:
-    the same statement, since P^(-1) = adj(P) when det P = 1.
-    Raises CertificateCheckFailed naming the identity.
+    With G = (z-1)^(2p), P~ = P diag(z^p, 1), Q~ = Q diag((z-1)^c, (z-1)^(2p-c)) and
+    M~ = z^p (z-1)^p M = [[z^p G, 0], [A/u, z^p]] (see
+    :class:`FactorizationCertificate` and :class:`TransitionMatrix`), in order:
+
+    * step-1: f*A + z^p*g = h*G;
+    * Bezout: f*gamma' + g*beta' = G;
+    * alpha: z^p*gamma' - A*beta' = G*alpha~;
+    * det P: det P~ = z^p, that is det P = 1;
+    * det Q: det Q~ = G, that is det Q = 1;
+    * P*M*Q: M~ Q~ = G diag(z^p, 1) adj(P~).  Once det P = 1 holds,
+      P^(-1) = adj(P), and this is P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p));
+    * degree bounds: 0 <= c <= p, deg f, deg g and Q~'s first column at
+      most c, deg beta', deg gamma' and Q~'s second column at most 2p - c,
+      so that Q is regular at infinity.
+
+    Step-1 and alpha read A from the cocycle, P*M*Q reads A/u from m.  Each
+    polynomial identity (each entry of P*M*Q) is one signed sum of its own
+    products, shifts and multiples of G; the sums are accumulated side by
+    side and reduced once (:func:`_nonzero_entries`).  Ten general products
+    in all, and no polynomial object is built.  Raises
+    CertificateCheckFailed naming the identity.
     """
     ctx = m.cocycle.ctx
     p = ctx.p
-    A = m.cocycle.A
-    one = PoleFraction(Poly.one(ctx))
-
-    def require(holds: bool, name: str):
-        if not holds:
+    A, L = m.cocycle.A.v, m.lower_left.v
+    f, g, h = cert.f.v, cert.g.v, cert.h.v
+    beta, gamma, alpha = cert.beta_prime.v, cert.gamma_prime.v, cert.alpha.v
+    (p00, p01), (p10, p11) = ((x.v for x in row) for row in cert.P)
+    (q00, q01), (q10, q11) = ((x.v for x in row) for row in cert.Q)
+    one = np.array([ctx.one.vec], np.int64)
+    # (name, products, shifted, multiples of G); P*M*Q is
+    # M~ Q~ - G diag(z^p, 1) adj(P~) entry by entry, adj(P~) = [[p11, -p01], [-p10, p00]]
+    entries = [
+        ("step-1", [(1, f, A)], [(1, p, g)], [(-1, 0, h)]),
+        ("Bezout", [(1, f, gamma), (1, g, beta)], [], [(-1, 0, one)]),
+        ("alpha", [(-1, A, beta)], [(1, p, gamma)], [(-1, 0, alpha)]),
+        ("det P", [(1, p00, p11), (-1, p01, p10)], [(-1, p, one)], []),
+        ("det Q", [(1, q00, q11), (-1, q01, q10)], [], [(-1, 0, one)]),
+        ("P*M*Q", [], [], [(1, p, q00), (-1, p, p11)]),
+        ("P*M*Q", [], [], [(1, p, q01), (1, p, p01)]),
+        ("P*M*Q", [(1, L, q00)], [(1, p, q10)], [(1, 0, p10)]),
+        ("P*M*Q", [(1, L, q01)], [(1, p, q11)], [(-1, 0, p00)]),
+    ]
+    for (name, *_), nonzero in zip(entries, _nonzero_entries(ctx, entries)):
+        if nonzero:
             _fail(f"certificate identity {name} does not hold")
-
-    require(cert.f * A + cert.g.shift(p) == cert.h.times_z_minus_one_pow(2 * p), "step-1")
-    require(cert.f * cert.gamma_prime + cert.g * cert.beta_prime
-            == z_minus_one_pow(ctx, 2 * p), "Bezout")
-    alpha = cert.alpha
-    # alpha*z^p*(z-1)^(2p): both factors only move alpha's orders
-    require(PoleFraction(alpha.num, alpha.a - p, alpha.b - 2 * p)
-            == PoleFraction(cert.gamma_prime.shift(p) - A * cert.beta_prime), "alpha")
-    (p00, p01), (p10, p11) = cert.P
-    (q00, q01), (q10, q11) = cert.Q
-    require(p00 * p11 - p01 * p10 == one, "det P")
-    require(q00 * q11 - q01 * q10 == one, "det Q")
-    k = p - cert.c
-    adj_diag = ((p11.times_z_minus_one_pow(k), (-p01).times_z_minus_one_pow(-k)),
-                ((-p10).times_z_minus_one_pow(k), p00.times_z_minus_one_pow(-k)))
-    require(_matmul(m.entries, cert.Q) == adj_diag, "P*M*Q")
+    c = cert.c
+    bounds = ((f, c), (g, c), (q00, c), (q10, c),
+              (beta, 2 * p - c), (gamma, 2 * p - c), (q01, 2 * p - c), (q11, 2 * p - c))
+    if not (0 <= c <= p and all(len(x) <= bound + 1 for x, bound in bounds)):
+        _fail("certificate identity degree bounds does not hold")
 
 
 def verify_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> bool:

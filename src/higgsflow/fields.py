@@ -169,8 +169,14 @@ class ReductionContext:
     # -- vec arithmetic ----------------------------------------------------
 
     def fold(self, t: np.ndarray) -> np.ndarray:
-        """Reduce unreduced products (..., 2d-1) to field coordinates (..., d)."""
-        return t % self.p @ self.fold_matrix % self.p
+        """Reduce unreduced products (..., 2d-1) to field coordinates (..., d).
+
+        t is reduced mod p in place, so it holds no copy beside the result.
+        """
+        np.remainder(t, self.p, out=t)
+        out = t @ self.fold_matrix
+        np.remainder(out, self.p, out=out)
+        return out
 
     def mul_matrix(self, c) -> np.ndarray:
         """(d, d) matrix M with v @ M = v * c for every vec v.

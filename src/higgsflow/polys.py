@@ -1,23 +1,19 @@
 """Dense univariate polynomial arithmetic over F_p or F_{p²} coefficients.
 
-Two shapes of object live here:
-
-* :class:`Poly` -- ordinary polynomials, lowest degree first;
-* :class:`PoleFraction` -- num / (z^a (z-1)^b), the one fraction type: every
-  entry of the transition matrix and its diagonalising frames, and every
-  Laurent polynomial (b = 0), takes this shape.  The order b at z = 1 is
-  signed: b < 0 is a zero at 1, so (z-1)^p is the fraction 1 / (z-1)^(-p).
-
-Everything is exact.  A polynomial's coefficients are one int64 array of
-shape (n, d), so products are integer convolutions (each sum has at most
-n*d terms below p^2, inside int64 for every supported p) and divisions
-update whole coefficient slices; degrees stay below a few thousand, so the
-dense quadratic algorithms are the right tool.  Powers of z - 1 never need
-a general product: in characteristic p, (z-1)^(p^i) = z^(p^i) - 1, so
-multiplying by (z-1)^k (:meth:`Poly.times_z_minus_one_pow`) is one dense
-factor for k's low base-p digit and one shifted subtraction per unit of
-each higher digit, and the divisor that every birkhoff row meets three
-times, (z-1)^(2p) = z^(2p) - 2z^p + 1, has its own division
+A :class:`Poly` holds its coefficients, lowest degree first, as one int64
+array of shape (n, d).  There is no fraction type.  Everything is exact.
+Products are integer convolutions of coordinate columns
+(:func:`convolve_into`), left unreduced in 2d - 1 columns (column k holds
+the x^k part) until one fold by the context; each sum has at most n*d
+terms below p^2, inside int64 for every supported p.  A signed sum of
+several products can share one such buffer and one fold, which is how the
+birkhoff certificate check proves its identities without building a
+polynomial.  Divisions update whole coefficient slices; degrees stay below
+a few thousand, so the dense quadratic algorithms are the right tool.
+Powers of z - 1 never need a general product: in characteristic p,
+(z-1)^(p^i) = z^(p^i) - 1, so (z-1)^k is built digit by digit in base p
+(:func:`z_minus_one_pow`), and the divisor that every birkhoff row meets
+three times, (z-1)^(2p) = z^(2p) - 2z^p + 1, has its own division
 (:func:`divrem_z_minus_one_2p`): it moves a block of p coefficients per
 step instead of one.
 """
@@ -122,15 +118,13 @@ class Poly:
         return Poly(self.ctx, -self.v % self.ctx.p)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """d*d integer convolutions of coordinate columns, then one fold."""
+        """The unreduced convolution of :func:`convolve_into`, then one fold."""
         ctx = self.ctx
         a, b = self.v, other.v
         if not len(a) or not len(b):
             return Poly.zero(ctx)
         t = np.zeros((len(a) + len(b) - 1, 2 * ctx.d - 1), np.int64)
-        for i in range(ctx.d):
-            for j in range(ctx.d):
-                t[:, i + j] += np.convolve(a[:, i], b[:, j])
+        convolve_into(t, a, b)
         return Poly(ctx, ctx.fold(t))
 
     def scale(self, c) -> "Poly":
@@ -207,34 +201,26 @@ class Poly:
             np.remainder(head, self.ctx.p, out=head)
         return Poly(self.ctx, rev[::-1])
 
-    def times_z_minus_one_pow(self, k: int) -> "Poly":
-        """self * (z-1)^k for k >= 0, digit by digit in base p.
-
-        In characteristic p, (z-1)^(k0 + k1*p + k2*p^2 + ...) is
-        (z-1)^k0 * (z^p - 1)^k1 * (z^(p^2) - 1)^k2 * ...: the low digit is
-        one convolution with the k0 + 1 binomials of (z-1)^k0, and each
-        unit of a higher digit i one shifted subtraction v*z^(p^i) - v.
-        """
-        ctx = self.ctx
-        p = ctx.p
-        k, k0 = divmod(k, p)
-        v = self.v
-        if k0 and len(v):
-            c = np.array(_minus_one_binomials(k0, p), np.int64)
-            v = np.stack([np.convolve(col, c) for col in v.T], axis=1) % p
-        step = p                          # p^i
-        while k and len(v):
-            k, digit = divmod(k, p)
-            for _ in range(digit):
-                out = np.zeros((len(v) + step, ctx.d), np.int64)
-                out[step:] = v
-                out[:len(v)] -= v
-                v = out % p
-            step *= p
-        return self if v is self.v else Poly(ctx, v)
-
 
 # ---------------------------------------------------------------------------
+
+
+def convolve_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, sign: int = 1) -> None:
+    """Add sign * a*b, unreduced, to the leading rows of out.
+
+    a and b are coefficient arrays (n, d) and (m, d); out has 2d - 1
+    columns and at least n + m - 1 rows.  Column k of the product is the
+    sum over i + j = k of the integer convolutions of a's coordinate i
+    with b's coordinate j: the x^k part before the context's fold.  An
+    empty operand adds nothing.
+    """
+    if not len(a) or not len(b):
+        return
+    n = len(a) + len(b) - 1
+    d = a.shape[1]
+    for i in range(d):
+        for j in range(d):
+            out[:n, i + j] += sign * np.convolve(a[:, i], b[:, j])
 
 
 def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -352,75 +338,3 @@ def z_minus_one_pow(ctx: ReductionContext, k: int) -> Poly:
     v = np.zeros((len(coeffs), ctx.d), np.int64)
     v[:, 0] = coeffs
     return Poly(ctx, v)
-
-
-# ---------------------------------------------------------------------------
-
-
-class PoleFraction:
-    """num / (z^a (z-1)^b): rational functions with poles in {0, 1, infinity}.
-
-    a >= 0, and the order b at z = 1 is signed: b < 0 stands for the zero
-    (z-1)^(-b), so multiplying by (z-1)^(+-k) only moves b
-    (:meth:`times_z_minus_one_pow`).  Kept as built, never reduced, so no
-    operation pays for dividing out the factors of z and z - 1 that cancel.
-    Sums and equality bring both sides over z^max(a) (z-1)^max(b): a shift
-    for z, and :meth:`Poly.times_z_minus_one_pow` for z - 1, which needs no
-    general product.  A zero operand needs neither.  Equality
-    cross-multiplies; instances are unhashable.
-    """
-
-    __slots__ = ("num", "a", "b")
-
-    def __init__(self, num: Poly, a: int = 0, b: int = 0):
-        if a < 0:
-            num = num.shift(-a)
-            a = 0
-        self.num, self.a, self.b = num, a, b
-
-    @property
-    def ctx(self):
-        return self.num.ctx
-
-    @classmethod
-    def zero(cls, ctx) -> "PoleFraction":
-        return cls(Poly.zero(ctx))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def times_z_minus_one_pow(self, k: int) -> "PoleFraction":
-        """self * (z-1)^k for any integer k: exponent arithmetic."""
-        return PoleFraction(self.num, self.a, self.b - k)
-
-    def _over(self, a: int, b: int) -> Poly:
-        """The numerator over the larger denominator z^a (z-1)^b."""
-        return self.num.shift(a - self.a).times_z_minus_one_pow(b - self.b)
-
-    def __add__(self, other: "PoleFraction") -> "PoleFraction":
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        a, b = max(self.a, other.a), max(self.b, other.b)
-        return PoleFraction(self._over(a, b) + other._over(a, b), a, b)
-
-    def __sub__(self, other: "PoleFraction") -> "PoleFraction":
-        return self + (-other)
-
-    def __neg__(self) -> "PoleFraction":
-        return PoleFraction(-self.num, self.a, self.b)
-
-    def __mul__(self, other: "PoleFraction") -> "PoleFraction":
-        return PoleFraction(self.num * other.num, self.a + other.a, self.b + other.b)
-
-    def __eq__(self, other):
-        if not isinstance(other, PoleFraction):
-            return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        a, b = max(self.a, other.a), max(self.b, other.b)
-        return self._over(a, b) == other._over(a, b)
-
-    def __repr__(self):
-        return f"PoleFraction({self.num!r} / z^{self.a}(z-1)^{self.b})"

@@ -26,8 +26,8 @@ from . import __version__
 from .cocycle import build_A_closed, build_A_primitive, build_transition
 from .criterion import det_T0_in_lam1, splittings_from_T, t_r_first_mismatch
 from .errors import InvalidRange, MethodUnavailable
-from .factorization import (factorization_certificate, splitting_from_birkhoff,
-                            verify_certificate)
+from .factorization import (assemble_certificate, factorization_certificate,
+                            splitting_from_birkhoff, verify_certificate)
 from .fields import (WittParameter, is_prime, make_context, teichmuller,
                      witt_compose, witt_decompose)
 from .lambdas import LambdaSpec, ReductionDatum, beauville_catalog, reduce_at_prime
@@ -428,9 +428,15 @@ def _suite_certificates(max_p: int, seed: int, cases: int = 30) -> dict:
         done += 1
         if k % 6 == 0:
             trans = build_transition(cocycle)
-            bad = replace(cert, f=cert.f + Poly.one(ctx))
-            if verify_certificate(trans, bad):
-                return _suite(False, done, f"perturbed certificate accepted at p={p}")
+            # moving the Bezout partner by k*(f, -g) keeps every identity
+            # but the degree bounds, which make Q regular at infinity
+            k = Poly.monomial(ctx, 3 * p)
+            shifted = assemble_certificate(
+                cocycle, cert.f, cert.g, cert.h, cert.l, cert.beta_prime + k * cert.f,
+                cert.gamma_prime - k * cert.g, cert.alpha - k * cert.h)
+            for bad in (replace(cert, f=cert.f + Poly.one(ctx)), shifted):
+                if verify_certificate(trans, bad):
+                    return _suite(False, done, f"perturbed certificate accepted at p={p}")
     return _suite(True, done)
 
 

@@ -7,7 +7,9 @@ from higgsflow.cocycle import (binomial_over_p, binomials_mod_p2, build_A_closed
                                build_A_primitive, build_transition)
 from higgsflow.errors import ForbiddenResidue
 from higgsflow.fields import make_context, witt_decompose
-from higgsflow.polys import Poly, PoleFraction, z_minus_one_pow
+from higgsflow.polys import Poly, z_minus_one_pow
+
+from certificate_reference import PoleFraction, transition_fractions
 
 
 def P(ctx, *ints):
@@ -112,27 +114,28 @@ def test_transition_shape_and_determinant():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
     m = build_transition(co)
-    assert m.entry(0, 1).is_zero()
-    assert m.entry(0, 0) == PoleFraction(z_minus_one_pow(ctx, 3))
-    assert m.entry(1, 1) == PoleFraction(Poly.one(ctx), 0, 3)
-    det = m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
-    assert det == PoleFraction(Poly.one(ctx))
+    # the one stored entry is A/u
+    assert m.lower_left == co.A.scale(co.unit.inverse())
+    (top, zero), (low, diag) = transition_fractions(m)
+    assert zero.is_zero()
+    assert top == PoleFraction(z_minus_one_pow(ctx, 3))
+    assert diag == PoleFraction(Poly.one(ctx), 0, 3)
+    assert top * diag - zero * low == PoleFraction(Poly.one(ctx))
     # lower-left is a(z-1)^-p with a = (z^5+2z)/(2 z^3)
     expect = PoleFraction(P(ctx, 0, 2, 0, 0, 0, 1).scale(ctx.f_from_int(2)), 3, 3)
-    assert m.entry(1, 0) == expect
+    assert low == expect
 
 
 def test_transition_poles_confined():
-    # no pole outside {0, 1, infinity}: a >= 0, the numerator is a
-    # polynomial, and a negative order b at z = 1 is a zero there, not a pole
+    # no pole outside {0, 1, infinity}: M~ = z^p (z-1)^p M has polynomial
+    # entries, and its diagonal is z^p (z-1)^(2p) and z^p for every cocycle
     ctx = make_context(5, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(3))
     m = build_transition(co)
-    for i in range(2):
-        for j in range(2):
-            e = m.entry(i, j)
-            assert e.a >= 0 and isinstance(e.num, Poly)
-            if e.b < 0:
-                poly = e.num * z_minus_one_pow(ctx, -e.b)
-                assert e == PoleFraction(poly) and poly.order_at_one() >= -e.b
-    assert m.entry(0, 0).b == -ctx.p                     # (z-1)^p
+    (top, zero), (low, diag) = transition_fractions(m)
+    for e in (top, zero, low, diag):
+        assert (e.a, e.b) == (5, 5) and isinstance(e.num, Poly)
+    assert top.num == z_minus_one_pow(ctx, 10).shift(5) and diag.num == Poly.monomial(ctx, 5)
+    # (z-1)^p: a zero of order p at 1
+    assert top == PoleFraction(Poly.one(ctx), 0, -ctx.p)
+    assert top.num.order_at_one() == 2 * ctx.p

@@ -8,22 +8,26 @@ from higgsflow import factorization
 from higgsflow.cocycle import build_A_primitive, build_transition
 from higgsflow.criterion import splitting_from_T, t_submatrix, build_T
 from higgsflow.errors import CertificateCheckFailed, DegreeTooLarge
-from higgsflow.factorization import (birkhoff_step1, birkhoff_step2, check_certificate,
-                                     euclid_rows, factorization_certificate,
-                                     splitting_from_birkhoff, verify_certificate)
+from higgsflow.factorization import (assemble_certificate, birkhoff_step1, birkhoff_step2,
+                                     check_certificate, euclid_rows,
+                                     factorization_certificate, splitting_from_birkhoff,
+                                     verify_certificate)
 from higgsflow.fields import make_context, witt_decompose
 from higgsflow.linalg import mat_rank
-from higgsflow.polys import (Poly, PoleFraction, divrem_z_minus_one_2p, poly_divrem,
-                             z_minus_one_pow)
+from higgsflow.polys import Poly, divrem_z_minus_one_2p, poly_divrem, z_minus_one_pow
+
+from certificate_reference import (PoleFraction, frame_fractions, matmul, reference_check,
+                                   transition_fractions)
 
 
 def P(ctx, *ints):
     return Poly.from_ints(ctx, ints)
 
 
-def _pf_matmul(x, y):
-    return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2))
-                 for i in range(2))
+def _pmq(m, cert):
+    """P*M*Q multiplied out as rational functions."""
+    frame_p, frame_q = frame_fractions(cert)
+    return matmul(frame_p, matmul(transition_fractions(m), frame_q))
 
 
 def test_step1_micro_case_periodic():
@@ -80,7 +84,7 @@ def test_step2_exact_diagonalization_micro_case():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
     cert = birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
-    prod = _pf_matmul(cert.P, _pf_matmul(build_transition(co).entries, cert.Q))
+    prod = _pmq(build_transition(co), cert)
     assert prod[0][0] == PoleFraction(z_minus_one_pow(ctx, 1))
     assert prod[1][1] == PoleFraction(Poly.one(ctx), 0, 1)
     assert prod[0][1].is_zero() and prod[1][0].is_zero()
@@ -97,12 +101,13 @@ def test_step2_exact_diagonalization_small_sample():
                 continue
             co = build_A_primitive(ctx, w)
             cert = birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
-            prod = _pf_matmul(cert.P, _pf_matmul(build_transition(co).entries, cert.Q))
+            prod = _pmq(build_transition(co), cert)
             assert prod[0][0] == PoleFraction(Poly.one(ctx), 0, cert.c - p)
             assert prod[1][1] == PoleFraction(Poly.one(ctx), 0, p - cert.c)
             assert prod[0][1].is_zero() and prod[1][0].is_zero()
-            # alpha is a Laurent polynomial of valuation >= -2p: poles at z = 0 only
-            assert cert.alpha.b == 0 and cert.alpha.a <= 2 * p
+            # alpha = alpha~/z^p has poles at z = 0 and infinity only, of
+            # order at most p at 0 and p - 1 - c at infinity
+            assert cert.alpha.degree <= 2 * p - 1 - cert.c
             reduced += not cert.g.is_zero() and cert.g.degree > cert.f.degree
             gcd_at_one += cert.l > 0
     # both step-1 paths stay covered: gamma' reduced mod g, and gcd (z-1)^l, l > 0
@@ -307,30 +312,38 @@ def test_agreement_with_T_randomized_larger_p_and_quadratic_field():
         assert nb == splitting_from_T(ctx, wp.lam0, wp.lam1).n
 
 
-def _tampered(cert):
-    """Certificates that each break one identity the verifier checks."""
+def _tampered(m, cert):
+    """(M, certificate) pairs that each break one identity the verifier checks."""
     ctx = cert.f.ctx
+    p = ctx.p
     one = Poly.one(ctx)
     (p00, p01), (p10, p11) = cert.P
     q0, (q10, q11) = cert.Q
-    two = PoleFraction(Poly.from_ints(ctx, [2]))
-    half = PoleFraction(Poly.from_ints(ctx, [(ctx.p + 1) // 2]))
+    two, half = ctx.f_from_int(2), ctx.f_from_int((p + 1) // 2)
     bad = {name: dataclasses.replace(cert, **{name: getattr(cert, name) + one})
-           for name in ("f", "g", "h", "beta_prime", "gamma_prime")}
-    return bad | {
+           for name in ("f", "g", "h", "beta_prime", "gamma_prime", "alpha")}
+    # moving the Bezout partner by k*(f, -g) keeps every identity but the
+    # degree bounds: Q is then not regular at infinity
+    k = Poly.monomial(ctx, 3 * p)
+    bad |= {
         "c": dataclasses.replace(cert, c=cert.c - 1, n=cert.n + 1),
-        "alpha": dataclasses.replace(cert, alpha=cert.alpha + PoleFraction(one)),
-        "P entry": dataclasses.replace(cert, P=((p00 + PoleFraction(one), p01), (p10, p11))),
-        "Q entry": dataclasses.replace(cert, Q=(q0, (q10, q11 + PoleFraction(one, 1, 0)))),
+        "P entry": dataclasses.replace(cert, P=((p00 + one, p01), (p10, p11))),
+        "Q entry": dataclasses.replace(cert, Q=(q0, (q10, q11 + one))),
         # adding one row of P to the other keeps det P = 1, so only P*M*Q
         # can catch it; each row of P*M*Q is checked on its own
         "P row 1 into row 0": dataclasses.replace(cert, P=((p00 + p10, p01 + p11), (p10, p11))),
         "P row 0 into row 1": dataclasses.replace(cert, P=((p00, p01), (p10 + p00, p11 + p01))),
         # P row 0 times 2, Q column 0 times 1/2: P*M*Q is unchanged, det P is not
         "P, Q rescaled": dataclasses.replace(
-            cert, P=((two * p00, two * p01), (p10, p11)),
-            Q=((half * q0[0], q0[1]), (half * q10, q11))),
+            cert, P=((p00.scale(two), p01.scale(two)), (p10, p11)),
+            Q=((q0[0].scale(half), q0[1]), (q10.scale(half), q11))),
+        "Bezout partner shifted": assemble_certificate(
+            m.cocycle, cert.f, cert.g, cert.h, cert.l, cert.beta_prime + k * cert.f,
+            cert.gamma_prime - k * cert.g, cert.alpha - k * cert.h),
     }
+    pairs = {name: (m, c) for name, c in bad.items()}
+    pairs["M lower-left"] = (dataclasses.replace(m, lower_left=m.lower_left + one), cert)
+    return pairs
 
 
 # (p, d, coefficients of lambda); at p = 3, lambda = -1 is periodic (l = 1)
@@ -353,24 +366,82 @@ def _shape_case(p, d, coeffs):
 def test_verify_certificate_rejects_perturbations(p, d, coeffs):
     m, cert = _shape_case(p, d, coeffs)
     assert verify_certificate(m, cert)
-    for name, bad in _tampered(cert).items():
-        assert not verify_certificate(m, bad), name
+    for name, (bad_m, bad) in _tampered(m, cert).items():
+        assert not verify_certificate(bad_m, bad), name
 
 
 @pytest.mark.parametrize("p, d, coeffs", SHAPES)
 def test_check_certificate_names_the_broken_identity(p, d, coeffs):
     m, cert = _shape_case(p, d, coeffs)
-    # beta' enters the Bezout relation through g, the alpha relation through A
+    # beta' enters the Bezout relation through g, the alpha relation through A.
+    # c sets only Q's fixed denominators: with c - 1, P*M*Q still holds with
+    # diag((z-1)^(p-c+1), (z-1)^(c-1-p)), but Q has a pole at infinity.  The
+    # pole-fraction reference names the same identity as the check
     broken = {"f": "step-1", "g": "step-1", "h": "step-1",
               "beta_prime": "Bezout" if not cert.g.is_zero() else "alpha",
-              "gamma_prime": "Bezout", "alpha": "alpha", "c": "P*M*Q",
+              "gamma_prime": "Bezout", "alpha": "alpha", "c": "degree bounds",
               "P entry": "det P", "Q entry": "det Q", "P row 1 into row 0": "P*M*Q",
               "P row 0 into row 1": "P*M*Q",
-              "P, Q rescaled": "det P"}
-    for name, bad in _tampered(cert).items():
-        with pytest.raises(CertificateCheckFailed) as err:
-            check_certificate(m, bad)
-        assert f"identity {broken[name]} does not hold" in str(err.value), name
+              "P, Q rescaled": "det P", "Bezout partner shifted": "degree bounds",
+              "M lower-left": "P*M*Q"}
+    for name, (bad_m, bad) in _tampered(m, cert).items():
+        for check in (check_certificate, reference_check):
+            with pytest.raises(CertificateCheckFailed) as err:
+                check(bad_m, bad)
+            assert f"identity {broken[name]} does not hold" in str(err.value), name
+
+
+def _verdict(check, m, cert):
+    try:
+        check(m, cert)
+    except CertificateCheckFailed:
+        return False
+    return True
+
+
+def test_check_agrees_with_the_rational_function_reference():
+    # every lift at d = 1 for p <= 13 and at d = 2 for p <= 5: the polynomial
+    # identities and the pole-fraction reference accept the same certificates,
+    # and reject the same tampered ones (every tamper for q <= 9, at every
+    # eighth lift above)
+    cases = 0
+    for p, d in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)):
+        ctx = make_context(p, d)
+        for i, w in enumerate(ctx.witt_elements()):
+            r = w.residue()
+            if r.is_zero() or r == ctx.one:
+                continue
+            co = build_A_primitive(ctx, w)
+            m, cert = build_transition(co), factorization_certificate(co)
+            assert _verdict(check_certificate, m, cert) and _verdict(reference_check, m, cert)
+            cases += 1
+            if ctx.q <= 9 or i % 8 == 0:
+                for name, (bad_m, bad) in _tampered(m, cert).items():
+                    assert not _verdict(check_certificate, bad_m, bad), (p, d, name)
+                    assert not _verdict(reference_check, bad_m, bad), (p, d, name)
+    assert cases == 295 + 63 + 575
+
+
+@pytest.mark.parametrize("p, d", [(7, 1), (101, 1), (7, 2)])
+def test_check_builds_no_polynomial_and_makes_ten_products(monkeypatch, p, d):
+    ctx = make_context(p, d)
+    co = build_A_primitive(ctx, ctx.w_from_coeffs((-1,) + (1,) * (d - 1)))
+    m, cert = build_transition(co), factorization_certificate(co)
+    built, products = [], []
+    init, convolve = Poly.__init__, factorization.convolve_into
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_convolve(*args):
+        products.append(1)
+        convolve(*args)
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(factorization, "convolve_into", counted_convolve)
+    check_certificate(m, cert)
+    assert len(built) == 0 and len(products) == 10
 
 
 def test_step2_names_the_identity_its_certificate_breaks(monkeypatch):
@@ -378,9 +449,7 @@ def test_step2_names_the_identity_its_certificate_breaks(monkeypatch):
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
     m = build_transition(co)
-    (top, zero), (low, diag) = m.entries
-    low = low + PoleFraction(Poly.one(ctx))
-    wrong = dataclasses.replace(m, entries=((top, zero), (low, diag)))
+    wrong = dataclasses.replace(m, lower_left=m.lower_left + Poly.one(ctx))
     monkeypatch.setattr(factorization, "build_transition", lambda cocycle: wrong)
     with pytest.raises(CertificateCheckFailed, match=r"identity P\*M\*Q does not hold"):
         birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
