@@ -20,7 +20,8 @@ T up, reduces it again or copies it.  T over F_q itself is assembled only
 on request.
 
 The remainder system R is the independent reference for that arrangement:
-row i of R holds z^i * A reduced mod (z-1)^(2p), built by recurrence.
+row i of R holds z^i * A reduced mod G = g(z^p), the modulus of
+``polys.euclid_modulus`` (here (z-1)^(2p)), built by recurrence.
 Entrywise, R reproduces T on the left block, and reflected on the upper
 band; validate_T_R checks both index identities on the exact ranges where
 the band is defined.
@@ -38,7 +39,7 @@ from .fields import FieldElement, ReductionContext
 from .linalg import FqMatrix, _residue_dtype, blowup_leading_ranks, stack_slices
 # unused here; kept because perfbench/hooks.py patches it by name in this module
 from .linalg import mat_rank  # noqa: F401
-from .polys import Poly
+from .polys import Poly, euclid_modulus
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class CriterionMatrix:
 
 @dataclass(frozen=True)
 class RemainderSystem:
-    """Rows R_i of z^i A mod (z-1)^(2p), i = 0..p."""
+    """Rows R_i of z^i A mod G = g(z^p), i = 0..p."""
 
     ctx: ReductionContext
     A: Poly
@@ -207,21 +208,23 @@ def splitting_from_T(ctx: ReductionContext, lam0: FieldElement,
 
 
 def remainder_system(ctx: ReductionContext, A: Poly) -> RemainderSystem:
-    """Rows z^i A mod (z-1)^(2p) for i = 0..p.
+    """Rows z^i A mod G for i = 0..p, G = g(z^p) of ``polys.euclid_modulus``.
 
-    Uses z^(2p) = (z-1)^(2p) + 2 z^p - 1 over F_p, so each row is one shift
-    and a two-term correction of the previous one.
+    G = z^(2p) + g1 z^p + g0, so z^(2p) = -g1 z^p - g0 mod G, and each row
+    is one shift of the previous one and a two-term correction by its top
+    coefficient, times -g1 and -g0 as field scalars.
     """
     p = ctx.p
     if A.degree > 2 * p - 1:
         raise DegreeTooLarge("cocycle numerator must have degree <= 2p-1")
     arr = np.zeros((p + 1, 2 * p, ctx.d), dtype=np.int64)
     arr[0, : len(A.v)] = A.v
+    minus_g0, minus_g1 = ctx.mul_matrix(-euclid_modulus(ctx)[:2])
     for i in range(p):
         top = arr[i, -1]
         arr[i + 1, 1:] = arr[i, :-1]
-        arr[i + 1, p] = (arr[i + 1, p] + 2 * top) % p
-        arr[i + 1, 0] = -top % p
+        arr[i + 1, p] = (arr[i + 1, p] + top @ minus_g1) % p
+        arr[i + 1, 0] = top @ minus_g0 % p
     return RemainderSystem(ctx=ctx, A=A, R=FqMatrix(ctx, arr))
 
 

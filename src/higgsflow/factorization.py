@@ -1,24 +1,26 @@
 """Constructive diagonalization of the transition matrix.
 
-Step 1 finds the minimal pair (f, g) with f*A + g*z^p divisible by
-(z-1)^(2p) by extended Euclid, as a rational reconstruction of A*z^(-p)
-(see :func:`birkhoff_step1`); n = p - max(deg f, deg g).  It shares no
-linear algebra with the t method's rank scan.  The Euclid rows (r, t)
-live in two preallocated arrays that each step updates in place
+Step 1 finds the minimal pair (f, g) with f*A + g*z^p divisible by the
+modulus G = g(z^p) = (z-1)^(2p), whose quadratic g every step reads from
+:func:`~higgsflow.polys.euclid_modulus`, by extended Euclid, as a
+rational reconstruction of A*z^(-p) mod G (see
+:func:`birkhoff_step1`); n = p - max(deg f, deg g).  It shares no linear
+algebra with the t method's rank scan.  The Euclid rows (r, t) live in
+two preallocated arrays that each step updates in place
 (:func:`euclid_rows`), so a step builds no polynomial object.  The Euclid
 row before the stopping row is a Bezout partner: it gives (beta', gamma')
-with f*gamma' + g*beta' = (z-1)^(2p) and z^p*gamma' = A*beta' mod
-(z-1)^(2p), reduced so that both have degree <= 2p - c.
+with f*gamma' + g*beta' = G and z^p*gamma' = A*beta' mod G, reduced so
+that both have degree <= 2p - c.
 
 Step 2 divides the off-frame entry alpha out of z^p*gamma' - A*beta' and
 assembles unimodular frames P, Q with
 P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).  It runs no second gcd: the
-Bezout identity shows that gcd(f, g) divides (z-1)^(2p), so it is
+Bezout identity shows that gcd(f, g) divides G = (z-1)^(2p), so it is
 (z-1)^l.
 
-The three divisions by (z-1)^(2p) (B and h in step 1, alpha in step 2)
-use :func:`~higgsflow.polys.divrem_z_minus_one_2p`, which divides by
-z^(2p) - 2z^p + 1 a block of p coefficients at a time.  The one school
+The two divisions by G (h in step 1, alpha in step 2) use
+:func:`~higgsflow.polys.divrem_modulus`, which moves a block of p
+coefficients at a time; B = A*z^(-p) mod G needs none.  The one school
 division left is the reduction of gamma' mod g in step 1, by a divisor of
 degree < p, when deg g > deg f.
 
@@ -31,7 +33,7 @@ infinity.  P, Q and the gluing matrix M are kept as polynomial matrices
 over fixed denominators (P~ = P diag(z^p, 1),
 Q~ = Q diag((z-1)^c, (z-1)^(2p-c)), M~ = z^p (z-1)^p M), so every
 identity is a polynomial identity: a signed sum of products, shifts by z^s
-and multiples of G = (z-1)^(2p) = z^(2p) - 2z^p + 1 (three shifted adds),
+and multiples of G (g's three coefficients at z^0, z^p and z^(2p)),
 accumulated in unreduced int64 rows that are reduced mod p once.  The
 check builds no polynomial object and draws no sample points.  Once
 det P~ = z^p is proved, P^(-1) = adj(P), so the diagonalization is proved
@@ -48,8 +50,7 @@ from .cocycle import CocyclePolynomial, TransitionMatrix, build_transition
 from .criterion import SplittingType
 from .errors import CertificateCheckFailed, DegreeTooLarge
 from .fields import ReductionContext
-from .polys import (Poly, convolve_into, divrem_z_minus_one_2p, poly_divrem,
-                    z_minus_one_pow)
+from .polys import Poly, convolve_into, divrem_modulus, euclid_modulus, poly_divrem
 # unused here; kept because perfbench/hooks.py patches them by name in this module
 from .cocycle import build_A_primitive  # noqa: F401
 from .criterion import remainder_system  # noqa: F401
@@ -63,8 +64,9 @@ class FactorizationCertificate:
 
     f, g, h and beta', gamma' are stored against the cocycle normalisation
     of A, so that f*A + g*z^p = h*G, f*gamma' + g*beta' = G and
-    z^p*gamma' - A*beta' = G*alpha~ hold verbatim, with G = (z-1)^(2p); l
-    is the order of gcd(f, g) at z = 1.  alpha is the numerator alpha~ of
+    z^p*gamma' - A*beta' = G*alpha~ hold verbatim, with G = g(z^p) of
+    :func:`~higgsflow.polys.euclid_modulus`, which is (z-1)^(2p); l is
+    the order of gcd(f, g) at z = 1.  alpha is the numerator alpha~ of
     the off-frame entry alpha~/z^p.  The frames P and Q, with
     P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)), are stored as polynomial
     matrices over fixed column denominators, which are never stored:
@@ -155,12 +157,14 @@ def euclid_rows(G: Poly, B: Poly, stop: int) -> tuple[Poly, Poly, Poly, Poly, in
 
 def birkhoff_step1(ctx: ReductionContext,
                    A: Poly) -> tuple[Poly, Poly, Poly, int, Poly, Poly]:
-    """Minimal (f, g) with f*A + g*z^p = h*(z-1)^(2p), and a Bezout partner.
+    """Minimal (f, g) with f*A + g*z^p = h*G, and a Bezout partner.
 
-    Rational reconstruction of B = A*z^(-p) mod (z-1)^(2p): a pair solves
-    step 1 exactly when f*B = -g mod (z-1)^(2p).  In characteristic p,
-    z^p*(2 - z^p) = 1 - (z-1)^(2p), so z^(-p) = 2 - z^p and B needs no
-    inverse.  Extended Euclid on ((z-1)^(2p), B) (:func:`euclid_rows`, in
+    G = g(z^p) = z^(2p) + g1*z^p + g0, with g0, g1 read from
+    :func:`~higgsflow.polys.euclid_modulus`.  Rational reconstruction of
+    B = A*z^(-p) mod G: a pair solves step 1 exactly when f*B = -g mod G.
+    Since z^p*(z^p + g1) = G - g0, z^(-p) = -(z^p + g1)/g0 mod G, so with
+    A = lo + hi*z^p (deg lo, deg hi < p), B = hi - (g1/g0)*lo - (lo/g0)*z^p
+    needs no division.  Extended Euclid on (G, B) (:func:`euclid_rows`, in
     place, with no polynomial objects per step) keeps r_j = t_j*B, with
     deg r_j falling and deg t_j = 2p - deg r_(j-1) rising.  The first row
     with deg r_j <= p-1 is the answer: every earlier row has
@@ -170,42 +174,50 @@ def birkhoff_step1(ctx: ReductionContext,
     A = 0, where B = 0 leaves f = 1.
 
     f is unique up to a scalar.  For c < p, two solutions of degree <= c
-    satisfy f1*g2 = f2*g1 mod (z-1)^(2p) in degree < 2p, hence exactly, so
-    both are multiples of one primitive pair by polynomials in one ideal
-    (z-1)^k, and only (z-1)^k itself keeps the degree minimal.  For c = p
-    the pairs of degree <= p form a 2-dimensional space.  The rule
-    deg g <= p-1 says that f*A mod (z-1)^(2p) has no terms below z^p: p
-    conditions on the p+1 coefficients of f whose leading p x p block is
-    T_0, which has full rank exactly when c = p.  So one line is left.
+    satisfy f1*g2 = f2*g1 mod G in degree < 2p, hence exactly, so both are
+    multiples of one primitive pair by polynomials in one ideal, and only
+    its monic generator keeps the degree minimal.  For c = p the pairs of
+    degree <= p form a 2-dimensional space.  The rule deg g <= p-1 says
+    that f*A mod G has no terms below z^p: p conditions on the p+1
+    coefficients of f whose leading p x p block is T_0, which has full rank
+    exactly when c = p.  So one line is left.
 
     The previous row gives the partner.  Each Euclid step negates
-    t_j*r_(j-1) - t_(j-1)*r_j, which starts at (z-1)^(2p); scaled like f
-    and g, (beta', gamma') = +-lead(t_j)*(t_(j-1), r_(j-1)) satisfy
-    f*gamma' + g*beta' = (z-1)^(2p), and r_(j-1) = t_(j-1)*B makes
-    z^p*gamma' - A*beta' divisible by (z-1)^(2p).  deg gamma' = 2p - deg f
-    and deg beta' < deg f.  When deg g > deg f, gamma' is reduced mod g
-    (beta' gains the quotient times f), which keeps both relations and
-    brings both degrees to <= 2p - c.  That reduction, by a divisor of
-    degree < p, is step 1's one school division; the divisions by
-    (z-1)^(2p) use :func:`~higgsflow.polys.divrem_z_minus_one_2p`.
+    t_j*r_(j-1) - t_(j-1)*r_j, which starts at G; scaled like f and g,
+    (beta', gamma') = +-lead(t_j)*(t_(j-1), r_(j-1)) satisfy
+    f*gamma' + g*beta' = G, and r_(j-1) = t_(j-1)*B makes
+    z^p*gamma' - A*beta' divisible by G.  deg gamma' = 2p - deg f and
+    deg beta' < deg f.  When deg g > deg f, gamma' is reduced mod g (beta'
+    gains the quotient times f), which keeps both relations and brings
+    both degrees to <= 2p - c.  That reduction, by a divisor of degree
+    < p, is step 1's one school division; h comes from
+    :func:`~higgsflow.polys.divrem_modulus`.
 
     Returns (f, g, h, l, beta', gamma').  l is the smaller of the orders
     of f and g at z = 1 (f's alone when g = 0).  The Bezout identity,
     proved again by :func:`check_certificate`, makes gcd(f, g) a divisor
-    of (z-1)^(2p), hence exactly (z-1)^l.
+    of G = (z-1)^(2p), hence exactly (z-1)^l.
     """
-    p = ctx.p
+    p, d = ctx.p, ctx.d
     if A.degree > 2 * p - 1:
         raise DegreeTooLarge("step 1 requires deg A <= 2p-1")
-    _, B = divrem_z_minus_one_2p(A + A - A.shift(p))
-    r0, t0, r1, t1, sign = euclid_rows(z_minus_one_pow(ctx, 2 * p), B, p)
+    rows = euclid_modulus(ctx)
+    g0, g1 = (tuple(x) for x in rows[:2].tolist())
+    minus_inv_g0 = ctx.fneg(ctx.finv(g0))
+    times_low, times_high = ctx.mul_matrix([ctx.fmul(minus_inv_g0, g1), minus_inv_g0])
+    a = np.zeros((2 * p, d), np.int64)
+    a[:len(A.v)] = A.v
+    B = Poly(ctx, np.concatenate([a[p:] + a[:p] @ times_low, a[:p] @ times_high]) % p)
+    G = np.zeros((2 * p + 1, d), np.int64)
+    G[::p] = rows
+    r0, t0, r1, t1, sign = euclid_rows(Poly(ctx, G), B, p)
 
     lead = t1.lead()
     inv = lead.inverse()
     f, g = t1.scale(inv), -r1.scale(inv)
-    h, rem = divrem_z_minus_one_2p(f * A + g.shift(p))
+    h, rem = divrem_modulus(f * A + g.shift(p))
     if not rem.is_zero():
-        _fail("step-1 sum f*A + g*z^p is not divisible by (z-1)^(2p)")
+        _fail("step-1 sum f*A + g*z^p is not divisible by G")
 
     s = lead if sign == 1 else -lead
     beta, gamma = t0.scale(s), r0.scale(s)
@@ -224,17 +236,18 @@ def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly, 
 
     c = max(deg f, deg g), and P~, Q~ are laid out as
     :class:`FactorizationCertificate` says, g, h and beta' scaled by the
-    cocycle's unit.
+    cocycle's unit u: the scalars u, -u, -1/u and 1/u share one blow-up.
     """
-    p = cocycle.ctx.p
+    ctx, u = cocycle.ctx, cocycle.unit.vec
     c = max(_deg(f), _deg(g))
-    u = cocycle.unit
-    uinv = u.inverse()
-    beta_u = beta_prime.scale(u)
-    P = ((alpha, beta_u), (-h.scale(uinv), f))
-    Q = ((f, -beta_u), (g.scale(uinv), gamma_prime))
+    uinv = ctx.finv(u)
+    times = ctx.mul_matrix([u, ctx.fneg(u), ctx.fneg(uinv), uinv])
+    beta_u, minus_beta_u, minus_h_u, g_u = (
+        Poly(ctx, x.v @ m % ctx.p) for x, m in zip((beta_prime, beta_prime, h, g), times))
+    P = ((alpha, beta_u), (minus_h_u, f))
+    Q = ((f, minus_beta_u), (g_u, gamma_prime))
     return FactorizationCertificate(
-        f=f, g=g, h=h, l=l, c=c, n=p - c,
+        f=f, g=g, h=h, l=l, c=c, n=ctx.p - c,
         beta_prime=beta_prime, gamma_prime=gamma_prime, alpha=alpha, P=P, Q=Q)
 
 
@@ -256,7 +269,7 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
         _fail("degree bounds on (beta', gamma') violated")
 
     # the quotient is exact when the alpha identity of check_certificate holds
-    alpha, _ = divrem_z_minus_one_2p(gamma_prime.shift(p) - cocycle.A * beta_prime)
+    alpha, _ = divrem_modulus(gamma_prime.shift(p) - cocycle.A * beta_prime)
     cert = assemble_certificate(cocycle, f, g, h, l, beta_prime, gamma_prime, alpha)
     # verify_certificate is the check perfbench traces as factorization.verify;
     # only when it fails does check_certificate run again to name the identity
@@ -281,14 +294,15 @@ def _nonzero_entries(ctx: ReductionContext, entries: list) -> np.ndarray:
 
     An entry stands for the polynomial sum(k*a*b over products) +
     sum(k*z^s*x over shifted) + G*sum(k*z^s*x over over_G), with signs
-    k = +-1, coefficient arrays (n, d) and G = (z-1)^(2p) = z^(2p) - 2z^p + 1.
-    Each entry is one row of an int64 stack in
-    :func:`~higgsflow.polys.convolve_into`'s unreduced layout (the shifted
-    arrays in its first d columns).  The multiples of G are gathered in a
-    stack of their own and added as three shifted copies, and the stack is
-    reduced mod p once.  A product adds entries below n*d*p^2 and the other
-    terms less than 10p in all, so an entry with two products stays inside
-    int64 for every supported p.
+    k = +-1, coefficient arrays (n, d) and G = z^(2p) + g1*z^p + g0 from
+    :func:`~higgsflow.polys.euclid_modulus`.  Each entry is one row of an
+    int64 stack in :func:`~higgsflow.polys.convolve_into`'s unreduced
+    layout (the shifted arrays in its first d columns).  The multiples of G
+    are gathered in a stack of their own and added as three shifted copies,
+    times g0, g1 and 1 coordinate by coordinate in that layout, and the
+    stack is reduced mod p once.  A product adds entries below n*d*p^2, the
+    multiples of G below 6*d*p^2 and the shifted terms less than 4p, so an
+    entry with two products stays inside int64 for every supported p.
     """
     p, d = ctx.p, ctx.d
     g_rows = max(s + len(x) for e in entries for _, s, x in e[3])
@@ -305,9 +319,11 @@ def _nonzero_entries(ctx: ReductionContext, entries: list) -> np.ndarray:
                     dst[s:s + len(x)] += x
                 else:
                     dst[s:s + len(x)] -= x
-    buf[:, :g_rows, :d] += over
-    buf[:, p:p + g_rows, :d] -= 2 * over
-    buf[:, 2 * p:2 * p + g_rows, :d] += over
+    for k, gk in enumerate(euclid_modulus(ctx).tolist()):
+        for i in range(d):
+            for j, x in enumerate(gk):
+                if x:
+                    buf[:, k * p:k * p + g_rows, i + j] += x * over[..., i]
     del over                    # freed before the reduction allocates its result
     return ctx.fold(buf).any(axis=(1, 2))
 
@@ -315,9 +331,10 @@ def _nonzero_entries(ctx: ReductionContext, entries: list) -> np.ndarray:
 def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> None:
     """Prove every certificate identity exactly, or name the first that fails.
 
-    With G = (z-1)^(2p), P~ = P diag(z^p, 1), Q~ = Q diag((z-1)^c, (z-1)^(2p-c)) and
-    M~ = z^p (z-1)^p M = [[z^p G, 0], [A/u, z^p]] (see
-    :class:`FactorizationCertificate` and :class:`TransitionMatrix`), in order:
+    With G = g(z^p) = (z-1)^(2p), P~ = P diag(z^p, 1),
+    Q~ = Q diag((z-1)^c, (z-1)^(2p-c)) and M~ = z^p (z-1)^p M =
+    [[z^p G, 0], [A/u, z^p]] (see :class:`FactorizationCertificate` and
+    :class:`TransitionMatrix`), in order:
 
     * step-1: f*A + z^p*g = h*G;
     * Bezout: f*gamma' + g*beta' = G;

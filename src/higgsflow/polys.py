@@ -10,12 +10,10 @@ several products can share one such buffer and one fold, which is how the
 birkhoff certificate check proves its identities without building a
 polynomial.  Divisions update whole coefficient slices; degrees stay below
 a few thousand, so the dense quadratic algorithms are the right tool.
-Powers of z - 1 never need a general product: in characteristic p,
-(z-1)^(p^i) = z^(p^i) - 1, so (z-1)^k is built digit by digit in base p
-(:func:`z_minus_one_pow`), and the divisor that every birkhoff row meets
-three times, (z-1)^(2p) = z^(2p) - 2z^p + 1, has its own division
-(:func:`divrem_z_minus_one_2p`): it moves a block of p coefficients per
-step instead of one.
+The modulus that birkhoff's Euclid and the t method's remainder system
+reduce by is G = g(z^p) for a monic quadratic g (:func:`euclid_modulus`,
+its one definition), so G has three terms, and division by it
+(:func:`divrem_modulus`) moves a block of p coefficients per step.
 """
 
 from __future__ import annotations
@@ -250,30 +248,47 @@ def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return Poly(ctx, q), Poly(ctx, rem[: (m - 1) * d] % p)
 
 
-def divrem_z_minus_one_2p(f: Poly) -> tuple[Poly, Poly]:
-    """f = q*(z-1)^(2p) + r with deg r < 2p, a block of p coefficients at a time.
+def euclid_modulus(ctx: ReductionContext) -> np.ndarray:
+    """The rows (g0, g1, 1) of g(X) = X^2 + g1*X + g0, as a (3, d) int64 array.
 
-    In characteristic p, (z-1)^(2p) = z^(2p) - 2z^p + 1, so the top p
+    The one definition of the modulus G = g(z^p) that birkhoff's Euclid and
+    the t method's remainder system reduce by: g = (X - 1)^2, so
+    G = (z^p - 1)^2 = (z-1)^(2p) in characteristic p.
+    """
+    g = np.zeros((3, ctx.d), np.int64)
+    g[:, 0] = (1, -2 % ctx.p, 1)
+    return g
+
+
+def divrem_modulus(f: Poly) -> tuple[Poly, Poly]:
+    """f = q*G + r with deg r < 2p, G = g(z^p), a block of p coefficients at a time.
+
+    G = z^(2p) + g1*z^p + g0 (:func:`euclid_modulus`), so the top p
     coefficients of what is left to divide are their own quotient block:
-    subtracting the block times the divisor cancels it, adds twice the
-    block p places lower (the next block down) and subtracts it 2p places
-    lower.  Each block is reduced mod p before use, so every entry receives
-    at most one addition (below 2p) and one subtraction (below p) and stays
-    inside (-p, 3p).
+    subtracting the block times G cancels it, subtracts g1 times the block
+    p places lower (the next block down) and g0 times it 2p places lower.
+    Those field products are coordinate by coordinate, against the block
+    times 1, x, .., x^(d-1) (reduced mod p, like the block itself), so
+    every entry receives at most two subtractions, each below d*p^2.
     """
     ctx = f.ctx
     p = ctx.p
     hi = len(f.v)
     if hi <= 2 * p:
         return Poly.zero(ctx), f
+    g0, g1 = euclid_modulus(ctx)[:2].tolist()
     rem = f.v.copy()
     q = np.zeros((hi - 2 * p, ctx.d), np.int64)
     while hi > 2 * p:
         lo = max(hi - p, 2 * p)
         block = rem[lo:hi] % p
         q[lo - 2 * p:hi - 2 * p] = block
-        rem[lo - p:hi - p] += 2 * block
-        rem[lo - 2 * p:hi - 2 * p] -= block
+        multiples = [block] + [block @ ctx.basis_products[col] % p for col in range(1, ctx.d)]
+        for c0, c1, m in zip(g0, g1, multiples):
+            if c1:
+                rem[lo - p:hi - p] -= c1 * m
+            if c0:
+                rem[lo - 2 * p:hi - 2 * p] -= c0 * m
         hi = lo
     return Poly(ctx, q), Poly(ctx, rem[:2 * p] % p)
 
@@ -301,40 +316,3 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     # the Bezout partner of u follows from one exact division
     v = poly_divexact(gcd - u * f, g) if not g.is_zero() else Poly.zero(ctx)
     return gcd, u, v
-
-
-def _minus_one_binomials(n: int, p: int) -> list[int]:
-    """Coefficients of (x-1)^n mod p, lowest first, for 0 <= n < p.
-
-    C(n, j+1) = C(n, j)*(n-j)/(j+1), with 1/j = -(p // j)/(p mod j) mod p.
-    """
-    inv = [0, 1]
-    for j in range(2, n + 1):
-        inv.append(-(p // j) * inv[p % j] % p)
-    c = [(-1) ** n % p]
-    for j in range(n):
-        c.append(-c[j] * (n - j) * inv[j + 1] % p)
-    return c
-
-
-def z_minus_one_pow(ctx: ReductionContext, k: int) -> Poly:
-    """(z-1)^k over F_q, digit by digit in base p.
-
-    In characteristic p, (z-1)^(a + b*p) = (z-1)^a * (z^p - 1)^b, so (z-1)^k
-    is the product over the base-p digits k_i of k of (z^(p^i) - 1)^(k_i).
-    The factors' terms never overlap, so each product is an outer product.
-    """
-    p = ctx.p
-    k, n = divmod(k, p)
-    coeffs = np.array(_minus_one_binomials(n, p), np.int64)
-    step = p                          # p^i; coeffs has at most step terms
-    while k:
-        k, n = divmod(k, p)
-        if n:
-            spread = np.zeros((n + 1, step), np.int64)
-            spread[:, :len(coeffs)] = np.outer(_minus_one_binomials(n, p), coeffs) % p
-            coeffs = spread.ravel()[: n * step + len(coeffs)]
-        step *= p
-    v = np.zeros((len(coeffs), ctx.d), np.int64)
-    v[:, 0] = coeffs
-    return Poly(ctx, v)

@@ -5,12 +5,51 @@ fixed denominators.  This module keeps the independent form the tests
 compare it against: the certificate and the gluing matrix turned back into
 pole fractions num / (z^a (z-1)^b), and every identity checked in
 rational-function arithmetic, with P*M*Q proved as M*Q = adj(P)*diag.
+
+It also keeps the test-side forms of the modulus G = g(z^p): (z-1)^k from
+the binomials, G from g's rows, the second modulus g = (X - 1)(X - c), and
+a patch that puts other rows in place of ``polys.euclid_modulus``.
 """
+
+import sys
+from math import comb
 
 import numpy as np
 
+from higgsflow import polys
 from higgsflow.errors import CertificateCheckFailed
-from higgsflow.polys import Poly, z_minus_one_pow
+from higgsflow.polys import Poly
+
+
+def z_minus_one_pow(ctx, k: int) -> Poly:
+    """(z-1)^k over F_q, from its binomial coefficients C(k, j)*(-1)^(k-j)."""
+    return Poly.from_ints(ctx, (comb(k, j) * (-1) ** (k - j) for j in range(k + 1)))
+
+
+def modulus_poly(ctx, rows) -> Poly:
+    """G = g(z^p) from g's coefficient rows (g0, g1, 1)."""
+    p = ctx.p
+    v = np.zeros((2 * p + 1, ctx.d), np.int64)
+    v[::p] = rows
+    return Poly(ctx, v)
+
+
+def second_modulus(ctx, c) -> np.ndarray:
+    """The rows (c, -(1 + c), 1) of g = (X - 1)(X - c), c a field vec."""
+    one = ctx.one.vec
+    return np.array([c, ctx.fneg(ctx.fadd(one, c)), one], np.int64)
+
+
+def patch_modulus(monkeypatch, rows_of) -> None:
+    """Make rows_of(ctx) the modulus rows wherever the package reads them.
+
+    Every loaded higgsflow module that holds the one definition,
+    ``polys.euclid_modulus``, gets rows_of in its place.
+    """
+    original = polys.euclid_modulus
+    for name, module in list(sys.modules.items()):
+        if name.startswith("higgsflow") and getattr(module, "euclid_modulus", None) is original:
+            monkeypatch.setattr(module, "euclid_modulus", rows_of)
 
 
 def times_z_minus_one_pow(f: Poly, k: int) -> Poly:

@@ -7,9 +7,9 @@ from higgsflow.cocycle import (binomial_over_p, binomials_mod_p2, build_A_closed
                                build_A_primitive, build_transition)
 from higgsflow.errors import ForbiddenResidue
 from higgsflow.fields import make_context, witt_decompose
-from higgsflow.polys import Poly, z_minus_one_pow
+from higgsflow.polys import Poly
 
-from certificate_reference import PoleFraction, transition_fractions
+from certificate_reference import PoleFraction, transition_fractions, z_minus_one_pow
 
 
 def P(ctx, *ints):

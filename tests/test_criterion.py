@@ -11,7 +11,9 @@ from higgsflow.criterion import (build_T, det_T0_in_lam1, periodicity_pair,
 from higgsflow.errors import DegreeTooLarge, ForbiddenResidue, IndexOutOfRange
 from higgsflow.fields import make_context, witt_decompose
 from higgsflow.linalg import FqMatrix, _PANEL, _residue_dtype, mat_leading_ranks, mat_rank
-from higgsflow.polys import Poly, poly_divrem, z_minus_one_pow
+from higgsflow.polys import Poly, poly_divrem
+
+from certificate_reference import z_minus_one_pow
 
 
 def P(ctx, *ints):

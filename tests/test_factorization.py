@@ -14,10 +14,10 @@ from higgsflow.factorization import (assemble_certificate, birkhoff_step1, birkh
                                      verify_certificate)
 from higgsflow.fields import make_context, witt_decompose
 from higgsflow.linalg import mat_rank
-from higgsflow.polys import Poly, divrem_z_minus_one_2p, poly_divrem, z_minus_one_pow
+from higgsflow.polys import Poly, divrem_modulus, poly_divrem
 
 from certificate_reference import (PoleFraction, frame_fractions, matmul, reference_check,
-                                   transition_fractions)
+                                   transition_fractions, z_minus_one_pow)
 
 
 def P(ctx, *ints):
@@ -118,7 +118,7 @@ def test_step2_exact_diagonalization_small_sample():
 @pytest.mark.parametrize("p, d, coeffs", [(7, 1, (2,)), (5, 2, (1, 1)), (7, 1, (17,))])
 def test_no_school_division_by_degree_2p(monkeypatch, p, d, coeffs):
     # step 1's Euclid makes no school division; only the reduction of gamma'
-    # may, by g of degree < p, and the three divisions by (z-1)^(2p) go
+    # may, by g of degree < p, and the two divisions by G = (z-1)^(2p) go
     # through the block division
     divisor_degrees = []
     divrem = factorization.poly_divrem
@@ -130,7 +130,7 @@ def test_no_school_division_by_degree_2p(monkeypatch, p, d, coeffs):
     monkeypatch.setattr(factorization, "poly_divrem", counted)
     ctx = make_context(p, d)
     co = build_A_primitive(ctx, ctx.w_from_coeffs(coeffs))
-    _, B = divrem_z_minus_one_2p(co.A * (Poly.from_ints(ctx, [2]) - Poly.monomial(ctx, p)))
+    _, B = divrem_modulus(co.A * (Poly.from_ints(ctx, [2]) - Poly.monomial(ctx, p)))
     euclid_rows(z_minus_one_pow(ctx, 2 * p), B, p)
     assert divisor_degrees == []
     cert = factorization_certificate(co)
@@ -205,11 +205,11 @@ def _reference_step1(ctx, A, quotient_degrees):
     """birkhoff_step1 around the reference loop, products written out."""
     p = ctx.p
     d2, zp = z_minus_one_pow(ctx, 2 * p), Poly.monomial(ctx, p)
-    _, B = divrem_z_minus_one_2p(A * (Poly.from_ints(ctx, [2]) - zp))
+    _, B = divrem_modulus(A * (Poly.from_ints(ctx, [2]) - zp))
     r0, t0, r1, t1, sign = _reference_euclid(d2, B, p, quotient_degrees)
     lead = t1.lead()
     f, g = t1.scale(lead.inverse()), -r1.scale(lead.inverse())
-    h, _ = divrem_z_minus_one_2p(f * A + g * zp)
+    h, _ = divrem_modulus(f * A + g * zp)
     s = lead if sign == 1 else -lead
     beta, gamma = t0.scale(s), r0.scale(s)
     if not g.is_zero() and g.degree > f.degree:

@@ -1,17 +1,17 @@
 import random
-from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higgsflow import polys
 from higgsflow.errors import (DivisionByZeroPoly, InternalDivisibilityFailure,
                              InternalError, InternalInvariantFailure)
 from higgsflow.fields import make_context
-from higgsflow.polys import (Poly, divrem_z_minus_one_2p, poly_divexact, poly_divrem,
-                             poly_ext_gcd, z_minus_one_pow)
+from higgsflow.polys import Poly, divrem_modulus, poly_divexact, poly_divrem, poly_ext_gcd
 
-from certificate_reference import PoleFraction, times_z_minus_one_pow
+from certificate_reference import (PoleFraction, modulus_poly, patch_modulus, second_modulus,
+                                   times_z_minus_one_pow, z_minus_one_pow)
 
 
 def P(ctx, *ints):
@@ -32,11 +32,22 @@ def test_divrem_small_dividend():
     assert q.is_zero() and r == f
 
 
-@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (401, 1)])
-def test_block_division_matches_school_division(p, d):
+# the last two inputs divide by the second modulus, G = (z^p - 1)(z^p - c)
+# with c in F_(p^2) outside F_p
+@pytest.mark.parametrize("p, d, c", [
+    pytest.param(p, d, None, id=f"{p}-{d}")
+    for p, d in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (401, 1))
+] + [pytest.param(5, 2, (2, 3), id="5-2-second"), pytest.param(7, 2, (6, 1), id="7-2-second")])
+def test_block_division_matches_school_division(monkeypatch, p, d, c):
     ctx = make_context(p, d)
     rng = random.Random(p * 10 + d)
-    d2 = z_minus_one_pow(ctx, 2 * p)
+    if c is None:
+        G = modulus_poly(ctx, polys.euclid_modulus(ctx))
+        assert G == z_minus_one_pow(ctx, 2 * p)
+    else:
+        g = second_modulus(ctx, c)
+        patch_modulus(monkeypatch, lambda ctx: g)
+        G = modulus_poly(ctx, g)
     lengths = [0, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p, 4 * p + 1]
     lengths += [rng.randrange(5 * p) for _ in range(6)]
     for n in lengths:
@@ -45,7 +56,7 @@ def test_block_division_matches_school_division(p, d):
             rows[-1][0] = rng.randrange(1, p)
         f = Poly(ctx, rows)
         assert len(f.v) == n
-        assert divrem_z_minus_one_2p(f) == poly_divrem(f, d2), (p, d, n)
+        assert divrem_modulus(f) == poly_divrem(f, G), (p, d, n)
 
 
 def test_divrem_by_zero():
@@ -83,16 +94,6 @@ def test_divexact_inexact_is_internal_failure():
     assert poly_divexact(P(ctx, 4, 0, 1), P(ctx, 1, 1)) == P(ctx, 4, 1)
     with pytest.raises(InternalDivisibilityFailure, match="inexact"):
         poly_divexact(P(ctx, 0, 1), P(ctx, 1, 1))        # z / (z + 1)
-
-
-@pytest.mark.parametrize("p,d", [(3, 1), (5, 2), (7, 1), (23, 1)])
-def test_z_minus_one_pow_matches_binomials(p, d):
-    # k with one, two and three base-p digits, on either side of each carry
-    ctx = make_context(p, d)
-    for k in sorted({*range(2 * p + 2), p * p - 1, p * p, p * p + p + 1,
-                     2 * p * p - 1, 3 ** 7 + 1}):
-        ref = Poly.from_ints(ctx, (comb(k, j) * (-1) ** (k - j) for j in range(k + 1)))
-        assert z_minus_one_pow(ctx, k) == ref, k
 
 
 def test_ext_gcd_example():
@@ -249,8 +250,7 @@ def test_pole_fraction_arithmetic_and_normalization():
 
 @pytest.mark.parametrize("p, d", [(5, 1), (7, 1), (3, 2), (5, 2)])
 def test_times_z_minus_one_pow_matches_product(p, d):
-    # digit by digit against the product with (z-1)^k, which
-    # test_z_minus_one_pow_matches_binomials pins to the binomials
+    # digit by digit against the product with (z-1)^k from the binomials
     ctx = make_context(p, d)
     rng = random.Random(p * 10 + d)
     for k in (0, 1, p - 1, p, 2 * p + 1, p * p + p + 1):
