@@ -3,8 +3,10 @@
 T is a p x (2p+1) matrix over F_q whose entries are the coefficients a_k
 of the cocycle numerator A = sum_k a_k z^k, read from the closed form of
 ``cocycle.build_A_closed``: with 0-indexed (i, j),
-  T[i, j] = a_(j-i) for i <= j < p, T[i, j] = -a_(2p+j-i) for j < i,
-  T[i, p+k] = a_(2p-1-i-k) for k <= p-2-i, and 0 otherwise.
+  T[i, j] = a_(j-i) for i <= j < p, T[i, j] = -g0*a_(2p+j-i) for j < i,
+  T[i, p+k] = a_(2p-1-i-k) for k <= p-2-i, and 0 otherwise,
+where g0 is the constant term of g in the modulus G = g(z^p) of
+``polys.euclid_modulus`` (here g0 = 1).
 Its leading submatrices T_m ((p-m) x (p+m)) are scanned for the first
 full-rank index, which is the splitting integer n.  Periodicity is the pair
 condition det T_0 = 0 and rank T_1 = p-1, equivalently n = 1.  Each T_m is
@@ -122,8 +124,11 @@ def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> Cr
 
     The left block is Toeplitz and the band Hankel, so each is one window
     view of a short table of a_k:
-      left = (-a_(p+1), ..., -a_(2p-1), a_0, ..., a_(p-1)),
-      T[i, j] = left[j - i + p - 1] for j < p;
+      left = (-g0*a_(p+1), ..., -g0*a_(2p-1), a_0, ..., a_(p-1)),
+      T[i, j] = left[j - i + p - 1] for j < p,
+    with g0 the constant row of ``polys.euclid_modulus``: row i of the left
+    block is z^i * A mod G in degrees below p, and z^(2p) = -g1*z^p - g0
+    mod G, where only the g0 term reaches those degrees;
       band = (a_(2p-1), ..., a_(p+1)) followed by p zeros,
       T[i, p + k] = band[i + k].
     Only the two tables are blown up (``ctx.mul_matrix``, one integer
@@ -133,8 +138,9 @@ def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> Cr
     """
     p, d = ctx.p, ctx.d
     a = build_A_closed(ctx, lam0, lam1).A.v
+    wrapped = a[p + 1:] @ ctx.mul_matrix(-euclid_modulus(ctx)[0])
     tables = ctx.mul_matrix(np.concatenate(                # left, then band: (2p-1, d, d) each
-        [-a[p + 1:], a[:p], a[:p:-1], np.zeros((p, d), np.int64)]))
+        [wrapped, a[:p], a[:p:-1], np.zeros((p, d), np.int64)]))
     return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, tables=tables)
 
 

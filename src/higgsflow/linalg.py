@@ -1,24 +1,23 @@
 """Exact matrix algebra over F_{p^d}.
 
 Matrices are stored as numpy int arrays of shape (rows, cols, d): entry
-(i, j) is the coefficient vector of a field element.  Rank and null-space
-computations run over F_p through the regular-representation blow-up,
-which multiplies both dimensions by d and divides the resulting rank by d
-(at d = 1 it is the matrix itself).  Null vectors of the blow-up
-correspond exactly to null vectors over F_{p^d} by re-chunking
-coordinates.
+(i, j) is the coefficient vector of a field element.  Two eliminations
+serve everything: a blocked kernel that only counts pivots, for ranks, and
+a plain one over F_q, for determinants and null spaces.
 
-Every rank and null space goes through one kernel, ``_rank_profiles``,
-which eliminates a whole stack of equally shaped matrices, (n, rows, cols),
-in one column loop: right-looking blocked forward elimination (the
-FFLAS-FFPACK design of Dumas, Giorgi and Pernet, ACM TOMS 35, 2008).
-Panels of ``_PANEL`` columns are factored exactly in integers, held
-column-major so that the pivot search and the in-panel updates run along
-contiguous memory, and the rest of each matrix is updated by float64
-matmuls, ``_PANEL`` rows at a time, so the kernel's temporaries are
-O(n*``_PANEL``*cols) beside its residues.  That is exact while
-``_PANEL*(p-1)^2 < 2^53``, which holds for every p below 1.1e7; past the
-bound the kernel raises ``InternalInvariantFailure`` rather than round.
+Ranks run over F_p through the regular-representation blow-up, which
+multiplies both dimensions by d and divides the resulting rank by d (at
+d = 1 it is the matrix itself).  Every rank goes through one kernel,
+``_rank_profiles``, which eliminates a whole stack of equally shaped
+matrices, (n, rows, cols), in one column loop: right-looking blocked
+forward elimination (the FFLAS-FFPACK design of Dumas, Giorgi and Pernet,
+ACM TOMS 35, 2008).  Panels of ``_PANEL`` columns are factored exactly in
+integers, held column-major so that the pivot search and the in-panel
+updates run along contiguous memory, and the rest of each matrix is
+updated by float64 matmuls, ``_PANEL`` rows at a time, so the kernel's
+temporaries are O(n*``_PANEL``*cols) beside its residues.  That is exact
+while ``_PANEL*(p-1)^2 < 2^53``, which holds for every p below 1.1e7; past
+the bound the kernel raises ``InternalInvariantFailure`` rather than round.
 As in FFLAS-FFPACK, residues are held in the smallest integer type that
 the delayed reductions fit: int32 while ``_PANEL*(p-1)^2 + p < 2^31``
 (every p <= 5791), int64 above.  Callers write a fresh stack in that type
@@ -36,8 +35,14 @@ stack of blow-ups of matrices over F_q.  The t method's scan of T_0, T_1,
 ... hands it the leading columns of T's blow-up for every row of a sweep
 at one prime, which ``criterion`` writes from two blown-up tables per row;
 the Cech oracle hands it one ansatz per row at each bound.
-``_rref_mod_p`` is the kernel on a stack of one matrix, returning the
-echelon form; ``mat_rank`` counts its pivots.
+``_rref_mod_p`` is the kernel on a stack of one matrix, and ``mat_rank``
+counts its pivots.
+
+Determinants, reduced echelon forms and null spaces come from
+``_fq_echelon``: Gauss-Jordan elimination over F_q itself, one column at a
+time with the context's field products.  No sweep calls it; ``mat_det``
+serves ``criterion.det_T0_in_lam1``, and ``left_nullspace_vecs`` returns
+the free-variable basis of a left null space at every d.
 """
 
 from __future__ import annotations
@@ -53,14 +58,6 @@ _EXACT = 2 ** 53  # float64 holds every integer below this exactly
 _INT32 = 2 ** 31  # int32 holds every integer of smaller magnitude
 
 
-def _check_exact(terms: int, p: int, what: str) -> None:
-    """A float64 dot product of `terms` products of residues must stay exact."""
-    if terms * (p - 1) ** 2 >= _EXACT:
-        raise InternalInvariantFailure(
-            f"{what}: {terms}*(p-1)^2 >= 2^53 at p={p}, "
-            "so a float64 product of residues would round")
-
-
 def _residue_dtype(p: int) -> type:
     """The kernel's integer type: int32 when a residue below p less
     ``_PANEL`` products of residues stays inside it, else int64."""
@@ -74,7 +71,7 @@ def stack_slices(count: int, residues: int) -> list[slice]:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _rank_profiles(m: np.ndarray, p: int, echelon: bool = False):
+def _rank_profiles(m: np.ndarray, p: int):
     """Pivots of every matrix of the stack m (n, rows, cols), by right-looking
     blocked forward elimination mod p; m is the caller's fresh stack in
     ``_residue_dtype(p)``, and it is reduced and eliminated in place.
@@ -82,9 +79,8 @@ def _rank_profiles(m: np.ndarray, p: int, echelon: bool = False):
     Returns three arrays (matrix, column, row), one entry per pivot, ordered
     by matrix and then by column: the pivots of matrix s are the rank
     profile of m[s], and rank(m[s][:i, :j]) = #{pivots of s with row < i and
-    column < j} (see the module docstring).  With `echelon`, each pivot row
-    of m ends up holding its echelon row from its pivot's panel on: 1 at
-    the pivot, the reduced entries right of it, zeros between.
+    column < j} (see the module docstring).  What m holds afterwards is no
+    echelon form: read only the pivots.
 
     Each matrix keeps an index of its rows without a pivot ("slots"); a
     matrix with fewer of them than another is padded with rows that have a
@@ -106,7 +102,10 @@ def _rank_profiles(m: np.ndarray, p: int, echelon: bool = False):
     type (an integer remainder is some 20 times faster than ``np.fmod`` on
     float64 at these magnitudes).
     """
-    _check_exact(_PANEL, p, "panel update")
+    if _PANEL * (p - 1) ** 2 >= _EXACT:
+        raise InternalInvariantFailure(
+            f"panel update: {_PANEL}*(p-1)^2 >= 2^53 at p={p}, "
+            "so a float64 product of residues would round")
     n, rows, cols = m.shape
     np.remainder(m, p, out=m)
     at = np.arange(n)[:, None]
@@ -124,24 +123,20 @@ def _rank_profiles(m: np.ndarray, p: int, echelon: bool = False):
             pan = m[at, idx, c0:c1].transpose(0, 2, 1).copy()
             if valid is not None:
                 pan *= valid[:, None, :]
-        ech = np.zeros_like(pan) if echelon else None
         if n == 1:
             # the column step with scalar indices: no per-matrix bookkeeping
-            cs, ts, invs = _panel_one(pan[0], p, None if ech is None else ech[0])
+            cs, ts, invs = _panel_one(pan[0], p)
             if not cs:
                 continue
             kk, jj = np.zeros(len(cs), np.intp), np.arange(len(cs))
             pc, ps, pinv = np.array([cs]), np.array([ts]), np.array([invs], np.int64)
         else:
-            recs = _panel_stack(pan, p, ech)
+            recs = _panel_stack(pan, p)
             if not recs:
                 continue
             kk, jj, pc, ps, pinv = _by_matrix(recs, n)
         prows = ps if idx is None else idx[at, ps]     # (n, kmax): rows of m
         found.append((kk, c0 + pc[kk, jj], prows[kk, jj]))
-        if echelon:
-            m[kk, prows[kk, jj], c0:c1] = ech[kk, :, ps[kk, jj]]
-            del ech
         if c1 == cols:
             break
         keep = np.ones((n, pan.shape[2]), bool) if valid is None else valid
@@ -153,15 +148,14 @@ def _rank_profiles(m: np.ndarray, p: int, echelon: bool = False):
                         m[at, prows, c1:].astype(np.float64)).astype(m.dtype)
         top %= p
         ftop = top.astype(np.float64)
-        if not echelon:
-            del top
+        del top
         idx = pos if idx is None else idx[at, pos]
         width = idx.shape[1]
         for b0 in range(0, width, _PANEL):
             # block - prod in float64 is an exact integer above -2^53.  A
             # padding slot is a row with a pivot: one from an earlier panel
             # has zero multipliers, and one from this panel is never read
-            # again, or overwritten by its echelon row below
+            # again
             r = idx[:, b0:b0 + _PANEL]
             mult = lower[at, :, pos[:, b0:b0 + _PANEL]].astype(np.float64)
             block = m[at, r, c1:]
@@ -170,8 +164,6 @@ def _rank_profiles(m: np.ndarray, p: int, echelon: bool = False):
             del prod
             block %= p
             m[at, r, c1:] = block
-        if echelon:
-            m[kk, prows[kk, jj], c1:] = top[kk, jj]
     if not found:
         none = np.zeros(0, np.intp)
         return none, none, none
@@ -184,10 +176,9 @@ def _rank_profiles(m: np.ndarray, p: int, echelon: bool = False):
     return kk, cc, rr
 
 
-def _panel_one(pan: np.ndarray, p: int, ech):
+def _panel_one(pan: np.ndarray, p: int):
     """Eliminate the column-major panel (w, slots) of a single matrix; returns
-    the pivots' panel columns, slots and inverted pivot values.  `ech`, when
-    given, receives each pivot row's echelon entries in the panel."""
+    the pivots' panel columns, slots and inverted pivot values."""
     cs, ts, invs = [], [], []
     left = pan.shape[1]
     for c in range(pan.shape[0]):
@@ -204,9 +195,6 @@ def _panel_one(pan: np.ndarray, p: int, ech):
         prow %= p
         # slots before t are zero in this column or masked
         pan[c + 1:, t + 1:] -= prow[:, None] * col[t + 1:]
-        if ech is not None:
-            ech[c, t] = 1
-            ech[c + 1:, t] = prow
         cs.append(c)
         ts.append(t)
         invs.append(inv)
@@ -216,7 +204,7 @@ def _panel_one(pan: np.ndarray, p: int, ech):
     return cs, ts, invs
 
 
-def _panel_stack(pan: np.ndarray, p: int, ech) -> list[tuple]:
+def _panel_stack(pan: np.ndarray, p: int) -> list[tuple]:
     """``_panel_one`` on every matrix of a panel stack (n, w, slots) at once;
     returns one (column, matrices, slots, inverses) per column with a pivot.
     A matrix without a pivot in a column is zero there, so every matrix
@@ -240,9 +228,6 @@ def _panel_stack(pan: np.ndarray, p: int, ech) -> list[tuple]:
         prow %= p
         lo = int(tk.min()) + 1
         pan[:, c + 1:, lo:] -= prow[:, :, None] * col[:, None, lo:]
-        if ech is not None:
-            ech[ks, c, tk] = 1
-            ech[ks, c + 1:, tk] = prow[ks]
         recs.append((c, ks, tk, inv[ks]))
     return recs
 
@@ -304,89 +289,25 @@ def _inverse_lower(lower: np.ndarray, inv: np.ndarray, p: int) -> np.ndarray:
     return x.astype(np.float64)
 
 
-def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Row echelon form mod p: ``_rank_profiles`` on a stack of one matrix.
-
-    Returns (m, pivots, pivot_rows): the rows of m below len(pivots) are
-    zero, row i has a 1 at column pivots[i] and zeros to its left, and it
-    comes from row pivot_rows[i] of mat.  Entries above a pivot are NOT
-    cleared: this is echelon form, not reduced echelon form
-    (``_nullspace_mod_p`` back-substitutes when it needs the reduced one).
-    The name keeps "rref" only because the benchmark's tracer patches this
-    function by name; renaming it waits for a change to the benchmark.
-
-    The input is reduced once, on its way into ``_residue_dtype(p)``, and
-    the echelon form comes back in that type.  The kernel leaves each
-    echelon row in its pivot row; they are moved up in place, one cycle of
-    the row permutation at a time, so no second copy of the matrix exists.
+def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_rank_profiles`` on a stack of one matrix: (matrix, column, row) of
+    each pivot, every matrix index 0, so the columns are mat's rank profile
+    and each row is the row of mat that holds that pivot.  The input is
+    reduced once, on its way into a fresh stack in ``_residue_dtype(p)``.
+    The name outlives the echelon form this once returned because the
+    benchmark's tracer patches this function by name; renaming it waits
+    for a change to the benchmark.
     """
     rows, cols = np.shape(mat)
     m = np.empty((1, rows, cols), _residue_dtype(p))
     np.remainder(mat, p, out=m[0], casting="unsafe")
-    _, pivots, pivot_rows = _rank_profiles(m, p, echelon=True)
-    m = m[0]
-    # new row i is old row order[i]: the pivot rows first, then the rest
-    order = np.concatenate([pivot_rows, np.setdiff1d(np.arange(rows), pivot_rows)])
-    done = order == np.arange(rows)
-    for i in np.flatnonzero(~done).tolist():
-        if done[i]:
-            continue
-        held, j = m[i].copy(), i
-        while order[j] != i:
-            m[j] = m[order[j]]
-            done[j] = True
-            j = order[j]
-        m[j] = held
-        done[j] = True
-    r = len(pivots)
-    m[r:] = 0
-    for b0 in range(0, r, _PANEL):       # zeros left of each pivot
-        b1 = min(b0 + _PANEL, r)
-        m[b0:b1] *= np.arange(cols) >= pivots[b0:b1, None]
-    return m, pivots.tolist(), pivot_rows.tolist()
+    return _rank_profiles(m, p)
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     if mat.size == 0:
         return 0
     return len(_rref_mod_p(mat, p)[1])
-
-
-def _nullspace_mod_p(mat: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right null space, free-variable convention.
-
-    Vector k has a 1 at the k-th free column and minus the reduced
-    echelon coefficients elsewhere; ordered by free column index.  The
-    reduced echelon form is unique, so it follows from the echelon form by
-    back-substitution; blocks of ``_PANEL`` pivot rows take the rows below
-    them in one float64 matmul, exact while ``rows*(p-1)^2 < 2^53``.
-    The echelon form arrives in the kernel's residue type; inside a block
-    a row takes fewer than ``_PANEL`` products, which that type holds.
-    """
-    rows, cols = mat.shape
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [np.eye(cols, dtype=np.int64)[i] for i in range(cols)]
-    _check_exact(rows, p, "back-substitution")
-    ech, pivots, _ = _rref_mod_p(mat, p)
-    k = len(pivots)
-    is_free = np.ones(cols, bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    unit = ech[:k, pivots]               # unit upper triangular
-    x = ech[:k, free]                    # becomes the reduced form's free columns
-    for hi in range(k, 0, -_PANEL):
-        lo = max(hi - _PANEL, 0)
-        if hi < k:
-            prod = unit[lo:hi, hi:].astype(np.float64) @ x[hi:].astype(np.float64)
-            x[lo:hi] = (x[lo:hi] - prod.astype(np.int64)) % p
-        for i in range(hi - 2, lo - 1, -1):
-            x[i] = (x[i] - unit[i, i + 1:hi] @ x[i + 1:hi]) % p
-    basis = np.zeros((len(free), cols), np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -x.T % p
-    return list(basis)
 
 
 class FqMatrix:
@@ -485,75 +406,61 @@ def blowup_leading_ranks(ctx: ReductionContext, big: np.ndarray, shapes) -> np.n
     return out // d
 
 
-def mat_leading_ranks(m: FqMatrix, shapes) -> list[int]:
-    """``blowup_leading_ranks`` of m's blow-up."""
-    big = m.blowup().astype(_residue_dtype(m.ctx.p))[None]
-    return blowup_leading_ranks(m.ctx, big, shapes)[0].tolist()
+def _fq_echelon(ctx: ReductionContext, arr: np.ndarray):
+    """Reduced row echelon form of arr (rows, cols, d) over F_q, by
+    Gauss-Jordan elimination with row swaps.
+
+    Returns (the form, its pivot columns, det): the form has arr's shape,
+    with its zero rows last, and det is the determinant as a vec when arr
+    is square, else None.  Each column takes one field inverse and one
+    batched product of the pivot row with every row's multiplier.
+    """
+    p = ctx.p
+    m = np.remainder(arr, p, dtype=np.int64)
+    rows, cols = m.shape[:2]
+    pivots = []
+    det = ctx.one.vec
+    for c in range(cols):
+        r = len(pivots)
+        nz = np.flatnonzero(m[r:, c].any(axis=1))
+        if not nz.size:
+            continue
+        if nz[0]:
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+            det = ctx.fneg(det)
+        pivot = tuple(m[r, c].tolist())
+        det = ctx.fmul(det, pivot)
+        m[r] = m[r] @ ctx.mul_matrix(ctx.finv(pivot)) % p
+        mult = m[:, c].copy()
+        mult[r] = 0
+        m -= m[r] @ ctx.mul_matrix(mult)        # row i less mult[i] * row r
+        m %= p
+        pivots.append(c)
+    if rows != cols:
+        return m, pivots, None
+    return m, pivots, det if len(pivots) == rows else ctx.zero.vec
 
 
 def mat_det(m: FqMatrix) -> FieldElement:
     """Exact determinant by elimination over the field."""
     if m.nrows != m.ncols:
         raise NotSquare(f"{m.nrows}x{m.ncols} matrix has no determinant")
-    ctx = m.ctx
-    n = m.nrows
-    rows = [[tuple(e) for e in row] for row in m.arr.tolist()]
-    det = ctx.one.vec
-    sign = 1
-    for c in range(n):
-        pr = next((r for r in range(c, n) if not ctx.f_is_zero(rows[r][c])), None)
-        if pr is None:
-            return ctx.zero
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        pivot = rows[c][c]
-        det = ctx.fmul(det, pivot)
-        inv = ctx.finv(pivot)
-        for r in range(c + 1, n):
-            f = ctx.fmul(rows[r][c], inv)
-            if ctx.f_is_zero(f):
-                continue
-            for j in range(c, n):
-                rows[r][j] = ctx.fsub(rows[r][j], ctx.fmul(f, rows[c][j]))
-    if sign < 0:
-        det = ctx.fneg(det)
-    return FieldElement(ctx, det)
-
-
-def _fq_rref_rows(ctx: ReductionContext, rows: np.ndarray) -> np.ndarray:
-    """Reduced echelon form of a small stack (k, n, d) of F_q row vectors."""
-    p = ctx.p
-    rows = rows.copy()
-    r = 0
-    for c in range(rows.shape[1]):
-        if r >= len(rows):
-            break
-        nz = np.flatnonzero(rows[r:, c].any(axis=1))
-        if not nz.size:
-            continue
-        rows[[r, r + nz[0]]] = rows[[r + nz[0], r]]
-        rows[r] = rows[r] @ ctx.mul_matrix(ctx.finv(tuple(rows[r, c].tolist()))) % p
-        for i in np.flatnonzero(rows[:, c].any(axis=1)):
-            if i != r:
-                rows[i] = (rows[i] - rows[r] @ ctx.mul_matrix(rows[i, c])) % p
-        r += 1
-    return rows[rows.any(axis=(1, 2))]
+    return FieldElement(m.ctx, _fq_echelon(m.ctx, m.arr)[2])
 
 
 def left_nullspace_vecs(m: FqMatrix) -> np.ndarray:
     """Basis of {v : v*M = 0}, stacked as an array (k, rows, d); deterministic.
 
-    d == 1 follows the free-variable convention of the null-space routine;
-    d > 1 returns the unique reduced echelon basis, since there the F_p
-    null vectors only span the space over F_q.
+    The free-variable basis of the null space of M^T: vector k has a 1 at
+    the k-th free column of M^T's reduced echelon form, zeros at the other
+    free columns and minus that column's entries at the pivot columns.
     """
-    ctx = m.ctx
-    basis = np.array(_nullspace_mod_p(m.blowup().T, ctx.p), np.int64)
-    basis = basis.reshape(len(basis), m.nrows, ctx.d)
-    if ctx.d == 1:
-        return basis
-    return _fq_rref_rows(ctx, basis)
+    ech, pivots, _ = _fq_echelon(m.ctx, m.arr.transpose(1, 0, 2))
+    free = np.setdiff1d(np.arange(m.nrows), pivots)
+    basis = np.zeros((len(free), m.nrows, m.ctx.d), np.int64)
+    basis[np.arange(len(free)), free, 0] = 1
+    basis[:, pivots] = -ech[:len(pivots), free].transpose(1, 0, 2) % m.ctx.p
+    return basis
 
 
 def mat_left_nullspace(m: FqMatrix) -> list[list[FieldElement]]:

@@ -10,10 +10,11 @@ from higgsflow.criterion import (build_T, det_T0_in_lam1, periodicity_pair,
                                  t_r_first_mismatch, t_submatrix, validate_T_R)
 from higgsflow.errors import DegreeTooLarge, ForbiddenResidue, IndexOutOfRange
 from higgsflow.fields import make_context, witt_decompose
-from higgsflow.linalg import FqMatrix, _PANEL, _residue_dtype, mat_leading_ranks, mat_rank
+from higgsflow.linalg import FqMatrix, _PANEL, _residue_dtype, mat_rank
 from higgsflow.polys import Poly, poly_divrem
 
 from certificate_reference import z_minus_one_pow
+from linalg_reference import mat_leading_ranks
 
 
 def P(ctx, *ints):

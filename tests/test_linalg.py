@@ -156,17 +156,16 @@ def _oracle(a, p):
 
 
 def _check_against_oracle(a, p):
-    from higgsflow.linalg import _nullspace_mod_p, _rank_mod_p, _rref_mod_p
+    """The kernel's pivots and rank, and the F_q elimination's null space
+    of a (the left null space of a^T) at odd p, against sympy."""
+    from higgsflow.linalg import _rank_mod_p, _rref_mod_p, left_nullspace_vecs
 
     pivots, basis = _oracle(a, p)
-    ech, got, _ = _rref_mod_p(a, p)
-    assert got == pivots
+    assert _rref_mod_p(a, p)[1].tolist() == pivots
     assert _rank_mod_p(a, p) == len(pivots)
-    assert [v.tolist() for v in _nullspace_mod_p(a, p)] == basis
-    # echelon form: unit pivots, zeros left of them and in every row below
-    assert not ech[len(got):].any()
-    for i, c in enumerate(got):
-        assert ech[i, c] == 1 and not ech[i, :c].any()
+    if p > 2:                            # F_2 has no context
+        null = left_nullspace_vecs(FqMatrix(make_context(p, 1), a.T[:, :, None]))
+        assert null[:, :, 0].tolist() == basis
     return pivots
 
 
@@ -274,9 +273,8 @@ def _check_leading_ranks(a, p, reference):
     `reference` run on the explicit block."""
     from higgsflow.linalg import _rref_mod_p
 
-    _, pivots, pivot_rows = _rref_mod_p(a, p)
-    assert sorted(pivot_rows) == sorted(set(pivot_rows))
-    cols, rows = np.array(pivots), np.array(pivot_rows)
+    _, cols, rows = _rref_mod_p(a, p)
+    assert len(set(rows.tolist())) == len(rows)
     for i in range(a.shape[0] + 1):
         for j in range(a.shape[1] + 1):
             got = int(np.count_nonzero((rows < i) & (cols < j)))
@@ -314,7 +312,7 @@ def test_leading_block_ranks_across_panel_edges_match_mat_rank(p):
 
 
 def test_mat_leading_ranks_on_blowups_match_mat_rank():
-    from higgsflow.linalg import mat_leading_ranks
+    from linalg_reference import mat_leading_ranks
 
     rng = np.random.default_rng(8)
     for p, d in ((3, 2), (5, 2), (401, 2), (3, 1)):
@@ -331,14 +329,12 @@ def test_mat_leading_ranks_on_blowups_match_mat_rank():
 
 def test_kernel_refuses_a_prime_where_float64_products_would_round():
     from higgsflow.errors import InternalInvariantFailure
-    from higgsflow.linalg import _nullspace_mod_p, _rank_mod_p
+    from higgsflow.linalg import _rank_mod_p
 
     p = 2 ** 31 - 1
     a = np.array([[1, 2], [3, 4]], np.int64)
     with pytest.raises(InternalInvariantFailure, match=r"2\^53"):
         _rank_mod_p(a, p)
-    with pytest.raises(InternalInvariantFailure, match=r"2\^53"):
-        _nullspace_mod_p(a, p)
 
 
 def _pile_up(p, width, rng, below=6):
@@ -357,13 +353,11 @@ def _pile_up(p, width, rng, below=6):
 # 64*(p-1)^2 + p < 2^31 up to p = 5791; 5801 is the next prime
 @pytest.mark.parametrize("p, dtype", [(5791, np.int32), (5801, np.int64)])
 def test_kernel_either_side_of_the_int32_bound_matches_oracle(p, dtype):
-    from higgsflow.linalg import _PANEL, _residue_dtype, _rref_mod_p
+    from higgsflow.linalg import _PANEL, _residue_dtype
 
     assert _residue_dtype(p) is dtype
     rng = np.random.default_rng(p)
-    a = _pile_up(p, _PANEL, rng)
-    assert _rref_mod_p(a, p)[0].dtype == dtype
-    _check_against_oracle(a, p)
+    _check_against_oracle(_pile_up(p, _PANEL, rng), p)
     _check_against_oracle(rng.integers(0, p, (70, 140)), p)
     pivots = sorted(rng.choice(140, 60, replace=False).tolist())
     a = _with_profile(rng, 75, 140, pivots, p, [c for c in range(140)
@@ -381,10 +375,8 @@ def test_narrower_panel_moves_the_int32_bound(monkeypatch):
     assert linalg._residue_dtype(8191) is np.int32
     assert linalg._residue_dtype(8209) is np.int64
     rng = np.random.default_rng(32)
-    for p, dtype in ((8191, np.int32), (8209, np.int64)):
-        a = _pile_up(p, 32, rng)
-        assert linalg._rref_mod_p(a, p)[0].dtype == dtype
-        _check_against_oracle(a, p)
+    for p in (8191, 8209):
+        _check_against_oracle(_pile_up(p, 32, rng), p)
 
 
 def test_kernel_holds_one_panel_product_at_a_time():
@@ -417,9 +409,7 @@ def test_trailing_update_in_row_blocks_matches_oracle(monkeypatch, width, p):
 
     monkeypatch.setattr(linalg, "_PANEL", width)
     rng = np.random.default_rng([width, p])
-    a = _pile_up(p, width, rng, below=3 * width + 5)
-    assert linalg._rref_mod_p(a, p)[0].dtype == linalg._residue_dtype(p)
-    _check_against_oracle(a, p)
+    _check_against_oracle(_pile_up(p, width, rng, below=3 * width + 5), p)
     rows, cols = 4 * width + 7, 2 * width + 9
     pivots = sorted(rng.choice(cols, cols - 3, replace=False).tolist())
     a = _with_profile(rng, rows, cols, pivots, p, [c for c in range(cols)
@@ -464,19 +454,12 @@ def test_stacked_kernel_matches_each_matrix_alone_and_sympy(monkeypatch, p, widt
             leading = linalg.blowup_leading_ranks(
                 ctx, stack.astype(linalg._residue_dtype(p)), shapes)
             assert leading.shape == (len(stack), len(shapes))
-            ech = stack.astype(linalg._residue_dtype(p))
-            linalg._rank_profiles(ech, p, echelon=True)
             for s, a in enumerate(stack):
-                want, pivots, pivot_rows = linalg._rref_mod_p(a, p)
-                assert got_cols[mats == s].tolist() == pivots
-                assert got_rows[mats == s].tolist() == pivot_rows
-                # each echelon row is left in its pivot row, from the
-                # pivot's panel on
-                for i, (c, r) in enumerate(zip(pivots, pivot_rows)):
-                    c0 = c - c % width
-                    assert ech[s, r, c0:].tolist() == want[i, c0:].tolist()
+                _, pivots, pivot_rows = linalg._rref_mod_p(a, p)
+                assert got_cols[mats == s].tolist() == pivots.tolist()
+                assert got_rows[mats == s].tolist() == pivot_rows.tolist()
                 dm = DomainMatrix(a.tolist(), a.shape, ZZ).convert_to(GF(p))
-                assert pivots == list(dm.to_sparse().rref()[1])
+                assert pivots.tolist() == list(dm.to_sparse().rref()[1])
                 # each leading block eliminated on its own
                 assert leading[s].tolist() == [linalg._rank_mod_p(a[:i, :j], p)
                                                for i, j in shapes]
@@ -492,3 +475,25 @@ def test_stack_slices_cap_the_residues_of_a_stack():
     # a matrix larger than the cap is a stack of its own
     assert stack_slices(3, 2 * _STACK) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     assert stack_slices(0, 10) == []
+
+
+# the F_q elimination serves determinants and null spaces only: every sweep's
+# ranks come from the kernel (sha256 of stdout)
+@pytest.mark.parametrize("argv, digest", [
+    (("enumerate", "5", "--methods", "t,birkhoff,cech"),
+     "f972633d84f2710a5f04b352ec858b9475d1259be6219fd605ca76097d4ad5ba"),
+    (("beauville", "--prime-range", "5:13"),
+     "b92765332032001571c0341ed5024416a77b78588897b9da9c7a797d1851c444"),
+], ids=["enumerate-5", "beauville-5-13"])
+def test_no_sweep_reaches_the_field_elimination(monkeypatch, capsys, argv, digest):
+    import hashlib
+
+    import higgsflow.linalg as linalg
+    from higgsflow.cli import main
+
+    def refuse(ctx, arr):
+        raise AssertionError("a sweep reached _fq_echelon")
+
+    monkeypatch.setattr(linalg, "_fq_echelon", refuse)
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -24,7 +24,8 @@ cech ansatz.
 import pytest
 
 from higgsflow.cocycle import build_A_primitive, build_transition
-from higgsflow.criterion import remainder_system, splittings_from_T
+from higgsflow.criterion import (remainder_system, splitting_from_T, splittings_from_T,
+                                 t_r_first_mismatch)
 from higgsflow.factorization import (check_certificate, factorization_certificate,
                                      splitting_from_birkhoff)
 from higgsflow.fields import make_context, witt_decompose
@@ -145,8 +146,9 @@ def test_moment_oracle_matches_t_and_birkhoff():
 def test_birkhoff_follows_the_modulus(monkeypatch, shapes):
     # with the one definition switched to g = (X-1)(X-c), c = lam0^p, every
     # consumer divides by (z^p - 1)(z^p - c): birkhoff's certificates hold,
-    # its n is the moment n of kappa = A/(z^p (z-1)^p (z-c)^p), and the
-    # remainder system's rows are the school remainders by that G
+    # birkhoff's and t's n are the moment n of
+    # kappa = A/(z^p (z-1)^p (z-c)^p), the remainder system's rows are the
+    # school remainders by that G, and T's left block is those rows
     c_now = {}
     patch_modulus(monkeypatch, lambda ctx: second_modulus(ctx, c_now["c"]))
     cases = 0
@@ -157,7 +159,9 @@ def test_birkhoff_follows_the_modulus(monkeypatch, shapes):
         co = build_A_primitive(ctx, w)
         cert = factorization_certificate(co)
         check_certificate(build_transition(co), cert)
-        assert cert.n == moment_n(ctx, co.A, c, moments_at_one_and_c), (p, w)
+        n = moment_n(ctx, co.A, c, moments_at_one_and_c)
+        assert cert.n == n == splitting_from_T(ctx, wp.lam0, wp.lam1).n, (p, w)
+        assert t_r_first_mismatch(ctx, wp.lam0, wp.lam1) is None, (p, w)
         rows = remainder_system(ctx, co.A).R.arr
         for i in range(p + 1):
             assert Poly(ctx, rows[i]) == poly_divrem(co.A.shift(i), G)[1], (p, w, i)
