@@ -19,7 +19,7 @@ from .fields import (FieldElement, ReductionContext, WittParameter,
                      WittRingElement, frobenius_w2, make_context, teichmuller,
                      witt_compose, witt_decompose)
 from .polys import Poly, poly_divrem, poly_ext_gcd
-from .linalg import FqMatrix, mat_det, mat_left_nullspace, mat_rank
+from .linalg import FqMatrix, mat_det, mat_rank
 from .cocycle import (CocyclePolynomial, TransitionMatrix, build_A_closed,
                       build_A_primitive, build_transition)
 from .criterion import (CriterionMatrix, RemainderSystem, SplittingType,

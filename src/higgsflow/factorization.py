@@ -15,8 +15,7 @@ that both have degree <= 2p - c.
 Step 2 divides the off-frame entry alpha out of z^p*gamma' - A*beta' and
 assembles unimodular frames P, Q with
 P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).  It runs no second gcd: the
-Bezout identity shows that gcd(f, g) divides G = (z-1)^(2p), so it is
-(z-1)^l.
+Bezout partner from step 1 already gives f*gamma' + g*beta' = G.
 
 The two divisions by G (h in step 1, alpha in step 2) use
 :func:`~higgsflow.polys.divrem_modulus`, which moves a block of p
@@ -24,7 +23,7 @@ coefficients at a time; B = A*z^(-p) mod G needs none.  The one school
 division left is the reduction of gamma' mod g in step 1, by a divisor of
 degree < p, when deg g > deg f.
 
-Everything is certified: the returned object carries (f, g, h, l, c,
+Everything is certified: the returned object carries (f, g, h, c,
 beta', gamma', alpha~, P~, Q~), and step 2 hands it back only after
 :func:`check_certificate` has proved every identity exactly: the step-1
 congruence, the Bezout relation, the alpha relation, det P = det Q = 1,
@@ -65,11 +64,11 @@ class FactorizationCertificate:
     f, g, h and beta', gamma' are stored against the cocycle normalisation
     of A, so that f*A + g*z^p = h*G, f*gamma' + g*beta' = G and
     z^p*gamma' - A*beta' = G*alpha~ hold verbatim, with G = g(z^p) of
-    :func:`~higgsflow.polys.euclid_modulus`, which is (z-1)^(2p); l is
-    the order of gcd(f, g) at z = 1.  alpha is the numerator alpha~ of
-    the off-frame entry alpha~/z^p.  The frames P and Q, with
-    P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)), are stored as polynomial
-    matrices over fixed column denominators, which are never stored:
+    :func:`~higgsflow.polys.euclid_modulus`, which is (z-1)^(2p).  alpha
+    is the numerator alpha~ of the off-frame entry alpha~/z^p.  The frames
+    P and Q, with P*M*Q = diag((z-1)^(p-c), (z-1)^(c-p)), are stored as
+    polynomial matrices over fixed column denominators, which are never
+    stored:
 
     * P holds P~ = P diag(z^p, 1) = [[alpha~, u beta'], [-h/u, f]];
     * Q holds Q~ = Q diag((z-1)^c, (z-1)^(2p-c)) = [[f, -u beta'], [g/u, gamma']].
@@ -82,7 +81,6 @@ class FactorizationCertificate:
     f: Poly
     g: Poly
     h: Poly
-    l: int
     c: int
     n: int
     beta_prime: Poly
@@ -156,7 +154,7 @@ def euclid_rows(G: Poly, B: Poly, stop: int) -> tuple[Poly, Poly, Poly, Poly, in
 
 
 def birkhoff_step1(ctx: ReductionContext,
-                   A: Poly) -> tuple[Poly, Poly, Poly, int, Poly, Poly]:
+                   A: Poly) -> tuple[Poly, Poly, Poly, Poly, Poly]:
     """Minimal (f, g) with f*A + g*z^p = h*G, and a Bezout partner.
 
     G = g(z^p) = z^(2p) + g1*z^p + g0, with g0, g1 read from
@@ -193,10 +191,7 @@ def birkhoff_step1(ctx: ReductionContext,
     < p, is step 1's one school division; h comes from
     :func:`~higgsflow.polys.divrem_modulus`.
 
-    Returns (f, g, h, l, beta', gamma').  l is the smaller of the orders
-    of f and g at z = 1 (f's alone when g = 0).  The Bezout identity,
-    proved again by :func:`check_certificate`, makes gcd(f, g) a divisor
-    of G = (z-1)^(2p), hence exactly (z-1)^l.
+    Returns (f, g, h, beta', gamma').
     """
     p, d = ctx.p, ctx.d
     if A.degree > 2 * p - 1:
@@ -224,15 +219,13 @@ def birkhoff_step1(ctx: ReductionContext,
     if _deg(g) > f.degree:
         q, gamma = poly_divrem(gamma, g)
         beta = beta + q * f
-
-    l = f.order_at_one() if g.is_zero() else min(f.order_at_one(), g.order_at_one())
-    return f, g, h, l, beta, gamma
+    return f, g, h, beta, gamma
 
 
-def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly, l: int,
+def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly,
                          beta_prime: Poly, gamma_prime: Poly,
                          alpha: Poly) -> FactorizationCertificate:
-    """The certificate of (f, g, h, l, beta', gamma', alpha~), its frames built, unchecked.
+    """The certificate of (f, g, h, beta', gamma', alpha~), its frames built, unchecked.
 
     c = max(deg f, deg g), and P~, Q~ are laid out as
     :class:`FactorizationCertificate` says, g, h and beta' scaled by the
@@ -247,12 +240,12 @@ def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly, 
     P = ((alpha, beta_u), (minus_h_u, f))
     Q = ((f, minus_beta_u), (g_u, gamma_prime))
     return FactorizationCertificate(
-        f=f, g=g, h=h, l=l, c=c, n=ctx.p - c,
+        f=f, g=g, h=h, c=c, n=ctx.p - c,
         beta_prime=beta_prime, gamma_prime=gamma_prime, alpha=alpha, P=P, Q=Q)
 
 
 def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
-                   f: Poly, g: Poly, h: Poly, l: int,
+                   f: Poly, g: Poly, h: Poly,
                    beta_prime: Poly, gamma_prime: Poly) -> FactorizationCertificate:
     """Degree checks, alpha, frame assembly, then the exact certificate check.
 
@@ -270,7 +263,7 @@ def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
 
     # the quotient is exact when the alpha identity of check_certificate holds
     alpha, _ = divrem_modulus(gamma_prime.shift(p) - cocycle.A * beta_prime)
-    cert = assemble_certificate(cocycle, f, g, h, l, beta_prime, gamma_prime, alpha)
+    cert = assemble_certificate(cocycle, f, g, h, beta_prime, gamma_prime, alpha)
     # verify_certificate is the check perfbench traces as factorization.verify;
     # only when it fails does check_certificate run again to name the identity
     m = build_transition(cocycle)

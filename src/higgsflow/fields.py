@@ -9,12 +9,17 @@ ordinary polynomial arithmetic; Witt coordinates (Teichmueller part,
 p-part) are recovered on demand, in the one Verschiebung-normalised
 convention of :func:`witt_decompose`.
 
+The modulus settles the rest in closed form.  The Frobenius of F_q and its
+lift to the Galois ring both send x to -x (:func:`_frobenius`), so each
+is an involution; the inverse is the conjugate over the norm; the
+Teichmueller lift of a is the q-th power of any lift of a.
+
 An element is stored as its coefficient "vec", a length-d tuple of ints
 at every d, d = 1 included; a sequence of elements (polynomial
 coefficients, matrix entries) is an int64 array whose trailing axis has
 length d.  One reduction table per modulus multiplies both.  The wrapper
-classes :class:`FieldElement` and :class:`WittRingElement` expose
-operators on top of the vec layer.  A context is rebuilt on every
+classes :class:`FieldElement` and :class:`WittRingElement` share one set
+of operators on top of the vec layer.  A context is rebuilt on every
 :func:`make_context` call, no cache holds it, and contexts compare by
 (p, d).
 """
@@ -30,8 +35,6 @@ from .errors import (DegreeOutOfRange, EvenPrime, ForbiddenResidue,
                      InternalInvariantFailure, NotPrime)
 
 MAX_EXTENSION_DEGREE = 2
-
-_TEICHMULLER_ITERATION_CAP = 8
 
 
 def is_prime(n: int) -> bool:
@@ -73,6 +76,18 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
         return (0, 1)
     c0 = next(c for c in range(1, p) if pow(-c, (p - 1) // 2, p) == p - 1)
     return (c0, 0, 1)
+
+
+def _frobenius(a: tuple, mod: int) -> tuple:
+    """The Frobenius of F_q (mod p) or of the Galois ring (mod p²): x -> -x.
+
+    In F_q, x^p = x (x^2)^((p-1)/2) = x (-c0)^((p-1)/2) = -x, since -c0
+    is a non-square.  The ring Frobenius sigma fixes Z/p², so sigma(x) is
+    a root of y^2 + c0; its roots are +-x (Hensel: 2x is a unit), and
+    sigma(x) = x^p = -x mod p.  So both negate coordinates 1..d-1, and at
+    d = 1, where there are none, both are the identity.
+    """
+    return a[:1] + tuple([-x % mod for x in a[1:]])
 
 
 def _reduction_table(modulus: tuple[int, ...], mod: int) -> np.ndarray:
@@ -163,8 +178,6 @@ class ReductionContext:
         self.basis_products = self.fold_matrix[np.add.outer(np.arange(d), np.arange(d))]
         self.zero = self.f_from_int(0)
         self.one = self.f_from_int(1)
-        # a -> a^p is F_p-linear: row k is x^(kp) reduced, found once by powering
-        self.frobenius_rows = [self.fpow(e, p) for e in np.eye(d, dtype=np.int64).tolist()]
 
     # -- vec arithmetic ----------------------------------------------------
 
@@ -195,21 +208,15 @@ class ReductionContext:
     def wpow(self, a, e: int):
         return _power(self.wmul, self.w_from_int(1).vec, a, e)
 
-    def ffrob(self, a):
-        """a^p, as the vec a times the Frobenius matrix."""
-        p = self.p
-        return tuple([sum(x * y for x, y in zip(a, col)) % p
-                      for col in zip(*self.frobenius_rows)])
-
     def finv(self, a):
-        """a^-1 = a^(r-1) / N(a), r = (q-1)/(p-1): a^(r-1) is the product of the
-        conjugates a^p .. a^(p^(d-1)), and the norm N(a) = a^r lies in F_p."""
+        """a^-1 = ā / N(a): the conjugate ā = a^p over the norm N(a) = a ā.
+
+        N(a) is fixed by the Frobenius, an involution, so it lies in F_p; at
+        d = 1, ā = a and N(a) = a^2.
+        """
         if self.f_is_zero(a):
             raise ZeroDivisionError("inverse of zero field element")
-        b, c = self.one.vec, a
-        for _ in range(self.d - 1):
-            c = self.ffrob(c)
-            b = self.fmul(b, c)
+        b = _frobenius(a, self.p)
         s = pow(self.fmul(a, b)[0], -1, self.p)
         return tuple([x * s % self.p for x in b])
 
@@ -217,7 +224,7 @@ class ReductionContext:
         res = self.w_residue(a)
         if self.f_is_zero(res):
             raise ZeroDivisionError("element not invertible in the Witt ring")
-        y = self.f_lift(self.finv(res))
+        y = self.finv(res)
         two = self.w_from_int(2).vec
         # one Newton step lifts an inverse mod p to an inverse mod p²
         return self.wmul(y, self.wsub(two, self.wmul(a, y)))
@@ -227,12 +234,6 @@ class ReductionContext:
     @staticmethod
     def f_is_zero(a) -> bool:
         return not any(a)
-
-    w_is_zero = f_is_zero
-
-    def f_lift(self, a):
-        """Coefficientwise lift of a field vec to a Witt vec."""
-        return a
 
     def w_residue(self, a):
         return tuple([x % self.p for x in a])
@@ -282,57 +283,6 @@ class ReductionContext:
         for n in range(self.q * self.q):
             yield WittRingElement(self, _digits(n, self.p2, self.d))
 
-    # -- square roots in F_q -------------------------------------------------
-
-    def f_is_square(self, a) -> bool:
-        if self.f_is_zero(a):
-            return True
-        one = self.one.vec
-        return self.fpow(a, (self.q - 1) // 2) == one
-
-    def f_nonsquare(self):
-        """First non-square in index order.
-
-        Every element of F_p is a square in F_(p^2), so the search starts
-        at index q // p: the first index past F_p when d = 2, and 1 when d = 1.
-        """
-        for n in range(self.q // self.p, self.q):
-            v = self.f_from_index(n).vec
-            if not self.f_is_square(v):
-                return v
-        raise InternalInvariantFailure(f"no non-square in F_{self.q}")  # unreachable: q is odd
-
-    def f_sqrt(self, a):
-        """Tonelli-Shanks square root in F_q; None when a is a non-square."""
-        if self.f_is_zero(a):
-            return a
-        if not self.f_is_square(a):
-            return None
-        q = self.q
-        s, m = q - 1, 0
-        while s % 2 == 0:
-            s //= 2
-            m += 1
-        if m == 1:
-            return self.fpow(a, (q + 1) // 4)
-        c = self.fpow(self.f_nonsquare(), s)
-        t = self.fpow(a, s)
-        r = self.fpow(a, (s + 1) // 2)
-        one = self.one.vec
-        while t != one:
-            t2, i = t, 0
-            while t2 != one:
-                t2 = self.fmul(t2, t2)
-                i += 1
-            b = c
-            for _ in range(m - i - 1):
-                b = self.fmul(b, b)
-            m = i
-            c = self.fmul(b, b)
-            t = self.fmul(t, c)
-            r = self.fmul(r, b)
-        return r
-
     def extension(self, degree: int):
         """Retired: certificates are checked exactly, in no extension field.
 
@@ -375,128 +325,91 @@ def _vec_string(coeffs: list[int], sym: str) -> str:
     return "+".join(terms) if terms else "0"
 
 
-class FieldElement:
-    """An element of F_{p^d}, stored as a coefficient vec."""
+class _Element:
+    """A coefficient vec over a context, with the operators both rings share.
+
+    A subclass names its ring by `_ring`, the prefix of the context's vec
+    ops ("f" for F_q, "w" for the Galois ring), and its repr by `_tag`.
+    """
 
     __slots__ = ("ctx", "vec")
+    _ring = _tag = ""
 
     def __init__(self, ctx: ReductionContext, vec):
         self.ctx = ctx
         self.vec = vec
 
     def __add__(self, other):
-        return FieldElement(self.ctx, self.ctx.fadd(self.vec, other.vec))
+        return type(self)(self.ctx, getattr(self.ctx, self._ring + "add")(self.vec, other.vec))
 
     def __sub__(self, other):
-        return FieldElement(self.ctx, self.ctx.fsub(self.vec, other.vec))
+        return type(self)(self.ctx, getattr(self.ctx, self._ring + "sub")(self.vec, other.vec))
 
     def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.fneg(self.vec))
+        return type(self)(self.ctx, getattr(self.ctx, self._ring + "neg")(self.vec))
 
     def __mul__(self, other):
-        return FieldElement(self.ctx, self.ctx.fmul(self.vec, other.vec))
+        return type(self)(self.ctx, getattr(self.ctx, self._ring + "mul")(self.vec, other.vec))
+
+    def __pow__(self, e: int):
+        vec = self.inverse().vec if e < 0 else self.vec
+        return type(self)(self.ctx, getattr(self.ctx, self._ring + "pow")(vec, abs(e)))
+
+    def inverse(self):
+        return type(self)(self.ctx, getattr(self.ctx, self._ring + "inv")(self.vec))
+
+    def is_zero(self) -> bool:
+        return not any(self.vec)
+
+    def coeffs(self) -> list[int]:
+        return list(self.vec)
+
+    def to_string(self, sym: str = "u") -> str:
+        return _vec_string(self.coeffs(), sym)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.ctx == other.ctx
+                and self.vec == other.vec)
+
+    def __hash__(self):
+        return hash((self.ctx, self._ring, self.vec))
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __repr__(self):
+        return f"{self._tag}({self.to_string()})"
+
+
+class FieldElement(_Element):
+    """An element of F_{p^d}, stored as a coefficient vec."""
+
+    __slots__ = ()
+    _ring, _tag = "f", "F"
 
     def __truediv__(self, other):
         return FieldElement(self.ctx, self.ctx.fmul(self.vec, self.ctx.finv(other.vec)))
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return FieldElement(self.ctx, self.ctx.fpow(self.ctx.finv(self.vec), -e))
-        return FieldElement(self.ctx, self.ctx.fpow(self.vec, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.finv(self.vec))
-
-    def is_zero(self) -> bool:
-        return self.ctx.f_is_zero(self.vec)
-
     def frobenius(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.ffrob(self.vec))
-
-    def frobenius_inverse(self) -> "FieldElement":
-        # the Frobenius has order d on F_{p^d}
-        vec = self.vec
-        for _ in range(self.ctx.d - 1):
-            vec = self.ctx.ffrob(vec)
-        return FieldElement(self.ctx, vec)
-
-    def coeffs(self) -> list[int]:
-        return list(self.vec)
+        """a^p; an involution, since it has order d <= 2."""
+        return FieldElement(self.ctx, _frobenius(self.vec, self.ctx.p))
 
     def index(self) -> int:
         return self.ctx.f_index(self.vec)
 
     def lift(self) -> "WittRingElement":
-        return WittRingElement(self.ctx, self.ctx.f_lift(self.vec))
-
-    def to_string(self, sym: str = "u") -> str:
-        return _vec_string(self.coeffs(), sym)
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement) and self.ctx == other.ctx
-                and self.vec == other.vec)
-
-    def __hash__(self):
-        return hash((self.ctx, self.vec))
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __repr__(self):
-        return f"F({self.to_string()})"
+        """The coefficientwise lift to the Galois ring."""
+        return WittRingElement(self.ctx, self.vec)
 
 
-class WittRingElement:
+class WittRingElement(_Element):
     """An element of the characteristic-p² Galois ring over the context."""
 
-    __slots__ = ("ctx", "vec")
-
-    def __init__(self, ctx: ReductionContext, vec):
-        self.ctx = ctx
-        self.vec = vec
-
-    def __add__(self, other):
-        return WittRingElement(self.ctx, self.ctx.wadd(self.vec, other.vec))
-
-    def __sub__(self, other):
-        return WittRingElement(self.ctx, self.ctx.wsub(self.vec, other.vec))
-
-    def __neg__(self):
-        return WittRingElement(self.ctx, self.ctx.wneg(self.vec))
-
-    def __mul__(self, other):
-        return WittRingElement(self.ctx, self.ctx.wmul(self.vec, other.vec))
-
-    def __pow__(self, e: int):
-        return WittRingElement(self.ctx, self.ctx.wpow(self.vec, e))
-
-    def inverse(self) -> "WittRingElement":
-        return WittRingElement(self.ctx, self.ctx.winv(self.vec))
-
-    def is_zero(self) -> bool:
-        return self.ctx.w_is_zero(self.vec)
+    __slots__ = ()
+    _ring, _tag = "w", "W"
 
     def residue(self) -> FieldElement:
         return FieldElement(self.ctx, self.ctx.w_residue(self.vec))
-
-    def coeffs(self) -> list[int]:
-        return list(self.vec)
-
-    def to_string(self, sym: str = "u") -> str:
-        return _vec_string(self.coeffs(), sym)
-
-    def __eq__(self, other):
-        return (isinstance(other, WittRingElement) and self.ctx == other.ctx
-                and self.vec == other.vec)
-
-    def __hash__(self):
-        return hash((self.ctx, "w", self.vec))
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __repr__(self):
-        return f"W({self.to_string()})"
 
 
 @dataclass(frozen=True)
@@ -513,31 +426,21 @@ class WittParameter:
 
 
 def teichmuller(x0: FieldElement) -> WittRingElement:
-    """Multiplicative lift of x0: the fixed point of q-th powering mod p²."""
-    ctx = x0.ctx
-    w = ctx.f_lift(x0.vec)
-    for _ in range(_TEICHMULLER_ITERATION_CAP):
-        nxt = ctx.wpow(w, ctx.q)
-        if nxt == w:
-            return WittRingElement(ctx, w)
-        w = nxt
-    raise InternalInvariantFailure("Teichmueller iteration did not stabilise")
+    """Multiplicative lift of x0: y^q for any lift y of x0.
+
+    (y + p b)^q = y^q mod p² because p divides q, so y^q does not depend
+    on the lift; it is itself a lift of x0^q = x0, so the q-th power fixes
+    it.
+    """
+    return WittRingElement(x0.ctx, x0.ctx.wpow(x0.vec, x0.ctx.q))
 
 
 def frobenius_w2(x: WittRingElement) -> WittRingElement:
-    """Ring endomorphism lifting the p-power map.
+    """Ring automorphism lifting the p-power map: x -> -x (see :func:`_frobenius`).
 
-    On tau(a) + p*b it gives tau(a^p) + p*(b^p); the identity when d = 1.
+    On tau(a) + p*b it gives tau(a^p) + p*(b^p).
     """
-    ctx = x.ctx
-    if ctx.d == 1:
-        return x
-    a = x.residue()
-    t = teichmuller(a)
-    b = FieldElement(ctx, ctx.w_divexact_p(ctx.wsub(x.vec, t.vec)))
-    head = teichmuller(a.frobenius())
-    tail = ctx.w_times_p(ctx.f_lift(b.frobenius().vec))
-    return WittRingElement(ctx, ctx.wadd(head.vec, tail))
+    return WittRingElement(x.ctx, _frobenius(x.vec, x.ctx.p2))
 
 
 def check_residue(lam0: FieldElement) -> None:
@@ -551,15 +454,15 @@ def witt_decompose(lam: WittRingElement) -> WittParameter:
 
     lam1 is the inverse residue-field Frobenius of the residue of
     (lam - tau(lam0)) / p: the Verschiebung-normalised coordinate, in
-    which the cocycle numerator A is written.  At d = 1 the Frobenius is
-    the identity and lam1 is that residue itself.
+    which the cocycle numerator A is written.  The Frobenius is an
+    involution at d <= 2, so that inverse is the Frobenius itself.
     """
     ctx = lam.ctx
     lam0 = lam.residue()
     check_residue(lam0)
     t = teichmuller(lam0)
     mu = FieldElement(ctx, ctx.w_divexact_p(ctx.wsub(lam.vec, t.vec)))
-    return WittParameter(witt=lam, lam0=lam0, lam1=mu.frobenius_inverse())
+    return WittParameter(witt=lam, lam0=lam0, lam1=mu.frobenius())
 
 
 def witt_compose(lam0: FieldElement, lam1: FieldElement) -> WittRingElement:
@@ -568,4 +471,4 @@ def witt_compose(lam0: FieldElement, lam1: FieldElement) -> WittRingElement:
     ctx = lam0.ctx
     mu = lam1.frobenius()
     t = teichmuller(lam0)
-    return WittRingElement(ctx, ctx.wadd(t.vec, ctx.w_times_p(ctx.f_lift(mu.vec))))
+    return WittRingElement(ctx, ctx.wadd(t.vec, ctx.w_times_p(mu.vec)))

@@ -133,6 +133,28 @@ def parse_lambda_spec(text: str) -> LambdaSpec:
     return LambdaSpec(minpoly=mp, label=label)
 
 
+def _sqrt_mod_p(a: int, p: int) -> int:
+    """A square root of a nonzero square a mod the odd prime p, by Tonelli-Shanks.
+
+    With p - 1 = s 2^m, s odd, and z a non-square, c = z^s generates the
+    2-Sylow subgroup.  r = a^((s+1)/2) has r^2 = a t with t = a^s in that
+    subgroup; each round multiplies r by a power b of c that lowers the
+    order 2^i of t, until t = 1.  A zero or a non-square never reaches it,
+    and the search for i raises StopIteration.
+    """
+    s, m = p - 1, 0
+    while s % 2 == 0:
+        s, m = s // 2, m + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, s, p), pow(a, s, p), pow(a, (s + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 def _minpoly_eval_ring(coeffs, x: WittRingElement) -> WittRingElement:
     ctx = x.ctx
     acc = ctx.w_from_int(0)
@@ -170,7 +192,10 @@ def reduce_at_prime(spec: LambdaSpec, p: int,
         if disc % p == 0:
             return [ReductionDatum(p=p, place=0, d=1, bad_reason=BAD_DIVIDES_DISC)]
         ctx = make_context(p, 1 if pow(disc, (p - 1) // 2, p) == 1 else 2)
-        root_disc = ctx.f_from_coeffs(ctx.f_sqrt(ctx.f_from_int(disc).vec))
+        # x^(d-1) squares to (-c0)^(d-1), so sqrt(disc) = r x^(d-1) with r in F_p:
+        # at an inert prime disc and -c0 are both non-squares, so disc/(-c0) is a square
+        r = _sqrt_mod_p(disc * pow(-ctx.modulus[0], 1 - ctx.d, p), p)
+        root_disc = ctx.f_from_coeffs([0] * (ctx.d - 1) + [r])
         half = ctx.f_from_int(2 * c2).inverse()
         minus_c1 = ctx.f_from_int(-c1)
         roots = sorted([(minus_c1 + root_disc) * half, (minus_c1 - root_disc) * half],

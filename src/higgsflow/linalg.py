@@ -461,10 +461,3 @@ def left_nullspace_vecs(m: FqMatrix) -> np.ndarray:
     basis[np.arange(len(free)), free, 0] = 1
     basis[:, pivots] = -ech[:len(pivots), free].transpose(1, 0, 2) % m.ctx.p
     return basis
-
-
-def mat_left_nullspace(m: FqMatrix) -> list[list[FieldElement]]:
-    """Basis of the left null space as FieldElement rows."""
-    ctx = m.ctx
-    basis = left_nullspace_vecs(m).tolist()
-    return [[FieldElement(ctx, tuple(v)) for v in row] for row in basis]

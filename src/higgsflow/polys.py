@@ -165,24 +165,6 @@ class Poly:
 
     # -- structure around z = 1 --------------------------------------------------
 
-    def divide_out_one(self, limit: int) -> tuple["Poly", int]:
-        """(self / (z-1)^k, k) for the largest k <= limit that divides exactly."""
-        v, k = self.v, 0
-        while k < limit and len(v):
-            # synthetic division at 1: row i of the suffix sums is the sum of
-            # coefficients i.., so row 0 is the value at 1 and the rest the quotient
-            sums = np.add.accumulate(v[::-1], axis=0)[::-1] % self.ctx.p
-            if np.count_nonzero(sums[0]):
-                break
-            v, k = sums[1:], k + 1
-        return (self if k == 0 else Poly(self.ctx, v)), k
-
-    def order_at_one(self) -> int:
-        """Multiplicity of z = 1 as a root; -1 for the zero polynomial."""
-        if self.is_zero():
-            return -1
-        return self.divide_out_one(len(self.v))[1]
-
     def taylor_at_one(self) -> "Poly":
         """Coefficients of self(s+1) in s: the Taylor expansion at z = 1.
 

@@ -432,7 +432,7 @@ def _suite_certificates(max_p: int, seed: int, cases: int = 30) -> dict:
             # but the degree bounds, which make Q regular at infinity
             k = Poly.monomial(ctx, 3 * p)
             shifted = assemble_certificate(
-                cocycle, cert.f, cert.g, cert.h, cert.l, cert.beta_prime + k * cert.f,
+                cocycle, cert.f, cert.g, cert.h, cert.beta_prime + k * cert.f,
                 cert.gamma_prime - k * cert.g, cert.alpha - k * cert.h)
             for bad in (replace(cert, f=cert.f + Poly.one(ctx)), shifted):
                 if verify_certificate(trans, bad):

@@ -6,7 +6,8 @@ compare it against: the certificate and the gluing matrix turned back into
 pole fractions num / (z^a (z-1)^b), and every identity checked in
 rational-function arithmetic, with P*M*Q proved as M*Q = adj(P)*diag.
 
-It also keeps the test-side forms of the modulus G = g(z^p): (z-1)^k from
+It also keeps the order of a zero at z = 1, read off the Taylor
+coefficients, and the test-side forms of the modulus G = g(z^p): (z-1)^k from
 the binomials, G from g's rows, the second modulus g = (X - 1)(X - c), and
 a patch that puts other rows in place of ``polys.euclid_modulus``.
 """
@@ -24,6 +25,16 @@ from higgsflow.polys import Poly
 def z_minus_one_pow(ctx, k: int) -> Poly:
     """(z-1)^k over F_q, from its binomial coefficients C(k, j)*(-1)^(k-j)."""
     return Poly.from_ints(ctx, (comb(k, j) * (-1) ** (k - j) for j in range(k + 1)))
+
+
+def order_at_one(*polys: Poly) -> int:
+    """Order at z = 1 of the gcd of the nonzero polys.
+
+    A poly's order is the index of its first nonzero Taylor coefficient at
+    z = 1; the gcd's is the least of them.
+    """
+    return min(int(np.flatnonzero(f.taylor_at_one().v.any(axis=1))[0])
+               for f in polys if not f.is_zero())
 
 
 def modulus_poly(ctx, rows) -> Poly:

@@ -5,6 +5,7 @@ each test also enforces its stated runtime budget.
 """
 
 import dataclasses
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -19,6 +20,8 @@ from higgsflow.lambdas import parse_lambda_spec
 from higgsflow.polys import Poly
 from higgsflow.scan import run_enumerate, run_scan, run_verify_beauville
 from higgsflow.sections import splitting_from_cech
+
+from certificate_reference import order_at_one
 
 
 @contextmanager
@@ -47,8 +50,8 @@ def test_ac1_micro_case_periodic():
         closed = build_A_closed(ctx, ctx.f_from_int(2), ctx.zero)
         expect_a = P(ctx, 0, 2, 0, 0, 0, 1)  # z^5 + 2z
         assert prim.A == expect_a and closed.A == expect_a
-        f, g, h, l, _, _ = birkhoff_step1(ctx, prim.A)
-        assert f == P(ctx, 2, 0, 1) and g == P(ctx, 1, 1, 1) and l == 1
+        f, g, h, _, _ = birkhoff_step1(ctx, prim.A)
+        assert f == P(ctx, 2, 0, 1) and g == P(ctx, 1, 1, 1) and order_at_one(f, g) == 1
         cert = factorization_certificate(prim)
         assert cert.c == 2 and cert.n == 1
         assert splitting_from_T(ctx, ctx.f_from_int(2), ctx.zero).n == 1
@@ -68,8 +71,8 @@ def test_ac2_micro_case_exceptional():
         from higgsflow.linalg import mat_det
         t0 = t_submatrix(build_T(ctx, wp.lam0, wp.lam1), 0)
         assert mat_det(t0) == ctx.f_from_int(2)
-        f, g, h, l, _, _ = birkhoff_step1(ctx, prim.A)
-        assert f == P(ctx, 2, 0, 1, 1) and g == P(ctx, 1, 2) and l == 0
+        f, g, h, _, _ = birkhoff_step1(ctx, prim.A)
+        assert f == P(ctx, 2, 0, 1, 1) and g == P(ctx, 1, 2) and order_at_one(f, g) == 0
         cert = factorization_certificate(prim)
         assert cert.c == 3 and cert.n == 0
         assert splitting_from_T(ctx, wp.lam0, wp.lam1).n == 0
@@ -169,6 +172,9 @@ def test_ac7_witt_layer_exhaustive():
 def test_ac8_beauville_evidence_report():
     with criterion("AC8 catalog evidence sweep over primes 5..97", 300.0):
         report = run_verify_beauville((5, 97), seed=0)
+        # the golden bytes of `beauville --prime-range 5:97 --format json`
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "2e564801c885c21a16ffc161553fc15298c5139498b0489fb035899e1f2eaa18")
         per = report.summary["per_entry"]
         assert len(per) == 17
         assert report.summary["mismatches"] == []

@@ -183,16 +183,6 @@ def test_witt_layer_inexact_division_exits_internal(monkeypatch, capsys):
     assert err.startswith("internal error:") and "not divisible by p" in err
 
 
-def test_teichmuller_iteration_cap_exits_internal(monkeypatch, capsys):
-    # the Teichmueller iteration always stabilises; hitting its cap is a bug
-    import higgsflow.fields as fields_mod
-
-    monkeypatch.setattr(fields_mod, "_TEICHMULLER_ITERATION_CAP", 0)
-    code, _, err = run_cli(capsys, "scan", "--rational", "-1", "--prime-range", "5:5")
-    assert code == 3
-    assert err.startswith("internal error:") and "Teichmueller" in err
-
-
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
@@ -275,8 +265,10 @@ def test_mismatch_exit_code(monkeypatch, capsys):
     # 3p + 10 = 67 ansatz columns: the cech stacks cross the 64-column panel edge
     (("enumerate", "19", "--methods", "t,cech", "--format", "json"),
      "e1ea22a881c491fceef79146a8fdd07f3d771fff582ba204058b7a6105f176b5"),
+    (("selftest", "--max-p", "7", "--seed", "42"),
+     "a72410e53971ad8952a0ad62000eafdc3d7a7e0144923405b99703d20bf7a125"),
 ], ids=["enumerate-7", "scan-minus-one", "beauville-5-23", "scan-inert", "enumerate-5-json",
-        "enumerate-11-json", "enumerate-19-t-cech"])
+        "enumerate-11-json", "enumerate-19-t-cech", "selftest-7"])
 def test_report_bytes_match_golden_hash(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

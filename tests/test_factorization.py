@@ -16,8 +16,8 @@ from higgsflow.fields import make_context, witt_decompose
 from higgsflow.linalg import mat_rank
 from higgsflow.polys import Poly, divrem_modulus, poly_divrem
 
-from certificate_reference import (PoleFraction, frame_fractions, matmul, reference_check,
-                                   transition_fractions, z_minus_one_pow)
+from certificate_reference import (PoleFraction, frame_fractions, matmul, order_at_one,
+                                   reference_check, transition_fractions, z_minus_one_pow)
 
 
 def P(ctx, *ints):
@@ -33,10 +33,10 @@ def _pmq(m, cert):
 def test_step1_micro_case_periodic():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
+    f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
     assert f == P(ctx, 2, 0, 1)       # z^2 + 2
     assert g == P(ctx, 1, 1, 1)       # z^2 + z + 1
-    assert l == 1
+    assert order_at_one(f, g) == 1
     assert f * co.A + g * Poly.monomial(ctx, 3) == h * z_minus_one_pow(ctx, 6)
     assert f * gamma + g * beta == z_minus_one_pow(ctx, 6)
 
@@ -44,18 +44,18 @@ def test_step1_micro_case_periodic():
 def test_step1_micro_case_nonperiodic():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(2))
-    f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
+    f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
     assert f == P(ctx, 2, 0, 1, 1)    # z^3 + z^2 + 2
     assert g == P(ctx, 1, 2)          # 2z + 1
-    assert l == 0
+    assert order_at_one(f, g) == 0
     assert f.taylor_at_one().coeff(0) == ctx.one  # f(1) = 1 != 0
     assert f * gamma + g * beta == z_minus_one_pow(ctx, 6)
 
 
 def test_step1_zero_cocycle_degenerate():
     ctx = make_context(3, 1)
-    f, g, h, l, beta, gamma = birkhoff_step1(ctx, Poly.zero(ctx))
-    assert f == Poly.one(ctx) and g.is_zero() and h.is_zero() and l == 0
+    f, g, h, beta, gamma = birkhoff_step1(ctx, Poly.zero(ctx))
+    assert f == Poly.one(ctx) and g.is_zero() and h.is_zero() and order_at_one(f, g) == 0
     assert beta.is_zero() and gamma == z_minus_one_pow(ctx, 6)
 
 
@@ -109,8 +109,8 @@ def test_step2_exact_diagonalization_small_sample():
             # order at most p at 0 and p - 1 - c at infinity
             assert cert.alpha.degree <= 2 * p - 1 - cert.c
             reduced += not cert.g.is_zero() and cert.g.degree > cert.f.degree
-            gcd_at_one += cert.l > 0
-    # both step-1 paths stay covered: gamma' reduced mod g, and gcd (z-1)^l, l > 0
+            gcd_at_one += order_at_one(cert.f, cert.g) > 0
+    # both step-1 paths stay covered: gamma' reduced mod g, and gcd(f, g) = (z-1)^l, l > 0
     assert reduced > 0 and gcd_at_one > 0
 
 
@@ -171,7 +171,7 @@ def test_step1_minimality_rank_characterization():
             if not (r.is_zero() or r == ctx.one):
                 break
         co = build_A_primitive(ctx, w)
-        f, g, h, l, _, _ = birkhoff_step1(ctx, co.A)
+        f, g, h, _, _ = birkhoff_step1(ctx, co.A)
         c = max(f.degree, g.degree if not g.is_zero() else -1)
         wp = witt_decompose(w)
         tm = build_T(ctx, wp.lam0, wp.lam1)
@@ -215,11 +215,11 @@ def _reference_step1(ctx, A, quotient_degrees):
     if not g.is_zero() and g.degree > f.degree:
         q, gamma = poly_divrem(gamma, g)
         beta = beta + q * f
-    l = f.order_at_one() if g.is_zero() else min(f.order_at_one(), g.order_at_one())
-    return f, g, h, l, beta, gamma
+    return f, g, h, beta, gamma
 
 
-# sha256 of every step-1 output (f, g, h, l) of the exhaustive test below, as
+# sha256 of every step-1 output (f, g, h) of the exhaustive test below and the
+# order l of gcd(f, g) at z = 1, as
 # computed by the remainder-system rank scan and null space that step 1 was
 # before extended Euclid replaced it
 STEP1_EXHAUSTIVE_SHA256 = "cbb404c03feef9766dd65f8749fd6c56cae4cbc77b8e8462fb7b41360959a659"
@@ -240,14 +240,14 @@ def test_step1_exhaustive_against_criterion_ranks():
             if r.is_zero() or r == ctx.one:
                 continue
             A = build_A_primitive(ctx, w).A
-            f, g, h, l, beta, gamma = out = birkhoff_step1(ctx, A)
+            f, g, h, beta, gamma = out = birkhoff_step1(ctx, A)
             assert out == _reference_step1(ctx, A, quotient_degrees)
             assert f * A + g * zp == h * d2
             assert f.lead() == ctx.one and g.degree <= p - 1
             c = max(f.degree, g.degree)
             # the Bezout partner from the previous Euclid row
             assert f * gamma + g * beta == d2
-            assert (zp * gamma - A * beta).order_at_one() >= 2 * p
+            assert divrem_modulus(zp * gamma - A * beta)[1].is_zero()
             assert beta.degree <= 2 * p - c and gamma.degree <= 2 * p - c
             wp = witt_decompose(w)
             n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
@@ -260,7 +260,7 @@ def test_step1_exhaustive_against_criterion_ranks():
             for poly in (f, g, h):
                 digest.update(len(poly.v).to_bytes(4, "little"))
                 digest.update(poly.v.tobytes())
-            digest.update(l.to_bytes(4, "little"))
+            digest.update(order_at_one(f, g).to_bytes(4, "little"))
             cases += 1
         # no lift's remainder reaches zero; a residue divisible by (z-1)^p does
         B = z_minus_one_pow(ctx, p) * (Poly.monomial(ctx, p - 1) + Poly.one(ctx))
@@ -338,7 +338,7 @@ def _tampered(m, cert):
             cert, P=((p00.scale(two), p01.scale(two)), (p10, p11)),
             Q=((q0[0].scale(half), q0[1]), (q10.scale(half), q11))),
         "Bezout partner shifted": assemble_certificate(
-            m.cocycle, cert.f, cert.g, cert.h, cert.l, cert.beta_prime + k * cert.f,
+            m.cocycle, cert.f, cert.g, cert.h, cert.beta_prime + k * cert.f,
             cert.gamma_prime - k * cert.g, cert.alpha - k * cert.h),
     }
     pairs = {name: (m, c) for name, c in bad.items()}
@@ -346,8 +346,8 @@ def _tampered(m, cert):
     return pairs
 
 
-# (p, d, coefficients of lambda); at p = 3, lambda = -1 is periodic (l = 1)
-# and lambda = 2 is not (l = 0)
+# (p, d, coefficients of lambda); at p = 3, lambda = -1 is periodic
+# (gcd(f, g) = z - 1) and lambda = 2 is not (gcd(f, g) = 1)
 SHAPES = [pytest.param(3, 1, (-1,), id="3-1-lam=-1"),
           pytest.param(3, 1, (2,), id="3-1-lam=2"),
           pytest.param(7, 1, (2,), id="7-1-lam=2"),
@@ -458,30 +458,30 @@ def test_step2_names_the_identity_its_certificate_breaks(monkeypatch):
 def test_step2_rejects_inconsistent_input():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
+    f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
     with pytest.raises(CertificateCheckFailed, match="identity step-1"):
-        birkhoff_step2(ctx, co, f + Poly.one(ctx), g, h, l, beta, gamma)
+        birkhoff_step2(ctx, co, f + Poly.one(ctx), g, h, beta, gamma)
 
 
 def test_step2_rejects_degrees_out_of_bounds():
     ctx = make_context(5, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
+    f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
     c = max(f.degree, g.degree)
     with pytest.raises(CertificateCheckFailed, match="combined degree"):
-        birkhoff_step2(ctx, co, Poly.monomial(ctx, 6), g, h, l, beta, gamma)
+        birkhoff_step2(ctx, co, Poly.monomial(ctx, 6), g, h, beta, gamma)
     with pytest.raises(CertificateCheckFailed, match="combined degree"):
-        birkhoff_step2(ctx, co, Poly.zero(ctx), Poly.zero(ctx), h, l, beta, gamma)
+        birkhoff_step2(ctx, co, Poly.zero(ctx), Poly.zero(ctx), h, beta, gamma)
     over = Poly.monomial(ctx, 10 - c + 1)  # degree 2p - c + 1
     with pytest.raises(CertificateCheckFailed, match="degree bounds"):
-        birkhoff_step2(ctx, co, f, g, h, l, beta + over, gamma)
+        birkhoff_step2(ctx, co, f, g, h, beta + over, gamma)
     with pytest.raises(CertificateCheckFailed, match="degree bounds"):
-        birkhoff_step2(ctx, co, f, g, h, l, beta, gamma + over)
+        birkhoff_step2(ctx, co, f, g, h, beta, gamma + over)
 
 
 def test_step2_gcd_check_rejects_factor_coprime_to_z_minus_one():
-    # step 1 reads l off the orders at z = 1 only; the Bezout identity is the
-    # one check that gcd(f, g) has no other factor
+    # the Bezout identity is the one check that gcd(f, g) has no factor
+    # prime to z - 1
     for p, d in ((5, 1), (7, 1), (3, 2)):
         ctx = make_context(p, d)
         cases = 0
@@ -490,7 +490,7 @@ def test_step2_gcd_check_rejects_factor_coprime_to_z_minus_one():
             if r.is_zero() or r == ctx.one:
                 continue
             co = build_A_primitive(ctx, w)
-            f, g, h, l, beta, gamma = birkhoff_step1(ctx, co.A)
+            f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
             if max(f.degree, g.degree) >= p:
                 continue  # the extra factor would push c past p first
             cases += 1
@@ -498,7 +498,7 @@ def test_step2_gcd_check_rejects_factor_coprime_to_z_minus_one():
             # (beta', gamma') fit the old c, or their Bezout sum is extra*(z-1)^(2p)
             with pytest.raises(CertificateCheckFailed,
                                match=r"identity Bezout|degree bounds"):
-                birkhoff_step2(ctx, co, f * extra, g * extra, h * extra, l, beta, gamma)
+                birkhoff_step2(ctx, co, f * extra, g * extra, h * extra, beta, gamma)
         assert cases > 0
 
 
@@ -508,11 +508,6 @@ def test_certificate_determinism():
     b = factorization_certificate(build_A_primitive(ctx, ctx.w_from_int(7)))
     # no state carries over between calls: the certificate is a function of lambda
     assert a.f == b.f and a.g == b.g and a.h == b.h
-    assert (a.l, a.c, a.n) == (b.l, b.c, b.n)
+    assert (a.c, a.n) == (b.c, b.n)
     assert a.beta_prime == b.beta_prime and a.gamma_prime == b.gamma_prime
 
-
-def test_certificate_records_gcd_order_at_one():
-    ctx = make_context(3, 1)
-    assert factorization_certificate(build_A_primitive(ctx, ctx.w_from_int(-1))).l == 1
-    assert factorization_certificate(build_A_primitive(ctx, ctx.w_from_int(2))).l == 0
