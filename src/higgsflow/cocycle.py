@@ -3,10 +3,10 @@
 The lifted parameter determines a 1-cocycle on the two-chart cover of the
 projective line minus the four marked points.  Its numerator A is computed
 two independent ways: from the characteristic-p² primitive (expand, check
-divisibility by p, divide), and from the expanded closed form.  The closed
-form is the one transcription of A's coefficients in (lam0, lam1): the
-criterion matrix T of ``criterion.py`` is a window view of its table.  A is
-kept unnormalised (the displayed numerator itself); the scalar unit
+divisibility by p, divide), which every sweep builds once per row for all
+three methods, and from the expanded closed form in (lam0, lam1), kept as
+the reference the self-test and the tests compare it with.  A is kept
+unnormalised (the displayed numerator itself); the scalar unit
 u = 1 - lam0^p is carried separately, since rescaling A touches no rank,
 null space, or splitting integer.
 """

@@ -1,8 +1,9 @@
 """The explicit matrix criterion for periodicity and the splitting integer.
 
 T is a p x (2p+1) matrix over F_q whose entries are the coefficients a_k
-of the cocycle numerator A = sum_k a_k z^k, read from the closed form of
-``cocycle.build_A_closed``: with 0-indexed (i, j),
+of the cocycle numerator A = sum_k a_k z^k, read from the row's
+``cocycle.CocyclePolynomial``, the one that birkhoff and cech read too:
+with 0-indexed (i, j),
   T[i, j] = a_(j-i) for i <= j < p, T[i, j] = -g0*a_(2p+j-i) for j < i,
   T[i, p+k] = a_(2p-1-i-k) for k <= p-2-i, and 0 otherwise,
 where g0 is the constant term of g in the modulus G = g(z^p) of
@@ -26,7 +27,8 @@ row i of R holds z^i * A reduced mod G = g(z^p), the modulus of
 ``polys.euclid_modulus`` (here (z-1)^(2p)), built by recurrence.
 Entrywise, R reproduces T on the left block, and reflected on the upper
 band; validate_T_R checks both index identities on the exact ranges where
-the band is defined.
+the band is defined.  These reference helpers take (lam0, lam1) and build
+T from their closed form, ``cocycle.build_A_closed``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import build_A_closed
+from .cocycle import CocyclePolynomial, build_A_closed
 from .errors import DegreeTooLarge, IndexOutOfRange
 from .fields import FieldElement, ReductionContext
 from .linalg import FqMatrix, _residue_dtype, blowup_leading_ranks, stack_slices
@@ -56,8 +58,6 @@ class CriterionMatrix:
     """
 
     ctx: ReductionContext
-    lam0: FieldElement
-    lam1: FieldElement
     tables: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -119,8 +119,8 @@ def _fill_T(out: np.ndarray, tables: np.ndarray, p: int) -> None:
         out[:, p:2 * p] = _windows(tables[2 * p - 1:], p)[:, :cols - p]
 
 
-def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> CriterionMatrix:
-    """Assemble T from the coefficients a_0..a_(2p-1) of the closed-form A.
+def build_T(cocycle: CocyclePolynomial) -> CriterionMatrix:
+    """Assemble T from the coefficients a_0..a_(2p-1) of the cocycle's A.
 
     The left block is Toeplitz and the band Hankel, so each is one window
     view of a short table of a_k:
@@ -134,14 +134,16 @@ def build_T(ctx: ReductionContext, lam0: FieldElement, lam1: FieldElement) -> Cr
     Only the two tables are blown up (``ctx.mul_matrix``, one integer
     product for both), and only they are kept: O(p*d^2) entries.  The
     realisation, whose row (i, k) holds x^k times row i, is written from
-    their window views by whoever reads it (``CriterionMatrix``).
+    their window views by whoever reads it (``CriterionMatrix``).  A's
+    z^(2p-1) coefficient is lam0 - 1, never zero, so A.v has all 2p rows.
     """
+    ctx = cocycle.ctx
     p, d = ctx.p, ctx.d
-    a = build_A_closed(ctx, lam0, lam1).A.v
+    a = cocycle.A.v
     wrapped = a[p + 1:] @ ctx.mul_matrix(-euclid_modulus(ctx)[0])
     tables = ctx.mul_matrix(np.concatenate(                # left, then band: (2p-1, d, d) each
         [wrapped, a[:p], a[:p:-1], np.zeros((p, d), np.int64)]))
-    return CriterionMatrix(ctx=ctx, lam0=lam0, lam1=lam1, tables=tables)
+    return CriterionMatrix(ctx=ctx, tables=tables)
 
 
 def t_submatrix(tm: CriterionMatrix, m: int) -> FqMatrix:
@@ -176,27 +178,26 @@ def _t_ranks(tms: list[CriterionMatrix], ms) -> np.ndarray:
                            for part in stack_slices(len(tms), p * cols * ctx.d ** 2)])
 
 
-def periodicity_pair(ctx: ReductionContext, lam0: FieldElement,
-                     lam1: FieldElement) -> bool:
+def periodicity_pair(cocycle: CocyclePolynomial) -> bool:
     """det T_0 = 0 and rank T_1 = p-1 (singularity tested via rank)."""
-    p = ctx.p
-    r0, r1 = _t_ranks([build_T(ctx, lam0, lam1)], (0, 1))[0].tolist()
+    p = cocycle.ctx.p
+    r0, r1 = _t_ranks([build_T(cocycle)], (0, 1))[0].tolist()
     return r0 < p and r1 == p - 1
 
 
-def splittings_from_T(ctx: ReductionContext, pairs) -> list[SplittingType]:
-    """First full-rank index of {T_0, ..., T_(p-1)} for each (lam0, lam1) in
-    pairs; n = p when none is.
+def splittings_from_T(cocycles: list[CocyclePolynomial]) -> list[SplittingType]:
+    """First full-rank index of {T_0, ..., T_(p-1)} for each cocycle, all at
+    one (p, d); n = p when none is.
 
     One elimination of the first p+1 columns of every T gives the ranks of
-    T_0 and T_1, which decide n <= 1; only the pairs with rank T_1 < p-1
+    T_0 and T_1, which decide n <= 1; only the cocycles with rank T_1 < p-1
     take one more elimination, of the columns of T_(p-1), for the ranks of
     the rest.
     """
-    p = ctx.p
-    tms = [build_T(ctx, lam0, lam1) for lam0, lam1 in pairs]
-    if not tms:
+    if not cocycles:
         return []
+    p = cocycles[0].ctx.p
+    tms = [build_T(c) for c in cocycles]
     ns = [0 if r0 == p else 1 if r1 == p - 1 else None
           for r0, r1 in _t_ranks(tms, (0, 1)).tolist()]
     rest = [i for i, n in enumerate(ns) if n is None]
@@ -207,10 +208,9 @@ def splittings_from_T(ctx: ReductionContext, pairs) -> list[SplittingType]:
     return [SplittingType.of(n, "t") for n in ns]
 
 
-def splitting_from_T(ctx: ReductionContext, lam0: FieldElement,
-                     lam1: FieldElement) -> SplittingType:
-    """``splittings_from_T`` of one pair."""
-    return splittings_from_T(ctx, [(lam0, lam1)])[0]
+def splitting_from_T(cocycle: CocyclePolynomial) -> SplittingType:
+    """``splittings_from_T`` of one cocycle."""
+    return splittings_from_T([cocycle])[0]
 
 
 def remainder_system(ctx: ReductionContext, A: Poly) -> RemainderSystem:
@@ -244,10 +244,9 @@ def t_r_first_mismatch(ctx: ReductionContext, lam0: FieldElement, lam1: FieldEle
     p < 3p-j <= 2p-(i+1), precisely where the upper band of T is defined).
     """
     p = ctx.p
-    if A is None:
-        A = build_A_closed(ctx, lam0, lam1).A
-    r = remainder_system(ctx, A).R
-    t = build_T(ctx, lam0, lam1).T
+    cocycle = build_A_closed(ctx, lam0, lam1)
+    r = remainder_system(ctx, cocycle.A if A is None else A).R
+    t = build_T(cocycle).T
     low_r = r.arr[:p, :p]
     low_t = t.arr[:p, :p]
     if not np.array_equal(low_r, low_t):
@@ -290,7 +289,7 @@ def det_T0_in_lam1(ctx: ReductionContext, lam0: FieldElement) -> Poly:
     pts = [ext.f_from_index(k) for k in range(p + 1)]
     vals = []
     for x in pts:
-        tm = build_T(ext, lam0e, x)
+        tm = build_T(build_A_closed(ext, lam0e, x))
         vals.append(mat_det(t_submatrix(tm, 0)))
     # Lagrange interpolation over the extension field
     poly = Poly.zero(ext)

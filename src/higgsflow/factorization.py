@@ -207,15 +207,16 @@ def birkhoff_step1(ctx: ReductionContext,
     G[::p] = rows
     r0, t0, r1, t1, sign = euclid_rows(Poly(ctx, G), B, p)
 
-    lead = t1.lead()
-    inv = lead.inverse()
-    f, g = t1.scale(inv), -r1.scale(inv)
+    # f, g by 1/lead(t_j) and -1/lead(t_j), the partner by +-lead(t_j): one blow-up
+    lead = tuple(t1.v[-1].tolist())
+    inv = ctx.finv(lead)
+    times = ctx.mul_matrix([inv, ctx.fneg(inv), lead if sign == 1 else ctx.fneg(lead)])
+    f, g, beta, gamma = (Poly(ctx, x.v @ m % p)
+                         for x, m in zip((t1, r1, t0, r0), times[[0, 1, 2, 2]]))
     h, rem = divrem_modulus(f * A + g.shift(p))
     if not rem.is_zero():
         _fail("step-1 sum f*A + g*z^p is not divisible by G")
 
-    s = lead if sign == 1 else -lead
-    beta, gamma = t0.scale(s), r0.scale(s)
     if _deg(g) > f.degree:
         q, gamma = poly_divrem(gamma, g)
         beta = beta + q * f

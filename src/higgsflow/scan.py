@@ -3,16 +3,17 @@
 A report is a header, a canonically ordered list of rows, and a summary.
 Every row is computed by `_rows_from_data` from one reduction datum, a
 lifted parameter at (prime, place), whichever command asks for it: scan,
-beauville, enumerate or the method-agreement self-test.  It takes all the
-data a call has at one prime, and t and cech each eliminate all of their
-rows together; birkhoff runs per row.  Scans and catalog
-sweeps hand their (minpoly, prime) tasks to one runner, serial or one
-process pool, and sort the rows once before emission, so the output never
-depends on scheduling.  Catalog entries that share a minimal polynomial
-share one task: its rows are computed once and relabelled.  No row
-depends on randomness: certificates are checked exactly, so reports are
-byte-identical for identical flags, and the seed, echoed in the JSON
-meta, only draws the certificate cases of the self-test.
+beauville, enumerate or the method-agreement self-test.  It builds each
+row's cocycle once, from the characteristic-p² primitive, and every method
+reads that one cocycle.  It takes all the data a call has at one prime, and
+t and cech each eliminate all of their rows together; birkhoff runs per
+row.  Scans and catalog sweeps hand their (minpoly, prime) tasks to one
+runner, serial or one process pool, and sort the rows once before emission,
+so the output never depends on scheduling.  Catalog entries that share a
+minimal polynomial share one task: its rows are computed once and
+relabelled.  No row depends on randomness: certificates are checked exactly,
+so reports are byte-identical for identical flags, and the seed, echoed in
+the JSON meta, only draws the certificate cases of the self-test.
 """
 
 from __future__ import annotations
@@ -118,12 +119,13 @@ def _check_methods(methods, max_p: int) -> tuple[str, ...]:
 def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[ScanRow]:
     """One row per (label, datum) of items, in order.
 
-    The t method and the cech oracle each take every good datum at once,
-    one stacked elimination per field, since their matrices at one (p, d)
-    share their shapes; birkhoff runs per row.  One cocycle per row serves
-    birkhoff and cech, and only birkhoff builds the gluing matrix.  A row's
-    time is read when it is built, so the stacked work lands on the first
-    row built after it.
+    Each good datum's cocycle is built once, by the primitive, so its exact
+    divisibility check runs on every row, and every method reads it.  The
+    t method and the cech oracle each take every good datum at once, one
+    stacked elimination per field, since their matrices at one (p, d)
+    share their shapes; birkhoff runs per row, and only birkhoff builds
+    the gluing matrix.  A row's time is read when it is built, so the
+    cocycles and the stacked work land on the first row built after them.
     """
     values: dict[int, dict] = {}
     cocycles = {}
@@ -131,16 +133,16 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
     for i, (_, datum) in enumerate(items):
         if not datum.is_bad:
             values[i] = {}
-            by_field.setdefault(datum.witt.witt.ctx, []).append(i)
-    for ctx, rows in by_field.items():
-        wps = [items[i][1].witt for i in rows]
+            lam = datum.witt.witt
+            cocycles[i] = build_A_primitive(lam.ctx, lam)
+            by_field.setdefault(lam.ctx, []).append(i)
+    for rows in by_field.values():
+        stack = [cocycles[i] for i in rows]
         if "t" in methods:
-            for i, st in zip(rows, splittings_from_T(ctx, [(wp.lam0, wp.lam1) for wp in wps])):
+            for i, st in zip(rows, splittings_from_T(stack)):
                 values[i]["n_t"] = st.n
         if "cech" in methods:
-            for i, wp in zip(rows, wps):
-                cocycles[i] = build_A_primitive(ctx, wp.witt)
-            for i, st in zip(rows, splittings_from_cech([cocycles[i] for i in rows])):
+            for i, st in zip(rows, splittings_from_cech(stack)):
                 values[i]["n_cech"] = st.n
     out = []
     for i, (label, datum) in enumerate(items):
@@ -151,9 +153,7 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
         row = values[i]
         wp = datum.witt
         if "birkhoff" in methods:
-            # built here when no stacked method needs it, so it lands on its row
-            cocycle = cocycles.get(i) or build_A_primitive(wp.witt.ctx, wp.witt)
-            row["n_birkhoff"] = splitting_from_birkhoff(cocycle).n
+            row["n_birkhoff"] = splitting_from_birkhoff(cocycles[i]).n
         present = list(row.values())
         agree = len(set(present)) == 1
         out.append(ScanRow(lambda_label=label, p=datum.p, place=datum.place, d=datum.d,

@@ -54,9 +54,9 @@ def test_ac1_micro_case_periodic():
         assert f == P(ctx, 2, 0, 1) and g == P(ctx, 1, 1, 1) and order_at_one(f, g) == 1
         cert = factorization_certificate(prim)
         assert cert.c == 2 and cert.n == 1
-        assert splitting_from_T(ctx, ctx.f_from_int(2), ctx.zero).n == 1
+        assert splitting_from_T(closed).n == splitting_from_T(prim).n == 1
         assert splitting_from_cech(prim).n == 1
-        assert periodicity_pair(ctx, ctx.f_from_int(2), ctx.zero) is True
+        assert periodicity_pair(closed) is True
 
 
 def test_ac2_micro_case_exceptional():
@@ -69,13 +69,13 @@ def test_ac2_micro_case_exceptional():
         assert (wp.lam0, wp.lam1) == (ctx.f_from_int(2), ctx.f_from_int(1))
         from higgsflow.criterion import build_T, t_submatrix
         from higgsflow.linalg import mat_det
-        t0 = t_submatrix(build_T(ctx, wp.lam0, wp.lam1), 0)
+        t0 = t_submatrix(build_T(build_A_closed(ctx, wp.lam0, wp.lam1)), 0)
         assert mat_det(t0) == ctx.f_from_int(2)
         f, g, h, _, _ = birkhoff_step1(ctx, prim.A)
         assert f == P(ctx, 2, 0, 1, 1) and g == P(ctx, 1, 2) and order_at_one(f, g) == 0
         cert = factorization_certificate(prim)
         assert cert.c == 3 and cert.n == 0
-        assert splitting_from_T(ctx, wp.lam0, wp.lam1).n == 0
+        assert splitting_from_T(prim).n == 0
         assert splitting_from_cech(prim).n == 0
 
 
@@ -89,8 +89,9 @@ def test_ac3_exhaustive_cross_method_agreement():
                 r = lam.residue()
                 if r.is_zero() or r == ctx.one:
                     continue
+                # t reads the closed form: the two constructions of A meet here
                 wp = witt_decompose(lam)
-                nt = splitting_from_T(ctx, wp.lam0, wp.lam1).n
+                nt = splitting_from_T(build_A_closed(ctx, wp.lam0, wp.lam1)).n
                 co = build_A_primitive(ctx, lam)
                 cert = factorization_certificate(co)
                 nb = cert.n

@@ -126,7 +126,7 @@ def test_value_error_is_an_internal_error(monkeypatch, capsys):
     # mismatch in stacked array code, is a bug: exit 3, not 2
     import higgsflow.scan as scan_mod
 
-    def mismatched(ctx, pairs):
+    def mismatched(cocycles):
         raise ValueError("operands could not be broadcast together")
 
     monkeypatch.setattr(scan_mod, "splittings_from_T", mismatched)

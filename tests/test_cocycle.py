@@ -6,7 +6,8 @@ import pytest
 from higgsflow.cocycle import (binomial_over_p, binomials_mod_p2, build_A_closed,
                                build_A_primitive, build_transition)
 from higgsflow.errors import ForbiddenResidue
-from higgsflow.fields import make_context, witt_decompose
+from higgsflow.fields import is_prime, make_context, witt_decompose
+from higgsflow.lambdas import beauville_catalog, reduce_at_prime
 from higgsflow.polys import Poly
 
 from certificate_reference import (PoleFraction, order_at_one, transition_fractions,
@@ -67,6 +68,25 @@ def test_closed_equals_primitive_quadratic_field_twisted_only():
             continue
         tw = witt_decompose(w)
         assert build_A_closed(ctx, tw.lam0, tw.lam1).A == build_A_primitive(ctx, w).A
+
+
+def test_closed_equals_primitive_on_the_catalog_sweep():
+    # every good datum of the 17 catalog entries at primes 5..97, both places
+    # at inert primes: the sweeps build A by the primitive alone, so this is
+    # where the closed form in their (lam0, lam1) meets the A they read
+    seen, degrees = 0, set()
+    for entry in beauville_catalog():
+        for p in filter(is_prime, range(5, 98)):
+            for datum in reduce_at_prime(entry.spec, p, both_embeddings=True):
+                if datum.is_bad:
+                    continue
+                wp = datum.witt
+                ctx = wp.witt.ctx
+                assert (build_A_closed(ctx, wp.lam0, wp.lam1).A
+                        == build_A_primitive(ctx, wp.witt).A), (entry.spec.label, p, datum.place)
+                seen += 1
+                degrees.add(datum.d)
+    assert seen == 551 and degrees == {1, 2}
 
 
 def test_degree_bound_and_top_cancellation_random():

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from higgsflow.cocycle import binomial_over_p, build_A_closed
+from higgsflow.cocycle import binomial_over_p, build_A_closed, build_A_primitive
 from higgsflow.criterion import (build_T, det_T0_in_lam1, periodicity_pair,
                                  remainder_system, splitting_from_T, splittings_from_T,
                                  t_r_first_mismatch, t_submatrix, validate_T_R)
 from higgsflow.errors import DegreeTooLarge, ForbiddenResidue, IndexOutOfRange
-from higgsflow.fields import make_context, witt_decompose
+from higgsflow.fields import make_context
 from higgsflow.linalg import FqMatrix, _PANEL, _residue_dtype, mat_rank
 from higgsflow.polys import Poly, poly_divrem
 
@@ -28,7 +28,7 @@ def _ints(mat):
 def test_build_T_worked_example():
     ctx = make_context(3, 1)
     for b in range(3):
-        tm = build_T(ctx, ctx.f_from_int(2), ctx.f_from_int(b))
+        tm = build_T(build_A_closed(ctx, ctx.f_from_int(2), ctx.f_from_int(b)))
         assert _ints(tm.T)[1] == [2, b, 2, 0, 0, 0, 0]
         # diagonal is lam1, tail beyond column 2p-i is zero
         for i in range(3):
@@ -37,11 +37,13 @@ def test_build_T_worked_example():
 
 
 def test_build_T_rejects_bad_lam0():
+    # no cocycle, and so no T, exists at a residue 0 or 1, by either construction
     ctx = make_context(3, 1)
-    with pytest.raises(ForbiddenResidue):
-        build_T(ctx, ctx.zero, ctx.one)
-    with pytest.raises(ForbiddenResidue):
-        build_T(ctx, ctx.one, ctx.one)
+    for bad in (ctx.zero, ctx.one):
+        with pytest.raises(ForbiddenResidue):
+            build_T(build_A_closed(ctx, bad, ctx.one))
+        with pytest.raises(ForbiddenResidue):
+            build_T(build_A_primitive(ctx, ctx.w_from_coeffs(bad.coeffs())))
 
 
 def test_build_T_agrees_between_fast_and_generic_paths():
@@ -51,8 +53,8 @@ def test_build_T_agrees_between_fast_and_generic_paths():
     c2 = make_context(p, 2)
     for a in range(2, p):
         for b in range(p):
-            t1 = build_T(c1, c1.f_from_int(a), c1.f_from_int(b))
-            t2 = build_T(c2, c2.f_from_int(a), c2.f_from_int(b))
+            t1 = build_T(build_A_closed(c1, c1.f_from_int(a), c1.f_from_int(b)))
+            t2 = build_T(build_A_closed(c2, c2.f_from_int(a), c2.f_from_int(b)))
             for i in range(p):
                 for j in range(2 * p + 1):
                     assert t1.T.entry(i, j).coeffs() == t2.T.entry(i, j).coeffs()[:1]
@@ -103,15 +105,15 @@ def test_build_T_matches_entry_formula(p, d):
             continue
         for b in rng.sample(range(ctx.q), 3):
             lam1 = ctx.f_from_index(b)
-            T = build_T(ctx, lam0, lam1).T
+            T = build_T(build_A_closed(ctx, lam0, lam1)).T
             assert T.arr.tolist() == _T_by_entry_formula(ctx, lam0, lam1), \
                 (lam0, lam1)
 
 
-def _random_lambdas(ctx, seed):
+def _random_cocycle(ctx, seed):
     rng = random.Random(seed)
     lam0 = ctx.f_from_index(rng.randrange(2, ctx.q))    # index 0 is 0, 1 is 1
-    return lam0, ctx.f_from_index(rng.randrange(ctx.q))
+    return build_A_closed(ctx, lam0, ctx.f_from_index(rng.randrange(ctx.q)))
 
 
 @pytest.mark.parametrize("p, d", [(3, 1), (7, 1), (401, 1), (3, 2), (5, 2), (11, 2), (173, 2)])
@@ -120,7 +122,7 @@ def test_build_T_realisation_is_the_blowup_of_T(p, d):
     # tables in the kernel's residue type, are those of T's blow-up
     ctx = make_context(p, d)
     for seed in range(2):
-        tm = build_T(ctx, *_random_lambdas(ctx, 100 * p + 10 * d + seed))
+        tm = build_T(_random_cocycle(ctx, 100 * p + 10 * d + seed))
         full = tm.T.blowup()
         assert full.shape == (p * d, (2 * p + 1) * d)
         for m in (1, p - 1):
@@ -145,7 +147,8 @@ def test_build_T_allocates_only_the_tables(p, d):
     # build_T keeps the two blown-up tables, (2p-1)*d*d entries each, and
     # writes no part of the (p*d) x ((2p+1)*d) realisation: O(p*d^2) bytes
     ctx = make_context(p, d)
-    tm, peak = _traced_peak(build_T, ctx, ctx.f_from_int(2), ctx.f_from_int(3))
+    co = build_A_closed(ctx, ctx.f_from_int(2), ctx.f_from_int(3))
+    tm, peak = _traced_peak(build_T, co)
     assert tm.tables.shape == (2 * (2 * p - 1), d, d)
     assert peak <= 6 * tm.tables.nbytes
 
@@ -156,8 +159,8 @@ def test_t_row_peaks_near_the_block_it_eliminates(p, d):
     # kernel's residue type: it holds that block, the kernel's copy of it
     # and O(_PANEL) rows of temporaries, not T's whole realisation
     ctx = make_context(p, d)
-    lam0, lam1 = ctx.f_from_int(2), ctx.f_from_int(3)
-    split, peak = _traced_peak(splitting_from_T, ctx, lam0, lam1)
+    co = build_A_closed(ctx, ctx.f_from_int(2), ctx.f_from_int(3))
+    split, peak = _traced_peak(splitting_from_T, co)
     assert split.n <= 1
     block = p * d * (p + 1) * d * np.dtype(_residue_dtype(p)).itemsize
     assert peak <= 4 * block
@@ -168,8 +171,8 @@ def test_t_row_holds_one_realisation_and_a_few_strips(p, d):
     # the kernel eliminates the block _t_ranks wrote in place: no copy of
     # it, only a few _PANEL-row float64 strips of its width
     ctx = make_context(p, d)
-    lam0, lam1 = ctx.f_from_int(2), ctx.f_from_int(3)
-    _, peak = _traced_peak(splitting_from_T, ctx, lam0, lam1)
+    co = build_A_closed(ctx, ctx.f_from_int(2), ctx.f_from_int(3))
+    _, peak = _traced_peak(splitting_from_T, co)
     cols = (p + 1) * d
     block = p * d * cols * np.dtype(_residue_dtype(p)).itemsize
     assert peak <= block + 4 * _PANEL * cols * 8
@@ -179,8 +182,8 @@ def test_t_row_at_p_2003_stays_below_40_mb():
     # lambda = -1 has n = 1 at p = 2003; one elimination of 2003 x 2004
     # residues in int32 is 16 MB, the whole int64 realisation 64 MB
     ctx = make_context(2003, 1)
-    wp = witt_decompose(ctx.w_from_int(-1))
-    split, peak = _traced_peak(splitting_from_T, ctx, wp.lam0, wp.lam1)
+    co = build_A_primitive(ctx, ctx.w_from_int(-1))
+    split, peak = _traced_peak(splitting_from_T, co)
     assert split.n == 1
     assert peak <= 40e6
 
@@ -194,18 +197,16 @@ def test_t_method_never_blows_T_up(monkeypatch):
     monkeypatch.setattr(FqMatrix, "blowup", refuse)
     for p, d in ((5, 1), (5, 2)):
         ctx = make_context(p, d)
-        wp = witt_decompose(ctx.w_from_int(9))
-        assert splitting_from_T(ctx, wp.lam0, wp.lam1).n == 2
+        assert splitting_from_T(build_A_primitive(ctx, ctx.w_from_int(9))).n == 2
     for p, d in ((401, 1), (173, 2)):
-        ctx = make_context(p, d)
-        lam0, lam1 = _random_lambdas(ctx, p)
-        splitting_from_T(ctx, lam0, lam1)
-        periodicity_pair(ctx, lam0, lam1)
+        co = _random_cocycle(make_context(p, d), p)
+        splitting_from_T(co)
+        periodicity_pair(co)
 
 
 def test_t_submatrix():
     ctx = make_context(3, 1)
-    tm = build_T(ctx, ctx.f_from_int(2), ctx.zero)
+    tm = build_T(build_A_closed(ctx, ctx.f_from_int(2), ctx.zero))
     assert t_submatrix(tm, 0).arr.shape[:2] == (3, 3)
     assert _ints(t_submatrix(tm, 1)) == [[0, 2, 0, 1], [2, 0, 2, 0]]
     with pytest.raises(IndexOutOfRange):
@@ -217,17 +218,17 @@ def test_t_submatrix():
 def test_periodicity_pair_micro_cases():
     ctx = make_context(3, 1)
     two = ctx.f_from_int(2)
-    assert periodicity_pair(ctx, two, ctx.zero) is True
-    assert periodicity_pair(ctx, two, ctx.one) is False
-    assert periodicity_pair(ctx, two, two) is False
+    assert periodicity_pair(build_A_closed(ctx, two, ctx.zero)) is True
+    assert periodicity_pair(build_A_closed(ctx, two, ctx.one)) is False
+    assert periodicity_pair(build_A_closed(ctx, two, two)) is False
 
 
 def test_splitting_from_T_micro_cases():
     ctx = make_context(3, 1)
     two = ctx.f_from_int(2)
-    assert splitting_from_T(ctx, two, ctx.zero).n == 1
-    assert splitting_from_T(ctx, two, ctx.one).n == 0
-    st = splitting_from_T(ctx, two, ctx.zero)
+    assert splitting_from_T(build_A_closed(ctx, two, ctx.one)).n == 0
+    st = splitting_from_T(build_A_closed(ctx, two, ctx.zero))
+    assert st.n == 1
     assert st.periodic and st.method == "t"
 
 
@@ -236,26 +237,24 @@ def test_periodicity_iff_splitting_one_exhaustive():
         ctx = make_context(p, 1)
         for a in range(2, p):
             for b in range(p):
-                lam0, lam1 = ctx.f_from_int(a), ctx.f_from_int(b)
-                pp = periodicity_pair(ctx, lam0, lam1)
-                assert pp == (splitting_from_T(ctx, lam0, lam1).n == 1)
+                co = build_A_closed(ctx, ctx.f_from_int(a), ctx.f_from_int(b))
+                assert periodicity_pair(co) == (splitting_from_T(co).n == 1)
 
 
 def _lifts(p, d):
-    """(ctx, lam0, lam1) of every lift at (p, d), in the scan's convention."""
+    """The cocycle of every lift at (p, d), built as the sweeps build it."""
     ctx = make_context(p, d)
     for w in ctx.witt_elements():
         r = w.residue()
         if not (r.is_zero() or r == ctx.one):
-            wp = witt_decompose(w)
-            yield ctx, wp.lam0, wp.lam1
+            yield build_A_primitive(ctx, w)
 
 
 def test_leading_ranks_of_T_match_mat_rank():
     # every leading block of T, not only the T_m, from one elimination
     for p, d, picks in ((3, 1, 3), (5, 1, 6), (7, 1, 4), (3, 2, 6), (5, 2, 2)):
-        for ctx, lam0, lam1 in list(_lifts(p, d))[::7][:picks]:
-            T = build_T(ctx, lam0, lam1).T
+        for co in list(_lifts(p, d))[::7][:picks]:
+            T = build_T(co).T
             shapes = [(i, j) for i in range(p + 1) for j in range(2 * p + 2)]
             assert mat_leading_ranks(T, shapes) == \
                 [mat_rank(T.submatrix(i, j)) for i, j in shapes]
@@ -266,12 +265,12 @@ def test_splitting_from_T_equals_per_m_rank_scan_exhaustive():
     # that eliminates each T_m on its own
     cases, beyond_one = 0, 0
     for p, d in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)):
-        for ctx, lam0, lam1 in _lifts(p, d):
-            tm = build_T(ctx, lam0, lam1)
+        for co in _lifts(p, d):
+            tm = build_T(co)
             n = next((m for m in range(p)
                       if mat_rank(t_submatrix(tm, m)) == p - m), p)
-            assert splitting_from_T(ctx, lam0, lam1).n == n
-            assert periodicity_pair(ctx, lam0, lam1) == (n == 1)
+            assert splitting_from_T(co).n == n
+            assert periodicity_pair(co) == (n == 1)
             cases += 1
             beyond_one += n >= 2
     assert cases == 933
@@ -284,14 +283,13 @@ def test_splittings_from_T_equal_the_single_rows():
     # as one call: among them rows with n >= 2, which take the second
     # stacked elimination, and rows with n = 0 and 1, which do not
     for p, d in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2)):
-        pairs = [(lam0, lam1) for _, lam0, lam1 in _lifts(p, d)]
-        ctx = make_context(p, d)
-        stacked = splittings_from_T(ctx, pairs)
-        single = [splitting_from_T(ctx, lam0, lam1) for lam0, lam1 in pairs]
+        cocycles = list(_lifts(p, d))
+        stacked = splittings_from_T(cocycles)
+        single = [splitting_from_T(co) for co in cocycles]
         assert stacked == single
         if (p, d) in ((5, 1), (5, 2)):
             assert {st.n for st in stacked} >= {0, 1, 2}
-    assert splittings_from_T(make_context(5, 1), []) == []
+    assert splittings_from_T([]) == []
 
 
 def test_remainder_system_micro_case():
@@ -330,9 +328,9 @@ def test_validate_T_R_micro_and_exhaustive():
     ctx = make_context(3, 1)
     two = ctx.f_from_int(2)
     # R0 low block equals T row 1, and R_{0,5} = T_{1,4}
-    a = build_A_closed(ctx, two, ctx.zero).A
-    rs = remainder_system(ctx, a)
-    tm = build_T(ctx, two, ctx.zero)
+    co = build_A_closed(ctx, two, ctx.zero)
+    rs = remainder_system(ctx, co.A)
+    tm = build_T(co)
     assert rs.R.arr[0, :3, 0].tolist() == tm.T.arr[0, :3, 0].tolist()
     assert rs.R.arr[0, 5, 0] == tm.T.arr[0, 3, 0] == 1
     assert validate_T_R(ctx, two, ctx.one)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from higgsflow import factorization
-from higgsflow.cocycle import build_A_primitive, build_transition
+from higgsflow.cocycle import build_A_closed, build_A_primitive, build_transition
 from higgsflow.criterion import splitting_from_T, t_submatrix, build_T
 from higgsflow.errors import CertificateCheckFailed, DegreeTooLarge
 from higgsflow.factorization import (assemble_certificate, birkhoff_step1, birkhoff_step2,
@@ -173,8 +173,7 @@ def test_step1_minimality_rank_characterization():
         co = build_A_primitive(ctx, w)
         f, g, h, _, _ = birkhoff_step1(ctx, co.A)
         c = max(f.degree, g.degree if not g.is_zero() else -1)
-        wp = witt_decompose(w)
-        tm = build_T(ctx, wp.lam0, wp.lam1)
+        tm = build_T(co)
         if c < p:
             sub = t_submatrix(tm, p - c)
             assert mat_rank(sub) == c  # full rank: rows = p - (p - c)
@@ -239,7 +238,8 @@ def test_step1_exhaustive_against_criterion_ranks():
             r = w.residue()
             if r.is_zero() or r == ctx.one:
                 continue
-            A = build_A_primitive(ctx, w).A
+            co = build_A_primitive(ctx, w)
+            A = co.A
             f, g, h, beta, gamma = out = birkhoff_step1(ctx, A)
             assert out == _reference_step1(ctx, A, quotient_degrees)
             assert f * A + g * zp == h * d2
@@ -249,10 +249,9 @@ def test_step1_exhaustive_against_criterion_ranks():
             assert f * gamma + g * beta == d2
             assert divrem_modulus(zp * gamma - A * beta)[1].is_zero()
             assert beta.degree <= 2 * p - c and gamma.degree <= 2 * p - c
-            wp = witt_decompose(w)
-            n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
+            n = splitting_from_T(co).n
             assert c == p - n
-            tm = build_T(ctx, wp.lam0, wp.lam1)
+            tm = build_T(co)
             if n <= p - 1:
                 assert mat_rank(t_submatrix(tm, n)) == p - n      # full rank
             if n >= 1:
@@ -288,9 +287,10 @@ def test_agreement_with_T_exhaustive_p3():
         r = w.residue()
         if r.is_zero() or r == ctx.one:
             continue
+        # t reads the closed form, so the two constructions of A meet here
         wp = witt_decompose(w)
         assert splitting_from_birkhoff(build_A_primitive(ctx, w)).n == \
-            splitting_from_T(ctx, wp.lam0, wp.lam1).n
+            splitting_from_T(build_A_closed(ctx, wp.lam0, wp.lam1)).n
 
 
 def test_agreement_with_T_randomized_larger_p_and_quadratic_field():
@@ -309,7 +309,7 @@ def test_agreement_with_T_randomized_larger_p_and_quadratic_field():
                 break
         nb = splitting_from_birkhoff(build_A_primitive(ctx, lam)).n
         wp = witt_decompose(lam)
-        assert nb == splitting_from_T(ctx, wp.lam0, wp.lam1).n
+        assert nb == splitting_from_T(build_A_closed(ctx, wp.lam0, wp.lam1)).n
 
 
 def _tampered(m, cert):

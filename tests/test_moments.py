@@ -133,9 +133,8 @@ def test_moment_oracle_matches_t_and_birkhoff():
     for p, d in SHAPES:
         lifts = list(_lifts([(p, d)]))
         ctx = lifts[0][0]
-        ts = splittings_from_T(ctx, [(wp.lam0, wp.lam1) for _, _, wp in lifts])
-        for (_, w, wp), st in zip(lifts, ts):
-            co = build_A_primitive(ctx, w)
+        cos = [build_A_primitive(ctx, w) for _, w, _ in lifts]
+        for (_, w, wp), co, st in zip(lifts, cos, splittings_from_T(cos)):
             n = moment_n(ctx, co.A, wp.lam0.frobenius().vec, moments_at_one)
             assert n == st.n == splitting_from_birkhoff(co).n, (p, d, w)
             cases += 1
@@ -160,7 +159,7 @@ def test_birkhoff_follows_the_modulus(monkeypatch, shapes):
         cert = factorization_certificate(co)
         check_certificate(build_transition(co), cert)
         n = moment_n(ctx, co.A, c, moments_at_one_and_c)
-        assert cert.n == n == splitting_from_T(ctx, wp.lam0, wp.lam1).n, (p, w)
+        assert cert.n == n == splitting_from_T(co).n, (p, w)
         assert t_r_first_mismatch(ctx, wp.lam0, wp.lam1) is None, (p, w)
         rows = remainder_system(ctx, co.A).R.arr
         for i in range(p + 1):

@@ -3,9 +3,9 @@ from collections import Counter
 
 import pytest
 
-from higgsflow import factorization, scan, sections
+from higgsflow import criterion, factorization, scan, sections
 from higgsflow.errors import InvalidRange, MethodUnavailable
-from higgsflow.lambdas import parse_lambda_spec
+from higgsflow.lambdas import beauville_catalog, parse_lambda_spec
 from higgsflow.scan import (CSV_COLUMNS, run_enumerate, run_scan, run_selftest,
                             run_verify_beauville)
 
@@ -96,8 +96,8 @@ def test_enumerate_p3_unique_periodic_pair():
 
 
 def test_one_cocycle_and_one_transition_per_row(monkeypatch):
-    # birkhoff and cech share the row's cocycle and only birkhoff builds the
-    # gluing matrix; a t-only sweep builds neither
+    # every method reads the row's one cocycle, built by the primitive; no
+    # sweep builds the closed form, and only birkhoff builds the gluing matrix
     calls = Counter()
 
     def counting(name, fn):
@@ -107,16 +107,28 @@ def test_one_cocycle_and_one_transition_per_row(monkeypatch):
         return wrapper
 
     # at every module that imports them
-    for module in (scan, factorization, sections):
-        for name in ("build_A_primitive", "build_transition"):
+    for module in (scan, criterion, factorization, sections):
+        for name in ("build_A_primitive", "build_A_closed", "build_transition"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    report = run_enumerate(5, methods=("t", "birkhoff", "cech"))
-    assert len(report.rows) == 15
-    assert calls == {"build_A_primitive": 15, "build_transition": 15}
-    calls.clear()
-    run_enumerate(5, methods=("t",))
-    assert calls == {}
+    # catalog entries that share a minimal polynomial share its computed rows
+    first_labels = {}
+    for entry in beauville_catalog():
+        first_labels.setdefault(entry.spec.minpoly, entry.spec.label)
+    sweeps = ((lambda methods: run_enumerate(5, methods=methods), None),
+              (lambda methods: run_verify_beauville((5, 7), methods=methods),
+               set(first_labels.values())))
+    for run, computed in sweeps:
+        for methods in (("t",), ("t", "birkhoff"), ("t", "birkhoff", "cech")):
+            calls.clear()
+            report = run(methods)
+            good = sum(1 for r in report.rows if r.bad_reason is None
+                       and (computed is None or r.lambda_label in computed))
+            assert good >= 15
+            want = {"build_A_primitive": good}
+            if "birkhoff" in methods:
+                want["build_transition"] = good
+            assert calls == want, methods
 
 
 def test_enumerate_bounds():

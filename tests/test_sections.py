@@ -8,7 +8,7 @@ from higgsflow.cocycle import build_A_primitive
 from higgsflow.criterion import splitting_from_T
 from higgsflow.errors import ProfileMismatch, UnstableDimension
 from higgsflow.factorization import splitting_from_birkhoff
-from higgsflow.fields import make_context, witt_decompose
+from higgsflow.fields import make_context
 from higgsflow.linalg import FqMatrix, mat_rank
 from higgsflow.polys import Poly
 from higgsflow.sections import h0_of_twist, splitting_from_cech
@@ -131,9 +131,8 @@ def test_h0_at_both_bounds_matches_two_separate_eliminations():
             r = w.residue()
             if r.is_zero() or r == ctx.one:
                 continue
-            wp = witt_decompose(w)
-            n = splitting_from_T(ctx, wp.lam0, wp.lam1).n
-            by_n.setdefault(n, []).append(build_A_primitive(ctx, w))
+            co = build_A_primitive(ctx, w)
+            by_n.setdefault(splitting_from_T(co).n, []).append(co)
         for n, cocycles in by_n.items():
             series = [sections.series_at_one(c) for c in cocycles]
             twists = range(-1, n + 3)
