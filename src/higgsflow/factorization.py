@@ -5,12 +5,14 @@ modulus G = g(z^p) = (z-1)^(2p), whose quadratic g every step reads from
 :func:`~higgsflow.polys.euclid_modulus`, by extended Euclid, as a
 rational reconstruction of A*z^(-p) mod G (see
 :func:`birkhoff_step1`); n = p - max(deg f, deg g).  It shares no linear
-algebra with the t method's rank scan.  The Euclid rows (r, t) live in
-two preallocated arrays that each step updates in place
-(:func:`euclid_rows`), so a step builds no polynomial object.  The Euclid
+algebra with the t method's rank scan.  Step 1 takes one row or a whole
+field's stack of rows: the stack's extended Euclids run in lockstep, one
+quotient step on every unfinished row per iteration (:func:`euclid_rows`),
+and their Euclid rows (r, t) live in two preallocated arrays that each
+step updates in place, so a step builds no polynomial object.  The Euclid
 row before the stopping row is a Bezout partner: it gives (beta', gamma')
 with f*gamma' + g*beta' = G and z^p*gamma' = A*beta' mod G, reduced so
-that both have degree <= 2p - c.
+that both have degree <= 2p - c.  Step 2 runs per row.
 
 Step 2 divides the off-frame entry alpha out of z^p*gamma' - A*beta' and
 assembles unimodular frames P, Q with
@@ -98,72 +100,195 @@ def _deg(f: Poly) -> int:
     return f.degree if not f.is_zero() else -1
 
 
-def euclid_rows(G: Poly, B: Poly, stop: int) -> tuple[Poly, Poly, Poly, Poly, int]:
+def _degrees(r: np.ndarray) -> np.ndarray:
+    """Degree of every polynomial of a stack (n, L, d), -1 for zero."""
+    nz = np.logical_or.reduce(r, axis=2)
+    return r.shape[1] - 1 - np.where(nz.any(axis=1), nz[:, ::-1].argmax(axis=1), r.shape[1])
+
+
+def _degree_below(r: np.ndarray, m: int) -> int:
+    """Degree of r's part below z^m, -1 for zero: one coefficient at a time."""
+    m -= 1
+    while m >= 0 and not any(r[m].tolist()):
+        m -= 1
+    return m
+
+
+def _inverse_table(p: int) -> np.ndarray:
+    """x^-1 mod p for x in 0..p-1, with 0 sent to 0."""
+    return np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
+
+
+def _finv_stack(ctx: ReductionContext, a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Inverse of every vec of a (n, d), 0 for 0: ā N(a)^-1, as ``ctx.finv``,
+    the norms N(a) = a ā inverted through ``table``."""
+    p = ctx.p
+    conj = a.copy()
+    conj[:, 1:] = -conj[:, 1:] % p
+    norm = (a[:, None] @ ctx.mul_matrix(conj))[:, 0, 0] % p
+    return conj * table[norm][:, None] % p
+
+
+def _quotient_one(ctx: ReductionContext, e0: np.ndarray, e1: np.ndarray,
+                  n0: int, n1: int) -> list:
+    """The quotient of a single row's r0 by r1, from their top k+1
+    coefficients with the context's scalar field ops, as (shift, coordinate,
+    multiplier) terms: coordinate c of the coefficient of z^s."""
+    k = n0 - n1
+    inv = ctx.finv(tuple(e1[0, 0, n1].tolist()))
+    head = [tuple(x) for x in e0[0, 0, n0 - k:n0 + 1][::-1].tolist()]
+    div = [tuple(x) for x in e1[0, 0, max(n1 - k, 0):n1 + 1][::-1].tolist()]
+    q = [None] * (k + 1)                # q[i]: coefficient of z^i
+    for i in range(k + 1):
+        c = head[i]
+        for j in range(max(i - n1, 0), i):
+            c = ctx.fsub(c, ctx.fmul(q[k - j], div[i - j]))
+        q[k - i] = ctx.fmul(c, inv)
+    return [(s, col, x) for s, qs in enumerate(q) for col, x in enumerate(qs) if x]
+
+
+def _quotient_stack(ctx: ReductionContext, e0: np.ndarray, e1: np.ndarray,
+                    n0: np.ndarray, n1: np.ndarray, live: np.ndarray,
+                    table: np.ndarray) -> list:
+    """``_quotient_one`` for every row of a stack at once, as (shift,
+    coordinate, multiplier) terms whose multipliers are (n, 1, 1, 1)
+    columns, zero on the rows that are not live.
+
+    Row i's quotient has degree k_i = n0_i - n1_i.  Its coefficients are
+    found from the top down, every row in step: the j-th from the top is
+    r0's j-th from the top, less the products of the ones above it with
+    r1's coefficients, times the inverse of r1's lead; a row with k_i < j
+    has none.  Each is then filed under its power of z, k_i - j, so that
+    one shift serves every row.
+    """
+    p, d = ctx.p, ctx.d
+    every = np.arange(len(n0))
+    k = np.where(live, n0 - n1, -1)
+    kmax = int(k.max())
+    inv = ctx.mul_matrix(_finv_stack(ctx, e1[every, 0, np.maximum(n1, 0)], table))
+    q = np.zeros((len(n0), kmax + 1, d), np.int64)     # q[:, j]: z^(k - j)
+    for j in range(kmax + 1):
+        c = e0[every, 0, np.maximum(n0 - j, 0)]
+        for i in range(j):
+            at = n1 - (j - i)                          # r1's coefficient of z^at
+            prod = (q[:, i, None] @ ctx.mul_matrix(e1[every, 0, np.maximum(at, 0)]))[:, 0]
+            c = c - prod * (at >= 0)[:, None]
+        q[:, j] = (c[:, None] % p @ inv)[:, 0] % p * (j <= k)[:, None]
+    terms = []
+    for s in range(kmax + 1):
+        qs = q[every, np.maximum(k - s, 0)] * (s <= k)[:, None]
+        terms += [(s, col, qs[:, col, None, None, None]) for col in range(d)]
+    return terms
+
+
+def _euclid(ctx: ReductionContext, G: np.ndarray, B: np.ndarray, stop: int,
+            table: np.ndarray | None):
+    """Extended Euclid on (G, B_i) for every row B_i of the stack B (n, L, d),
+    L <= deg G, in lockstep, each row to its first remainder of degree < stop.
+
+    ``table`` is ``_inverse_table(p)`` for a stack of more than one row,
+    whose quotients come from ``_quotient_stack``, and None for a stack of
+    one, whose quotient is ``_quotient_one``'s and whose degrees are ints.
+    Each iteration steps every live row (deg r1 >= stop) and swaps the two
+    arrays' roles for all rows; a row that has stopped takes zero
+    quotients, and its last two Euclid rows are read off at the end by the
+    parity of the swaps it sat out.  Returns (r0, t0, r1, t1) stacks
+    (n, deg G + 1, d), and each row's deg r0 and number of steps.
+    """
+    p, d = ctx.p, ctx.d
+    n, top = len(B), len(G) - 1         # top: deg G
+    pair = np.zeros((2, n, 2, top + 1, d), np.int64)
+    e0, e1 = pair
+    e0[:, 0] = G
+    e1[:, 0, :B.shape[1]] = B
+    e1[:, 1, 0] = ctx.one.vec
+    if n == 1:
+        n0, n1, steps = top, _degree_below(e1[0, 0], B.shape[1]), 0
+    else:
+        n0, n1, steps = np.full(n, top), _degrees(e1[:, 0]), np.zeros(n, np.int64)
+    rounds = 0
+    while True:
+        if n == 1:
+            if n1 < stop:
+                break
+            terms = _quotient_one(ctx, e0, e1, n0, n1)
+            width = max(n0, top - n1) + 1   # r0 and the new t fit below it
+        else:
+            live = n1 >= stop
+            if not live.any():
+                break
+            terms = _quotient_stack(ctx, e0, e1, n0, n1, live, table)
+            width = top + 1
+        row1 = e1[:, :, :width]
+        multiples = [row1] + [row1 @ ctx.basis_products[col] % p for col in range(1, d)]
+        for s, col, x in terms:
+            e0[:, :, s:width] -= x * multiples[col][:, :, :width - s]
+        np.remainder(e0[:, :, :width], p, out=e0[:, :, :width])
+        if n == 1:
+            n0, n1 = n1, _degree_below(e0[0, 0], n1)
+            steps += 1
+        else:
+            n0, n1 = np.where(live, n1, n0), np.where(live, _degrees(e0[:, 0]), n1)
+            steps += live
+        e0, e1 = e1, e0
+        rounds += 1
+    if n == 1:
+        return e0[:, 0], e0[:, 1], e1[:, 0], e1[:, 1], np.array([n0]), np.array([steps])
+    # a row that stopped early has swapped roles (rounds - steps) times since
+    back = ((rounds - steps) % 2 == 1)[:, None, None, None]
+    last0, last1 = np.where(back, e1, e0), np.where(back, e0, e1)
+    return last0[:, 0], last0[:, 1], last1[:, 0], last1[:, 1], n0, steps
+
+
+def euclid_rows(G: Poly, B, stop: int):
     """Extended Euclid on (G, B), deg B < deg G, to the first remainder of degree < stop.
 
     Rows (r_j, t_j) start at (G, 0) and (B, 1) and keep r_j = t_j*B mod G.
     The last two come back as r0, t0, r1, t1, with the sign of
-    t1*r0 - t0*r1 = sign * G.  A zero remainder ends the loop too.
+    t1*r0 - t0*r1 = sign * G.  A zero remainder ends the loop too.  B is
+    one polynomial, or a list of them, one field's stack: then every row
+    runs in lockstep and a list of (r0, t0, r1, t1, sign) comes back.
 
     A row is one int64 array of shape (2, deg G + 1, d), r stacked on t
-    (deg t_j = deg G - deg r_(j-1) never passes deg G).  A step works out
-    the quotient from the top k+1 coefficients of r0 and r1 with the
-    context's scalar field ops, subtracts each quotient coefficient's
-    multiple of row 1 from row 0 in place (coordinate by coordinate,
-    against row 1 times 1, x, .., x^(d-1)), reduces mod p once (entries
-    stay above -(k+1)*d*p^2 before it) and walks r's degree down from
-    deg r1 - 1.  The two rows then swap roles.
+    (deg t_j = deg G - deg r_(j-1) never passes deg G), and a stack of n
+    rows one (n, 2, deg G + 1, d) pair (:func:`_euclid`).  A step works
+    out each row's quotient from the top k+1 coefficients of r0 and r1,
+    with the context's scalar field ops for a stack of one
+    (:func:`_quotient_one`) and for all rows at once otherwise
+    (:func:`_quotient_stack`, inverses through one table of F_p).  It
+    subtracts each quotient coefficient's multiple of row 1 from row 0 in
+    place (coordinate by coordinate, against row 1 times 1, x, ..,
+    x^(d-1)), reduces mod p once (entries stay above -(k+1)*d*p^2 before
+    it) and walks r's degree down below deg r1.  The two rows then swap
+    roles.  A row that has stopped takes zero quotients while the others
+    go on, so the loop runs as many times as the longest row needs.
     """
     ctx = G.ctx
-    p = ctx.p
-    top = len(G.v) - 1                      # deg G
-    rows = np.zeros((2, 2, top + 1, ctx.d), np.int64)
-    e0, e1 = rows
-    e0[0] = G.v
-    e1[0, :len(B.v)] = B.v
-    e1[1, 0] = ctx.one.vec
-    n0, n1 = top, len(B.v) - 1              # deg r0, deg r1 (-1 for zero)
-    sign = 1
-    while n1 >= stop:
-        k = n0 - n1
-        inv = ctx.finv(tuple(e1[0, n1].tolist()))
-        head = [tuple(x) for x in e0[0, n0 - k:n0 + 1][::-1].tolist()]
-        div = [tuple(x) for x in e1[0, max(n1 - k, 0):n1 + 1][::-1].tolist()]
-        q = [None] * (k + 1)                # q[i]: coefficient of z^i
-        for i in range(k + 1):
-            c = head[i]
-            for j in range(max(i - n1, 0), i):
-                c = ctx.fsub(c, ctx.fmul(q[k - j], div[i - j]))
-            q[k - i] = ctx.fmul(c, inv)
-        width = max(n0, top - n1) + 1       # r0 and the new t fit below it
-        row1 = e1[:, :width]
-        multiples = [row1] + [row1 @ ctx.basis_products[col] % p for col in range(1, ctx.d)]
-        for i, qi in enumerate(q):
-            for coord, m in zip(qi, multiples):
-                if coord:
-                    e0[:, i:width] -= coord * m[:, :width - i]
-        np.remainder(e0[:, :width], p, out=e0[:, :width])
-        n = n1 - 1
-        while n >= 0 and not any(e0[0, n].tolist()):
-            n -= 1
-        e0, e1 = e1, e0
-        n0, n1 = n1, n
-        sign = -sign
-    return (Poly(ctx, e0[0, :n0 + 1]), Poly(ctx, e0[1]),
-            Poly(ctx, e1[0, :n1 + 1]), Poly(ctx, e1[1]), sign)
+    stack = [B] if isinstance(B, Poly) else B
+    b = np.zeros((len(stack), len(G.v) - 1, ctx.d), np.int64)
+    for row, x in zip(b, stack):
+        row[:len(x.v)] = x.v
+    table = _inverse_table(ctx.p) if len(stack) > 1 else None
+    r0, t0, r1, t1, _, steps = _euclid(ctx, G.v, b, stop, table)
+    out = [tuple(Poly(ctx, x) for x in rows) + (-1 if k % 2 else 1,)
+           for *rows, k in zip(r0, t0, r1, t1, steps.tolist())]
+    return out[0] if isinstance(B, Poly) else out
 
 
-def birkhoff_step1(ctx: ReductionContext,
-                   A: Poly) -> tuple[Poly, Poly, Poly, Poly, Poly]:
+def birkhoff_step1(ctx: ReductionContext, A):
     """Minimal (f, g) with f*A + g*z^p = h*G, and a Bezout partner.
+
+    A is one cocycle polynomial, or a list of them, one field's stack,
+    whose Euclids run in lockstep (:func:`euclid_rows`); a list of
+    results comes back then.
 
     G = g(z^p) = z^(2p) + g1*z^p + g0, with g0, g1 read from
     :func:`~higgsflow.polys.euclid_modulus`.  Rational reconstruction of
     B = A*z^(-p) mod G: a pair solves step 1 exactly when f*B = -g mod G.
     Since z^p*(z^p + g1) = G - g0, z^(-p) = -(z^p + g1)/g0 mod G, so with
     A = lo + hi*z^p (deg lo, deg hi < p), B = hi - (g1/g0)*lo - (lo/g0)*z^p
-    needs no division.  Extended Euclid on (G, B) (:func:`euclid_rows`, in
-    place, with no polynomial objects per step) keeps r_j = t_j*B, with
+    needs no division.  Extended Euclid on (G, B) (in place, with no
+    polynomial objects per step) keeps r_j = t_j*B, with
     deg r_j falling and deg t_j = 2p - deg r_(j-1) rising.  The first row
     with deg r_j <= p-1 is the answer: every earlier row has
     max(deg t, deg r) >= p, every later one deg t >= p+1.  f = t_j and
@@ -191,36 +316,52 @@ def birkhoff_step1(ctx: ReductionContext,
     < p, is step 1's one school division; h comes from
     :func:`~higgsflow.polys.divrem_modulus`.
 
-    Returns (f, g, h, beta', gamma').
+    B, the Euclid and the scalings by the leads are done for the whole
+    stack at once; the check that G divides f*A + g*z^p and the
+    reduction of gamma' run row by row.
+
+    Returns (f, g, h, beta', gamma'), or a list of them.
     """
     p, d = ctx.p, ctx.d
-    if A.degree > 2 * p - 1:
+    stack = [A] if isinstance(A, Poly) else A
+    if any(x.degree > 2 * p - 1 for x in stack):
         raise DegreeTooLarge("step 1 requires deg A <= 2p-1")
     rows = euclid_modulus(ctx)
     g0, g1 = (tuple(x) for x in rows[:2].tolist())
     minus_inv_g0 = ctx.fneg(ctx.finv(g0))
     times_low, times_high = ctx.mul_matrix([ctx.fmul(minus_inv_g0, g1), minus_inv_g0])
-    a = np.zeros((2 * p, d), np.int64)
-    a[:len(A.v)] = A.v
-    B = Poly(ctx, np.concatenate([a[p:] + a[:p] @ times_low, a[:p] @ times_high]) % p)
+    a = np.zeros((len(stack), 2 * p, d), np.int64)
+    for row, x in zip(a, stack):
+        row[:len(x.v)] = x.v
+    B = np.concatenate([a[:, p:] + a[:, :p] @ times_low, a[:, :p] @ times_high], axis=1) % p
     G = np.zeros((2 * p + 1, d), np.int64)
     G[::p] = rows
-    r0, t0, r1, t1, sign = euclid_rows(Poly(ctx, G), B, p)
+    table = _inverse_table(p) if len(stack) > 1 else None
+    r0, t0, r1, t1, n0, steps = _euclid(ctx, G, B, p, table)
 
-    # f, g by 1/lead(t_j) and -1/lead(t_j), the partner by +-lead(t_j): one blow-up
-    lead = tuple(t1.v[-1].tolist())
-    inv = ctx.finv(lead)
-    times = ctx.mul_matrix([inv, ctx.fneg(inv), lead if sign == 1 else ctx.fneg(lead)])
-    f, g, beta, gamma = (Poly(ctx, x.v @ m % p)
-                         for x, m in zip((t1, r1, t0, r0), times[[0, 1, 2, 2]]))
-    h, rem = divrem_modulus(f * A + g.shift(p))
-    if not rem.is_zero():
-        _fail("step-1 sum f*A + g*z^p is not divisible by G")
-
-    if _deg(g) > f.degree:
-        q, gamma = poly_divrem(gamma, g)
-        beta = beta + q * f
-    return f, g, h, beta, gamma
+    # f, g by 1/lead(t_j) and -1/lead(t_j), the partner by +-lead(t_j): one
+    # blow-up; deg t_j = 2p - deg r_(j-1)
+    if table is None:
+        lead = tuple(t1[0, 2 * p - n0[0]].tolist())
+        inv = ctx.finv(lead)
+        times = ctx.mul_matrix([[inv, ctx.fneg(inv), ctx.fneg(lead) if steps[0] % 2 else lead]])
+    else:
+        lead = t1[np.arange(len(stack)), 2 * p - n0]
+        inv = _finv_stack(ctx, lead, table)
+        times = ctx.mul_matrix(np.stack([inv, -inv, lead * (1 - 2 * (steps[:, None] % 2))], 1))
+    f, g, beta, gamma = (x @ times[:, k] % p
+                         for x, k in ((t1, 0), (r1, 1), (t0, 2), (r0, 2)))
+    out = []
+    for x, *row in zip(stack, f, g, beta, gamma):
+        fx, gx, bx, cx = (Poly(ctx, v) for v in row)
+        h, rem = divrem_modulus(fx * x + gx.shift(p))
+        if not rem.is_zero():
+            _fail("step-1 sum f*A + g*z^p is not divisible by G")
+        if _deg(gx) > fx.degree:
+            q, cx = poly_divrem(cx, gx)
+            bx = bx + q * fx
+        out.append((fx, gx, h, bx, cx))
+    return out[0] if isinstance(A, Poly) else out
 
 
 def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly,

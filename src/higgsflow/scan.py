@@ -6,10 +6,11 @@ lifted parameter at (prime, place), whichever command asks for it: scan,
 beauville, enumerate or the method-agreement self-test.  It builds each
 row's cocycle once, from the characteristic-p² primitive, and every method
 reads that one cocycle.  It takes all the data a call has at one prime, and
-t and cech each eliminate all of their rows together; birkhoff runs per
-row.  Scans and catalog sweeps hand their (minpoly, prime) tasks to one
-runner, serial or one process pool, and sort the rows once before emission,
-so the output never depends on scheduling.  Catalog entries that share a
+t and cech each eliminate all of their rows together; birkhoff runs step 1
+on all of them in lockstep when there are enough, and step 2 per row.
+Scans and catalog sweeps hand their (minpoly, prime) tasks to one runner,
+serial or one process pool, and sort the rows once before emission, so the
+output never depends on scheduling.  Catalog entries that share a
 minimal polynomial share one task: its rows are computed once and
 relabelled.  No row depends on randomness: certificates are checked exactly,
 so reports are byte-identical for identical flags, and the seed, echoed in
@@ -23,14 +24,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from . import __version__
+from . import __version__, factorization
 from .cocycle import build_A_closed, build_A_primitive, build_transition
 from .criterion import det_T0_in_lam1, splittings_from_T, t_r_first_mismatch
 from .errors import InvalidRange, MethodUnavailable
 from .factorization import (assemble_certificate, factorization_certificate,
                             splitting_from_birkhoff, verify_certificate)
-from .fields import (WittParameter, is_prime, make_context, teichmuller,
-                     witt_compose, witt_decompose)
+from .fields import (WittParameter, WittRingElement, check_residue, is_prime,
+                     make_context, teichmuller, witt_compose, witt_decompose)
 from .lambdas import LambdaSpec, ReductionDatum, beauville_catalog, reduce_at_prime
 from .polys import Poly
 from .sections import splittings_from_cech
@@ -46,6 +47,9 @@ CECH_MAX_PRIME = 31
 SCAN_MAX_PRIME = 10000
 ENUM_MAX_PRIME = 31
 SELFTEST_MAX_P = 13
+# a field's stack of at least this many rows runs birkhoff step 1 in lockstep;
+# a smaller one runs it per row, which is faster below it
+BIRKHOFF_STACK_MIN = 6
 GENERATOR_SYMBOL = "u"
 
 
@@ -123,20 +127,25 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
     divisibility check runs on every row, and every method reads it.  The
     t method and the cech oracle each take every good datum at once, one
     stacked elimination per field, since their matrices at one (p, d)
-    share their shapes; birkhoff runs per row, and only birkhoff builds
-    the gluing matrix.  A row's time is read when it is built, so the
-    cocycles and the stacked work land on the first row built after them.
+    share their shapes.  Birkhoff step 1 takes a field's stack at once
+    too, one lockstep Euclid, when it has at least ``BIRKHOFF_STACK_MIN``
+    rows, and a smaller stack runs it per row; step 2 runs per row, and
+    only birkhoff builds the gluing matrix.  A row's time is read when it
+    is built, so the cocycles and the stacked work land on the first row
+    built after them.  Step 1 and step 2 are called through the
+    ``factorization`` module, where ``perfbench/hooks.py`` wraps them.
     """
     values: dict[int, dict] = {}
     cocycles = {}
     by_field: dict = {}
+    step1 = {}
     for i, (_, datum) in enumerate(items):
         if not datum.is_bad:
             values[i] = {}
             lam = datum.witt.witt
             cocycles[i] = build_A_primitive(lam.ctx, lam)
             by_field.setdefault(lam.ctx, []).append(i)
-    for rows in by_field.values():
+    for ctx, rows in by_field.items():
         stack = [cocycles[i] for i in rows]
         if "t" in methods:
             for i, st in zip(rows, splittings_from_T(stack)):
@@ -144,6 +153,8 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
         if "cech" in methods:
             for i, st in zip(rows, splittings_from_cech(stack)):
                 values[i]["n_cech"] = st.n
+        if "birkhoff" in methods and len(rows) >= BIRKHOFF_STACK_MIN:
+            step1.update(zip(rows, factorization.birkhoff_step1(ctx, [c.A for c in stack])))
     out = []
     for i, (label, datum) in enumerate(items):
         if datum.is_bad:
@@ -152,7 +163,11 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
             continue
         row = values[i]
         wp = datum.witt
-        if "birkhoff" in methods:
+        if i in step1:
+            cocycle = cocycles[i]
+            row["n_birkhoff"] = factorization.birkhoff_step2(
+                cocycle.ctx, cocycle, *step1[i]).n
+        elif "birkhoff" in methods:
             row["n_birkhoff"] = splitting_from_birkhoff(cocycles[i]).n
         present = list(row.values())
         agree = len(set(present)) == 1
@@ -246,9 +261,13 @@ def run_enumerate(p: int, methods=("t",), seed: int = 0) -> ScanReport:
     items = []
     for a in range(2, p):
         lam0 = ctx.f_from_int(a)
+        check_residue(lam0)
+        tau = teichmuller(lam0).vec
         for b in range(p):
             lam1 = ctx.f_from_int(b)
-            wp = WittParameter(witt_compose(lam0, lam1), lam0, lam1)
+            # witt_compose(lam0, lam1), with tau(lam0) lifted once per lam0
+            lam = ctx.wadd(tau, ctx.w_times_p(lam1.frobenius().vec))
+            wp = WittParameter(WittRingElement(ctx, lam), lam0, lam1)
             items.append((f"{a};{b}", ReductionDatum(p=p, place=0, d=1, witt=wp)))
     rows = _rows_from_data(items, methods)
     rows.sort(key=ScanRow.sort_key)

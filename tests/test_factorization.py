@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from higgsflow.factorization import (assemble_certificate, birkhoff_step1, birkh
                                      check_certificate, euclid_rows,
                                      factorization_certificate, splitting_from_birkhoff,
                                      verify_certificate)
-from higgsflow.fields import make_context, witt_decompose
+from higgsflow.fields import make_context, witt_compose, witt_decompose
 from higgsflow.linalg import mat_rank
 from higgsflow.polys import Poly, divrem_modulus, poly_divrem
 
@@ -270,6 +271,104 @@ def test_step1_exhaustive_against_criterion_ranks():
     assert digest.hexdigest() == STEP1_EXHAUSTIVE_SHA256
     # the in-place quotient step is met beyond degree 1
     assert max(quotient_degrees) >= 2
+
+
+def _lifts(ctx):
+    """Every lifted parameter of the context whose residue avoids {0, 1}."""
+    return [w for w in ctx.witt_elements()
+            if not (w.residue().is_zero() or w.residue() == ctx.one)]
+
+
+def _counting(monkeypatch, calls, *names):
+    """Count the calls of factorization's functions of these names."""
+    for name in names:
+        fn = getattr(factorization, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(factorization, name, counted)
+
+
+def _euclid_shape(G, B, stop):
+    """(steps, largest quotient degree) of the Euclid on (G, B) by poly_divrem."""
+    degrees = []
+    r0, r1 = G, B
+    while r1.degree >= stop:
+        degrees.append(r0.degree - r1.degree)
+        r0, r1 = r1, poly_divrem(r0, r1)[1]
+    return len(degrees), max(degrees, default=0)
+
+
+def test_lockstep_step1_matches_single_rows(monkeypatch):
+    # every lift at d = 1 for p <= 13 and at d = 2 for p <= 5, one stack per
+    # field: each row's (f, g, h, beta', gamma') and Euclid rows and sign
+    # equal those of a stack of one, so both quotient routines are met
+    calls = Counter()
+    _counting(monkeypatch, calls, "_quotient_one", "_quotient_stack")
+    for p, d in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)):
+        ctx = make_context(p, d)
+        zp, d2 = Poly.monomial(ctx, p), z_minus_one_pow(ctx, 2 * p)
+        As = [build_A_primitive(ctx, w).A for w in _lifts(ctx)]
+        assert birkhoff_step1(ctx, As) == [birkhoff_step1(ctx, A) for A in As]
+        Bs = [divrem_modulus(A * (Poly.from_ints(ctx, [2]) - zp))[1] for A in As]
+        assert euclid_rows(d2, Bs, p) == [euclid_rows(d2, B, p) for B in Bs]
+    assert calls["_quotient_one"] and calls["_quotient_stack"]
+
+
+def test_lockstep_mixed_stack():
+    # one stack holding the zero-remainder input, B = 0, and lifts whose
+    # Euclids take different numbers of steps and quotients of degree >= 2
+    p = 7
+    ctx = make_context(p, 1)
+    zp, d2 = Poly.monomial(ctx, p), z_minus_one_pow(ctx, 2 * p)
+    two_minus_zp = Poly.from_ints(ctx, [2]) - zp
+    by_shape = {}           # one lift per (steps, largest quotient degree)
+    for w in _lifts(ctx):
+        B = divrem_modulus(build_A_primitive(ctx, w).A * two_minus_zp)[1]
+        by_shape.setdefault(_euclid_shape(d2, B, p), B)
+    lifts = list(by_shape.values())
+    assert len({s for s, _ in by_shape}) >= 3 and max(q for _, q in by_shape) >= 2
+    zero_rem = z_minus_one_pow(ctx, p) * (Poly.monomial(ctx, p - 1) + Poly.one(ctx))
+    stack = [zero_rem, Poly.zero(ctx)] + lifts
+    rows = euclid_rows(d2, stack, p)
+    for B, row in zip(stack, rows):
+        assert row == euclid_rows(d2, B, p) == _reference_euclid(d2, B, p, set())
+    assert rows[0][2].is_zero()
+    assert rows[1] == (d2, Poly.zero(ctx), Poly.zero(ctx), Poly.one(ctx), 1)
+    # A = 0 in a stack leaves f = 1 and g = 0, as it does alone
+    A = build_A_primitive(ctx, ctx.w_from_int(-1)).A
+    out = birkhoff_step1(ctx, [Poly.zero(ctx), A])
+    assert out == [birkhoff_step1(ctx, Poly.zero(ctx)), birkhoff_step1(ctx, A)]
+    assert out[0][0] == Poly.one(ctx) and out[0][1].is_zero()
+
+
+def test_lockstep_iterates_as_often_as_the_longest_row(monkeypatch):
+    # the 35 rows of enumerate 7: the lockstep loop steps once per step of
+    # the row that needs the most, not once per step of every row
+    p = 7
+    ctx = make_context(p, 1)
+    As = [build_A_primitive(ctx, witt_compose(ctx.f_from_int(a), ctx.f_from_int(b))).A
+          for a in range(2, p) for b in range(p)]
+    calls = Counter()
+    _counting(monkeypatch, calls, "_quotient_one", "_quotient_stack")
+    steps = []
+    for A in As:
+        calls.clear()
+        birkhoff_step1(ctx, A)
+        steps.append(calls["_quotient_one"])
+    calls.clear()
+    birkhoff_step1(ctx, As)
+    assert calls == {"_quotient_stack": max(steps)}
+    assert max(steps) < sum(steps)
+
+
+def test_step1_stack_rejects_a_long_row():
+    ctx = make_context(3, 1)
+    A = build_A_primitive(ctx, ctx.w_from_int(-1)).A
+    with pytest.raises(DegreeTooLarge):
+        birkhoff_step1(ctx, [A, Poly.monomial(ctx, 6)])
 
 
 def test_splitting_from_birkhoff_micro_cases():

@@ -18,6 +18,8 @@ PROBE = ROOT / "perfbench" / "probe.py"
 PROBE_CALLS = (
     (["beauville", "--prime-range", "5:7", "--methods", "t,birkhoff", "--format", "json"], 36),
     (["enumerate", "3", "--methods", "t,birkhoff,cech"], 3),
+    # a stack above the crossover: birkhoff step 1 runs once, in lockstep
+    (["enumerate", "5", "--methods", "t,birkhoff"], 15),
 )
 
 
@@ -87,6 +89,8 @@ def test_probe_pass_times_every_row(tmp_path, traced):
         assert call["rc"] == 0, (argv, call["error"])
         assert _report_rows(call["report"]) == rows
         assert len(call["row_ms"]) == rows
-        for row in call["row_layers"]:
-            layers.update(row)
+        call_layers = set().union(*call["row_layers"])
+        # birkhoff step 1, per row or stacked, is timed through its traced name
+        assert ("factorization.step1_s" in call_layers) == traced, argv
+        layers |= call_layers
     assert ("criterion.build_T_s" in layers) == traced

@@ -5,7 +5,8 @@ import pytest
 
 from higgsflow import criterion, factorization, scan, sections
 from higgsflow.errors import InvalidRange, MethodUnavailable
-from higgsflow.lambdas import beauville_catalog, parse_lambda_spec
+from higgsflow.fields import make_context, witt_compose, witt_decompose
+from higgsflow.lambdas import ReductionDatum, beauville_catalog, parse_lambda_spec
 from higgsflow.scan import (CSV_COLUMNS, run_enumerate, run_scan, run_selftest,
                             run_verify_beauville)
 
@@ -129,6 +130,98 @@ def test_one_cocycle_and_one_transition_per_row(monkeypatch):
             if "birkhoff" in methods:
                 want["build_transition"] = good
             assert calls == want, methods
+
+
+def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
+    # enumerate 5's 15 rows share one field: one lockstep step-1 call for
+    # all of them; every catalog task is below the crossover and runs step 1
+    # per row; step 2 and the gluing matrix stay per row either way
+    calls = Counter()
+    stacks = []
+    step1 = factorization.birkhoff_step1
+
+    def spy(ctx, A):
+        if isinstance(A, list):
+            stacks.append(len(A))
+        else:
+            calls["step1 per row"] += 1
+        return step1(ctx, A)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(factorization, "birkhoff_step1", spy)
+    for name in ("birkhoff_step2", "build_transition"):
+        monkeypatch.setattr(factorization, name, counting(name, getattr(factorization, name)))
+    report = run_enumerate(5, methods=("t", "birkhoff"))
+    assert len(report.rows) == 15 >= scan.BIRKHOFF_STACK_MIN
+    assert stacks == [15]
+    assert calls == {"birkhoff_step2": 15, "build_transition": 15}
+    calls.clear()
+    stacks.clear()
+    report = run_verify_beauville((5, 7), methods=("t", "birkhoff"))
+    # catalog entries that share a minimal polynomial share its computed rows
+    first_labels = {}
+    for entry in beauville_catalog():
+        first_labels.setdefault(entry.spec.minpoly, entry.spec.label)
+    computed = sum(1 for r in report.rows if r.bad_reason is None
+                   and r.lambda_label in set(first_labels.values()))
+    assert stacks == []
+    assert calls == {"step1 per row": computed, "birkhoff_step2": computed,
+                     "build_transition": computed}
+
+
+@pytest.mark.parametrize("p, d", [(7, 1), (3, 2)])
+def test_birkhoff_rows_agree_across_the_crossover(monkeypatch, p, d):
+    # a field's stack gives the same rows and the same step-1 outputs in
+    # lockstep and row by row
+    ctx = make_context(p, d)
+    items = [("x", ReductionDatum(p=p, place=0, d=d, witt=witt_decompose(w)))
+             for w in ctx.witt_elements()
+             if not (w.residue().is_zero() or w.residue() == ctx.one)]
+    step2 = factorization.birkhoff_step2
+    seen = []
+
+    def spy(ctx, cocycle, *step1):
+        seen.append(step1)
+        return step2(ctx, cocycle, *step1)
+
+    monkeypatch.setattr(factorization, "birkhoff_step2", spy)
+    runs = []
+    for crossover in (len(items), len(items) + 1):
+        monkeypatch.setattr(scan, "BIRKHOFF_STACK_MIN", crossover)
+        seen.clear()
+        runs.append((scan._rows_from_data(items, ("t", "birkhoff")), list(seen)))
+    assert runs[0] == runs[1]
+    assert all(r.agree for r in runs[0][0])
+
+
+def test_enumerate_lifts_each_residue_once(monkeypatch):
+    # tau(lam0) is computed once per lam0, not once per (lam0, lam1), and
+    # every row's parameter is still witt_compose(lam0, lam1)
+    calls = Counter()
+    teichmuller = scan.teichmuller
+
+    def counted(x0):
+        calls["teichmuller"] += 1
+        return teichmuller(x0)
+
+    monkeypatch.setattr(scan, "teichmuller", counted)
+    lams = []
+    rows_from_data = scan._rows_from_data
+
+    def keep(items, methods):
+        lams.extend(datum.witt for _, datum in items)
+        return rows_from_data(items, methods)
+
+    monkeypatch.setattr(scan, "_rows_from_data", keep)
+    run_enumerate(7)
+    assert calls == {"teichmuller": 5}
+    assert len(lams) == 35
+    assert all(wp.witt == witt_compose(wp.lam0, wp.lam1) for wp in lams)
 
 
 def test_enumerate_bounds():
