@@ -64,6 +64,10 @@ def test_step1_degree_guard():
     ctx = make_context(3, 1)
     with pytest.raises(DegreeTooLarge):
         birkhoff_step1(ctx, Poly.monomial(ctx, 6))
+    # one long row rejects its whole stack
+    A = build_A_primitive(ctx, ctx.w_from_int(-1)).A
+    with pytest.raises(DegreeTooLarge):
+        birkhoff_step1(ctx, [A, Poly.monomial(ctx, 6)])
 
 
 def test_step2_micro_case_certificates():
@@ -362,13 +366,6 @@ def test_lockstep_iterates_as_often_as_the_longest_row(monkeypatch):
     birkhoff_step1(ctx, As)
     assert calls == {"_quotient_stack": max(steps)}
     assert max(steps) < sum(steps)
-
-
-def test_step1_stack_rejects_a_long_row():
-    ctx = make_context(3, 1)
-    A = build_A_primitive(ctx, ctx.w_from_int(-1)).A
-    with pytest.raises(DegreeTooLarge):
-        birkhoff_step1(ctx, [A, Poly.monomial(ctx, 6)])
 
 
 def test_splitting_from_birkhoff_micro_cases():
