@@ -131,13 +131,14 @@ def _finv_stack(ctx: ReductionContext, a: np.ndarray, table: np.ndarray) -> np.n
 
 def _quotient_one(ctx: ReductionContext, e0: np.ndarray, e1: np.ndarray,
                   n0: int, n1: int) -> list:
-    """The quotient of a single row's r0 by r1, from their top k+1
-    coefficients with the context's scalar field ops, as (shift, coordinate,
-    multiplier) terms: coordinate c of the coefficient of z^s."""
+    """The quotient of one row's r0 by r1, from their top k+1 coefficients
+    with the context's scalar field ops, as (shift, coordinate, multiplier)
+    terms: coordinate c of the coefficient of z^s, where it is nonzero.
+    e0 and e1 are the row's two (2, L, d) Euclid rows, r on t."""
     k = n0 - n1
-    inv = ctx.finv(tuple(e1[0, 0, n1].tolist()))
-    head = [tuple(x) for x in e0[0, 0, n0 - k:n0 + 1][::-1].tolist()]
-    div = [tuple(x) for x in e1[0, 0, max(n1 - k, 0):n1 + 1][::-1].tolist()]
+    inv = ctx.finv(tuple(e1[0, n1].tolist()))
+    head = [tuple(x) for x in e0[0, n0 - k:n0 + 1][::-1].tolist()]
+    div = [tuple(x) for x in e1[0, max(n1 - k, 0):n1 + 1][::-1].tolist()]
     q = [None] * (k + 1)                # q[i]: coefficient of z^i
     for i in range(k + 1):
         c = head[i]
@@ -188,7 +189,8 @@ def _euclid(ctx: ReductionContext, G: np.ndarray, B: np.ndarray, stop: int,
 
     ``table`` is ``_inverse_table(p)`` for a stack of more than one row,
     whose quotients come from ``_quotient_stack``, and None for a stack of
-    one, whose quotient is ``_quotient_one``'s and whose degrees are ints.
+    one, which steps its own (2, deg G + 1, d) rows, with int degrees and
+    ``_quotient_one``'s quotient.
     Each iteration steps every live row (deg r1 >= stop) and swaps the two
     arrays' roles for all rows; a row that has stopped takes zero
     quotients, and its last two Euclid rows are read off at the end by the
@@ -203,7 +205,8 @@ def _euclid(ctx: ReductionContext, G: np.ndarray, B: np.ndarray, stop: int,
     e1[:, 0, :B.shape[1]] = B
     e1[:, 1, 0] = ctx.one.vec
     if n == 1:
-        n0, n1, steps = top, _degree_below(e1[0, 0], B.shape[1]), 0
+        e0, e1 = e0[0], e1[0]
+        n0, n1, steps = top, _degree_below(e1[0], B.shape[1]), 0
     else:
         n0, n1, steps = np.full(n, top), _degrees(e1[:, 0]), np.zeros(n, np.int64)
     rounds = 0
@@ -219,13 +222,13 @@ def _euclid(ctx: ReductionContext, G: np.ndarray, B: np.ndarray, stop: int,
                 break
             terms = _quotient_stack(ctx, e0, e1, n0, n1, live, table)
             width = top + 1
-        row1 = e1[:, :, :width]
+        row1 = e1[..., :width, :]
         multiples = [row1] + [row1 @ ctx.basis_products[col] % p for col in range(1, d)]
         for s, col, x in terms:
-            e0[:, :, s:width] -= x * multiples[col][:, :, :width - s]
-        np.remainder(e0[:, :, :width], p, out=e0[:, :, :width])
+            e0[..., s:width, :] -= x * multiples[col][..., :width - s, :]
+        np.remainder(e0[..., :width, :], p, out=e0[..., :width, :])
         if n == 1:
-            n0, n1 = n1, _degree_below(e0[0, 0], n1)
+            n0, n1 = n1, _degree_below(e0[0], n1)
             steps += 1
         else:
             n0, n1 = np.where(live, n1, n0), np.where(live, _degrees(e0[:, 0]), n1)
@@ -233,7 +236,7 @@ def _euclid(ctx: ReductionContext, G: np.ndarray, B: np.ndarray, stop: int,
         e0, e1 = e1, e0
         rounds += 1
     if n == 1:
-        return e0[:, 0], e0[:, 1], e1[:, 0], e1[:, 1], np.array([n0]), np.array([steps])
+        return e0[None, 0], e0[None, 1], e1[None, 0], e1[None, 1], np.array([n0]), np.array([steps])
     # a row that stopped early has swapped roles (rounds - steps) times since
     back = ((rounds - steps) % 2 == 1)[:, None, None, None]
     last0, last1 = np.where(back, e1, e0), np.where(back, e0, e1)
@@ -340,20 +343,23 @@ def birkhoff_step1(ctx: ReductionContext, A):
     r0, t0, r1, t1, n0, steps = _euclid(ctx, G, B, p, table)
 
     # f, g by 1/lead(t_j) and -1/lead(t_j), the partner by +-lead(t_j): one
-    # blow-up; deg t_j = 2p - deg r_(j-1)
+    # blow-up.  Each is cut at its degree bound: deg f = deg t_j =
+    # 2p - deg r_(j-1) = 2p - deg gamma', deg beta' < deg f and deg g < p
+    deg_f = 2 * p - n0
     if table is None:
-        lead = tuple(t1[0, 2 * p - n0[0]].tolist())
+        lead = tuple(t1[0, deg_f[0]].tolist())
         inv = ctx.finv(lead)
         times = ctx.mul_matrix([[inv, ctx.fneg(inv), ctx.fneg(lead) if steps[0] % 2 else lead]])
     else:
-        lead = t1[np.arange(len(stack)), 2 * p - n0]
+        lead = t1[np.arange(len(stack)), deg_f]
         inv = _finv_stack(ctx, lead, table)
         times = ctx.mul_matrix(np.stack([inv, -inv, lead * (1 - 2 * (steps[:, None] % 2))], 1))
-    f, g, beta, gamma = (x @ times[:, k] % p
-                         for x, k in ((t1, 0), (r1, 1), (t0, 2), (r0, 2)))
+    most, least = int(deg_f.max()), int(deg_f.min())
+    f, g, beta, gamma = (x[:, :cut] @ times[:, k] % p for x, k, cut in (
+        (t1, 0, most + 1), (r1, 1, p), (t0, 2, most), (r0, 2, 2 * p + 1 - least)))
     out = []
-    for x, *row in zip(stack, f, g, beta, gamma):
-        fx, gx, bx, cx = (Poly(ctx, v) for v in row)
+    for x, k, *row in zip(stack, deg_f.tolist(), f, g, beta, gamma):
+        fx, gx, bx, cx = (Poly(ctx, v[:m]) for v, m in zip(row, (k + 1, p, k, 2 * p + 1 - k)))
         h, rem = divrem_modulus(fx * x + gx.shift(p))
         if not rem.is_zero():
             _fail("step-1 sum f*A + g*z^p is not divisible by G")
