@@ -114,19 +114,12 @@ def _degree_below(r: np.ndarray, m: int) -> int:
     return m
 
 
-def _inverse_table(p: int) -> np.ndarray:
-    """x^-1 mod p for x in 0..p-1, with 0 sent to 0."""
-    return np.array([0] + [pow(x, -1, p) for x in range(1, p)], np.int64)
-
-
-def _finv_stack(ctx: ReductionContext, a: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Inverse of every vec of a (n, d), 0 for 0: ā N(a)^-1, as ``ctx.finv``,
-    the norms N(a) = a ā inverted through ``table``."""
-    p = ctx.p
-    conj = a.copy()
-    conj[:, 1:] = -conj[:, 1:] % p
-    norm = (a[:, None] @ ctx.mul_matrix(conj))[:, 0, 0] % p
-    return conj * table[norm][:, None] % p
+def _coefficients(polys: list, length: int, d: int) -> np.ndarray:
+    """The coefficient arrays of polys, zero-padded to length, as one stack."""
+    out = np.zeros((len(polys), length, d), np.int64)
+    for row, x in zip(out, polys):
+        row[:len(x.v)] = x.v
+    return out
 
 
 def _quotient_one(ctx: ReductionContext, e0: np.ndarray, e1: np.ndarray,
@@ -166,7 +159,7 @@ def _quotient_stack(ctx: ReductionContext, e0: np.ndarray, e1: np.ndarray,
     every = np.arange(len(n0))
     k = np.where(live, n0 - n1, -1)
     kmax = int(k.max())
-    inv = ctx.mul_matrix(_finv_stack(ctx, e1[every, 0, np.maximum(n1, 0)], table))
+    inv = ctx.mul_matrix(ctx.finv_stack(e1[every, 0, np.maximum(n1, 0)], table))
     q = np.zeros((len(n0), kmax + 1, d), np.int64)     # q[:, j]: z^(k - j)
     for j in range(kmax + 1):
         c = e0[every, 0, np.maximum(n0 - j, 0)]
@@ -187,7 +180,7 @@ def _euclid(ctx: ReductionContext, G: np.ndarray, B: np.ndarray, stop: int,
     """Extended Euclid on (G, B_i) for every row B_i of the stack B (n, L, d),
     L <= deg G, in lockstep, each row to its first remainder of degree < stop.
 
-    ``table`` is ``_inverse_table(p)`` for a stack of more than one row,
+    ``table`` is ``ctx.finv_table()`` for a stack of more than one row,
     whose quotients come from ``_quotient_stack``, and None for a stack of
     one, which steps its own (2, deg G + 1, d) rows, with int degrees and
     ``_quotient_one``'s quotient.
@@ -268,11 +261,9 @@ def euclid_rows(G: Poly, B, stop: int):
     """
     ctx = G.ctx
     stack = [B] if isinstance(B, Poly) else B
-    b = np.zeros((len(stack), len(G.v) - 1, ctx.d), np.int64)
-    for row, x in zip(b, stack):
-        row[:len(x.v)] = x.v
-    table = _inverse_table(ctx.p) if len(stack) > 1 else None
-    r0, t0, r1, t1, _, steps = _euclid(ctx, G.v, b, stop, table)
+    table = ctx.finv_table() if len(stack) > 1 else None
+    r0, t0, r1, t1, _, steps = _euclid(
+        ctx, G.v, _coefficients(stack, len(G.v) - 1, ctx.d), stop, table)
     out = [tuple(Poly(ctx, x) for x in rows) + (-1 if k % 2 else 1,)
            for *rows, k in zip(r0, t0, r1, t1, steps.tolist())]
     return out[0] if isinstance(B, Poly) else out
@@ -333,13 +324,11 @@ def birkhoff_step1(ctx: ReductionContext, A):
     g0, g1 = (tuple(x) for x in rows[:2].tolist())
     minus_inv_g0 = ctx.fneg(ctx.finv(g0))
     times_low, times_high = ctx.mul_matrix([ctx.fmul(minus_inv_g0, g1), minus_inv_g0])
-    a = np.zeros((len(stack), 2 * p, d), np.int64)
-    for row, x in zip(a, stack):
-        row[:len(x.v)] = x.v
+    a = _coefficients(stack, 2 * p, d)
     B = np.concatenate([a[:, p:] + a[:, :p] @ times_low, a[:, :p] @ times_high], axis=1) % p
     G = np.zeros((2 * p + 1, d), np.int64)
     G[::p] = rows
-    table = _inverse_table(p) if len(stack) > 1 else None
+    table = ctx.finv_table() if len(stack) > 1 else None
     r0, t0, r1, t1, n0, steps = _euclid(ctx, G, B, p, table)
 
     # f, g by 1/lead(t_j) and -1/lead(t_j), the partner by +-lead(t_j): one
@@ -352,7 +341,7 @@ def birkhoff_step1(ctx: ReductionContext, A):
         times = ctx.mul_matrix([[inv, ctx.fneg(inv), ctx.fneg(lead) if steps[0] % 2 else lead]])
     else:
         lead = t1[np.arange(len(stack)), deg_f]
-        inv = _finv_stack(ctx, lead, table)
+        inv = ctx.finv_stack(lead, table)
         times = ctx.mul_matrix(np.stack([inv, -inv, lead * (1 - 2 * (steps[:, None] % 2))], 1))
     most, least = int(deg_f.max()), int(deg_f.min())
     f, g, beta, gamma = (x[:, :cut] @ times[:, k] % p for x, k, cut in (

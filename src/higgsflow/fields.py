@@ -220,6 +220,18 @@ class ReductionContext:
         s = pow(self.fmul(a, b)[0], -1, self.p)
         return tuple([x * s % self.p for x in b])
 
+    def finv_table(self) -> np.ndarray:
+        """x^-1 mod p for x in 0..p-1, 0 for 0; built on every call."""
+        return np.array([0] + [pow(x, -1, self.p) for x in range(1, self.p)], np.int64)
+
+    def finv_stack(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """:meth:`finv` of every vec of a stack (n, d), 0 for 0, the norms
+        inverted through ``table`` (:meth:`finv_table`)."""
+        conj = a.copy()
+        conj[:, 1:] = -conj[:, 1:] % self.p     # the Frobenius of _frobenius
+        norm = (a[:, None] @ self.mul_matrix(conj))[:, 0, 0] % self.p
+        return conj * table[norm][:, None] % self.p
+
     def winv(self, a):
         res = self.w_residue(a)
         if self.f_is_zero(res):

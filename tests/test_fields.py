@@ -121,13 +121,18 @@ def test_frobenius_examples_and_order():
     ctx = make_context(3, 2)
     for a in ctx.field_elements():
         assert frobenius_w2(teichmuller(a)) == teichmuller(a ** 3)
-    # x -> -x and the inverse through it, against powering
+    # x -> -x and the inverse through it, against powering; the stacked
+    # inverse equals the scalar one, and sends 0 to 0
     for p in (3, 5, 7, 11, 13):
         ctx = make_context(p, 2)
-        for a in list(ctx.field_elements())[1:]:
+        elements = list(ctx.field_elements())
+        for a in elements[1:]:
             assert a * a.inverse() == ctx.one
             assert a.frobenius() == a ** p
             assert a.frobenius().frobenius() == a
+        stacked = ctx.finv_stack(np.array([a.vec for a in elements]), ctx.finv_table())
+        assert [tuple(x) for x in stacked.tolist()] == [(0, 0)] + [
+            ctx.finv(a.vec) for a in elements[1:]]
 
 
 def test_frobenius_w2_on_witt_coordinates_exhaustive():
