@@ -365,7 +365,7 @@ def test_lockstep_iterates_as_often_as_the_longest_row(monkeypatch):
     calls.clear()
     birkhoff_step1(ctx, As)
     assert calls == {"_quotient_stack": max(steps)}
-    assert max(steps) < sum(steps)
+    assert (max(steps), sum(steps)) == (6, 168)
 
 
 def test_splitting_from_birkhoff_micro_cases():
