@@ -131,12 +131,13 @@ def build_A_closed(ctx: ReductionContext, lam0: FieldElement,
     return CocyclePolynomial(ctx=ctx, A=a_poly, unit=unit)
 
 
-def build_transition(cocycle: CocyclePolynomial) -> TransitionMatrix:
+def build_transition(cocycle: CocyclePolynomial, unit_inverse=None) -> TransitionMatrix:
     """The gluing matrix for the inverse-Cartier bundle, as its numerator A/u.
 
     M~ = [[z^p (z-1)^(2p), 0], [A/u, z^p]] over z^p (z-1)^p (see
     :class:`TransitionMatrix`); the one entry that depends on the cocycle
-    is A scaled by the inverse of the unit u.
+    is A scaled by the inverse of the unit u.  A caller that has inverted
+    u already passes the vec of 1/u as ``unit_inverse``.
     """
-    return TransitionMatrix(cocycle=cocycle,
-                            lower_left=cocycle.A.scale(cocycle.unit.inverse()))
+    inv = cocycle.unit.inverse().vec if unit_inverse is None else unit_inverse
+    return TransitionMatrix(cocycle=cocycle, lower_left=cocycle.A.scale(inv))

@@ -50,7 +50,15 @@ class InternalInvariantFailure(InternalError):
 
 
 class CertificateCheckFailed(InternalError):
-    """A factorization certificate failed one of its invariants."""
+    """A factorization certificate failed one of its invariants.
+
+    ``rows`` holds the index, in the checked stack, of every certificate
+    that fails; the message names the first of them.
+    """
+
+    def __init__(self, msg: str, rows: tuple = (0,)):
+        super().__init__(msg)
+        self.rows = rows
 
 
 class UnstableDimension(InternalError):

@@ -12,12 +12,17 @@ and their Euclid rows (r, t) live in two preallocated arrays that each
 step updates in place, so a step builds no polynomial object.  The Euclid
 row before the stopping row is a Bezout partner: it gives (beta', gamma')
 with f*gamma' + g*beta' = G and z^p*gamma' = A*beta' mod G, reduced so
-that both have degree <= 2p - c.  Step 2 runs per row.
+that both have degree <= 2p - c.
 
 Step 2 divides the off-frame entry alpha out of z^p*gamma' - A*beta' and
 assembles unimodular frames P, Q with
 P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).  It runs no second gcd: the
-Bezout partner from step 1 already gives f*gamma' + g*beta' = G.
+Bezout partner from step 1 already gives f*gamma' + g*beta' = G.  Step 2
+and the certificate check take one row or a field's stack too, and work
+on the whole stack's zero-padded (n, L, d) coefficient arrays: one product
+and one division by G give every row's alpha, each unit is inverted once,
+and the check proves every identity of every row in one buffer.  A single
+row is a stack of one.
 
 The two divisions by G (h in step 1, alpha in step 2) use
 :func:`~higgsflow.polys.divrem_modulus`, which moves a block of p
@@ -36,7 +41,8 @@ Q~ = Q diag((z-1)^c, (z-1)^(2p-c)), M~ = z^p (z-1)^p M), so every
 identity is a polynomial identity: a signed sum of products, shifts by z^s
 and multiples of G (g's three coefficients at z^0, z^p and z^(2p)),
 accumulated in unreduced int64 rows that are reduced mod p once.  The
-check builds no polynomial object and draws no sample points.  Once
+check builds no polynomial object and draws no sample points, and on a
+stack it names the first failing row along with the identity.  Once
 det P~ = z^p is proved, P^(-1) = adj(P), so the diagonalization is proved
 as M~ Q~ = G diag(z^p, 1) adj(P~), which needs no product with P.
 """
@@ -51,6 +57,7 @@ from .cocycle import CocyclePolynomial, TransitionMatrix, build_transition
 from .criterion import SplittingType
 from .errors import CertificateCheckFailed, DegreeTooLarge
 from .fields import ReductionContext
+from .linalg import stack_slices
 from .polys import Poly, convolve_into, divrem_modulus, euclid_modulus, poly_divrem
 # unused here; kept because perfbench/hooks.py patches them by name in this module
 from .cocycle import build_A_primitive  # noqa: F401
@@ -92,8 +99,15 @@ class FactorizationCertificate:
     Q: tuple
 
 
-def _fail(msg: str):
-    raise CertificateCheckFailed(msg)
+def _fail(msg: str, rows: tuple = (0,)):
+    raise CertificateCheckFailed(msg, rows)
+
+
+def _fail_rows(bad, msg: str) -> None:
+    """Fail naming the first row of the stack where bad holds, if any does."""
+    if any(bad):
+        rows = tuple(i for i, x in enumerate(bad) if x)
+        _fail(f"{msg} at row {rows[0]}", rows)
 
 
 def _deg(f: Poly) -> int:
@@ -102,6 +116,8 @@ def _deg(f: Poly) -> int:
 
 def _degrees(r: np.ndarray) -> np.ndarray:
     """Degree of every polynomial of a stack (n, L, d), -1 for zero."""
+    if not r.shape[1]:
+        return np.full(len(r), -1)
     nz = np.logical_or.reduce(r, axis=2)
     return r.shape[1] - 1 - np.where(nz.any(axis=1), nz[:, ::-1].argmax(axis=1), r.shape[1])
 
@@ -114,9 +130,14 @@ def _degree_below(r: np.ndarray, m: int) -> int:
     return m
 
 
-def _coefficients(polys: list, length: int, d: int) -> np.ndarray:
-    """The coefficient arrays of polys, zero-padded to length, as one stack."""
-    out = np.zeros((len(polys), length, d), np.int64)
+def _coefficients(polys, length: int | None = None) -> np.ndarray:
+    """The coefficient arrays of polys, zero-padded to length (by default
+    the longest), as one stack; by default one polynomial's is a view."""
+    if length is None:
+        if len(polys) == 1:
+            return polys[0].v[None]
+        length = max(len(x.v) for x in polys)
+    out = np.zeros((len(polys), length, polys[0].ctx.d), np.int64)
     for row, x in zip(out, polys):
         row[:len(x.v)] = x.v
     return out
@@ -263,7 +284,7 @@ def euclid_rows(G: Poly, B, stop: int):
     stack = [B] if isinstance(B, Poly) else B
     table = ctx.finv_table() if len(stack) > 1 else None
     r0, t0, r1, t1, _, steps = _euclid(
-        ctx, G.v, _coefficients(stack, len(G.v) - 1, ctx.d), stop, table)
+        ctx, G.v, _coefficients(stack, len(G.v) - 1), stop, table)
     out = [tuple(Poly(ctx, x) for x in rows) + (-1 if k % 2 else 1,)
            for *rows, k in zip(r0, t0, r1, t1, steps.tolist())]
     return out[0] if isinstance(B, Poly) else out
@@ -310,9 +331,9 @@ def birkhoff_step1(ctx: ReductionContext, A):
     < p, is step 1's one school division; h comes from
     :func:`~higgsflow.polys.divrem_modulus`.
 
-    B, the Euclid and the scalings by the leads are done for the whole
-    stack at once; the check that G divides f*A + g*z^p and the
-    reduction of gamma' run row by row.
+    B, the Euclid, the scalings by the leads, and h with the check that G
+    divides f*A + g*z^p, are done for the whole stack at once; only the
+    reduction of gamma', on the rows with deg g > deg f, runs row by row.
 
     Returns (f, g, h, beta', gamma'), or a list of them.
     """
@@ -324,7 +345,7 @@ def birkhoff_step1(ctx: ReductionContext, A):
     g0, g1 = (tuple(x) for x in rows[:2].tolist())
     minus_inv_g0 = ctx.fneg(ctx.finv(g0))
     times_low, times_high = ctx.mul_matrix([ctx.fmul(minus_inv_g0, g1), minus_inv_g0])
-    a = _coefficients(stack, 2 * p, d)
+    a = _coefficients(stack, 2 * p)
     B = np.concatenate([a[:, p:] + a[:, :p] @ times_low, a[:, :p] @ times_high], axis=1) % p
     G = np.zeros((2 * p + 1, d), np.int64)
     G[::p] = rows
@@ -346,17 +367,47 @@ def birkhoff_step1(ctx: ReductionContext, A):
     most, least = int(deg_f.max()), int(deg_f.min())
     f, g, beta, gamma = (x[:, :cut] @ times[:, k] % p for x, k, cut in (
         (t1, 0, most + 1), (r1, 1, p), (t0, 2, most), (r0, 2, 2 * p + 1 - least)))
+    # h = (f*A + g*z^p)/G for every row, from one product and one division
+    t = np.zeros((len(stack), most + 2 * p, 2 * d - 1), np.int64)
+    convolve_into(t, f, a)
+    t[:, p:2 * p, :d] += g
+    h, rem = divrem_modulus(ctx.fold(t), ctx)
+    _fail_rows(rem.any(axis=(1, 2)), "step-1 sum f*A + g*z^p is not divisible by G")
     out = []
-    for x, k, *row in zip(stack, deg_f.tolist(), f, g, beta, gamma):
-        fx, gx, bx, cx = (Poly(ctx, v[:m]) for v, m in zip(row, (k + 1, p, k, 2 * p + 1 - k)))
-        h, rem = divrem_modulus(fx * x + gx.shift(p))
-        if not rem.is_zero():
-            _fail("step-1 sum f*A + g*z^p is not divisible by G")
+    for k, *row in zip(deg_f.tolist(), f, g, beta, gamma, h):
+        fx, gx, bx, cx, hx = (Poly(ctx, v[:m])
+                              for v, m in zip(row, (k + 1, p, k, 2 * p + 1 - k, None)))
         if _deg(gx) > fx.degree:
             q, cx = poly_divrem(cx, gx)
             bx = bx + q * fx
-        out.append((fx, gx, h, bx, cx))
+        out.append((fx, gx, hx, bx, cx))
     return out[0] if isinstance(A, Poly) else out
+
+
+def _frames(ctx: ReductionContext, units: np.ndarray, beta: np.ndarray, h: np.ndarray,
+            g: np.ndarray):
+    """1/u for every row of a stack, and u*beta', -u*beta', -h/u and g/u.
+
+    units is (n, d), the others (n, L, d).  Each u is inverted once,
+    through ``finv_stack`` for a stack of more than one row; the scalars
+    u, -u, -1/u and 1/u then come from one blow-up.
+    """
+    if len(units) > 1:
+        inv = ctx.finv_stack(units, ctx.finv_table())
+    else:
+        inv = np.array([ctx.finv(tuple(units[0].tolist()))], np.int64)
+    times = ctx.mul_matrix(np.stack([units, -units, -inv, inv], 1))
+    return inv, [x @ times[:, k] % ctx.p for k, x in enumerate((beta, beta, h, g))]
+
+
+def _certificate(f: Poly, g: Poly, h: Poly, beta_prime: Poly, gamma_prime: Poly, alpha: Poly,
+                 beta_u: Poly, minus_beta_u: Poly, minus_h_u: Poly,
+                 g_u: Poly) -> FactorizationCertificate:
+    """The certificate with its frames laid out as :class:`FactorizationCertificate` says."""
+    c = max(_deg(f), _deg(g))
+    return FactorizationCertificate(
+        f=f, g=g, h=h, c=c, n=f.ctx.p - c, beta_prime=beta_prime, gamma_prime=gamma_prime,
+        alpha=alpha, P=((alpha, beta_u), (minus_h_u, f)), Q=((f, minus_beta_u), (g_u, gamma_prime)))
 
 
 def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly,
@@ -366,47 +417,66 @@ def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly,
 
     c = max(deg f, deg g), and P~, Q~ are laid out as
     :class:`FactorizationCertificate` says, g, h and beta' scaled by the
-    cocycle's unit u: the scalars u, -u, -1/u and 1/u share one blow-up.
+    cocycle's unit u (:func:`_frames`, on a stack of one).
     """
-    ctx, u = cocycle.ctx, cocycle.unit.vec
-    c = max(_deg(f), _deg(g))
-    uinv = ctx.finv(u)
-    times = ctx.mul_matrix([u, ctx.fneg(u), ctx.fneg(uinv), uinv])
-    beta_u, minus_beta_u, minus_h_u, g_u = (
-        Poly(ctx, x.v @ m % ctx.p) for x, m in zip((beta_prime, beta_prime, h, g), times))
-    P = ((alpha, beta_u), (minus_h_u, f))
-    Q = ((f, minus_beta_u), (g_u, gamma_prime))
-    return FactorizationCertificate(
-        f=f, g=g, h=h, c=c, n=ctx.p - c,
-        beta_prime=beta_prime, gamma_prime=gamma_prime, alpha=alpha, P=P, Q=Q)
+    ctx = cocycle.ctx
+    _, frames = _frames(ctx, np.array([cocycle.unit.vec], np.int64),
+                        *(x.v[None] for x in (beta_prime, h, g)))
+    return _certificate(f, g, h, beta_prime, gamma_prime, alpha,
+                        *(Poly(ctx, x[0]) for x in frames))
 
 
-def birkhoff_step2(ctx: ReductionContext, cocycle: CocyclePolynomial,
-                   f: Poly, g: Poly, h: Poly,
-                   beta_prime: Poly, gamma_prime: Poly) -> FactorizationCertificate:
+def birkhoff_step2(ctx: ReductionContext, cocycle, f, g, h, beta_prime, gamma_prime):
     """Degree checks, alpha, frame assembly, then the exact certificate check.
 
-    Raises CertificateCheckFailed when c = max(deg f, deg g) is outside
-    0..p or deg beta', deg gamma' exceed 2p - c, or, naming the identity,
-    when the assembled certificate fails :func:`check_certificate`; a
-    returned certificate has passed it.
+    cocycle is one cocycle and f, g, h, beta', gamma' its step-1 output,
+    and one certificate comes back; or cocycle is a list of them, one
+    field's stack, each of f, .., gamma' a sequence of as many
+    polynomials, and a list of certificates comes back.  A single row is
+    a stack of one.  The whole stack is worked on as zero-padded
+    (n, L, d) arrays: alpha~ = (z^p*gamma' - A*beta')/G for every row from
+    one product and one :func:`~higgsflow.polys.divrem_modulus`; every
+    unit u inverted once (:func:`_frames`), and that inverse also gives
+    the gluing matrix's lower-left entry A/u (``build_transition``); the
+    certificates of the stack proved together (``verify_certificate`` on a
+    :class:`CertificateStack`).  The certificate objects are built only
+    once the whole stack has passed.
+
+    Raises CertificateCheckFailed, naming the first failing row, when
+    c = max(deg f, deg g) is outside 0..p or deg beta', deg gamma' exceed
+    2p - c, or, naming the identity too, when the assembled certificates
+    fail :func:`check_certificate`; a returned certificate has passed it.
     """
+    one = isinstance(cocycle, CocyclePolynomial)
+    cocycles, fs, gs, hs, betas, gammas = (
+        [x] if one else list(x) for x in (cocycle, f, g, h, beta_prime, gamma_prime))
     p = ctx.p
-    c = max(_deg(f), _deg(g))
-    if not 0 <= c <= p:
-        _fail("combined degree outside 0..p")
-    if _deg(beta_prime) > 2 * p - c or _deg(gamma_prime) > 2 * p - c:
-        _fail("degree bounds on (beta', gamma') violated")
+    c = [max(len(x.v), len(y.v)) - 1 for x, y in zip(fs, gs)]
+    _fail_rows([not 0 <= k <= p for k in c], "combined degree outside 0..p")
+    _fail_rows([max(len(x.v), len(y.v)) > 2 * p - k + 1 for x, y, k in zip(betas, gammas, c)],
+               "degree bounds on (beta', gamma') violated")
+    A, F, G, H, beta, gamma = (_coefficients(xs) for xs in (
+        [x.A for x in cocycles], fs, gs, hs, betas, gammas))
 
     # the quotient is exact when the alpha identity of check_certificate holds
-    alpha, _ = divrem_modulus(gamma_prime.shift(p) - cocycle.A * beta_prime)
-    cert = assemble_certificate(cocycle, f, g, h, beta_prime, gamma_prime, alpha)
+    t = np.zeros((len(cocycles), max(p + gamma.shape[1], A.shape[1] + beta.shape[1] - 1),
+                  2 * ctx.d - 1), np.int64)
+    t[:, p:p + gamma.shape[1], :ctx.d] = gamma
+    convolve_into(t, A, beta, -1)
+    alpha, _ = divrem_modulus(ctx.fold(t), ctx)
+    inv, frames = _frames(ctx, np.array([x.unit.vec for x in cocycles], np.int64), beta, H, G)
+    beta_u, minus_beta_u, minus_h_u, g_u = frames
+    stack = CertificateStack(f=F, g=G, h=H, c=np.array(c), beta_prime=beta, gamma_prime=gamma,
+                             alpha=alpha, P=((alpha, beta_u), (minus_h_u, F)),
+                             Q=((F, minus_beta_u), (g_u, gamma)))
     # verify_certificate is the check perfbench traces as factorization.verify;
     # only when it fails does check_certificate run again to name the identity
-    m = build_transition(cocycle)
-    if not verify_certificate(m, cert):
-        check_certificate(m, cert)
-    return cert
+    ms = [build_transition(x, tuple(v)) for x, v in zip(cocycles, inv.tolist())]
+    if not verify_certificate(ms, stack):
+        check_certificate(ms, stack)
+    built = [[Poly(ctx, v) for v in x] for x in (alpha, *frames)]
+    certs = [_certificate(*row) for row in zip(fs, gs, hs, betas, gammas, *built)]
+    return certs[0] if one else certs
 
 
 def factorization_certificate(cocycle: CocyclePolynomial) -> FactorizationCertificate:
@@ -419,52 +489,104 @@ def splitting_from_birkhoff(cocycle: CocyclePolynomial) -> SplittingType:
     return SplittingType.of(factorization_certificate(cocycle).n, "birkhoff")
 
 
-def _nonzero_entries(ctx: ReductionContext, entries: list) -> np.ndarray:
-    """For each entry (name, products, shifted, over_G): is its sum nonzero?
+@dataclass(frozen=True)
+class CertificateStack:
+    """n certificates at one (p, d) as the check reads them.
+
+    Each polynomial field of :class:`FactorizationCertificate`, and each
+    entry of P~ and Q~, is one zero-padded coefficient stack (n, L, d),
+    row i belonging to certificate i; c is an (n,) array.
+    """
+
+    f: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+    beta_prime: np.ndarray
+    gamma_prime: np.ndarray
+    alpha: np.ndarray
+    P: tuple
+    Q: tuple
+
+    @classmethod
+    def of(cls, certs: list) -> "CertificateStack":
+        """The stack of a list of certificates."""
+        def stack(name):
+            return _coefficients([getattr(x, name) for x in certs])
+
+        def frame(name):
+            return tuple(tuple(_coefficients([getattr(x, name)[i][j] for x in certs])
+                               for j in range(2)) for i in range(2))
+
+        return cls(f=stack("f"), g=stack("g"), h=stack("h"),
+                   c=np.array([x.c for x in certs]), beta_prime=stack("beta_prime"),
+                   gamma_prime=stack("gamma_prime"), alpha=stack("alpha"),
+                   P=frame("P"), Q=frame("Q"))
+
+
+def _nonzero_entries(ctx: ReductionContext, n: int, entries: list) -> np.ndarray:
+    """For each row of a stack of n and each entry (name, products,
+    shifted, over_G): is its sum nonzero?  An (n, entries) array.
 
     An entry stands for the polynomial sum(k*a*b over products) +
     sum(k*z^s*x over shifted) + G*sum(k*z^s*x over over_G), with signs
-    k = +-1, coefficient arrays (n, d) and G = z^(2p) + g1*z^p + g0 from
-    :func:`~higgsflow.polys.euclid_modulus`.  Each entry is one row of an
-    int64 stack in :func:`~higgsflow.polys.convolve_into`'s unreduced
-    layout (the shifted arrays in its first d columns).  The multiples of G
-    are gathered in a stack of their own and added as three shifted copies,
-    times g0, g1 and 1 coordinate by coordinate in that layout, and the
-    stack is reduced mod p once.  A product adds entries below n*d*p^2, the
+    k = +-1, coefficient stacks (n, L, d) and G = z^(2p) + g1*z^p + g0
+    from :func:`~higgsflow.polys.euclid_modulus`.  Entry e of row i is one
+    row of an int64 buffer (entries, rows of the stack, L, 2d - 1) in
+    :func:`~higgsflow.polys.convolve_into`'s unreduced layout (the shifted
+    terms in its first d columns), and each product is one call for all
+    its rows; the buffers take as many rows of the stack at a time as
+    ``linalg.stack_slices`` allows.  The multiples of G are gathered in a
+    buffer of their own and added as three shifted copies, times g0, g1
+    and 1 coordinate by coordinate in that layout, and the buffer is
+    reduced mod p by one fold.  A product adds entries below L*d*p^2, the
     multiples of G below 6*d*p^2 and the shifted terms less than 4p, so an
     entry with two products stays inside int64 for every supported p.
     """
     p, d = ctx.p, ctx.d
-    g_rows = max(s + len(x) for e in entries for _, s, x in e[3])
-    rows = max([len(a) + len(b) - 1 for e in entries for _, a, b in e[1]]
-               + [s + len(x) for e in entries for _, s, x in e[2]] + [2 * p + g_rows])
-    buf = np.zeros((len(entries), rows, 2 * d - 1), np.int64)
-    over = np.zeros((len(entries), g_rows, d), np.int64)
-    for out, g_out, (_, products, shifted, over_g) in zip(buf, over, entries):
-        for k, a, b in products:
-            convolve_into(out, a, b, k)
-        for dst, terms in ((out[:, :d], shifted), (g_out, over_g)):
-            for k, s, x in terms:
-                if k > 0:
-                    dst[s:s + len(x)] += x
-                else:
-                    dst[s:s + len(x)] -= x
-    for k, gk in enumerate(euclid_modulus(ctx).tolist()):
-        for i in range(d):
-            for j, x in enumerate(gk):
-                if x:
-                    buf[:, k * p:k * p + g_rows, i + j] += x * over[..., i]
-    del over                    # freed before the reduction allocates its result
-    return ctx.fold(buf).any(axis=(1, 2))
+    g_rows = max(s + x.shape[1] for e in entries for _, s, x in e[3])
+    length = max([a.shape[1] + b.shape[1] - 1 for e in entries for _, a, b in e[1]]
+                 + [s + x.shape[1] for e in entries for _, s, x in e[2]] + [2 * p + g_rows])
+    g = euclid_modulus(ctx).tolist()
+    nonzero = np.empty((len(entries), n), bool)
+    # per row of the stack: the buffer, the multiples of G and the folded buffer
+    parts = stack_slices(n, len(entries) * (length * 3 * d + g_rows * d))
+    for part in parts:
+        rows = entries if len(parts) == 1 else [
+            (name, [(k, a[part], b[part]) for k, a, b in products],
+             [(k, s, x[part]) for k, s, x in shifted], [(k, s, x[part]) for k, s, x in over_g])
+            for name, products, shifted, over_g in entries]
+        buf = np.zeros((len(entries), len(range(n)[part]), length, 2 * d - 1), np.int64)
+        over = np.zeros(buf.shape[:2] + (g_rows, d), np.int64)
+        for out, g_out, (_, products, shifted, over_g) in zip(buf, over, rows):
+            for k, a, b in products:
+                convolve_into(out, a, b, k)
+            for dst, terms in ((out[..., :d], shifted), (g_out, over_g)):
+                for k, s, x in terms:
+                    if k > 0:
+                        dst[:, s:s + x.shape[1]] += x
+                    else:
+                        dst[:, s:s + x.shape[1]] -= x
+        for k, gk in enumerate(g):
+            for i in range(d):
+                for j, x in enumerate(gk):
+                    if x:
+                        buf[..., k * p:k * p + g_rows, i + j] += x * over[..., i]
+        del over                # freed before the reduction allocates its result
+        nonzero[:, part] = ctx.fold(buf).any(axis=(2, 3))
+    return nonzero.T
 
 
-def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> None:
+def check_certificate(m, cert) -> None:
     """Prove every certificate identity exactly, or name the first that fails.
 
-    With G = g(z^p) = (z-1)^(2p), P~ = P diag(z^p, 1),
+    m is one :class:`~higgsflow.cocycle.TransitionMatrix` and cert its
+    certificate; or m is a list of them, one field's stack, and cert a
+    list of as many certificates or a :class:`CertificateStack`.  With
+    G = g(z^p) = (z-1)^(2p), P~ = P diag(z^p, 1),
     Q~ = Q diag((z-1)^c, (z-1)^(2p-c)) and M~ = z^p (z-1)^p M =
     [[z^p G, 0], [A/u, z^p]] (see :class:`FactorizationCertificate` and
-    :class:`TransitionMatrix`), in order:
+    :class:`TransitionMatrix`), in order, for every row:
 
     * step-1: f*A + z^p*g = h*G;
     * Bezout: f*gamma' + g*beta' = G;
@@ -479,19 +601,24 @@ def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> No
 
     Step-1 and alpha read A from the cocycle, P*M*Q reads A/u from m.  Each
     polynomial identity (each entry of P*M*Q) is one signed sum of its own
-    products, shifts and multiples of G; the sums are accumulated side by
-    side and reduced once (:func:`_nonzero_entries`).  Ten general products
-    in all, and no polynomial object is built.  Raises
-    CertificateCheckFailed naming the identity.
+    products, shifts and multiples of G; the sums of every row of the
+    stack are accumulated side by side and reduced once
+    (:func:`_nonzero_entries`).  Ten general products in all, each one
+    call for the whole stack, and no polynomial object is built.  Raises
+    CertificateCheckFailed naming the identity and the first failing row;
+    its ``rows`` holds every failing row.
     """
-    ctx = m.cocycle.ctx
+    ms = [m] if isinstance(m, TransitionMatrix) else m
+    if not isinstance(cert, CertificateStack):
+        cert = CertificateStack.of([cert] if isinstance(cert, FactorizationCertificate) else cert)
+    ctx = ms[0].cocycle.ctx
     p = ctx.p
-    A, L = m.cocycle.A.v, m.lower_left.v
-    f, g, h = cert.f.v, cert.g.v, cert.h.v
-    beta, gamma, alpha = cert.beta_prime.v, cert.gamma_prime.v, cert.alpha.v
-    (p00, p01), (p10, p11) = ((x.v for x in row) for row in cert.P)
-    (q00, q01), (q10, q11) = ((x.v for x in row) for row in cert.Q)
-    one = np.array([ctx.one.vec], np.int64)
+    A, L = _coefficients([x.cocycle.A for x in ms]), _coefficients([x.lower_left for x in ms])
+    f, g, h = cert.f, cert.g, cert.h
+    beta, gamma, alpha = cert.beta_prime, cert.gamma_prime, cert.alpha
+    (p00, p01), (p10, p11) = cert.P
+    (q00, q01), (q10, q11) = cert.Q
+    one = np.full((len(ms), 1, ctx.d), ctx.one.vec, np.int64)
     # (name, products, shifted, multiples of G); P*M*Q is
     # M~ Q~ - G diag(z^p, 1) adj(P~) entry by entry, adj(P~) = [[p11, -p01], [-p10, p00]]
     entries = [
@@ -505,18 +632,25 @@ def check_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> No
         ("P*M*Q", [(1, L, q00)], [(1, p, q10)], [(1, 0, p10)]),
         ("P*M*Q", [(1, L, q01)], [(1, p, q11)], [(-1, 0, p00)]),
     ]
-    for (name, *_), nonzero in zip(entries, _nonzero_entries(ctx, entries)):
-        if nonzero:
-            _fail(f"certificate identity {name} does not hold")
     c = cert.c
-    bounds = ((f, c), (g, c), (q00, c), (q10, c),
-              (beta, 2 * p - c), (gamma, 2 * p - c), (q01, 2 * p - c), (q11, 2 * p - c))
-    if not (0 <= c <= p and all(len(x) <= bound + 1 for x, bound in bounds)):
-        _fail("certificate identity degree bounds does not hold")
+    in_bounds = (0 <= c) & (c <= p)
+    for bound, xs in ((c, (f, g, q00, q10)), (2 * p - c, (beta, gamma, q01, q11))):
+        least = bound.min() + 1
+        for x in xs:
+            if x.shape[1] > least:          # else every row is inside its bound
+                in_bounds &= _degrees(x) <= bound
+    nonzero = _nonzero_entries(ctx, len(ms), entries)
+    failing = ~in_bounds | nonzero.any(axis=1)
+    if failing.any():
+        rows = tuple(np.flatnonzero(failing).tolist())
+        name = ([e[0] for e in entries] + ["degree bounds"])[
+            np.append(nonzero[rows[0]], True).argmax()]
+        _fail(f"certificate identity {name} does not hold at row {rows[0]}", rows)
 
 
-def verify_certificate(m: TransitionMatrix, cert: FactorizationCertificate) -> bool:
-    """True when every identity of :func:`check_certificate` holds exactly."""
+def verify_certificate(m, cert) -> bool:
+    """True when every identity of :func:`check_certificate` holds exactly,
+    for one certificate or for every row of a stack."""
     try:
         check_certificate(m, cert)
     except CertificateCheckFailed:

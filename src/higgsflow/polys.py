@@ -21,10 +21,12 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (DivisionByZeroPoly, InternalDivisibilityFailure,
                      InternalInvariantFailure)
 from .fields import FieldElement, ReductionContext
+from .linalg import stack_slices
 
 NEG_INF = float("-inf")
 
@@ -193,14 +195,39 @@ def convolve_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, sign: int = 1) 
     sum over i + j = k of the integer convolutions of a's coordinate i
     with b's coordinate j: the x^k part before the context's fold.  An
     empty operand adds nothing.
+
+    a, b and out may also be stacks (s, n, d), (s, m, d) and (s, rows,
+    2d - 1), row i of out taking a[i]*b[i].  A stack of one is
+    ``np.convolve`` like a single product.  A larger stack takes one
+    windowed product per slice of ``linalg.stack_slices``: b, zero-padded
+    by n - 1 on each side, seen through a sliding window of n
+    coefficients, times a reversed, which puts every coordinate pair of
+    every row's product in one (s, n + m - 1, d, d) result.
     """
-    if not len(a) or not len(b):
+    la, lb = a.shape[-2], b.shape[-2]
+    if not la or not lb:
         return
-    n = len(a) + len(b) - 1
-    d = a.shape[1]
-    for i in range(d):
-        for j in range(d):
-            out[:n, i + j] += sign * np.convolve(a[:, i], b[:, j])
+    n = la + lb - 1
+    d = a.shape[-1]
+    if a.ndim == 2 or len(a) == 1:
+        if a.ndim == 3:
+            a, b, out = a[0], b[0], out[0]
+        for i in range(d):
+            for j in range(d):
+                out[:n, i + j] += sign * np.convolve(a[:, i], b[:, j])
+        return
+    for part in stack_slices(len(a), n * la * d):
+        pad = np.zeros((len(a[part]), lb + 2 * (la - 1), d), np.int64)
+        pad[:, la - 1:la - 1 + lb] = b[part]
+        # window k, coordinate j, place t holds b's coefficient k - (la - 1) + t
+        rows, step, col = pad.strides
+        windows = as_strided(pad, (len(pad), n, d, la), (rows, step, col, step), writeable=False)
+        prod = windows @ a[part, None, ::-1]
+        if sign < 0:
+            np.negative(prod, out=prod)
+        for i in range(d):
+            for j in range(d):
+                out[part, :n, i + j] += prod[..., j, i]
 
 
 def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -242,7 +269,7 @@ def euclid_modulus(ctx: ReductionContext) -> np.ndarray:
     return g
 
 
-def divrem_modulus(f: Poly) -> tuple[Poly, Poly]:
+def divrem_modulus(f, ctx: ReductionContext | None = None):
     """f = q*G + r with deg r < 2p, G = g(z^p), a block of p coefficients at a time.
 
     G = z^(2p) + g1*z^p + g0 (:func:`euclid_modulus`), so the top p
@@ -252,27 +279,38 @@ def divrem_modulus(f: Poly) -> tuple[Poly, Poly]:
     Those field products are coordinate by coordinate, against the block
     times 1, x, .., x^(d-1) (reduced mod p, like the block itself), so
     every entry receives at most two subtractions, each below d*p^2.
+
+    f is a :class:`Poly`, and q and r come back as polynomials; or f is a
+    stack (n, L, d) of coefficient arrays over ctx, entries in [0, p),
+    every row divided at once, and q (n, max(L - 2p, 0), d) and
+    r (n, min(L, 2p), d) come back as arrays.
     """
-    ctx = f.ctx
+    if isinstance(f, Poly):
+        ctx, v = f.ctx, f.v
+        if len(v) <= 2 * ctx.p:
+            return Poly.zero(ctx), f
+    else:
+        v = f
     p = ctx.p
-    hi = len(f.v)
-    if hi <= 2 * p:
-        return Poly.zero(ctx), f
+    hi = v.shape[-2]
     g0, g1 = euclid_modulus(ctx)[:2].tolist()
-    rem = f.v.copy()
-    q = np.zeros((hi - 2 * p, ctx.d), np.int64)
+    rem = v.copy()
+    q = np.zeros(v.shape[:-2] + (max(hi - 2 * p, 0), ctx.d), np.int64)
     while hi > 2 * p:
         lo = max(hi - p, 2 * p)
-        block = rem[lo:hi] % p
-        q[lo - 2 * p:hi - 2 * p] = block
+        block = rem[..., lo:hi, :] % p
+        q[..., lo - 2 * p:hi - 2 * p, :] = block
         multiples = [block] + [block @ ctx.basis_products[col] % p for col in range(1, ctx.d)]
         for c0, c1, m in zip(g0, g1, multiples):
             if c1:
-                rem[lo - p:hi - p] -= c1 * m
+                rem[..., lo - p:hi - p, :] -= c1 * m
             if c0:
-                rem[lo - 2 * p:hi - 2 * p] -= c0 * m
+                rem[..., lo - 2 * p:hi - 2 * p, :] -= c0 * m
         hi = lo
-    return Poly(ctx, q), Poly(ctx, rem[:2 * p] % p)
+    rem = rem[..., :2 * p, :] % p
+    if isinstance(f, Poly):
+        return Poly(ctx, q), Poly(ctx, rem)
+    return q, rem
 
 
 def poly_divexact(f: Poly, g: Poly) -> Poly:

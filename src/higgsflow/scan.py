@@ -7,7 +7,8 @@ beauville, enumerate or the method-agreement self-test.  It builds each
 row's cocycle once, from the characteristic-p² primitive, and every method
 reads that one cocycle.  It takes all the data a call has at one prime, and
 t and cech each eliminate all of their rows together; birkhoff runs step 1
-on all of them in lockstep when there are enough, and step 2 per row.
+on all of them in lockstep, and step 2 and its check on all of them at
+once, when there are enough.
 Scans and catalog sweeps hand their (minpoly, prime) tasks to one runner,
 serial or one process pool, and sort the rows once before emission, so the
 output never depends on scheduling.  Catalog entries that share a
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from . import __version__, factorization
 from .cocycle import build_A_closed, build_A_primitive, build_transition
 from .criterion import det_T0_in_lam1, splittings_from_T, t_r_first_mismatch
-from .errors import InvalidRange, MethodUnavailable
+from .errors import CertificateCheckFailed, InvalidRange, MethodUnavailable
 from .factorization import (assemble_certificate, factorization_certificate,
                             splitting_from_birkhoff, verify_certificate)
 from .fields import (WittParameter, WittRingElement, check_residue, is_prime,
@@ -120,6 +121,11 @@ def _check_methods(methods, max_p: int) -> tuple[str, ...]:
     return out
 
 
+def _note_row(exc: Exception, item: tuple[str, ReductionDatum]) -> None:
+    label, datum = item
+    exc.add_note(f"in the certificate of lambda {label} at p={datum.p}, place {datum.place}")
+
+
 def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[ScanRow]:
     """One row per (label, datum) of items, in order.
 
@@ -127,18 +133,19 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
     divisibility check runs on every row, and every method reads it.  The
     t method and the cech oracle each take every good datum at once, one
     stacked elimination per field, since their matrices at one (p, d)
-    share their shapes.  Birkhoff step 1 takes a field's stack at once
-    too, one lockstep Euclid, when it has at least ``BIRKHOFF_STACK_MIN``
-    rows, and a smaller stack runs it per row; step 2 runs per row, and
-    only birkhoff builds the gluing matrix.  A row's time is read when it
-    is built, so the cocycles and the stacked work land on the first row
-    built after them.  Step 1 and step 2 are called through the
+    share their shapes.  Birkhoff takes a field's stack at once too, when
+    it has at least ``BIRKHOFF_STACK_MIN`` rows: step 1 in one lockstep
+    Euclid, step 2 and its certificate check on the whole stack's arrays.
+    A smaller stack runs both per row.  Only birkhoff builds the gluing
+    matrix.  A certificate that fails its check raises with a note naming
+    its row's label, p and place.  A row's time is read when it is built,
+    so the cocycles and the stacked work land on the first row built
+    after them.  Step 1 and step 2 are called through the
     ``factorization`` module, where ``perfbench/hooks.py`` wraps them.
     """
     values: dict[int, dict] = {}
     cocycles = {}
     by_field: dict = {}
-    step1 = {}
     for i, (_, datum) in enumerate(items):
         if not datum.is_bad:
             values[i] = {}
@@ -154,7 +161,14 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
             for i, st in zip(rows, splittings_from_cech(stack)):
                 values[i]["n_cech"] = st.n
         if "birkhoff" in methods and len(rows) >= BIRKHOFF_STACK_MIN:
-            step1.update(zip(rows, factorization.birkhoff_step1(ctx, [c.A for c in stack])))
+            try:
+                step1 = factorization.birkhoff_step1(ctx, [c.A for c in stack])
+                certs = factorization.birkhoff_step2(ctx, stack, *zip(*step1))
+            except CertificateCheckFailed as exc:
+                _note_row(exc, items[rows[exc.rows[0]]])
+                raise
+            for i, cert in zip(rows, certs):
+                values[i]["n_birkhoff"] = cert.n
     out = []
     for i, (label, datum) in enumerate(items):
         if datum.is_bad:
@@ -163,12 +177,12 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
             continue
         row = values[i]
         wp = datum.witt
-        if i in step1:
-            cocycle = cocycles[i]
-            row["n_birkhoff"] = factorization.birkhoff_step2(
-                cocycle.ctx, cocycle, *step1[i]).n
-        elif "birkhoff" in methods:
-            row["n_birkhoff"] = splitting_from_birkhoff(cocycles[i]).n
+        if "birkhoff" in methods and "n_birkhoff" not in row:
+            try:
+                row["n_birkhoff"] = splitting_from_birkhoff(cocycles[i]).n
+            except CertificateCheckFailed as exc:
+                _note_row(exc, items[i])
+                raise
         present = list(row.values())
         agree = len(set(present)) == 1
         out.append(ScanRow(lambda_label=label, p=datum.p, place=datum.place, d=datum.d,

@@ -5,12 +5,12 @@ from collections import Counter
 
 import pytest
 
-from higgsflow import factorization
+from higgsflow import factorization, polys
 from higgsflow.cocycle import build_A_closed, build_A_primitive, build_transition
 from higgsflow.criterion import splitting_from_T, t_submatrix, build_T
 from higgsflow.errors import CertificateCheckFailed, DegreeTooLarge
-from higgsflow.factorization import (assemble_certificate, birkhoff_step1, birkhoff_step2,
-                                     check_certificate, euclid_rows,
+from higgsflow.factorization import (CertificateStack, assemble_certificate, birkhoff_step1,
+                                     birkhoff_step2, check_certificate, euclid_rows,
                                      factorization_certificate, splitting_from_birkhoff,
                                      verify_certificate)
 from higgsflow.fields import make_context, witt_compose, witt_decompose
@@ -540,13 +540,99 @@ def test_check_builds_no_polynomial_and_makes_ten_products(monkeypatch, p, d):
     assert len(built) == 0 and len(products) == 10
 
 
+def _stack_case(p, d, count=None):
+    """Cocycles of one field's stack: every lift of enumerate p at d = 1,
+    the first count lifts at d = 2."""
+    ctx = make_context(p, d)
+    if d == 1:
+        lifts = [witt_compose(ctx.f_from_int(a), ctx.f_from_int(b))
+                 for a in range(2, p) for b in range(p)]
+    else:
+        lifts = _lifts(ctx)[:count]
+    return ctx, [build_A_primitive(ctx, w) for w in lifts]
+
+
+CERTIFICATE_FIELDS = ("f", "g", "h", "c", "n", "beta_prime", "gamma_prime", "alpha", "P", "Q")
+
+
+@pytest.mark.parametrize("p, d, count", [(7, 1, None), (3, 2, None), (5, 2, 40)])
+def test_stacked_step2_equals_step2_per_row(p, d, count):
+    # every row of enumerate 7, and d = 2 stacks at the inert primes 3 and
+    # 5: the stacked step 2 hands back, field by field, the certificate
+    # that a stack of one gives
+    ctx, cocycles = _stack_case(p, d, count)
+    step1 = birkhoff_step1(ctx, [co.A for co in cocycles])
+    stacked = birkhoff_step2(ctx, cocycles, *zip(*step1))
+    assert len(stacked) == len(cocycles) >= 6
+    for co, row, cert in zip(cocycles, step1, stacked):
+        alone = birkhoff_step2(ctx, co, *row)
+        for name in CERTIFICATE_FIELDS:
+            assert getattr(cert, name) == getattr(alone, name), name
+    # every stack holds rows whose gamma' was reduced mod g, and rows with c = p
+    assert any(cert.g.degree > cert.f.degree for cert in stacked)
+    assert any(cert.c == p for cert in stacked)
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["one-slice", "slices-of-2"])
+@pytest.mark.parametrize("p, d, count", [(5, 1, None), (3, 2, 8)])
+def test_stacked_check_rejects_only_the_tampered_row(monkeypatch, p, d, count, sliced):
+    # each tamper on one row of a stack: the stacked check names that row,
+    # and no other, and the identity check_certificate names for it alone;
+    # also with the check's buffers and the windowed products cut into
+    # slices of two rows, as linalg.stack_slices cuts a large stack
+    if sliced:
+        def pairs(count, residues):
+            return [slice(lo, min(lo + 2, count)) for lo in range(0, count, 2)]
+        monkeypatch.setattr(factorization, "stack_slices", pairs)
+        monkeypatch.setattr(polys, "stack_slices", pairs)
+    ctx, cocycles = _stack_case(p, d, count)
+    ms = [build_transition(co) for co in cocycles]
+    certs = [factorization_certificate(co) for co in cocycles]
+    assert verify_certificate(ms, certs) and len(certs) >= 6
+    for k in (0, len(certs) // 2, len(certs) - 1):
+        for name, (bad_m, bad) in _tampered(ms[k], certs[k]).items():
+            with pytest.raises(CertificateCheckFailed) as alone:
+                check_certificate(bad_m, bad)
+            identity = str(alone.value).split(" does not hold")[0]
+            with pytest.raises(CertificateCheckFailed) as err:
+                check_certificate(ms[:k] + [bad_m] + ms[k + 1:],
+                                  certs[:k] + [bad] + certs[k + 1:])
+            assert err.value.rows == (k,), name
+            assert str(err.value) == f"{identity} does not hold at row {k}", name
+
+
+@pytest.mark.parametrize("p, d, count", [(7, 1, None), (3, 2, 8)])
+def test_stacked_check_builds_no_polynomial_and_makes_ten_products(monkeypatch, p, d, count):
+    # a stack of certificates is proved by ten products in all, each one
+    # convolve_into call for every row
+    ctx, cocycles = _stack_case(p, d, count)
+    ms = [build_transition(co) for co in cocycles]
+    stack = CertificateStack.of([factorization_certificate(co) for co in cocycles])
+    assert len(ms) >= 6
+    built, products = [], []
+    init, convolve = Poly.__init__, factorization.convolve_into
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_convolve(*args):
+        products.append(1)
+        convolve(*args)
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(factorization, "convolve_into", counted_convolve)
+    check_certificate(ms, stack)
+    assert len(built) == 0 and len(products) == 10
+
+
 def test_step2_names_the_identity_its_certificate_breaks(monkeypatch):
     # every construction invariant holds against a wrong M; only the final check sees it
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
     m = build_transition(co)
     wrong = dataclasses.replace(m, lower_left=m.lower_left + Poly.one(ctx))
-    monkeypatch.setattr(factorization, "build_transition", lambda cocycle: wrong)
+    monkeypatch.setattr(factorization, "build_transition", lambda cocycle, unit_inverse=None: wrong)
     with pytest.raises(CertificateCheckFailed, match=r"identity P\*M\*Q does not hold"):
         birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
 

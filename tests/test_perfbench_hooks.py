@@ -38,6 +38,29 @@ def test_every_traced_name_resolves():
     assert not missing
 
 
+def test_stacked_birkhoff_is_reached_through_its_traced_names(monkeypatch):
+    # the tracer times step 2 and the certificate check as
+    # factorization.step2 and factorization.verify by wrapping these module
+    # attributes; a stacked run must call them there, or both read 0
+    from collections import Counter
+
+    from higgsflow import factorization
+    from higgsflow.scan import run_enumerate
+
+    calls = Counter()
+    for name in ("birkhoff_step2", "verify_certificate"):
+        fn = getattr(factorization, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(factorization, name, counted)
+    report = run_enumerate(5, ("t", "birkhoff"))
+    assert len(report.rows) == 15
+    assert calls == {"birkhoff_step2": 1, "verify_certificate": 1}
+
+
 def _unused_imports(path: Path) -> set[str]:
     """Names a module imports at module level and never references."""
     tree = ast.parse(path.read_text())

@@ -1,12 +1,14 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from higgsflow import criterion, factorization, scan, sections
-from higgsflow.errors import InvalidRange, MethodUnavailable
+from higgsflow.errors import CertificateCheckFailed, InvalidRange, MethodUnavailable
 from higgsflow.fields import make_context, witt_compose, witt_decompose
 from higgsflow.lambdas import ReductionDatum, beauville_catalog, parse_lambda_spec
+from higgsflow.polys import Poly
 from higgsflow.scan import (CSV_COLUMNS, run_enumerate, run_scan, run_selftest,
                             run_verify_beauville)
 
@@ -133,19 +135,27 @@ def test_one_cocycle_and_one_transition_per_row(monkeypatch):
 
 
 def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
-    # enumerate 5's 15 rows share one field: one lockstep step-1 call for
-    # all of them; every catalog task is below the crossover and runs step 1
-    # per row; step 2 and the gluing matrix stay per row either way
+    # enumerate 5's 15 rows share one field: one lockstep step-1 call and
+    # one stacked step-2 call for all of them, and the gluing matrix per
+    # row; every catalog task is below the crossover and runs both steps
+    # per row
     calls = Counter()
     stacks = []
-    step1 = factorization.birkhoff_step1
+    step1, step2 = factorization.birkhoff_step1, factorization.birkhoff_step2
 
-    def spy(ctx, A):
+    def spy1(ctx, A):
         if isinstance(A, list):
-            stacks.append(len(A))
+            stacks.append(("step1", len(A)))
         else:
             calls["step1 per row"] += 1
         return step1(ctx, A)
+
+    def spy2(ctx, cocycle, *rest):
+        if isinstance(cocycle, list):
+            stacks.append(("step2", len(cocycle)))
+        else:
+            calls["step2 per row"] += 1
+        return step2(ctx, cocycle, *rest)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -153,13 +163,14 @@ def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(factorization, "birkhoff_step1", spy)
-    for name in ("birkhoff_step2", "build_transition"):
-        monkeypatch.setattr(factorization, name, counting(name, getattr(factorization, name)))
+    monkeypatch.setattr(factorization, "birkhoff_step1", spy1)
+    monkeypatch.setattr(factorization, "birkhoff_step2", spy2)
+    monkeypatch.setattr(factorization, "build_transition",
+                        counting("build_transition", factorization.build_transition))
     report = run_enumerate(5, methods=("t", "birkhoff"))
     assert len(report.rows) == 15 >= scan.BIRKHOFF_STACK_MIN
-    assert stacks == [15]
-    assert calls == {"birkhoff_step2": 15, "build_transition": 15}
+    assert stacks == [("step1", 15), ("step2", 15)]
+    assert calls == {"build_transition": 15}
     calls.clear()
     stacks.clear()
     report = run_verify_beauville((5, 7), methods=("t", "birkhoff"))
@@ -170,32 +181,63 @@ def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
     computed = sum(1 for r in report.rows if r.bad_reason is None
                    and r.lambda_label in set(first_labels.values()))
     assert stacks == []
-    assert calls == {"step1 per row": computed, "birkhoff_step2": computed,
+    assert calls == {"step1 per row": computed, "step2 per row": computed,
                      "build_transition": computed}
+
+
+def test_failed_certificate_names_its_row(monkeypatch):
+    # one row of enumerate 5's stack gets a wrong gluing matrix: the stacked
+    # check names the identity and the row's place in the stack, and
+    # _rows_from_data notes that row's label, p and place
+    build = factorization.build_transition
+    made = []
+
+    def wrong_eighth(cocycle, unit_inverse=None):
+        m = build(cocycle, unit_inverse)
+        made.append(1)
+        if len(made) == 8:
+            return replace(m, lower_left=m.lower_left + Poly.one(cocycle.ctx))
+        return m
+
+    monkeypatch.setattr(factorization, "build_transition", wrong_eighth)
+    with pytest.raises(CertificateCheckFailed) as err:
+        run_enumerate(5, methods=("t", "birkhoff"))
+    assert str(err.value) == "certificate identity P*M*Q does not hold at row 7"
+    assert err.value.rows == (7,)
+    # row 7 of lam0 in 2..4, lam1 in 0..4 is lam0 = 3, lam1 = 2
+    assert err.value.__notes__ == ["in the certificate of lambda 3;2 at p=5, place 0"]
 
 
 @pytest.mark.parametrize("p, d", [(7, 1), (3, 2)])
 def test_birkhoff_rows_agree_across_the_crossover(monkeypatch, p, d):
-    # a field's stack gives the same rows and the same step-1 outputs in
-    # lockstep and row by row
+    # a field's stack gives the same rows, step-1 outputs and certificates
+    # when both steps run on the whole stack and when they run row by row
     ctx = make_context(p, d)
     items = [("x", ReductionDatum(p=p, place=0, d=d, witt=witt_decompose(w)))
              for w in ctx.witt_elements()
              if not (w.residue().is_zero() or w.residue() == ctx.one)]
     step2 = factorization.birkhoff_step2
-    seen = []
+    seen, certs = [], []
 
     def spy(ctx, cocycle, *step1):
-        seen.append(step1)
-        return step2(ctx, cocycle, *step1)
+        out = step2(ctx, cocycle, *step1)
+        if isinstance(cocycle, list):
+            seen.extend(zip(*step1))
+            certs.extend(out)
+        else:
+            seen.append(step1)
+            certs.append(out)
+        return out
 
     monkeypatch.setattr(factorization, "birkhoff_step2", spy)
     runs = []
     for crossover in (len(items), len(items) + 1):
         monkeypatch.setattr(scan, "BIRKHOFF_STACK_MIN", crossover)
         seen.clear()
-        runs.append((scan._rows_from_data(items, ("t", "birkhoff")), list(seen)))
+        certs.clear()
+        runs.append((scan._rows_from_data(items, ("t", "birkhoff")), list(seen), list(certs)))
     assert runs[0] == runs[1]
+    assert len(runs[0][2]) == len(items)
     assert all(r.agree for r in runs[0][0])
 
 
