@@ -99,15 +99,11 @@ class FactorizationCertificate:
     Q: tuple
 
 
-def _fail(msg: str, rows: tuple = (0,)):
-    raise CertificateCheckFailed(msg, rows)
-
-
 def _fail_rows(bad, msg: str) -> None:
     """Fail naming the first row of the stack where bad holds, if any does."""
     if any(bad):
         rows = tuple(i for i, x in enumerate(bad) if x)
-        _fail(f"{msg} at row {rows[0]}", rows)
+        raise CertificateCheckFailed(f"{msg} at row {rows[0]}", rows)
 
 
 def _deg(f: Poly) -> int:
@@ -642,10 +638,9 @@ def check_certificate(m, cert) -> None:
     nonzero = _nonzero_entries(ctx, len(ms), entries)
     failing = ~in_bounds | nonzero.any(axis=1)
     if failing.any():
-        rows = tuple(np.flatnonzero(failing).tolist())
         name = ([e[0] for e in entries] + ["degree bounds"])[
-            np.append(nonzero[rows[0]], True).argmax()]
-        _fail(f"certificate identity {name} does not hold at row {rows[0]}", rows)
+            np.append(nonzero[failing.argmax()], True).argmax()]
+        _fail_rows(failing.tolist(), f"certificate identity {name} does not hold")
 
 
 def verify_certificate(m, cert) -> bool:
