@@ -146,9 +146,9 @@ def _quotient_one(ctx: ReductionContext, e0: np.ndarray, e1: np.ndarray,
     terms: coordinate c of the coefficient of z^s, where it is nonzero.
     e0 and e1 are the row's two (2, L, d) Euclid rows, r on t."""
     k = n0 - n1
-    inv = ctx.finv(tuple(e1[0, n1].tolist()))
-    head = [tuple(x) for x in e0[0, n0 - k:n0 + 1][::-1].tolist()]
-    div = [tuple(x) for x in e1[0, max(n1 - k, 0):n1 + 1][::-1].tolist()]
+    inv = ctx.finv(e1[0, n1].tolist())
+    head = e0[0, n0 - k:n0 + 1][::-1].tolist()
+    div = e1[0, max(n1 - k, 0):n1 + 1][::-1].tolist()
     q = [None] * (k + 1)                # q[i]: coefficient of z^i
     for i in range(k + 1):
         c = head[i]
@@ -338,7 +338,7 @@ def birkhoff_step1(ctx: ReductionContext, A):
     if any(x.degree > 2 * p - 1 for x in stack):
         raise DegreeTooLarge("step 1 requires deg A <= 2p-1")
     rows = euclid_modulus(ctx)
-    g0, g1 = (tuple(x) for x in rows[:2].tolist())
+    g0, g1 = rows[:2].tolist()
     minus_inv_g0 = ctx.fneg(ctx.finv(g0))
     times_low, times_high = ctx.mul_matrix([ctx.fmul(minus_inv_g0, g1), minus_inv_g0])
     a = _coefficients(stack, 2 * p)
@@ -353,7 +353,7 @@ def birkhoff_step1(ctx: ReductionContext, A):
     # 2p - deg r_(j-1) = 2p - deg gamma', deg beta' < deg f and deg g < p
     deg_f = 2 * p - n0
     if table is None:
-        lead = tuple(t1[0, deg_f[0]].tolist())
+        lead = t1[0, deg_f[0]].tolist()
         inv = ctx.finv(lead)
         times = ctx.mul_matrix([[inv, ctx.fneg(inv), ctx.fneg(lead) if steps[0] % 2 else lead]])
     else:
@@ -391,7 +391,7 @@ def _frames(ctx: ReductionContext, units: np.ndarray, beta: np.ndarray, h: np.nd
     if len(units) > 1:
         inv = ctx.finv_stack(units, ctx.finv_table())
     else:
-        inv = np.array([ctx.finv(tuple(units[0].tolist()))], np.int64)
+        inv = np.array([ctx.finv(units[0].tolist())], np.int64)
     times = ctx.mul_matrix(np.stack([units, -units, -inv, inv], 1))
     return inv, [x @ times[:, k] % ctx.p for k, x in enumerate((beta, beta, h, g))]
 

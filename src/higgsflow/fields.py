@@ -11,17 +11,18 @@ convention of :func:`witt_decompose`.
 
 The modulus settles the rest in closed form.  The Frobenius of F_q and its
 lift to the Galois ring both send x to -x (:func:`_frobenius`), so each
-is an involution; the inverse is the conjugate over the norm; the
-Teichmueller lift of a is the q-th power of any lift of a.
+is an involution; the product and the inverse, the conjugate over the
+norm, are two-line formulas (:func:`_vec_ops`); the Teichmueller lift of a
+is the q-th power of any lift of a.
 
 An element is stored as its coefficient "vec", a length-d tuple of ints
 at every d, d = 1 included; a sequence of elements (polynomial
 coefficients, matrix entries) is an int64 array whose trailing axis has
-length d.  One reduction table per modulus multiplies both.  The wrapper
-classes :class:`FieldElement` and :class:`WittRingElement` share one set
-of operators on top of the vec layer.  A context is rebuilt on every
-:func:`make_context` call, no cache holds it, and contexts compare by
-(p, d).
+length d.  Tuples use the closed forms; arrays use the reduction table
+of x^d .. x^(2d-2) mod p.  The wrapper classes :class:`FieldElement` and
+:class:`WittRingElement` share one set of operators on top of the vec
+layer.  A context is rebuilt on every :func:`make_context` call, no cache
+holds it, and contexts compare by (p, d).
 """
 
 from __future__ import annotations
@@ -91,43 +92,53 @@ def _frobenius(a: tuple, mod: int) -> tuple:
 
 
 def _reduction_table(modulus: tuple[int, ...], mod: int) -> np.ndarray:
-    """x^d .. x^(2d-2) reduced by the monic modulus, mod `mod`: shape (d-1, d)."""
+    """x^d .. x^(2d-2) reduced by the monic modulus, mod `mod`: shape (d-1, d).
+
+    At d <= 2 the one row is x^2 = -c0 - c1 x, at d = 2; d = 1 has none.
+    """
     d = len(modulus) - 1
-    cur = [(-c) % mod for c in modulus[:d]]  # x^d
-    rows = []
-    for _ in range(d - 1):
-        rows.append(cur)
-        top = cur[-1]
-        cur = [(low + top * r) % mod for low, r in zip([0] + cur[:-1], rows[0])]
-    return np.array(rows, np.int64).reshape(d - 1, d)
+    return np.array([[-c % mod for c in modulus[:d]]] * (d - 1), np.int64).reshape(d - 1, d)
 
 
-def _vec_ops(mod: int, red: list[list[int]]):
-    """add, sub, neg, mul on length-d int tuples mod `mod`, reducing by `red`."""
-    d = len(red) + 1
+def _vec_ops(modulus: tuple[int, ...], p: int, mod: int):
+    """add, sub, neg, mul, inv on length-d vecs mod `mod` (p or p²), in
+    closed form from the modulus.
 
-    def add(a, b):
-        return tuple([(x + y) % mod for x, y in zip(a, b)])
+    At x (d = 1) a vec is one residue.  At x^2 + c0 (d = 2, c1 = 0 by
+    :func:`_find_modulus`), (a0 + a1 x)(b0 + b1 x) = (a0 b0 - c0 a1 b1) +
+    (a0 b1 + a1 b0) x, and the inverse is the conjugate a0 - a1 x (the
+    Frobenius of either ring) over the norm a0^2 + c0 a1^2, which lies in
+    Z/mod; a is a unit exactly when p does not divide its norm.  Operands
+    are any length-d sequences of Python ints, reduced or not; numpy ints
+    would wrap, since c0 a1 b1 reaches p^6 mod p².
+    """
+    what = ("inverse of zero field element" if mod == p
+            else "element not invertible in the Witt ring")
 
-    def sub(a, b):
-        return tuple([(x - y) % mod for x, y in zip(a, b)])
+    def inverse(norm: int) -> int:
+        if norm % p == 0:
+            raise ZeroDivisionError(what)
+        return pow(norm, -1, mod)
 
-    def neg(a):
-        return tuple([-x % mod for x in a])
+    if len(modulus) == 2:
+        return (lambda a, b: ((a[0] + b[0]) % mod,), lambda a, b: ((a[0] - b[0]) % mod,),
+                lambda a: (-a[0] % mod,), lambda a, b: (a[0] * b[0] % mod,),
+                lambda a: (inverse(a[0]),))
+    c0 = modulus[0]
 
     def mul(a, b):
-        t = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    t[i + j] += ai * bj
-        for k, row in enumerate(red, d):
-            if t[k]:
-                for j, r in enumerate(row):
-                    t[j] += t[k] * r
-        return tuple([x % mod for x in t[:d]])
+        a0, a1 = a
+        b0, b1 = b
+        return (a0 * b0 - c0 * a1 * b1) % mod, (a0 * b1 + a1 * b0) % mod
 
-    return add, sub, neg, mul
+    def inv(a):
+        a0, a1 = a
+        s = inverse(a0 * a0 + c0 * a1 * a1)
+        return a0 * s % mod, -a1 * s % mod
+
+    return (lambda a, b: ((a[0] + b[0]) % mod, (a[1] + b[1]) % mod),
+            lambda a, b: ((a[0] - b[0]) % mod, (a[1] - b[1]) % mod),
+            lambda a: (-a[0] % mod, -a[1] % mod), mul, inv)
 
 
 def _power(mul, one, a, e: int):
@@ -147,11 +158,12 @@ def _power(mul, one, a, e: int):
 class ReductionContext:
     """A prime p >= 3, extension degree d in {1, 2}, and the rings they induce.
 
-    Holds the fixed modulus (lifted to mod p²) and the one multiplication
-    rule it induces, the reduction table of x^d .. x^(2d-2) mod p and mod
-    p².  The tuple closures for F_q and the Galois ring, the array fold of
-    polynomial products and the basis products behind matrix blow-ups all
-    read that table.
+    Holds the fixed modulus (lifted to mod p²) and the scalar closures it
+    induces, in closed form (:func:`_vec_ops`): add, sub, neg, mul and inv
+    on vecs, for F_q (f*) and for the Galois ring (w*).  The array side,
+    the fold of polynomial products, the basis products behind matrix
+    blow-ups and :meth:`mul_matrix`, reads the reduction table of
+    x^d .. x^(2d-2) mod p.
     """
 
     def __init__(self, p: int, d: int):
@@ -168,10 +180,10 @@ class ReductionContext:
         self.q = p ** d
         self.p2 = p * p
         self.modulus = _find_modulus(p, d)  # monic, length d+1, entries mod p
+        self.fadd, self.fsub, self.fneg, self.fmul, self.finv = _vec_ops(self.modulus, p, p)
+        self.wadd, self.wsub, self.wneg, self.wmul, self.winv = _vec_ops(
+            self.modulus, p, self.p2)
         red_p = _reduction_table(self.modulus, p)
-        self.fadd, self.fsub, self.fneg, self.fmul = _vec_ops(p, red_p.tolist())
-        self.wadd, self.wsub, self.wneg, self.wmul = _vec_ops(
-            self.p2, _reduction_table(self.modulus, self.p2).tolist())
         # row k of the fold matrix is x^k reduced, k < 2d-1
         self.fold_matrix = np.concatenate([np.eye(d, dtype=np.int64), red_p])
         # basis_products[i, k] holds x^(i+k) reduced: the regular representation
@@ -208,38 +220,17 @@ class ReductionContext:
     def wpow(self, a, e: int):
         return _power(self.wmul, self.w_from_int(1).vec, a, e)
 
-    def finv(self, a):
-        """a^-1 = ā / N(a): the conjugate ā = a^p over the norm N(a) = a ā.
-
-        N(a) is fixed by the Frobenius, an involution, so it lies in F_p; at
-        d = 1, ā = a and N(a) = a^2.
-        """
-        if self.f_is_zero(a):
-            raise ZeroDivisionError("inverse of zero field element")
-        b = _frobenius(a, self.p)
-        s = pow(self.fmul(a, b)[0], -1, self.p)
-        return tuple([x * s % self.p for x in b])
-
     def finv_table(self) -> np.ndarray:
         """x^-1 mod p for x in 0..p-1, 0 for 0; built on every call."""
         return np.array([0] + [pow(x, -1, self.p) for x in range(1, self.p)], np.int64)
 
     def finv_stack(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """:meth:`finv` of every vec of a stack (n, d), 0 for 0, the norms
+        """``finv`` of every vec of a stack (n, d), 0 for 0, the norms
         inverted through ``table`` (:meth:`finv_table`)."""
         conj = a.copy()
         conj[:, 1:] = -conj[:, 1:] % self.p     # the Frobenius of _frobenius
         norm = (a[:, None] @ self.mul_matrix(conj))[:, 0, 0] % self.p
         return conj * table[norm][:, None] % self.p
-
-    def winv(self, a):
-        res = self.w_residue(a)
-        if self.f_is_zero(res):
-            raise ZeroDivisionError("element not invertible in the Witt ring")
-        y = self.finv(res)
-        two = self.w_from_int(2).vec
-        # one Newton step lifts an inverse mod p to an inverse mod p²
-        return self.wmul(y, self.wsub(two, self.wmul(a, y)))
 
     # -- conversions ---------------------------------------------------------
 

@@ -428,7 +428,7 @@ def _fq_echelon(ctx: ReductionContext, arr: np.ndarray):
         if nz[0]:
             m[[r, r + nz[0]]] = m[[r + nz[0], r]]
             det = ctx.fneg(det)
-        pivot = tuple(m[r, c].tolist())
+        pivot = m[r, c].tolist()
         det = ctx.fmul(det, pivot)
         m[r] = m[r] @ ctx.mul_matrix(ctx.finv(pivot)) % p
         mult = m[:, c].copy()

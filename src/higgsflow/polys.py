@@ -246,7 +246,7 @@ def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     n, m = len(f.v), len(g.v)
     if n < m:
         return Poly.zero(ctx), f
-    inv_lead = ctx.mul_matrix(ctx.finv(tuple(g.v[-1].tolist())))
+    inv_lead = ctx.mul_matrix(ctx.finv(g.v[-1].tolist()))
     gx = (g.v @ ctx.basis_products % p).reshape(d, m * d)  # row i: x^i * g
     rem = f.v.ravel().copy()
     q = np.zeros((n - m + 1, d), np.int64)

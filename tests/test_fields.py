@@ -1,11 +1,15 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from field_reference import reduction_table, vec_ops
 from higgsflow.errors import DegreeOutOfRange, EvenPrime, ForbiddenResidue, NotPrime
-from higgsflow.fields import (frobenius_w2, is_prime, make_context, teichmuller,
-                              witt_compose, witt_decompose)
+from higgsflow.fields import (_reduction_table, frobenius_w2, is_prime, make_context,
+                              teichmuller, witt_compose, witt_decompose)
 from higgsflow.lambdas import _sqrt_mod_p
 from higgsflow.linalg import FqMatrix
 from higgsflow.polys import Poly
@@ -222,3 +226,102 @@ def test_field_sqrt():
     for p in [p for p in range(3, 200, 2) if is_prime(p)] + [257, 7681]:
         for a in {x * x % p for x in range(1, p)}:
             assert _sqrt_mod_p(a, p) ** 2 % p == a, (p, a)
+
+
+def _closures(ctx, mod):
+    """The context's add, sub, neg, mul on vecs mod p or mod p²."""
+    ring = "f" if mod == ctx.p else "w"
+    return [getattr(ctx, ring + op) for op in ("add", "sub", "neg", "mul")]
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_closed_forms_equal_the_table_reference_on_every_pair(p, d):
+    ctx = make_context(p, d)
+    assert _reduction_table(ctx.modulus, p).tolist() == reduction_table(ctx.modulus, p)
+    for mod in (p, p * p):
+        ops, ref = _closures(ctx, mod), vec_ops(ctx.modulus, mod)
+        elems = list(itertools.product(range(mod), repeat=d))
+        # 2401² ring pairs at p = 7, d = 2 would take about 20 s: pair every
+        # element with a fixed sample of 100 there
+        others = random.Random(p).sample(elems, 100) if len(elems) > 1000 else elems
+        for f, g in zip(ops[:2] + ops[3:], ref[:2] + ref[3:]):
+            assert [f(a, b) for a in elems for b in others] == [
+                g(a, b) for a in elems for b in others]
+        assert [ops[2](a) for a in elems] == [ref[2](a) for a in elems]
+    # the tuple side and the array side, which reads the reduction table
+    field = np.array(list(itertools.product(range(p), repeat=d)), np.int64)
+    for b in field.tolist():
+        assert (field @ ctx.mul_matrix(b) % p).tolist() == [
+            list(ctx.fmul(a, b)) for a in field.tolist()]
+
+
+_PRIMES = [p for p in range(3, 9974, 2) if is_prime(p)]
+
+
+@st.composite
+def _unreduced_pair(draw):
+    """(ctx, a, b): a context at a prime up to 9973 and two unreduced vecs,
+    negative coordinates included."""
+    p, d = draw(st.sampled_from(_PRIMES)), draw(st.sampled_from([1, 2]))
+    coord = st.integers(-p ** 3, p ** 3)
+    return (make_context(p, d), tuple(draw(st.lists(coord, min_size=d, max_size=d))),
+            tuple(draw(st.lists(coord, min_size=d, max_size=d))))
+
+
+@given(_unreduced_pair())
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_equal_the_table_reference_on_unreduced_operands(pair):
+    ctx, a, b = pair
+    p = ctx.p
+    for mod in (p, p * p):
+        ops, ref = _closures(ctx, mod), vec_ops(ctx.modulus, mod)
+        for f, g in zip(ops[:2] + ops[3:], ref[:2] + ref[3:]):
+            assert f(a, b) == g(a, b)
+        assert ops[2](a) == ref[2](a)
+    ra, rb = [x % p for x in a], [x % p for x in b]
+    assert list(ctx.fmul(a, b)) == (np.array(ra) @ ctx.mul_matrix(rb) % p).tolist()
+    if any(ra):
+        assert ctx.fmul(a, ctx.finv(a)) == ctx.one.vec
+        assert ctx.wmul(a, ctx.winv(a)) == ctx.w_from_int(1).vec
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (7, 1), (7, 2)])
+def test_inverses_of_every_unit(p, d):
+    ctx = make_context(p, d)
+    one = ctx.w_from_int(1).vec
+    for w in ctx.witt_elements():
+        if any(ctx.w_residue(w.vec)):
+            assert ctx.wmul(w.vec, ctx.winv(w.vec)) == one
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ctx.winv(w.vec)
+
+
+@pytest.mark.parametrize("d,zeros", [(1, [(0,), (7,), (14,), (-7,)]),
+                                     (2, [(0, 0), (7, 0), (0, 7), (14, -21)])])
+def test_inverse_of_an_unreduced_zero_raises_zero_division(d, zeros):
+    ctx = make_context(7, d)
+    for z in zeros:
+        with pytest.raises(ZeroDivisionError, match="zero field element"):
+            ctx.finv(z)
+        with pytest.raises(ZeroDivisionError, match="not invertible in the Witt ring"):
+            ctx.winv(z)
+
+
+def test_ring_product_at_the_largest_prime_stays_exact():
+    # mod p² the table reference folds a1 b1 < p^4 by -c0 mod p², about
+    # p^6 > 2^63 at p = 9973; the closed form's c0 a1 b1 stays below 2^57
+    # for reduced operands.  The callers pass .tolist() rows, Python ints,
+    # which do not wrap as np.int64 would on either path
+    ctx = make_context(9973, 2)
+    p, p2 = ctx.p, ctx.p2
+    assert (p2 - 1) ** 2 * (-ctx.modulus[0] % p2) > 2 ** 63
+    rows = np.array([[p2 - 1, p2 - 2], [p2 - 3, p2 - 1]], np.int64)
+    a, b = rows[0].tolist(), rows[1].tolist()
+    assert all(type(x) is int for x in a + b)
+    assert ctx.wmul(a, b) == vec_ops(ctx.modulus, p2)[3](a, b)
+    field = rows % p
+    fa, fb = field[0].tolist(), field[1].tolist()
+    assert ctx.fmul(fa, fb) == vec_ops(ctx.modulus, p)[3](fa, fb)
+    assert list(ctx.fmul(fa, fb)) == (field[0] @ ctx.mul_matrix(field[1]) % p).tolist()
+    assert ctx.fmul(ctx.finv(fa), fa) == ctx.one.vec
