@@ -163,8 +163,17 @@ def _minpoly_eval_ring(coeffs, x: WittRingElement) -> WittRingElement:
     return acc
 
 
-def reduce_at_prime(spec: LambdaSpec, p: int,
-                    both_embeddings: bool = False) -> list[ReductionDatum]:
+def _field(contexts: dict | None, p: int, d: int):
+    """The context of F_{p^d} from contexts, built and kept there when absent."""
+    if contexts is None:
+        return make_context(p, d)
+    if d not in contexts:
+        contexts[d] = make_context(p, d)
+    return contexts[d]
+
+
+def reduce_at_prime(spec: LambdaSpec, p: int, both_embeddings: bool = False,
+                    contexts: dict | None = None) -> list[ReductionDatum]:
     """All reduction data of the scan target at one prime.
 
     The roots of the minimal polynomial live in F_p (d = 1) when the target
@@ -175,6 +184,8 @@ def reduce_at_prime(spec: LambdaSpec, p: int,
     its own place), sorted by field index; inert primes contribute the
     canonical embedding, or both when both_embeddings is set.  Degenerate
     reductions come back as bad-prime markers, never as exceptions.
+    A caller that reduces several targets at p passes one dict as
+    contexts, keyed by d, so they share one context per field.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -184,14 +195,14 @@ def reduce_at_prime(spec: LambdaSpec, p: int,
     if c[-1] % p == 0:
         return [ReductionDatum(p=p, place=0, d=1, bad_reason=BAD_DIVIDES_LEADING)]
     if spec.degree == 1:
-        ctx = make_context(p, 1)
+        ctx = _field(contexts, p, 1)
         roots = [ctx.f_from_int(-c[0]) / ctx.f_from_int(c[1])]
     else:
         c0, c1, c2 = c
         disc = c1 * c1 - 4 * c0 * c2
         if disc % p == 0:
             return [ReductionDatum(p=p, place=0, d=1, bad_reason=BAD_DIVIDES_DISC)]
-        ctx = make_context(p, 1 if pow(disc, (p - 1) // 2, p) == 1 else 2)
+        ctx = _field(contexts, p, 1 if pow(disc, (p - 1) // 2, p) == 1 else 2)
         # x^(d-1) squares to (-c0)^(d-1), so sqrt(disc) = r x^(d-1) with r in F_p:
         # at an inert prime disc and -c0 are both non-squares, so disc/(-c0) is a square
         r = _sqrt_mod_p(disc * pow(-ctx.modulus[0], 1 - ctx.d, p), p)

@@ -9,13 +9,15 @@ reads that one cocycle.  It takes all the data a call has at one prime, and
 t and cech each eliminate all of their rows together; birkhoff runs step 1
 on all of them in lockstep, and step 2 and its check on all of them at
 once, when there are enough.
-Scans and catalog sweeps hand their (minpoly, prime) tasks to one runner,
-serial or one process pool, and sort the rows once before emission, so the
-output never depends on scheduling.  Catalog entries that share a
-minimal polynomial share one task: its rows are computed once and
-relabelled.  No row depends on randomness: certificates are checked exactly,
-so reports are byte-identical for identical flags, and the seed, echoed in
-the JSON meta, only draws the certificate cases of the self-test.
+Scans and catalog sweeps hand one task per prime to one runner, serial
+or one process pool, and sort the rows once before emission, so the
+output never depends on scheduling.  A catalog task holds every distinct
+minimal polynomial, so all of its rows over one field at that prime form
+one stack; catalog entries that share a minimal polynomial share its
+rows, computed once and relabelled.  No row depends on randomness:
+certificates are checked exactly, so reports are byte-identical for
+identical flags, and the seed, echoed in the JSON meta, only draws the
+certificate cases of the self-test.
 """
 
 from __future__ import annotations
@@ -200,18 +202,27 @@ def _row_from_datum(label: str, datum: ReductionDatum, methods) -> ScanRow:
 
 
 def _scan_prime_task(args) -> list[ScanRow]:
-    """Rows of one minimal polynomial at one prime, once per label.
+    """Rows of every target of a sweep at one prime, once per label.
 
-    args is (minpoly, labels, both_embeddings, p, methods).  The rows are
-    computed under the first label; every further label (a catalog entry
-    with the same minimal polynomial) gets a relabelled copy.
+    args is (minpolys, labels, both_embeddings, p, methods), where
+    labels[k] holds every label of minpolys[k].  The targets are reduced
+    at p over one context per field, and all their data go to one
+    ``_rows_from_data`` call, so each field's rows stack across targets.
+    A target's rows are computed under its first label; every further
+    label (a catalog entry with the same minimal polynomial) gets a
+    relabelled copy.
     """
-    minpoly, labels, both, p, methods = args
-    data = reduce_at_prime(LambdaSpec(minpoly=minpoly, label=labels[0]), p,
-                           both_embeddings=both)
-    rows = _rows_from_data([(labels[0], d) for d in data], methods)
+    minpolys, labels, both, p, methods = args
+    contexts: dict = {}
+    items, more_labels = [], []
+    for minpoly, names in zip(minpolys, labels):
+        spec = LambdaSpec(minpoly=minpoly, label=names[0])
+        for datum in reduce_at_prime(spec, p, both_embeddings=both, contexts=contexts):
+            items.append((names[0], datum))
+            more_labels.append(names[1:])
+    rows = _rows_from_data(items, methods)
     return rows + [replace(r, lambda_label=label)
-                   for label in labels[1:] for r in rows]
+                   for r, names in zip(rows, more_labels) for label in names]
 
 
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[ScanRow]:
@@ -259,7 +270,7 @@ def run_scan(spec: LambdaSpec, p_range: tuple[int, int],
     if not (3 <= lo <= hi <= SCAN_MAX_PRIME):
         raise InvalidRange(f"prime range must sit inside 3..{SCAN_MAX_PRIME}")
     methods = _check_methods(methods, hi)
-    tasks = [(spec.minpoly, (spec.label,), both_embeddings, p, methods)
+    tasks = [((spec.minpoly,), ((spec.label,),), both_embeddings, p, methods)
              for p in _primes_between(lo, hi)]
     rows = _run_tasks(tasks, jobs)
     meta = {"version": __version__, "convention": "twisted", "seed": seed}
@@ -303,9 +314,10 @@ def run_verify_beauville(p_range: tuple[int, int] = (5, 97),
     The summary carries, per entry, the good-prime pass rate and the
     explicit list of exceptional primes (good primes where the splitting
     integer is not 1).  Finitely many exceptional primes per entry are
-    expected; the report records them rather than judging them.  Entries
-    that share a minimal polynomial share one task per prime, largest
-    prime first, so each distinct (minpoly, p) is computed once.
+    expected; the report records them rather than judging them.  Each
+    prime is one task, largest prime first, over every distinct minimal
+    polynomial of the catalog: each (minpoly, p) is computed once, and its
+    rows stack with the other entries' rows over the same field.
     """
     lo, hi = p_range
     if not (3 <= lo <= hi <= 1000):
@@ -315,9 +327,10 @@ def run_verify_beauville(p_range: tuple[int, int] = (5, 97),
     labels_of: dict[tuple[int, ...], list[str]] = {}
     for entry in catalog:
         labels_of.setdefault(entry.spec.minpoly, []).append(entry.spec.label)
-    tasks = [(minpoly, tuple(labels), False, p, methods)
-             for p in reversed(_primes_between(lo, hi))
-             for minpoly, labels in labels_of.items()]
+    minpolys = tuple(labels_of)
+    labels = tuple(tuple(names) for names in labels_of.values())
+    tasks = [(minpolys, labels, False, p, methods)
+             for p in reversed(_primes_between(lo, hi))]
     rows = _run_tasks(tasks, jobs)
     per_entry = {}
     for entry in catalog:

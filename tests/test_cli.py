@@ -255,6 +255,8 @@ def test_mismatch_exit_code(monkeypatch, capsys):
      "73634d9cd8efb2167e97da490030f04e4205e6f81731479d3620b0492ef14115"),
     (("beauville", "--prime-range", "5:23", "--methods", "t,birkhoff", "--format", "json"),
      "d46c96b40eb97b3dd1b74c6ad2b4c565df52b5376d6796ea8af1938200e5a493"),
+    (("beauville", "--prime-range", "5:97", "--format", "json"),
+     "2e564801c885c21a16ffc161553fc15298c5139498b0489fb035899e1f2eaa18"),
     (("scan", "--minpoly", "1,-1,1", "--prime-range", "5:97", "--both-embeddings",
       "--format", "json"),
      "fc489551ae2eda2e63d3f305251c9a68d3eead10cc5fbc13816faf388d682165"),
@@ -267,8 +269,8 @@ def test_mismatch_exit_code(monkeypatch, capsys):
      "e1ea22a881c491fceef79146a8fdd07f3d771fff582ba204058b7a6105f176b5"),
     (("selftest", "--max-p", "7", "--seed", "42"),
      "a72410e53971ad8952a0ad62000eafdc3d7a7e0144923405b99703d20bf7a125"),
-], ids=["enumerate-7", "scan-minus-one", "beauville-5-23", "scan-inert", "enumerate-5-json",
-        "enumerate-11-json", "enumerate-19-t-cech", "selftest-7"])
+], ids=["enumerate-7", "scan-minus-one", "beauville-5-23", "beauville-5-97", "scan-inert",
+        "enumerate-5-json", "enumerate-11-json", "enumerate-19-t-cech", "selftest-7"])
 def test_report_bytes_match_golden_hash(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from higgsflow import criterion, factorization, scan, sections
+from higgsflow import criterion, factorization, fields, lambdas, scan, sections
 from higgsflow.errors import CertificateCheckFailed, InvalidRange, MethodUnavailable
 from higgsflow.fields import make_context, witt_compose, witt_decompose
 from higgsflow.lambdas import ReductionDatum, beauville_catalog, parse_lambda_spec
@@ -137,8 +137,9 @@ def test_one_cocycle_and_one_transition_per_row(monkeypatch):
 def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
     # enumerate 5's 15 rows share one field: one lockstep step-1 call and
     # one stacked step-2 call for all of them, and the gluing matrix per
-    # row; every catalog task is below the crossover and runs both steps
-    # per row
+    # row; a catalog task holds every target at its prime, so its d = 1
+    # rows form one stack above the crossover, and its few d = 2 rows run
+    # both steps per row
     calls = Counter()
     stacks = []
     step1, step2 = factorization.birkhoff_step1, factorization.birkhoff_step2
@@ -178,11 +179,12 @@ def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
     first_labels = {}
     for entry in beauville_catalog():
         first_labels.setdefault(entry.spec.minpoly, entry.spec.label)
-    computed = sum(1 for r in report.rows if r.bad_reason is None
-                   and r.lambda_label in set(first_labels.values()))
-    assert stacks == []
-    assert calls == {"step1 per row": computed, "step2 per row": computed,
-                     "build_transition": computed}
+    computed = [r for r in report.rows if r.bad_reason is None
+                and r.lambda_label in set(first_labels.values())]
+    # the largest prime first: p = 7 has 11 rows over F_7, p = 5 has 9 over F_5
+    assert stacks == [("step1", 11), ("step2", 11), ("step1", 9), ("step2", 9)]
+    assert len(computed) == 24 and [r.d for r in computed].count(2) == 4
+    assert calls == {"step1 per row": 4, "step2 per row": 4, "build_transition": 24}
 
 
 def test_failed_certificate_names_its_row(monkeypatch):
@@ -206,6 +208,46 @@ def test_failed_certificate_names_its_row(monkeypatch):
     assert err.value.rows == (7,)
     # row 7 of lam0 in 2..4, lam1 in 0..4 is lam0 = 3, lam1 = 2
     assert err.value.__notes__ == ["in the certificate of lambda 3;2 at p=5, place 0"]
+
+
+def test_failed_certificate_in_a_catalog_stack_names_its_row(monkeypatch):
+    # the d = 1 stack of the catalog task at p = 7 holds eleven rows of ten
+    # targets; its last row, (1-sqrt(-3))/2 at place 1, gets a wrong gluing
+    # matrix, and the note names that row, not the stack's first target -1
+    build = factorization.build_transition
+    made = []
+
+    def wrong_eleventh_at_7(cocycle, unit_inverse=None):
+        m = build(cocycle, unit_inverse)
+        if cocycle.ctx.p == 7:
+            made.append(1)
+            if len(made) == 11:
+                return replace(m, lower_left=m.lower_left + Poly.one(cocycle.ctx))
+        return m
+
+    monkeypatch.setattr(factorization, "build_transition", wrong_eleventh_at_7)
+    with pytest.raises(CertificateCheckFailed) as err:
+        run_verify_beauville((5, 7), methods=("t", "birkhoff"))
+    assert str(err.value) == "certificate identity P*M*Q does not hold at row 10"
+    assert err.value.rows == (10,)
+    assert err.value.__notes__ == ["in the certificate of lambda (1-sqrt(-3))/2 at p=7, place 1"]
+
+
+def test_catalog_task_builds_one_context_per_field(monkeypatch):
+    # every target of a catalog task shares the task's context of each
+    # field at its prime: 13 fields at 5..23 (no target is inert at 19),
+    # where one context per (target, prime) made 85
+    built = Counter()
+    make = fields.make_context
+
+    def counting(p, d=1):
+        built[p, d] += 1
+        return make(p, d)
+
+    for module in (fields, lambdas, scan):
+        monkeypatch.setattr(module, "make_context", counting)
+    run_verify_beauville((5, 23), methods=("t", "birkhoff"))
+    assert len(built) == 13 and set(built.values()) == {1}
 
 
 @pytest.mark.parametrize("p, d", [(7, 1), (3, 2)])
