@@ -5,24 +5,24 @@ modulus G = g(z^p) = (z-1)^(2p), whose quadratic g every step reads from
 :func:`~higgsflow.polys.euclid_modulus`, by extended Euclid, as a
 rational reconstruction of A*z^(-p) mod G (see
 :func:`birkhoff_step1`); n = p - max(deg f, deg g).  It shares no linear
-algebra with the t method's rank scan.  Step 1 takes one row or a whole
-field's stack of rows: the stack's extended Euclids run in lockstep, one
-quotient step on every unfinished row per iteration (:func:`euclid_rows`),
-and their Euclid rows (r, t) live in two preallocated arrays that each
-step updates in place, so a step builds no polynomial object.  The Euclid
-row before the stopping row is a Bezout partner: it gives (beta', gamma')
-with f*gamma' + g*beta' = G and z^p*gamma' = A*beta' mod G, reduced so
-that both have degree <= 2p - c.
+algebra with the t method's rank scan.  Step 1 takes a field's stack of
+rows: the stack's extended Euclids run in lockstep, one quotient step on
+every unfinished row per iteration (:func:`euclid_rows`), and their
+Euclid rows (r, t) live in two preallocated arrays that each step updates
+in place, so a step builds no polynomial object.  The Euclid row before
+the stopping row is a Bezout partner: it gives (beta', gamma') with
+f*gamma' + g*beta' = G and z^p*gamma' = A*beta' mod G, reduced so that
+both have degree <= 2p - c.
 
 Step 2 divides the off-frame entry alpha out of z^p*gamma' - A*beta' and
 assembles unimodular frames P, Q with
 P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).  It runs no second gcd: the
 Bezout partner from step 1 already gives f*gamma' + g*beta' = G.  Step 2
-and the certificate check take one row or a field's stack too, and work
-on the whole stack's zero-padded (n, L, d) coefficient arrays: one product
-and one division by G give every row's alpha, each unit is inverted once,
-and the check proves every identity of every row in one buffer.  A single
-row is a stack of one.
+and the certificate check take the same stack, and work on its
+zero-padded (n, L, d) coefficient arrays: one product and one division by
+G give every row's alpha, each unit is inverted once, and the check
+proves every identity of every row in one buffer.  A single row is a
+stack of one (:func:`factorization_certificate`).
 
 The two divisions by G (h in step 1, alpha in step 2) use
 :func:`~higgsflow.polys.divrem_modulus`, which moves a block of p
@@ -41,8 +41,8 @@ Q~ = Q diag((z-1)^c, (z-1)^(2p-c)), M~ = z^p (z-1)^p M), so every
 identity is a polynomial identity: a signed sum of products, shifts by z^s
 and multiples of G (g's three coefficients at z^0, z^p and z^(2p)),
 accumulated in unreduced int64 rows that are reduced mod p once.  The
-check builds no polynomial object and draws no sample points, and on a
-stack it names the first failing row along with the identity.  Once
+check builds no polynomial object and draws no sample points, and it
+names the first failing row of the stack along with the identity.  Once
 det P~ = z^p is proved, P^(-1) = adj(P), so the diagonalization is proved
 as M~ Q~ = G diag(z^p, 1) adj(P~), which needs no product with P.
 """
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import CocyclePolynomial, TransitionMatrix, build_transition
+from .cocycle import CocyclePolynomial, build_transition
 from .criterion import SplittingType
 from .errors import CertificateCheckFailed, DegreeTooLarge
 from .fields import ReductionContext
@@ -253,14 +253,15 @@ def _euclid(ctx: ReductionContext, G: np.ndarray, B: np.ndarray, stop: int,
     return last0[:, 0], last0[:, 1], last1[:, 0], last1[:, 1], n0, steps
 
 
-def euclid_rows(G: Poly, B, stop: int):
-    """Extended Euclid on (G, B), deg B < deg G, to the first remainder of degree < stop.
+def euclid_rows(G: Poly, B: list, stop: int) -> list:
+    """Extended Euclid on (G, B_i) for every B_i of the list B, one field's
+    stack with every deg B_i < deg G, in lockstep, each to its first
+    remainder of degree < stop.
 
-    Rows (r_j, t_j) start at (G, 0) and (B, 1) and keep r_j = t_j*B mod G.
-    The last two come back as r0, t0, r1, t1, with the sign of
-    t1*r0 - t0*r1 = sign * G.  A zero remainder ends the loop too.  B is
-    one polynomial, or a list of them, one field's stack: then every row
-    runs in lockstep and a list of (r0, t0, r1, t1, sign) comes back.
+    Rows (r_j, t_j) start at (G, 0) and (B_i, 1) and keep r_j = t_j*B_i
+    mod G.  The last two come back as r0, t0, r1, t1, with the sign of
+    t1*r0 - t0*r1 = sign * G: a list of (r0, t0, r1, t1, sign), one per
+    B_i.  A zero remainder ends the loop too.
 
     A row is one int64 array of shape (2, deg G + 1, d), r stacked on t
     (deg t_j = deg G - deg r_(j-1) never passes deg G), and a stack of n
@@ -277,21 +278,16 @@ def euclid_rows(G: Poly, B, stop: int):
     go on, so the loop runs as many times as the longest row needs.
     """
     ctx = G.ctx
-    stack = [B] if isinstance(B, Poly) else B
-    table = ctx.finv_table() if len(stack) > 1 else None
-    r0, t0, r1, t1, _, steps = _euclid(
-        ctx, G.v, _coefficients(stack, len(G.v) - 1), stop, table)
-    out = [tuple(Poly(ctx, x) for x in rows) + (-1 if k % 2 else 1,)
-           for *rows, k in zip(r0, t0, r1, t1, steps.tolist())]
-    return out[0] if isinstance(B, Poly) else out
+    table = ctx.finv_table() if len(B) > 1 else None
+    r0, t0, r1, t1, _, steps = _euclid(ctx, G.v, _coefficients(B, len(G.v) - 1), stop, table)
+    return [tuple(Poly(ctx, x) for x in rows) + (-1 if k % 2 else 1,)
+            for *rows, k in zip(r0, t0, r1, t1, steps.tolist())]
 
 
-def birkhoff_step1(ctx: ReductionContext, A):
-    """Minimal (f, g) with f*A + g*z^p = h*G, and a Bezout partner.
-
-    A is one cocycle polynomial, or a list of them, one field's stack,
-    whose Euclids run in lockstep (:func:`euclid_rows`); a list of
-    results comes back then.
+def birkhoff_step1(ctx: ReductionContext, A: list) -> list:
+    """Minimal (f, g) with f*A + g*z^p = h*G, and a Bezout partner, for
+    every cocycle polynomial of the list A, one field's stack, whose
+    Euclids run in lockstep (:func:`euclid_rows`).
 
     G = g(z^p) = z^(2p) + g1*z^p + g0, with g0, g1 read from
     :func:`~higgsflow.polys.euclid_modulus`.  Rational reconstruction of
@@ -331,21 +327,20 @@ def birkhoff_step1(ctx: ReductionContext, A):
     divides f*A + g*z^p, are done for the whole stack at once; only the
     reduction of gamma', on the rows with deg g > deg f, runs row by row.
 
-    Returns (f, g, h, beta', gamma'), or a list of them.
+    Returns a list of (f, g, h, beta', gamma'), one per row.
     """
     p, d = ctx.p, ctx.d
-    stack = [A] if isinstance(A, Poly) else A
-    if any(x.degree > 2 * p - 1 for x in stack):
+    if any(x.degree > 2 * p - 1 for x in A):
         raise DegreeTooLarge("step 1 requires deg A <= 2p-1")
     rows = euclid_modulus(ctx)
     g0, g1 = rows[:2].tolist()
     minus_inv_g0 = ctx.fneg(ctx.finv(g0))
     times_low, times_high = ctx.mul_matrix([ctx.fmul(minus_inv_g0, g1), minus_inv_g0])
-    a = _coefficients(stack, 2 * p)
+    a = _coefficients(A, 2 * p)
     B = np.concatenate([a[:, p:] + a[:, :p] @ times_low, a[:, :p] @ times_high], axis=1) % p
     G = np.zeros((2 * p + 1, d), np.int64)
     G[::p] = rows
-    table = ctx.finv_table() if len(stack) > 1 else None
+    table = ctx.finv_table() if len(A) > 1 else None
     r0, t0, r1, t1, n0, steps = _euclid(ctx, G, B, p, table)
 
     # f, g by 1/lead(t_j) and -1/lead(t_j), the partner by +-lead(t_j): one
@@ -357,14 +352,14 @@ def birkhoff_step1(ctx: ReductionContext, A):
         inv = ctx.finv(lead)
         times = ctx.mul_matrix([[inv, ctx.fneg(inv), ctx.fneg(lead) if steps[0] % 2 else lead]])
     else:
-        lead = t1[np.arange(len(stack)), deg_f]
+        lead = t1[np.arange(len(A)), deg_f]
         inv = ctx.finv_stack(lead, table)
         times = ctx.mul_matrix(np.stack([inv, -inv, lead * (1 - 2 * (steps[:, None] % 2))], 1))
     most, least = int(deg_f.max()), int(deg_f.min())
     f, g, beta, gamma = (x[:, :cut] @ times[:, k] % p for x, k, cut in (
         (t1, 0, most + 1), (r1, 1, p), (t0, 2, most), (r0, 2, 2 * p + 1 - least)))
     # h = (f*A + g*z^p)/G for every row, from one product and one division
-    t = np.zeros((len(stack), most + 2 * p, 2 * d - 1), np.int64)
+    t = np.zeros((len(A), most + 2 * p, 2 * d - 1), np.int64)
     convolve_into(t, f, a)
     t[:, p:2 * p, :d] += g
     h, rem = divrem_modulus(ctx.fold(t), ctx)
@@ -377,7 +372,7 @@ def birkhoff_step1(ctx: ReductionContext, A):
             q, cx = poly_divrem(cx, gx)
             bx = bx + q * fx
         out.append((fx, gx, hx, bx, cx))
-    return out[0] if isinstance(A, Poly) else out
+    return out
 
 
 def _frames(ctx: ReductionContext, units: np.ndarray, beta: np.ndarray, h: np.ndarray,
@@ -422,14 +417,13 @@ def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly,
                         *(Poly(ctx, x[0]) for x in frames))
 
 
-def birkhoff_step2(ctx: ReductionContext, cocycle, f, g, h, beta_prime, gamma_prime):
+def birkhoff_step2(ctx: ReductionContext, cocycles: list, fs, gs, hs, betas, gammas) -> list:
     """Degree checks, alpha, frame assembly, then the exact certificate check.
 
-    cocycle is one cocycle and f, g, h, beta', gamma' its step-1 output,
-    and one certificate comes back; or cocycle is a list of them, one
-    field's stack, each of f, .., gamma' a sequence of as many
-    polynomials, and a list of certificates comes back.  A single row is
-    a stack of one.  The whole stack is worked on as zero-padded
+    cocycles is a list of cocycles, one field's stack, and each of fs, gs,
+    hs, betas, gammas a sequence of as many polynomials, the step-1 output
+    (f, g, h, beta', gamma') of every row; a list of certificates comes
+    back, one per row.  The whole stack is worked on as zero-padded
     (n, L, d) arrays: alpha~ = (z^p*gamma' - A*beta')/G for every row from
     one product and one :func:`~higgsflow.polys.divrem_modulus`; every
     unit u inverted once (:func:`_frames`), and that inverse also gives
@@ -443,9 +437,6 @@ def birkhoff_step2(ctx: ReductionContext, cocycle, f, g, h, beta_prime, gamma_pr
     2p - c, or, naming the identity too, when the assembled certificates
     fail :func:`check_certificate`; a returned certificate has passed it.
     """
-    one = isinstance(cocycle, CocyclePolynomial)
-    cocycles, fs, gs, hs, betas, gammas = (
-        [x] if one else list(x) for x in (cocycle, f, g, h, beta_prime, gamma_prime))
     p = ctx.p
     c = [max(len(x.v), len(y.v)) - 1 for x, y in zip(fs, gs)]
     _fail_rows([not 0 <= k <= p for k in c], "combined degree outside 0..p")
@@ -471,13 +462,13 @@ def birkhoff_step2(ctx: ReductionContext, cocycle, f, g, h, beta_prime, gamma_pr
     if not verify_certificate(ms, stack):
         check_certificate(ms, stack)
     built = [[Poly(ctx, v) for v in x] for x in (alpha, *frames)]
-    certs = [_certificate(*row) for row in zip(fs, gs, hs, betas, gammas, *built)]
-    return certs[0] if one else certs
+    return [_certificate(*row) for row in zip(fs, gs, hs, betas, gammas, *built)]
 
 
 def factorization_certificate(cocycle: CocyclePolynomial) -> FactorizationCertificate:
-    """Full pipeline on the cocycle: step 1, step 2."""
-    return birkhoff_step2(cocycle.ctx, cocycle, *birkhoff_step1(cocycle.ctx, cocycle.A))
+    """Full pipeline on one cocycle, a stack of one: step 1, step 2."""
+    ctx = cocycle.ctx
+    return birkhoff_step2(ctx, [cocycle], *zip(*birkhoff_step1(ctx, [cocycle.A])))[0]
 
 
 def splitting_from_birkhoff(cocycle: CocyclePolynomial) -> SplittingType:
@@ -573,16 +564,16 @@ def _nonzero_entries(ctx: ReductionContext, n: int, entries: list) -> np.ndarray
     return nonzero.T
 
 
-def check_certificate(m, cert) -> None:
+def check_certificate(ms: list, cert) -> None:
     """Prove every certificate identity exactly, or name the first that fails.
 
-    m is one :class:`~higgsflow.cocycle.TransitionMatrix` and cert its
-    certificate; or m is a list of them, one field's stack, and cert a
-    list of as many certificates or a :class:`CertificateStack`.  With
-    G = g(z^p) = (z-1)^(2p), P~ = P diag(z^p, 1),
-    Q~ = Q diag((z-1)^c, (z-1)^(2p-c)) and M~ = z^p (z-1)^p M =
-    [[z^p G, 0], [A/u, z^p]] (see :class:`FactorizationCertificate` and
-    :class:`TransitionMatrix`), in order, for every row:
+    ms is a list of :class:`~higgsflow.cocycle.TransitionMatrix`, one
+    field's stack, and cert a list of as many certificates or their
+    :class:`CertificateStack`.  With G = g(z^p) = (z-1)^(2p),
+    P~ = P diag(z^p, 1), Q~ = Q diag((z-1)^c, (z-1)^(2p-c)) and
+    M~ = z^p (z-1)^p M = [[z^p G, 0], [A/u, z^p]] (see
+    :class:`FactorizationCertificate` and :class:`TransitionMatrix`), in
+    order, for every row:
 
     * step-1: f*A + z^p*g = h*G;
     * Bezout: f*gamma' + g*beta' = G;
@@ -604,9 +595,8 @@ def check_certificate(m, cert) -> None:
     CertificateCheckFailed naming the identity and the first failing row;
     its ``rows`` holds every failing row.
     """
-    ms = [m] if isinstance(m, TransitionMatrix) else m
     if not isinstance(cert, CertificateStack):
-        cert = CertificateStack.of([cert] if isinstance(cert, FactorizationCertificate) else cert)
+        cert = CertificateStack.of(cert)
     ctx = ms[0].cocycle.ctx
     p = ctx.p
     A, L = _coefficients([x.cocycle.A for x in ms]), _coefficients([x.lower_left for x in ms])
@@ -643,11 +633,11 @@ def check_certificate(m, cert) -> None:
         _fail_rows(failing.tolist(), f"certificate identity {name} does not hold")
 
 
-def verify_certificate(m, cert) -> bool:
+def verify_certificate(ms: list, cert) -> bool:
     """True when every identity of :func:`check_certificate` holds exactly,
-    for one certificate or for every row of a stack."""
+    for every row of the stack."""
     try:
-        check_certificate(m, cert)
+        check_certificate(ms, cert)
     except CertificateCheckFailed:
         return False
     return True

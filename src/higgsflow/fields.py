@@ -141,17 +141,6 @@ def _vec_ops(modulus: tuple[int, ...], p: int, mod: int):
             lambda a: (-a[0] % mod, -a[1] % mod), mul, inv)
 
 
-def _power(mul, one, a, e: int):
-    """a^e for e >= 0 by square-and-multiply under `mul`."""
-    result, acc = one, a
-    while e:
-        if e & 1:
-            result = mul(result, acc)
-        acc = mul(acc, acc)
-        e >>= 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -213,12 +202,6 @@ class ReductionContext:
         c = np.asarray(c, np.int64)
         return (c @ self.basis_products.reshape(d, d * d)
                 ).reshape(c.shape[:-1] + (d, d)) % self.p
-
-    def fpow(self, a, e: int):
-        return _power(self.fmul, self.one.vec, a, e)
-
-    def wpow(self, a, e: int):
-        return _power(self.wmul, self.w_from_int(1).vec, a, e)
 
     def finv_table(self) -> np.ndarray:
         """x^-1 mod p for x in 0..p-1, 0 for 0; built on every call."""
@@ -355,8 +338,16 @@ class _Element:
         return type(self)(self.ctx, getattr(self.ctx, self._ring + "mul")(self.vec, other.vec))
 
     def __pow__(self, e: int):
-        vec = self.inverse().vec if e < 0 else self.vec
-        return type(self)(self.ctx, getattr(self.ctx, self._ring + "pow")(vec, abs(e)))
+        """self^e by square-and-multiply, through the inverse for e < 0."""
+        mul = getattr(self.ctx, self._ring + "mul")
+        result = getattr(self.ctx, self._ring + "_from_int")(1).vec
+        acc, e = (self.inverse() if e < 0 else self).vec, abs(e)
+        while e:
+            if e & 1:
+                result = mul(result, acc)
+            acc = mul(acc, acc)
+            e >>= 1
+        return type(self)(self.ctx, result)
 
     def inverse(self):
         return type(self)(self.ctx, getattr(self.ctx, self._ring + "inv")(self.vec))
@@ -435,7 +426,7 @@ def teichmuller(x0: FieldElement) -> WittRingElement:
     on the lift; it is itself a lift of x0^q = x0, so the q-th power fixes
     it.
     """
-    return WittRingElement(x0.ctx, x0.ctx.wpow(x0.vec, x0.ctx.q))
+    return WittRingElement(x0.ctx, x0.vec) ** x0.ctx.q
 
 
 def frobenius_w2(x: WittRingElement) -> WittRingElement:

@@ -269,8 +269,10 @@ def euclid_modulus(ctx: ReductionContext) -> np.ndarray:
     return g
 
 
-def divrem_modulus(f, ctx: ReductionContext | None = None):
-    """f = q*G + r with deg r < 2p, G = g(z^p), a block of p coefficients at a time.
+def divrem_modulus(f: np.ndarray, ctx: ReductionContext):
+    """f = q*G + r with deg r < 2p, G = g(z^p), for every row of the stack
+    f (n, L, d) of coefficient arrays over ctx, entries in [0, p), a block
+    of p coefficients at a time.
 
     G = z^(2p) + g1*z^p + g0 (:func:`euclid_modulus`), so the top p
     coefficients of what is left to divide are their own quotient block:
@@ -279,38 +281,26 @@ def divrem_modulus(f, ctx: ReductionContext | None = None):
     Those field products are coordinate by coordinate, against the block
     times 1, x, .., x^(d-1) (reduced mod p, like the block itself), so
     every entry receives at most two subtractions, each below d*p^2.
-
-    f is a :class:`Poly`, and q and r come back as polynomials; or f is a
-    stack (n, L, d) of coefficient arrays over ctx, entries in [0, p),
-    every row divided at once, and q (n, max(L - 2p, 0), d) and
+    Every row is divided at once: q (n, max(L - 2p, 0), d) and
     r (n, min(L, 2p), d) come back as arrays.
     """
-    if isinstance(f, Poly):
-        ctx, v = f.ctx, f.v
-        if len(v) <= 2 * ctx.p:
-            return Poly.zero(ctx), f
-    else:
-        v = f
     p = ctx.p
-    hi = v.shape[-2]
+    hi = f.shape[1]
     g0, g1 = euclid_modulus(ctx)[:2].tolist()
-    rem = v.copy()
-    q = np.zeros(v.shape[:-2] + (max(hi - 2 * p, 0), ctx.d), np.int64)
+    rem = f.copy()
+    q = np.zeros((len(f), max(hi - 2 * p, 0), ctx.d), np.int64)
     while hi > 2 * p:
         lo = max(hi - p, 2 * p)
-        block = rem[..., lo:hi, :] % p
-        q[..., lo - 2 * p:hi - 2 * p, :] = block
+        block = rem[:, lo:hi] % p
+        q[:, lo - 2 * p:hi - 2 * p] = block
         multiples = [block] + [block @ ctx.basis_products[col] % p for col in range(1, ctx.d)]
         for c0, c1, m in zip(g0, g1, multiples):
             if c1:
-                rem[..., lo - p:hi - p, :] -= c1 * m
+                rem[:, lo - p:hi - p] -= c1 * m
             if c0:
-                rem[..., lo - 2 * p:hi - 2 * p, :] -= c0 * m
+                rem[:, lo - 2 * p:hi - 2 * p] -= c0 * m
         hi = lo
-    rem = rem[..., :2 * p, :] % p
-    if isinstance(f, Poly):
-        return Poly(ctx, q), Poly(ctx, rem)
-    return q, rem
+    return q, rem[:, :2 * p] % p
 
 
 def poly_divexact(f: Poly, g: Poly) -> Poly:

@@ -6,9 +6,9 @@ lifted parameter at (prime, place), whichever command asks for it: scan,
 beauville, enumerate or the method-agreement self-test.  It builds each
 row's cocycle once, from the characteristic-p² primitive, and every method
 reads that one cocycle.  It takes all the data a call has at one prime, and
-t and cech each eliminate all of their rows together; birkhoff runs step 1
-on all of them in lockstep, and step 2 and its check on all of them at
-once, when there are enough.
+every method takes each field's rows together: t and cech each eliminate
+them in one stacked elimination, and birkhoff runs step 1 on them in
+lockstep, and step 2 and its check on all of them at once.
 Scans and catalog sweeps hand one task per prime to one runner, serial
 or one process pool, and sort the rows once before emission, so the
 output never depends on scheduling.  A catalog task holds every distinct
@@ -31,8 +31,7 @@ from . import __version__, factorization
 from .cocycle import build_A_closed, build_A_primitive, build_transition
 from .criterion import det_T0_in_lam1, splittings_from_T, t_r_first_mismatch
 from .errors import CertificateCheckFailed, InvalidRange, MethodUnavailable
-from .factorization import (assemble_certificate, factorization_certificate,
-                            splitting_from_birkhoff, verify_certificate)
+from .factorization import assemble_certificate, factorization_certificate, verify_certificate
 from .fields import (WittParameter, WittRingElement, check_residue, is_prime,
                      make_context, teichmuller, witt_compose, witt_decompose)
 from .lambdas import LambdaSpec, ReductionDatum, beauville_catalog, reduce_at_prime
@@ -40,6 +39,7 @@ from .polys import Poly
 from .sections import splittings_from_cech
 # unused here; kept because perfbench/hooks.py patches them by name in this module
 from .criterion import splitting_from_T  # noqa: F401
+from .factorization import splitting_from_birkhoff  # noqa: F401
 from .sections import splitting_from_cech  # noqa: F401
 
 CSV_COLUMNS = ("lambda", "p", "place", "d", "lambda0", "lambda1",
@@ -50,9 +50,6 @@ CECH_MAX_PRIME = 31
 SCAN_MAX_PRIME = 10000
 ENUM_MAX_PRIME = 31
 SELFTEST_MAX_P = 13
-# a field's stack of at least this many rows runs birkhoff step 1 in lockstep;
-# a smaller one runs it per row, which is faster below it
-BIRKHOFF_STACK_MIN = 6
 GENERATOR_SYMBOL = "u"
 
 
@@ -123,11 +120,6 @@ def _check_methods(methods, max_p: int) -> tuple[str, ...]:
     return out
 
 
-def _note_row(exc: Exception, item: tuple[str, ReductionDatum]) -> None:
-    label, datum = item
-    exc.add_note(f"in the certificate of lambda {label} at p={datum.p}, place {datum.place}")
-
-
 def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[ScanRow]:
     """One row per (label, datum) of items, in order.
 
@@ -135,14 +127,13 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
     divisibility check runs on every row, and every method reads it.  The
     t method and the cech oracle each take every good datum at once, one
     stacked elimination per field, since their matrices at one (p, d)
-    share their shapes.  Birkhoff takes a field's stack at once too, when
-    it has at least ``BIRKHOFF_STACK_MIN`` rows: step 1 in one lockstep
-    Euclid, step 2 and its certificate check on the whole stack's arrays.
-    A smaller stack runs both per row.  Only birkhoff builds the gluing
-    matrix.  A certificate that fails its check raises with a note naming
-    its row's label, p and place.  A row's time is read when it is built,
-    so the cocycles and the stacked work land on the first row built
-    after them.  Step 1 and step 2 are called through the
+    share their shapes.  Birkhoff takes each field's stack at once too,
+    whatever its number of rows: step 1 in one lockstep Euclid, step 2 and
+    its certificate check on the whole stack's arrays.  Only birkhoff
+    builds the gluing matrix.  A certificate that fails its check raises
+    with a note naming its row's label, p and place.  A row's time is read
+    when it is built, so the cocycles and the stacked work land on the
+    first row built after them.  Step 1 and step 2 are called through the
     ``factorization`` module, where ``perfbench/hooks.py`` wraps them.
     """
     values: dict[int, dict] = {}
@@ -162,12 +153,14 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
         if "cech" in methods:
             for i, st in zip(rows, splittings_from_cech(stack)):
                 values[i]["n_cech"] = st.n
-        if "birkhoff" in methods and len(rows) >= BIRKHOFF_STACK_MIN:
+        if "birkhoff" in methods:
             try:
                 step1 = factorization.birkhoff_step1(ctx, [c.A for c in stack])
                 certs = factorization.birkhoff_step2(ctx, stack, *zip(*step1))
             except CertificateCheckFailed as exc:
-                _note_row(exc, items[rows[exc.rows[0]]])
+                label, datum = items[rows[exc.rows[0]]]
+                exc.add_note(f"in the certificate of lambda {label} at p={datum.p}, "
+                             f"place {datum.place}")
                 raise
             for i, cert in zip(rows, certs):
                 values[i]["n_birkhoff"] = cert.n
@@ -179,12 +172,6 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
             continue
         row = values[i]
         wp = datum.witt
-        if "birkhoff" in methods and "n_birkhoff" not in row:
-            try:
-                row["n_birkhoff"] = splitting_from_birkhoff(cocycles[i]).n
-            except CertificateCheckFailed as exc:
-                _note_row(exc, items[i])
-                raise
         present = list(row.values())
         agree = len(set(present)) == 1
         out.append(ScanRow(lambda_label=label, p=datum.p, place=datum.place, d=datum.d,
@@ -481,7 +468,7 @@ def _suite_certificates(max_p: int, seed: int, cases: int = 30) -> dict:
                 cocycle, cert.f, cert.g, cert.h, cert.beta_prime + k * cert.f,
                 cert.gamma_prime - k * cert.g, cert.alpha - k * cert.h)
             for bad in (replace(cert, f=cert.f + Poly.one(ctx)), shifted):
-                if verify_certificate(trans, bad):
+                if verify_certificate([trans], [bad]):
                     return _suite(False, done, f"perturbed certificate accepted at p={p}")
     return _suite(True, done)
 

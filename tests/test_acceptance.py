@@ -50,7 +50,7 @@ def test_ac1_micro_case_periodic():
         closed = build_A_closed(ctx, ctx.f_from_int(2), ctx.zero)
         expect_a = P(ctx, 0, 2, 0, 0, 0, 1)  # z^5 + 2z
         assert prim.A == expect_a and closed.A == expect_a
-        f, g, h, _, _ = birkhoff_step1(ctx, prim.A)
+        f, g, h, _, _ = birkhoff_step1(ctx, [prim.A])[0]
         assert f == P(ctx, 2, 0, 1) and g == P(ctx, 1, 1, 1) and order_at_one(f, g) == 1
         cert = factorization_certificate(prim)
         assert cert.c == 2 and cert.n == 1
@@ -71,7 +71,7 @@ def test_ac2_micro_case_exceptional():
         from higgsflow.linalg import mat_det
         t0 = t_submatrix(build_T(build_A_closed(ctx, wp.lam0, wp.lam1)), 0)
         assert mat_det(t0) == ctx.f_from_int(2)
-        f, g, h, _, _ = birkhoff_step1(ctx, prim.A)
+        f, g, h, _, _ = birkhoff_step1(ctx, [prim.A])[0]
         assert f == P(ctx, 2, 0, 1, 1) and g == P(ctx, 1, 2) and order_at_one(f, g) == 0
         cert = factorization_certificate(prim)
         assert cert.c == 3 and cert.n == 0
@@ -97,7 +97,7 @@ def test_ac3_exhaustive_cross_method_agreement():
                 nb = cert.n
                 nc = splitting_from_cech(co).n
                 ok_tr = validate_T_R(ctx, wp.lam0, wp.lam1)
-                ok_cert = verify_certificate(build_transition(co), cert)
+                ok_cert = verify_certificate([build_transition(co)], [cert])
                 if not (nt == nb == nc and ok_tr and ok_cert):
                     mismatches.append((p, n, nt, nb, nc, ok_tr, ok_cert))
         assert not mismatches, f"minimal counterexample: {mismatches[0]}"
@@ -139,10 +139,10 @@ def test_ac6_certificate_soundness_randomized():
             co = build_A_primitive(ctx, lam)
             cert = factorization_certificate(co)
             trans = build_transition(co)
-            assert verify_certificate(trans, cert)
+            assert verify_certificate([trans], [cert])
             if k % 10 == 0:
                 bad = dataclasses.replace(cert, f=cert.f + Poly.one(ctx))
-                assert not verify_certificate(trans, bad)
+                assert not verify_certificate([trans], [bad])
 
 
 def test_ac7_witt_layer_exhaustive():

@@ -109,13 +109,13 @@ def test_seed_changes_only_the_meta_field(capsys):
 
 def test_internal_error_exit_code(monkeypatch, capsys):
     # a broken invariant is a bug, not bad input: exit 3, not 2
-    import higgsflow.scan as scan_mod
+    import higgsflow.factorization as fact_mod
     from higgsflow.errors import CertificateCheckFailed
 
     def broken(*args, **kwargs):
         raise CertificateCheckFailed("certificate identity det P does not hold")
 
-    monkeypatch.setattr(scan_mod, "splitting_from_birkhoff", broken)
+    monkeypatch.setattr(fact_mod, "birkhoff_step2", broken)
     code, _, err = run_cli(capsys, "scan", "--rational", "-1", "--prime-range", "5:5")
     assert code == 3
     assert "internal error" in err
@@ -138,15 +138,14 @@ def test_value_error_is_an_internal_error(monkeypatch, capsys):
 
 def test_inexact_division_exits_internal(monkeypatch, capsys):
     # an inexact division that must be exact is a bug, not bad input
-    import higgsflow.scan as scan_mod
+    import higgsflow.factorization as fact_mod
     from higgsflow.polys import Poly, poly_divexact
 
-    def inexact(cocycle):
-        ctx = cocycle.ctx
+    def inexact(ctx, cocycles, *step1):
         z = Poly.monomial(ctx, 1)
         return poly_divexact(z, z + Poly.one(ctx))
 
-    monkeypatch.setattr(scan_mod, "splitting_from_birkhoff", inexact)
+    monkeypatch.setattr(fact_mod, "birkhoff_step2", inexact)
     code, _, err = run_cli(capsys, "scan", "--rational", "-1", "--prime-range", "5:5")
     assert code == 3
     assert err.startswith("internal error:") and "inexact polynomial division" in err

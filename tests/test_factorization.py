@@ -15,7 +15,7 @@ from higgsflow.factorization import (CertificateStack, assemble_certificate, bir
                                      verify_certificate)
 from higgsflow.fields import make_context, witt_compose, witt_decompose
 from higgsflow.linalg import mat_rank
-from higgsflow.polys import Poly, divrem_modulus, poly_divrem
+from higgsflow.polys import Poly, poly_divrem
 
 from certificate_reference import (PoleFraction, frame_fractions, matmul, order_at_one,
                                    reference_check, transition_fractions, z_minus_one_pow)
@@ -23,6 +23,26 @@ from certificate_reference import (PoleFraction, frame_fractions, matmul, order_
 
 def P(ctx, *ints):
     return Poly.from_ints(ctx, ints)
+
+
+def _step1(ctx, A):
+    """birkhoff_step1 on a stack of one."""
+    return birkhoff_step1(ctx, [A])[0]
+
+
+def _step2(ctx, co, *step1):
+    """birkhoff_step2 on a stack of one, from that row's step-1 output."""
+    return birkhoff_step2(ctx, [co], *zip(step1))[0]
+
+
+def _check(m, cert):
+    """check_certificate on a stack of one."""
+    check_certificate([m], [cert])
+
+
+def _mod_G(f):
+    """f mod G = (z-1)^(2p), by school division."""
+    return poly_divrem(f, z_minus_one_pow(f.ctx, 2 * f.ctx.p))[1]
 
 
 def _pmq(m, cert):
@@ -34,7 +54,7 @@ def _pmq(m, cert):
 def test_step1_micro_case_periodic():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
+    f, g, h, beta, gamma = _step1(ctx, co.A)
     assert f == P(ctx, 2, 0, 1)       # z^2 + 2
     assert g == P(ctx, 1, 1, 1)       # z^2 + z + 1
     assert order_at_one(f, g) == 1
@@ -45,7 +65,7 @@ def test_step1_micro_case_periodic():
 def test_step1_micro_case_nonperiodic():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(2))
-    f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
+    f, g, h, beta, gamma = _step1(ctx, co.A)
     assert f == P(ctx, 2, 0, 1, 1)    # z^3 + z^2 + 2
     assert g == P(ctx, 1, 2)          # 2z + 1
     assert order_at_one(f, g) == 0
@@ -55,7 +75,7 @@ def test_step1_micro_case_nonperiodic():
 
 def test_step1_zero_cocycle_degenerate():
     ctx = make_context(3, 1)
-    f, g, h, beta, gamma = birkhoff_step1(ctx, Poly.zero(ctx))
+    f, g, h, beta, gamma = _step1(ctx, Poly.zero(ctx))
     assert f == Poly.one(ctx) and g.is_zero() and h.is_zero() and order_at_one(f, g) == 0
     assert beta.is_zero() and gamma == z_minus_one_pow(ctx, 6)
 
@@ -63,7 +83,7 @@ def test_step1_zero_cocycle_degenerate():
 def test_step1_degree_guard():
     ctx = make_context(3, 1)
     with pytest.raises(DegreeTooLarge):
-        birkhoff_step1(ctx, Poly.monomial(ctx, 6))
+        birkhoff_step1(ctx, [Poly.monomial(ctx, 6)])
     # one long row rejects its whole stack
     A = build_A_primitive(ctx, ctx.w_from_int(-1)).A
     with pytest.raises(DegreeTooLarge):
@@ -74,7 +94,7 @@ def test_step2_micro_case_certificates():
     ctx = make_context(3, 1)
     for lam_int, want_c, want_n in ((-1, 2, 1), (2, 3, 0)):
         co = build_A_primitive(ctx, ctx.w_from_int(lam_int))
-        cert = birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
+        cert = _step2(ctx, co, *_step1(ctx, co.A))
         assert (cert.c, cert.n) == (want_c, want_n)
         d2 = z_minus_one_pow(ctx, 6)
         assert cert.f * co.A + cert.g * Poly.monomial(ctx, 3) == cert.h * d2
@@ -88,7 +108,7 @@ def test_step2_exact_diagonalization_micro_case():
     # strongest form of the check: exact rational-function identity P M Q = diag
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    cert = birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
+    cert = _step2(ctx, co, *_step1(ctx, co.A))
     prod = _pmq(build_transition(co), cert)
     assert prod[0][0] == PoleFraction(z_minus_one_pow(ctx, 1))
     assert prod[1][1] == PoleFraction(Poly.one(ctx), 0, 1)
@@ -105,7 +125,7 @@ def test_step2_exact_diagonalization_small_sample():
             if r.is_zero() or r == ctx.one:
                 continue
             co = build_A_primitive(ctx, w)
-            cert = birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
+            cert = _step2(ctx, co, *_step1(ctx, co.A))
             prod = _pmq(build_transition(co), cert)
             assert prod[0][0] == PoleFraction(Poly.one(ctx), 0, cert.c - p)
             assert prod[1][1] == PoleFraction(Poly.one(ctx), 0, p - cert.c)
@@ -135,8 +155,8 @@ def test_no_school_division_by_degree_2p(monkeypatch, p, d, coeffs):
     monkeypatch.setattr(factorization, "poly_divrem", counted)
     ctx = make_context(p, d)
     co = build_A_primitive(ctx, ctx.w_from_coeffs(coeffs))
-    _, B = divrem_modulus(co.A * (Poly.from_ints(ctx, [2]) - Poly.monomial(ctx, p)))
-    euclid_rows(z_minus_one_pow(ctx, 2 * p), B, p)
+    B = _mod_G(co.A * (Poly.from_ints(ctx, [2]) - Poly.monomial(ctx, p)))
+    euclid_rows(z_minus_one_pow(ctx, 2 * p), [B], p)
     assert divisor_degrees == []
     cert = factorization_certificate(co)
     reduced = not cert.g.is_zero() and cert.g.degree > cert.f.degree
@@ -159,7 +179,7 @@ def test_step1_builds_no_polynomial_per_euclid_step(monkeypatch):
         A = build_A_primitive(ctx, ctx.w_from_int(-1)).A
         built.append(0)
         monkeypatch.setattr(Poly, "__init__", counted)
-        birkhoff_step1(ctx, A)
+        birkhoff_step1(ctx, [A])
         monkeypatch.undo()
     assert built[0] == built[1]
 
@@ -176,7 +196,7 @@ def test_step1_minimality_rank_characterization():
             if not (r.is_zero() or r == ctx.one):
                 break
         co = build_A_primitive(ctx, w)
-        f, g, h, _, _ = birkhoff_step1(ctx, co.A)
+        f, g, h, _, _ = _step1(ctx, co.A)
         c = max(f.degree, g.degree if not g.is_zero() else -1)
         tm = build_T(co)
         if c < p:
@@ -209,11 +229,11 @@ def _reference_step1(ctx, A, quotient_degrees):
     """birkhoff_step1 around the reference loop, products written out."""
     p = ctx.p
     d2, zp = z_minus_one_pow(ctx, 2 * p), Poly.monomial(ctx, p)
-    _, B = divrem_modulus(A * (Poly.from_ints(ctx, [2]) - zp))
+    B = _mod_G(A * (Poly.from_ints(ctx, [2]) - zp))
     r0, t0, r1, t1, sign = _reference_euclid(d2, B, p, quotient_degrees)
     lead = t1.lead()
     f, g = t1.scale(lead.inverse()), -r1.scale(lead.inverse())
-    h, _ = divrem_modulus(f * A + g * zp)
+    h, _ = poly_divrem(f * A + g * zp, d2)
     s = lead if sign == 1 else -lead
     beta, gamma = t0.scale(s), r0.scale(s)
     if not g.is_zero() and g.degree > f.degree:
@@ -245,14 +265,14 @@ def test_step1_exhaustive_against_criterion_ranks():
                 continue
             co = build_A_primitive(ctx, w)
             A = co.A
-            f, g, h, beta, gamma = out = birkhoff_step1(ctx, A)
+            f, g, h, beta, gamma = out = _step1(ctx, A)
             assert out == _reference_step1(ctx, A, quotient_degrees)
             assert f * A + g * zp == h * d2
             assert f.lead() == ctx.one and g.degree <= p - 1
             c = max(f.degree, g.degree)
             # the Bezout partner from the previous Euclid row
             assert f * gamma + g * beta == d2
-            assert divrem_modulus(zp * gamma - A * beta)[1].is_zero()
+            assert _mod_G(zp * gamma - A * beta).is_zero()
             assert beta.degree <= 2 * p - c and gamma.degree <= 2 * p - c
             n = splitting_from_T(co).n
             assert c == p - n
@@ -268,7 +288,7 @@ def test_step1_exhaustive_against_criterion_ranks():
             cases += 1
         # no lift's remainder reaches zero; a residue divisible by (z-1)^p does
         B = z_minus_one_pow(ctx, p) * (Poly.monomial(ctx, p - 1) + Poly.one(ctx))
-        rows = euclid_rows(d2, B, p)
+        rows = euclid_rows(d2, [B], p)[0]
         assert rows == _reference_euclid(d2, B, p, set())
         assert rows[2].is_zero() and rows[0] == z_minus_one_pow(ctx, p).scale(rows[0].lead())
     assert cases == 790
@@ -315,9 +335,9 @@ def test_lockstep_step1_matches_single_rows(monkeypatch):
         ctx = make_context(p, d)
         zp, d2 = Poly.monomial(ctx, p), z_minus_one_pow(ctx, 2 * p)
         As = [build_A_primitive(ctx, w).A for w in _lifts(ctx)]
-        assert birkhoff_step1(ctx, As) == [birkhoff_step1(ctx, A) for A in As]
-        Bs = [divrem_modulus(A * (Poly.from_ints(ctx, [2]) - zp))[1] for A in As]
-        assert euclid_rows(d2, Bs, p) == [euclid_rows(d2, B, p) for B in Bs]
+        assert birkhoff_step1(ctx, As) == [_step1(ctx, A) for A in As]
+        Bs = [_mod_G(A * (Poly.from_ints(ctx, [2]) - zp)) for A in As]
+        assert euclid_rows(d2, Bs, p) == [euclid_rows(d2, [B], p)[0] for B in Bs]
     assert calls["_quotient_one"] and calls["_quotient_stack"]
 
 
@@ -330,7 +350,7 @@ def test_lockstep_mixed_stack():
     two_minus_zp = Poly.from_ints(ctx, [2]) - zp
     by_shape = {}           # one lift per (steps, largest quotient degree)
     for w in _lifts(ctx):
-        B = divrem_modulus(build_A_primitive(ctx, w).A * two_minus_zp)[1]
+        B = _mod_G(build_A_primitive(ctx, w).A * two_minus_zp)
         by_shape.setdefault(_euclid_shape(d2, B, p), B)
     lifts = list(by_shape.values())
     assert len({s for s, _ in by_shape}) >= 3 and max(q for _, q in by_shape) >= 2
@@ -338,13 +358,13 @@ def test_lockstep_mixed_stack():
     stack = [zero_rem, Poly.zero(ctx)] + lifts
     rows = euclid_rows(d2, stack, p)
     for B, row in zip(stack, rows):
-        assert row == euclid_rows(d2, B, p) == _reference_euclid(d2, B, p, set())
+        assert row == euclid_rows(d2, [B], p)[0] == _reference_euclid(d2, B, p, set())
     assert rows[0][2].is_zero()
     assert rows[1] == (d2, Poly.zero(ctx), Poly.zero(ctx), Poly.one(ctx), 1)
     # A = 0 in a stack leaves f = 1 and g = 0, as it does alone
     A = build_A_primitive(ctx, ctx.w_from_int(-1)).A
     out = birkhoff_step1(ctx, [Poly.zero(ctx), A])
-    assert out == [birkhoff_step1(ctx, Poly.zero(ctx)), birkhoff_step1(ctx, A)]
+    assert out == [_step1(ctx, Poly.zero(ctx)), _step1(ctx, A)]
     assert out[0][0] == Poly.one(ctx) and out[0][1].is_zero()
 
 
@@ -360,7 +380,7 @@ def test_lockstep_iterates_as_often_as_the_longest_row(monkeypatch):
     steps = []
     for A in As:
         calls.clear()
-        birkhoff_step1(ctx, A)
+        birkhoff_step1(ctx, [A])
         steps.append(calls["_quotient_one"])
     calls.clear()
     birkhoff_step1(ctx, As)
@@ -461,9 +481,9 @@ def _shape_case(p, d, coeffs):
 @pytest.mark.parametrize("p, d, coeffs", SHAPES)
 def test_verify_certificate_rejects_perturbations(p, d, coeffs):
     m, cert = _shape_case(p, d, coeffs)
-    assert verify_certificate(m, cert)
+    assert verify_certificate([m], [cert])
     for name, (bad_m, bad) in _tampered(m, cert).items():
-        assert not verify_certificate(bad_m, bad), name
+        assert not verify_certificate([bad_m], [bad]), name
 
 
 @pytest.mark.parametrize("p, d, coeffs", SHAPES)
@@ -481,7 +501,7 @@ def test_check_certificate_names_the_broken_identity(p, d, coeffs):
               "P, Q rescaled": "det P", "Bezout partner shifted": "degree bounds",
               "M lower-left": "P*M*Q"}
     for name, (bad_m, bad) in _tampered(m, cert).items():
-        for check in (check_certificate, reference_check):
+        for check in (_check, reference_check):
             with pytest.raises(CertificateCheckFailed) as err:
                 check(bad_m, bad)
             assert f"identity {broken[name]} does not hold" in str(err.value), name
@@ -509,11 +529,11 @@ def test_check_agrees_with_the_rational_function_reference():
                 continue
             co = build_A_primitive(ctx, w)
             m, cert = build_transition(co), factorization_certificate(co)
-            assert _verdict(check_certificate, m, cert) and _verdict(reference_check, m, cert)
+            assert _verdict(_check, m, cert) and _verdict(reference_check, m, cert)
             cases += 1
             if ctx.q <= 9 or i % 8 == 0:
                 for name, (bad_m, bad) in _tampered(m, cert).items():
-                    assert not _verdict(check_certificate, bad_m, bad), (p, d, name)
+                    assert not _verdict(_check, bad_m, bad), (p, d, name)
                     assert not _verdict(reference_check, bad_m, bad), (p, d, name)
     assert cases == 295 + 63 + 575
 
@@ -536,7 +556,7 @@ def test_check_builds_no_polynomial_and_makes_ten_products(monkeypatch, p, d):
 
     monkeypatch.setattr(Poly, "__init__", counted_init)
     monkeypatch.setattr(factorization, "convolve_into", counted_convolve)
-    check_certificate(m, cert)
+    _check(m, cert)
     assert len(built) == 0 and len(products) == 10
 
 
@@ -565,7 +585,7 @@ def test_stacked_step2_equals_step2_per_row(p, d, count):
     stacked = birkhoff_step2(ctx, cocycles, *zip(*step1))
     assert len(stacked) == len(cocycles) >= 6
     for co, row, cert in zip(cocycles, step1, stacked):
-        alone = birkhoff_step2(ctx, co, *row)
+        alone = _step2(ctx, co, *row)
         for name in CERTIFICATE_FIELDS:
             assert getattr(cert, name) == getattr(alone, name), name
     # every stack holds rows whose gamma' was reduced mod g, and rows with c = p
@@ -592,7 +612,7 @@ def test_stacked_check_rejects_only_the_tampered_row(monkeypatch, p, d, count, s
     for k in (0, len(certs) // 2, len(certs) - 1):
         for name, (bad_m, bad) in _tampered(ms[k], certs[k]).items():
             with pytest.raises(CertificateCheckFailed) as alone:
-                check_certificate(bad_m, bad)
+                _check(bad_m, bad)
             identity = str(alone.value).split(" does not hold")[0]
             with pytest.raises(CertificateCheckFailed) as err:
                 check_certificate(ms[:k] + [bad_m] + ms[k + 1:],
@@ -634,31 +654,31 @@ def test_step2_names_the_identity_its_certificate_breaks(monkeypatch):
     wrong = dataclasses.replace(m, lower_left=m.lower_left + Poly.one(ctx))
     monkeypatch.setattr(factorization, "build_transition", lambda cocycle, unit_inverse=None: wrong)
     with pytest.raises(CertificateCheckFailed, match=r"identity P\*M\*Q does not hold"):
-        birkhoff_step2(ctx, co, *birkhoff_step1(ctx, co.A))
+        _step2(ctx, co, *_step1(ctx, co.A))
 
 
 def test_step2_rejects_inconsistent_input():
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
+    f, g, h, beta, gamma = _step1(ctx, co.A)
     with pytest.raises(CertificateCheckFailed, match="identity step-1"):
-        birkhoff_step2(ctx, co, f + Poly.one(ctx), g, h, beta, gamma)
+        _step2(ctx, co, f + Poly.one(ctx), g, h, beta, gamma)
 
 
 def test_step2_rejects_degrees_out_of_bounds():
     ctx = make_context(5, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
+    f, g, h, beta, gamma = _step1(ctx, co.A)
     c = max(f.degree, g.degree)
     with pytest.raises(CertificateCheckFailed, match="combined degree"):
-        birkhoff_step2(ctx, co, Poly.monomial(ctx, 6), g, h, beta, gamma)
+        _step2(ctx, co, Poly.monomial(ctx, 6), g, h, beta, gamma)
     with pytest.raises(CertificateCheckFailed, match="combined degree"):
-        birkhoff_step2(ctx, co, Poly.zero(ctx), Poly.zero(ctx), h, beta, gamma)
+        _step2(ctx, co, Poly.zero(ctx), Poly.zero(ctx), h, beta, gamma)
     over = Poly.monomial(ctx, 10 - c + 1)  # degree 2p - c + 1
     with pytest.raises(CertificateCheckFailed, match="degree bounds"):
-        birkhoff_step2(ctx, co, f, g, h, beta + over, gamma)
+        _step2(ctx, co, f, g, h, beta + over, gamma)
     with pytest.raises(CertificateCheckFailed, match="degree bounds"):
-        birkhoff_step2(ctx, co, f, g, h, beta, gamma + over)
+        _step2(ctx, co, f, g, h, beta, gamma + over)
 
 
 def test_step2_gcd_check_rejects_factor_coprime_to_z_minus_one():
@@ -672,7 +692,7 @@ def test_step2_gcd_check_rejects_factor_coprime_to_z_minus_one():
             if r.is_zero() or r == ctx.one:
                 continue
             co = build_A_primitive(ctx, w)
-            f, g, h, beta, gamma = birkhoff_step1(ctx, co.A)
+            f, g, h, beta, gamma = _step1(ctx, co.A)
             if max(f.degree, g.degree) >= p:
                 continue  # the extra factor would push c past p first
             cases += 1
@@ -680,7 +700,7 @@ def test_step2_gcd_check_rejects_factor_coprime_to_z_minus_one():
             # (beta', gamma') fit the old c, or their Bezout sum is extra*(z-1)^(2p)
             with pytest.raises(CertificateCheckFailed,
                                match=r"identity Bezout|degree bounds"):
-                birkhoff_step2(ctx, co, f * extra, g * extra, h * extra, beta, gamma)
+                _step2(ctx, co, f * extra, g * extra, h * extra, beta, gamma)
         assert cases > 0
 
 

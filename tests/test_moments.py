@@ -157,7 +157,7 @@ def test_birkhoff_follows_the_modulus(monkeypatch, shapes):
         G = modulus_poly(ctx, second_modulus(ctx, c))
         co = build_A_primitive(ctx, w)
         cert = factorization_certificate(co)
-        check_certificate(build_transition(co), cert)
+        check_certificate([build_transition(co)], [cert])
         n = moment_n(ctx, co.A, c, moments_at_one_and_c)
         assert cert.n == n == splitting_from_T(co).n, (p, w)
         assert t_r_first_mismatch(ctx, wp.lam0, wp.lam1) is None, (p, w)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,13 +51,23 @@ def test_block_division_matches_school_division(monkeypatch, p, d, c):
         G = modulus_poly(ctx, g)
     lengths = [0, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p, 4 * p + 1]
     lengths += [rng.randrange(5 * p) for _ in range(6)]
+    fs = []
     for n in lengths:
         rows = [[rng.randrange(p) for _ in range(d)] for _ in range(n)]
         if n:
             rows[-1][0] = rng.randrange(1, p)
-        f = Poly(ctx, rows)
-        assert len(f.v) == n
-        assert divrem_modulus(f) == poly_divrem(f, G), (p, d, n)
+        fs.append(Poly(ctx, rows))
+        assert len(fs[-1].v) == n
+    want = [poly_divrem(f, G) for f in fs]
+    # each polynomial as a stack of one, then all of them as one zero-padded stack
+    for f, qr in zip(fs, want):
+        q, r = divrem_modulus(f.v[None], ctx)
+        assert (Poly(ctx, q[0]), Poly(ctx, r[0])) == qr, (p, d, len(f.v))
+    stack = np.zeros((len(fs), max(lengths), d), np.int64)
+    for row, f in zip(stack, fs):
+        row[:len(f.v)] = f.v
+    q, r = divrem_modulus(stack, ctx)
+    assert [(Poly(ctx, x), Poly(ctx, y)) for x, y in zip(q, r)] == want, (p, d)
 
 
 def test_divrem_by_zero():

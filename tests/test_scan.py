@@ -137,26 +137,21 @@ def test_one_cocycle_and_one_transition_per_row(monkeypatch):
 def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
     # enumerate 5's 15 rows share one field: one lockstep step-1 call and
     # one stacked step-2 call for all of them, and the gluing matrix per
-    # row; a catalog task holds every target at its prime, so its d = 1
-    # rows form one stack above the crossover, and its few d = 2 rows run
-    # both steps per row
+    # row; a catalog task holds every target at its prime, so each field's
+    # rows form one stack, whatever their number, and no row runs on its own
     calls = Counter()
     stacks = []
     step1, step2 = factorization.birkhoff_step1, factorization.birkhoff_step2
 
     def spy1(ctx, A):
-        if isinstance(A, list):
-            stacks.append(("step1", len(A)))
-        else:
-            calls["step1 per row"] += 1
+        assert isinstance(A, list)
+        stacks.append(("step1", ctx.p, ctx.d, len(A)))
         return step1(ctx, A)
 
-    def spy2(ctx, cocycle, *rest):
-        if isinstance(cocycle, list):
-            stacks.append(("step2", len(cocycle)))
-        else:
-            calls["step2 per row"] += 1
-        return step2(ctx, cocycle, *rest)
+    def spy2(ctx, cocycles, *rest):
+        assert isinstance(cocycles, list)
+        stacks.append(("step2", ctx.p, ctx.d, len(cocycles)))
+        return step2(ctx, cocycles, *rest)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -168,9 +163,14 @@ def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
     monkeypatch.setattr(factorization, "birkhoff_step2", spy2)
     monkeypatch.setattr(factorization, "build_transition",
                         counting("build_transition", factorization.build_transition))
+    # the one-row entry points, at every module that holds them
+    for module in (scan, factorization):
+        for name in ("splitting_from_birkhoff", "factorization_certificate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     report = run_enumerate(5, methods=("t", "birkhoff"))
-    assert len(report.rows) == 15 >= scan.BIRKHOFF_STACK_MIN
-    assert stacks == [("step1", 15), ("step2", 15)]
+    assert len(report.rows) == 15
+    assert stacks == [("step1", 5, 1, 15), ("step2", 5, 1, 15)]
     assert calls == {"build_transition": 15}
     calls.clear()
     stacks.clear()
@@ -181,16 +181,21 @@ def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
         first_labels.setdefault(entry.spec.minpoly, entry.spec.label)
     computed = [r for r in report.rows if r.bad_reason is None
                 and r.lambda_label in set(first_labels.values())]
-    # the largest prime first: p = 7 has 11 rows over F_7, p = 5 has 9 over F_5
-    assert stacks == [("step1", 11), ("step2", 11), ("step1", 9), ("step2", 9)]
+    # the largest prime first: p = 7 has 11 rows over F_7 and 3 over F_49,
+    # p = 5 has 9 over F_5 and 1 over F_25
+    assert stacks == [("step1", 7, 1, 11), ("step2", 7, 1, 11),
+                      ("step1", 7, 2, 3), ("step2", 7, 2, 3),
+                      ("step1", 5, 1, 9), ("step2", 5, 1, 9),
+                      ("step1", 5, 2, 1), ("step2", 5, 2, 1)]
     assert len(computed) == 24 and [r.d for r in computed].count(2) == 4
-    assert calls == {"step1 per row": 4, "step2 per row": 4, "build_transition": 24}
+    assert calls == {"build_transition": 24}
 
 
 def test_failed_certificate_names_its_row(monkeypatch):
     # one row of enumerate 5's stack gets a wrong gluing matrix: the stacked
     # check names the identity and the row's place in the stack, and
-    # _rows_from_data notes that row's label, p and place
+    # _rows_from_data notes that row's label, p and place; so it does for
+    # the middle row of the catalog's d = 2 stack of three at p = 7
     build = factorization.build_transition
     made = []
 
@@ -208,6 +213,24 @@ def test_failed_certificate_names_its_row(monkeypatch):
     assert err.value.rows == (7,)
     # row 7 of lam0 in 2..4, lam1 in 0..4 is lam0 = 3, lam1 = 2
     assert err.value.__notes__ == ["in the certificate of lambda 3;2 at p=5, place 0"]
+    inert = []
+
+    def wrong_second_inert_at_7(cocycle, unit_inverse=None):
+        m = build(cocycle, unit_inverse)
+        if (cocycle.ctx.p, cocycle.ctx.d) == (7, 2):
+            inert.append(1)
+            if len(inert) == 2:
+                return replace(m, lower_left=m.lower_left + Poly.one(cocycle.ctx))
+        return m
+
+    monkeypatch.setattr(factorization, "build_transition", wrong_second_inert_at_7)
+    with pytest.raises(CertificateCheckFailed) as err:
+        run_verify_beauville((5, 7), methods=("t", "birkhoff"))
+    assert len(inert) == 3
+    assert str(err.value) == "certificate identity P*M*Q does not hold at row 1"
+    assert err.value.rows == (1,)
+    assert err.value.__notes__ == [
+        "in the certificate of lambda (125+55*sqrt(5))/2 at p=7, place 0"]
 
 
 def test_failed_certificate_in_a_catalog_stack_names_its_row(monkeypatch):
@@ -251,9 +274,9 @@ def test_catalog_task_builds_one_context_per_field(monkeypatch):
 
 
 @pytest.mark.parametrize("p, d", [(7, 1), (3, 2)])
-def test_birkhoff_rows_agree_across_the_crossover(monkeypatch, p, d):
+def test_birkhoff_stack_agrees_with_stacks_of_one(monkeypatch, p, d):
     # a field's stack gives the same rows, step-1 outputs and certificates
-    # when both steps run on the whole stack and when they run row by row
+    # as its rows run as stacks of one
     ctx = make_context(p, d)
     items = [("x", ReductionDatum(p=p, place=0, d=d, witt=witt_decompose(w)))
              for w in ctx.witt_elements()
@@ -261,23 +284,19 @@ def test_birkhoff_rows_agree_across_the_crossover(monkeypatch, p, d):
     step2 = factorization.birkhoff_step2
     seen, certs = [], []
 
-    def spy(ctx, cocycle, *step1):
-        out = step2(ctx, cocycle, *step1)
-        if isinstance(cocycle, list):
-            seen.extend(zip(*step1))
-            certs.extend(out)
-        else:
-            seen.append(step1)
-            certs.append(out)
+    def spy(ctx, cocycles, *step1):
+        out = step2(ctx, cocycles, *step1)
+        seen.extend(zip(*step1))
+        certs.extend(out)
         return out
 
     monkeypatch.setattr(factorization, "birkhoff_step2", spy)
     runs = []
-    for crossover in (len(items), len(items) + 1):
-        monkeypatch.setattr(scan, "BIRKHOFF_STACK_MIN", crossover)
+    for parts in ([items], [[item] for item in items]):
         seen.clear()
         certs.clear()
-        runs.append((scan._rows_from_data(items, ("t", "birkhoff")), list(seen), list(certs)))
+        rows = [row for part in parts for row in scan._rows_from_data(part, ("t", "birkhoff"))]
+        runs.append((rows, list(seen), list(certs)))
     assert runs[0] == runs[1]
     assert len(runs[0][2]) == len(items)
     assert all(r.agree for r in runs[0][0])
