@@ -56,9 +56,13 @@ def _join_target_values(argv: list[str]) -> list[str]:
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        # bad input; caught here only, so no other OSError passes for it
+        raise HiggsflowError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_report(report: ScanReport, fmt: str, out: str) -> None:

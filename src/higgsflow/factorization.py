@@ -7,22 +7,25 @@ rational reconstruction of A*z^(-p) mod G (see
 :func:`birkhoff_step1`); n = p - max(deg f, deg g).  It shares no linear
 algebra with the t method's rank scan.  Step 1 takes a field's stack of
 rows: the stack's extended Euclids run in lockstep, one quotient step on
-every unfinished row per iteration (:func:`euclid_rows`), and their
-Euclid rows (r, t) live in two preallocated arrays that each step updates
-in place, so a step builds no polynomial object.  The Euclid row before
-the stopping row is a Bezout partner: it gives (beta', gamma') with
+every unfinished row per iteration (:func:`_euclid`), and their Euclid
+rows (r, t) live in two preallocated arrays that each step updates in
+place, so a step builds no polynomial object.  The Euclid row before the
+stopping row is a Bezout partner: it gives (beta', gamma') with
 f*gamma' + g*beta' = G and z^p*gamma' = A*beta' mod G, reduced so that
-both have degree <= 2p - c.
+both have degree <= 2p - c.  Step 1 returns the stack's zero-padded
+(n, L, d) coefficient arrays of f, g, h, beta' and gamma'.
 
 Step 2 divides the off-frame entry alpha out of z^p*gamma' - A*beta' and
 assembles unimodular frames P, Q with
 P * M * Q = diag((z-1)^(p-c), (z-1)^(c-p)).  It runs no second gcd: the
 Bezout partner from step 1 already gives f*gamma' + g*beta' = G.  Step 2
-and the certificate check take the same stack, and work on its
-zero-padded (n, L, d) coefficient arrays: one product and one division by
-G give every row's alpha, each unit is inverted once, and the check
-proves every identity of every row in one buffer.  A single row is a
-stack of one (:func:`factorization_certificate`).
+takes step 1's arrays as they are and returns the checked
+:class:`CertificateStack` of the same arrays: one product and one
+division by G give every row's alpha, each unit is inverted once, and the
+check proves every identity of every row in one buffer.  A sweep reads
+each row's n = p - c from the stack; only a single row, a stack of one,
+becomes a :class:`FactorizationCertificate` of polynomials
+(:func:`factorization_certificate`).
 
 The two divisions by G (h in step 1, alpha in step 2) use
 :func:`~higgsflow.polys.divrem_modulus`, which moves a block of p
@@ -30,7 +33,7 @@ coefficients at a time; B = A*z^(-p) mod G needs none.  The one school
 division left is the reduction of gamma' mod g in step 1, by a divisor of
 degree < p, when deg g > deg f.
 
-Everything is certified: the returned object carries (f, g, h, c,
+Everything is certified: the returned stack carries (f, g, h, c,
 beta', gamma', alpha~, P~, Q~), and step 2 hands it back only after
 :func:`check_certificate` has proved every identity exactly: the step-1
 congruence, the Bezout relation, the alpha relation, det P = det Q = 1,
@@ -104,10 +107,6 @@ def _fail_rows(bad, msg: str) -> None:
     if any(bad):
         rows = tuple(i for i, x in enumerate(bad) if x)
         raise CertificateCheckFailed(f"{msg} at row {rows[0]}", rows)
-
-
-def _deg(f: Poly) -> int:
-    return f.degree if not f.is_zero() else -1
 
 
 def _degrees(r: np.ndarray) -> np.ndarray:
@@ -197,15 +196,20 @@ def _euclid(ctx: ReductionContext, G: np.ndarray, B: np.ndarray, stop: int,
     """Extended Euclid on (G, B_i) for every row B_i of the stack B (n, L, d),
     L <= deg G, in lockstep, each row to its first remainder of degree < stop.
 
+    Rows (r_j, t_j) start at (G, 0) and (B_i, 1) and keep r_j = t_j*B_i
+    mod G, r stacked on t in one (2, deg G + 1, d) array per row.  A step
+    takes each row's quotient from the top k+1 coefficients of r0 and r1:
     ``table`` is ``ctx.finv_table()`` for a stack of more than one row,
     whose quotients come from ``_quotient_stack``, and None for a stack of
-    one, which steps its own (2, deg G + 1, d) rows, with int degrees and
-    ``_quotient_one``'s quotient.
-    Each iteration steps every live row (deg r1 >= stop) and swaps the two
-    arrays' roles for all rows; a row that has stopped takes zero
-    quotients, and its last two Euclid rows are read off at the end by the
-    parity of the swaps it sat out.  Returns (r0, t0, r1, t1) stacks
-    (n, deg G + 1, d), and each row's deg r0 and number of steps.
+    one, which steps its own rows with int degrees and ``_quotient_one``'s
+    quotient.  It subtracts each quotient coefficient's multiple of row 1
+    from row 0 in place (against row 1 times 1, x, .., x^(d-1)), reduces
+    mod p once (entries stay above -(k+1)*d*p^2 before it), and the two
+    arrays swap roles for all rows.  A row that has stopped (deg r1 < stop,
+    or a zero remainder) takes zero quotients, and its last two Euclid rows
+    are read off at the end by the parity of the swaps it sat out.
+    Returns (r0, t0, r1, t1) stacks (n, deg G + 1, d), with
+    t1*r0 - t0*r1 = (-1)^steps * G, and each row's deg r0 and steps.
     """
     p, d = ctx.p, ctx.d
     n, top = len(B), len(G) - 1         # top: deg G
@@ -253,41 +257,10 @@ def _euclid(ctx: ReductionContext, G: np.ndarray, B: np.ndarray, stop: int,
     return last0[:, 0], last0[:, 1], last1[:, 0], last1[:, 1], n0, steps
 
 
-def euclid_rows(G: Poly, B: list, stop: int) -> list:
-    """Extended Euclid on (G, B_i) for every B_i of the list B, one field's
-    stack with every deg B_i < deg G, in lockstep, each to its first
-    remainder of degree < stop.
-
-    Rows (r_j, t_j) start at (G, 0) and (B_i, 1) and keep r_j = t_j*B_i
-    mod G.  The last two come back as r0, t0, r1, t1, with the sign of
-    t1*r0 - t0*r1 = sign * G: a list of (r0, t0, r1, t1, sign), one per
-    B_i.  A zero remainder ends the loop too.
-
-    A row is one int64 array of shape (2, deg G + 1, d), r stacked on t
-    (deg t_j = deg G - deg r_(j-1) never passes deg G), and a stack of n
-    rows one (n, 2, deg G + 1, d) pair (:func:`_euclid`).  A step works
-    out each row's quotient from the top k+1 coefficients of r0 and r1,
-    with the context's scalar field ops for a stack of one
-    (:func:`_quotient_one`) and for all rows at once otherwise
-    (:func:`_quotient_stack`, inverses through one table of F_p).  It
-    subtracts each quotient coefficient's multiple of row 1 from row 0 in
-    place (coordinate by coordinate, against row 1 times 1, x, ..,
-    x^(d-1)), reduces mod p once (entries stay above -(k+1)*d*p^2 before
-    it) and walks r's degree down below deg r1.  The two rows then swap
-    roles.  A row that has stopped takes zero quotients while the others
-    go on, so the loop runs as many times as the longest row needs.
-    """
-    ctx = G.ctx
-    table = ctx.finv_table() if len(B) > 1 else None
-    r0, t0, r1, t1, _, steps = _euclid(ctx, G.v, _coefficients(B, len(G.v) - 1), stop, table)
-    return [tuple(Poly(ctx, x) for x in rows) + (-1 if k % 2 else 1,)
-            for *rows, k in zip(r0, t0, r1, t1, steps.tolist())]
-
-
-def birkhoff_step1(ctx: ReductionContext, A: list) -> list:
+def birkhoff_step1(ctx: ReductionContext, A: list) -> tuple:
     """Minimal (f, g) with f*A + g*z^p = h*G, and a Bezout partner, for
     every cocycle polynomial of the list A, one field's stack, whose
-    Euclids run in lockstep (:func:`euclid_rows`).
+    Euclids run in lockstep (:func:`_euclid`).
 
     G = g(z^p) = z^(2p) + g1*z^p + g0, with g0, g1 read from
     :func:`~higgsflow.polys.euclid_modulus`.  Rational reconstruction of
@@ -325,9 +298,12 @@ def birkhoff_step1(ctx: ReductionContext, A: list) -> list:
 
     B, the Euclid, the scalings by the leads, and h with the check that G
     divides f*A + g*z^p, are done for the whole stack at once; only the
-    reduction of gamma', on the rows with deg g > deg f, runs row by row.
+    reduction of gamma', on the rows with deg g > deg f, runs row by row,
+    and writes its result back into the stacks.
 
-    Returns a list of (f, g, h, beta', gamma'), one per row.
+    Returns (f, g, h, beta', gamma'), each the stack's zero-padded
+    coefficient array (n, L, d), row i belonging to A[i]; beta' is wide
+    enough for degree 2p - c on the rows whose gamma' was reduced.
     """
     p, d = ctx.p, ctx.d
     if any(x.degree > 2 * p - 1 for x in A):
@@ -345,8 +321,11 @@ def birkhoff_step1(ctx: ReductionContext, A: list) -> list:
 
     # f, g by 1/lead(t_j) and -1/lead(t_j), the partner by +-lead(t_j): one
     # blow-up.  Each is cut at its degree bound: deg f = deg t_j =
-    # 2p - deg r_(j-1) = 2p - deg gamma', deg beta' < deg f and deg g < p
+    # 2p - deg r_(j-1) = 2p - deg gamma', deg g < p, and deg beta' < deg f,
+    # or 2p - c once gamma' is reduced mod g on a row with c = deg g > deg f
     deg_f = 2 * p - n0
+    deg_g = _degrees(r1)
+    reduced = np.flatnonzero(deg_g > deg_f).tolist()
     if table is None:
         lead = t1[0, deg_f[0]].tolist()
         inv = ctx.finv(lead)
@@ -356,23 +335,23 @@ def birkhoff_step1(ctx: ReductionContext, A: list) -> list:
         inv = ctx.finv_stack(lead, table)
         times = ctx.mul_matrix(np.stack([inv, -inv, lead * (1 - 2 * (steps[:, None] % 2))], 1))
     most, least = int(deg_f.max()), int(deg_f.min())
+    wide = max([most] + [2 * p + 1 - int(deg_g[i]) for i in reduced])
     f, g, beta, gamma = (x[:, :cut] @ times[:, k] % p for x, k, cut in (
-        (t1, 0, most + 1), (r1, 1, p), (t0, 2, most), (r0, 2, 2 * p + 1 - least)))
+        (t1, 0, most + 1), (r1, 1, p), (t0, 2, wide), (r0, 2, 2 * p + 1 - least)))
     # h = (f*A + g*z^p)/G for every row, from one product and one division
     t = np.zeros((len(A), most + 2 * p, 2 * d - 1), np.int64)
     convolve_into(t, f, a)
     t[:, p:2 * p, :d] += g
     h, rem = divrem_modulus(ctx.fold(t), ctx)
     _fail_rows(rem.any(axis=(1, 2)), "step-1 sum f*A + g*z^p is not divisible by G")
-    out = []
-    for k, *row in zip(deg_f.tolist(), f, g, beta, gamma, h):
-        fx, gx, bx, cx, hx = (Poly(ctx, v[:m])
-                              for v, m in zip(row, (k + 1, p, k, 2 * p + 1 - k, None)))
-        if _deg(gx) > fx.degree:
-            q, cx = poly_divrem(cx, gx)
-            bx = bx + q * fx
-        out.append((fx, gx, hx, bx, cx))
-    return out
+    for i in reduced:
+        fx, gx, bx, cx = (Poly(ctx, x[i]) for x in (f, g, beta, gamma))
+        q, cx = poly_divrem(cx, gx)
+        bx = bx + q * fx
+        beta[i, :len(bx.v)] = bx.v          # deg beta' only grows
+        gamma[i, len(cx.v):] = 0
+        gamma[i, :len(cx.v)] = cx.v
+    return f, g, h, beta, gamma
 
 
 def _frames(ctx: ReductionContext, units: np.ndarray, beta: np.ndarray, h: np.ndarray,
@@ -395,7 +374,7 @@ def _certificate(f: Poly, g: Poly, h: Poly, beta_prime: Poly, gamma_prime: Poly,
                  beta_u: Poly, minus_beta_u: Poly, minus_h_u: Poly,
                  g_u: Poly) -> FactorizationCertificate:
     """The certificate with its frames laid out as :class:`FactorizationCertificate` says."""
-    c = max(_deg(f), _deg(g))
+    c = max(len(f.v), len(g.v)) - 1
     return FactorizationCertificate(
         f=f, g=g, h=h, c=c, n=f.ctx.p - c, beta_prime=beta_prime, gamma_prime=gamma_prime,
         alpha=alpha, P=((alpha, beta_u), (minus_h_u, f)), Q=((f, minus_beta_u), (g_u, gamma_prime)))
@@ -417,33 +396,33 @@ def assemble_certificate(cocycle: CocyclePolynomial, f: Poly, g: Poly, h: Poly,
                         *(Poly(ctx, x[0]) for x in frames))
 
 
-def birkhoff_step2(ctx: ReductionContext, cocycles: list, fs, gs, hs, betas, gammas) -> list:
+def birkhoff_step2(ctx: ReductionContext, cocycles: list, f: np.ndarray, g: np.ndarray,
+                   h: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> CertificateStack:
     """Degree checks, alpha, frame assembly, then the exact certificate check.
 
-    cocycles is a list of cocycles, one field's stack, and each of fs, gs,
-    hs, betas, gammas a sequence of as many polynomials, the step-1 output
-    (f, g, h, beta', gamma') of every row; a list of certificates comes
-    back, one per row.  The whole stack is worked on as zero-padded
-    (n, L, d) arrays: alpha~ = (z^p*gamma' - A*beta')/G for every row from
-    one product and one :func:`~higgsflow.polys.divrem_modulus`; every
-    unit u inverted once (:func:`_frames`), and that inverse also gives
-    the gluing matrix's lower-left entry A/u (``build_transition``); the
-    certificates of the stack proved together (``verify_certificate`` on a
-    :class:`CertificateStack`).  The certificate objects are built only
-    once the whole stack has passed.
+    cocycles is a list of cocycles, one field's stack, and f, g, h, beta,
+    gamma the zero-padded coefficient arrays (n, L, d) of its step-1
+    output (f, g, h, beta', gamma'), row i belonging to cocycles[i], as
+    :func:`birkhoff_step1` returns them.  The whole stack is worked on as
+    these arrays: alpha~ = (z^p*gamma' - A*beta')/G for every row from one
+    product and one :func:`~higgsflow.polys.divrem_modulus`; every unit u
+    inverted once (:func:`_frames`), and that inverse also gives the
+    gluing matrix's lower-left entry A/u (``build_transition``); the
+    certificates of the stack proved together (``verify_certificate``).
+    Returns the :class:`CertificateStack`, whose c gives each row's
+    n = p - c; it has passed :func:`check_certificate`.
 
     Raises CertificateCheckFailed, naming the first failing row, when
     c = max(deg f, deg g) is outside 0..p or deg beta', deg gamma' exceed
     2p - c, or, naming the identity too, when the assembled certificates
-    fail :func:`check_certificate`; a returned certificate has passed it.
+    fail :func:`check_certificate`.
     """
     p = ctx.p
-    c = [max(len(x.v), len(y.v)) - 1 for x, y in zip(fs, gs)]
-    _fail_rows([not 0 <= k <= p for k in c], "combined degree outside 0..p")
-    _fail_rows([max(len(x.v), len(y.v)) > 2 * p - k + 1 for x, y, k in zip(betas, gammas, c)],
+    c = np.maximum(_degrees(f), _degrees(g))
+    _fail_rows((c < 0) | (c > p), "combined degree outside 0..p")
+    _fail_rows(np.maximum(_degrees(beta), _degrees(gamma)) > 2 * p - c,
                "degree bounds on (beta', gamma') violated")
-    A, F, G, H, beta, gamma = (_coefficients(xs) for xs in (
-        [x.A for x in cocycles], fs, gs, hs, betas, gammas))
+    A = _coefficients([x.A for x in cocycles])
 
     # the quotient is exact when the alpha identity of check_certificate holds
     t = np.zeros((len(cocycles), max(p + gamma.shape[1], A.shape[1] + beta.shape[1] - 1),
@@ -451,24 +430,28 @@ def birkhoff_step2(ctx: ReductionContext, cocycles: list, fs, gs, hs, betas, gam
     t[:, p:p + gamma.shape[1], :ctx.d] = gamma
     convolve_into(t, A, beta, -1)
     alpha, _ = divrem_modulus(ctx.fold(t), ctx)
-    inv, frames = _frames(ctx, np.array([x.unit.vec for x in cocycles], np.int64), beta, H, G)
-    beta_u, minus_beta_u, minus_h_u, g_u = frames
-    stack = CertificateStack(f=F, g=G, h=H, c=np.array(c), beta_prime=beta, gamma_prime=gamma,
-                             alpha=alpha, P=((alpha, beta_u), (minus_h_u, F)),
-                             Q=((F, minus_beta_u), (g_u, gamma)))
+    inv, (beta_u, minus_beta_u, minus_h_u, g_u) = _frames(
+        ctx, np.array([x.unit.vec for x in cocycles], np.int64), beta, h, g)
+    stack = CertificateStack(f=f, g=g, h=h, c=c, beta_prime=beta, gamma_prime=gamma,
+                             alpha=alpha, P=((alpha, beta_u), (minus_h_u, f)),
+                             Q=((f, minus_beta_u), (g_u, gamma)))
     # verify_certificate is the check perfbench traces as factorization.verify;
     # only when it fails does check_certificate run again to name the identity
     ms = [build_transition(x, tuple(v)) for x, v in zip(cocycles, inv.tolist())]
     if not verify_certificate(ms, stack):
         check_certificate(ms, stack)
-    built = [[Poly(ctx, v) for v in x] for x in (alpha, *frames)]
-    return [_certificate(*row) for row in zip(fs, gs, hs, betas, gammas, *built)]
+    return stack
 
 
 def factorization_certificate(cocycle: CocyclePolynomial) -> FactorizationCertificate:
-    """Full pipeline on one cocycle, a stack of one: step 1, step 2."""
+    """Full pipeline on one cocycle, a stack of one: step 1, step 2, and the
+    checked stack's one row as a certificate of polynomials."""
     ctx = cocycle.ctx
-    return birkhoff_step2(ctx, [cocycle], *zip(*birkhoff_step1(ctx, [cocycle.A])))[0]
+    s = birkhoff_step2(ctx, [cocycle], *birkhoff_step1(ctx, [cocycle.A]))
+    (alpha, beta_u), (minus_h_u, _) = s.P
+    (_, minus_beta_u), (g_u, _) = s.Q
+    return _certificate(*(Poly(ctx, x[0]) for x in (
+        s.f, s.g, s.h, s.beta_prime, s.gamma_prime, alpha, beta_u, minus_beta_u, minus_h_u, g_u)))
 
 
 def splitting_from_birkhoff(cocycle: CocyclePolynomial) -> SplittingType:
@@ -478,7 +461,7 @@ def splitting_from_birkhoff(cocycle: CocyclePolynomial) -> SplittingType:
 
 @dataclass(frozen=True)
 class CertificateStack:
-    """n certificates at one (p, d) as the check reads them.
+    """n certificates at one (p, d) as step 2 returns them and the check reads them.
 
     Each polynomial field of :class:`FactorizationCertificate`, and each
     entry of P~ and Q~, is one zero-padded coefficient stack (n, L, d),

@@ -8,7 +8,8 @@ row's cocycle once, from the characteristic-p² primitive, and every method
 reads that one cocycle.  It takes all the data a call has at one prime, and
 every method takes each field's rows together: t and cech each eliminate
 them in one stacked elimination, and birkhoff runs step 1 on them in
-lockstep, and step 2 and its check on all of them at once.
+lockstep, and step 2 and its check on all of them at once, on step 1's
+arrays; a row keeps only its n, read from the checked stack.
 Scans and catalog sweeps hand one task per prime to one runner, serial
 or one process pool, and sort the rows once before emission, so the
 output never depends on scheduling.  A catalog task holds every distinct
@@ -129,8 +130,10 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
     stacked elimination per field, since their matrices at one (p, d)
     share their shapes.  Birkhoff takes each field's stack at once too,
     whatever its number of rows: step 1 in one lockstep Euclid, step 2 and
-    its certificate check on the whole stack's arrays.  Only birkhoff
-    builds the gluing matrix.  A certificate that fails its check raises
+    its certificate check on the arrays step 1 returns, each row's
+    n = p - c read from the checked ``CertificateStack``, and no
+    certificate of polynomials built.  Only birkhoff builds the gluing
+    matrix.  A certificate that fails its check raises
     with a note naming its row's label, p and place.  A row's time is read
     when it is built, so the cocycles and the stacked work land on the
     first row built after them.  Step 1 and step 2 are called through the
@@ -156,14 +159,14 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
         if "birkhoff" in methods:
             try:
                 step1 = factorization.birkhoff_step1(ctx, [c.A for c in stack])
-                certs = factorization.birkhoff_step2(ctx, stack, *zip(*step1))
+                checked = factorization.birkhoff_step2(ctx, stack, *step1)
             except CertificateCheckFailed as exc:
                 label, datum = items[rows[exc.rows[0]]]
                 exc.add_note(f"in the certificate of lambda {label} at p={datum.p}, "
                              f"place {datum.place}")
                 raise
-            for i, cert in zip(rows, certs):
-                values[i]["n_birkhoff"] = cert.n
+            for i, c in zip(rows, checked.c.tolist()):
+                values[i]["n_birkhoff"] = ctx.p - c
     out = []
     for i, (label, datum) in enumerate(items):
         if datum.is_bad:

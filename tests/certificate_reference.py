@@ -9,7 +9,8 @@ rational-function arithmetic, with P*M*Q proved as M*Q = adj(P)*diag.
 It also keeps the order of a zero at z = 1, read off the Taylor
 coefficients, and the test-side forms of the modulus G = g(z^p): (z-1)^k from
 the binomials, G from g's rows, the second modulus g = (X - 1)(X - c), and
-a patch that puts other rows in place of ``polys.euclid_modulus``.
+a patch that puts other rows in place of ``polys.euclid_modulus``, and
+the rows of birkhoff's coefficient stacks read back as polynomials.
 """
 
 import sys
@@ -151,6 +152,24 @@ class PoleFraction:
 
     def __repr__(self):
         return f"PoleFraction({self.num!r} / z^{self.a}(z-1)^{self.b})"
+
+
+def step1_rows(ctx, step1) -> list:
+    """birkhoff_step1's stacks (f, g, h, beta', gamma'), one tuple of Polys per row."""
+    return [tuple(Poly(ctx, x) for x in row) for row in zip(*step1)]
+
+
+def certificate_rows(ctx, stack) -> list:
+    """Each row of a CertificateStack as a dict of the certificate's fields:
+    Polys, c and n = p - c as ints, and P~, Q~ as 2x2 tuples of Polys."""
+    rows = []
+    for i, c in enumerate(stack.c.tolist()):
+        row = {name: Poly(ctx, getattr(stack, name)[i])
+               for name in ("f", "g", "h", "beta_prime", "gamma_prime", "alpha")}
+        row |= {name: tuple(tuple(Poly(ctx, x[i]) for x in r) for r in getattr(stack, name))
+                for name in ("P", "Q")}
+        rows.append(row | {"c": c, "n": ctx.p - c})
+    return rows
 
 
 def transition_fractions(m):

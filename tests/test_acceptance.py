@@ -21,7 +21,7 @@ from higgsflow.polys import Poly
 from higgsflow.scan import run_enumerate, run_scan, run_verify_beauville
 from higgsflow.sections import splitting_from_cech
 
-from certificate_reference import order_at_one
+from certificate_reference import order_at_one, step1_rows
 
 
 @contextmanager
@@ -50,7 +50,7 @@ def test_ac1_micro_case_periodic():
         closed = build_A_closed(ctx, ctx.f_from_int(2), ctx.zero)
         expect_a = P(ctx, 0, 2, 0, 0, 0, 1)  # z^5 + 2z
         assert prim.A == expect_a and closed.A == expect_a
-        f, g, h, _, _ = birkhoff_step1(ctx, [prim.A])[0]
+        f, g, h, _, _ = step1_rows(ctx, birkhoff_step1(ctx, [prim.A]))[0]
         assert f == P(ctx, 2, 0, 1) and g == P(ctx, 1, 1, 1) and order_at_one(f, g) == 1
         cert = factorization_certificate(prim)
         assert cert.c == 2 and cert.n == 1
@@ -71,7 +71,7 @@ def test_ac2_micro_case_exceptional():
         from higgsflow.linalg import mat_det
         t0 = t_submatrix(build_T(build_A_closed(ctx, wp.lam0, wp.lam1)), 0)
         assert mat_det(t0) == ctx.f_from_int(2)
-        f, g, h, _, _ = birkhoff_step1(ctx, [prim.A])[0]
+        f, g, h, _, _ = step1_rows(ctx, birkhoff_step1(ctx, [prim.A]))[0]
         assert f == P(ctx, 2, 0, 1, 1) and g == P(ctx, 1, 2) and order_at_one(f, g) == 0
         cert = factorization_certificate(prim)
         assert cert.c == 3 and cert.n == 0

@@ -72,6 +72,18 @@ def test_out_file_lf_only(tmp_path, capsys):
     assert data.decode("utf-8").splitlines()[0].startswith("lambda,")
 
 
+@pytest.mark.parametrize("argv", [("enumerate", "5"), ("selftest", "--max-p", "3")],
+                         ids=["enumerate", "selftest"])
+def test_unwritable_out_path_is_bad_input(tmp_path, capsys, argv):
+    # an --out path that cannot be opened is bad input, exit 2 with one
+    # line on stderr, not a traceback
+    target = tmp_path / "missing" / "report"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_enumerate_cli(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "3")
     assert code == 0

@@ -10,15 +10,16 @@ from higgsflow.cocycle import build_A_closed, build_A_primitive, build_transitio
 from higgsflow.criterion import splitting_from_T, t_submatrix, build_T
 from higgsflow.errors import CertificateCheckFailed, DegreeTooLarge
 from higgsflow.factorization import (CertificateStack, assemble_certificate, birkhoff_step1,
-                                     birkhoff_step2, check_certificate, euclid_rows,
+                                     birkhoff_step2, check_certificate,
                                      factorization_certificate, splitting_from_birkhoff,
                                      verify_certificate)
 from higgsflow.fields import make_context, witt_compose, witt_decompose
 from higgsflow.linalg import mat_rank
 from higgsflow.polys import Poly, poly_divrem
 
-from certificate_reference import (PoleFraction, frame_fractions, matmul, order_at_one,
-                                   reference_check, transition_fractions, z_minus_one_pow)
+from certificate_reference import (PoleFraction, certificate_rows, frame_fractions, matmul,
+                                   order_at_one, reference_check, step1_rows,
+                                   transition_fractions, z_minus_one_pow)
 
 
 def P(ctx, *ints):
@@ -26,13 +27,24 @@ def P(ctx, *ints):
 
 
 def _step1(ctx, A):
-    """birkhoff_step1 on a stack of one."""
-    return birkhoff_step1(ctx, [A])[0]
+    """birkhoff_step1 on a stack of one, its row as (f, g, h, beta', gamma')."""
+    return step1_rows(ctx, birkhoff_step1(ctx, [A]))[0]
 
 
 def _step2(ctx, co, *step1):
-    """birkhoff_step2 on a stack of one, from that row's step-1 output."""
-    return birkhoff_step2(ctx, [co], *zip(step1))[0]
+    """birkhoff_step2 on a stack of one, from that row's step-1 polynomials."""
+    return birkhoff_step2(ctx, [co], *(x.v[None] for x in step1))
+
+
+def _euclid_rows(G, Bs, stop):
+    """factorization._euclid on the stack of Bs, each deg B < deg G, as one
+    (r0, t0, r1, t1, sign) per B, t1*r0 - t0*r1 = sign * G."""
+    ctx = G.ctx
+    table = ctx.finv_table() if len(Bs) > 1 else None
+    B = factorization._coefficients(Bs, len(G.v) - 1)
+    r0, t0, r1, t1, _, steps = factorization._euclid(ctx, G.v, B, stop, table)
+    return [tuple(Poly(ctx, x) for x in rows) + (-1 if k % 2 else 1,)
+            for *rows, k in zip(r0, t0, r1, t1, steps.tolist())]
 
 
 def _check(m, cert):
@@ -94,7 +106,7 @@ def test_step2_micro_case_certificates():
     ctx = make_context(3, 1)
     for lam_int, want_c, want_n in ((-1, 2, 1), (2, 3, 0)):
         co = build_A_primitive(ctx, ctx.w_from_int(lam_int))
-        cert = _step2(ctx, co, *_step1(ctx, co.A))
+        cert = factorization_certificate(co)
         assert (cert.c, cert.n) == (want_c, want_n)
         d2 = z_minus_one_pow(ctx, 6)
         assert cert.f * co.A + cert.g * Poly.monomial(ctx, 3) == cert.h * d2
@@ -108,7 +120,7 @@ def test_step2_exact_diagonalization_micro_case():
     # strongest form of the check: exact rational-function identity P M Q = diag
     ctx = make_context(3, 1)
     co = build_A_primitive(ctx, ctx.w_from_int(-1))
-    cert = _step2(ctx, co, *_step1(ctx, co.A))
+    cert = factorization_certificate(co)
     prod = _pmq(build_transition(co), cert)
     assert prod[0][0] == PoleFraction(z_minus_one_pow(ctx, 1))
     assert prod[1][1] == PoleFraction(Poly.one(ctx), 0, 1)
@@ -125,7 +137,7 @@ def test_step2_exact_diagonalization_small_sample():
             if r.is_zero() or r == ctx.one:
                 continue
             co = build_A_primitive(ctx, w)
-            cert = _step2(ctx, co, *_step1(ctx, co.A))
+            cert = factorization_certificate(co)
             prod = _pmq(build_transition(co), cert)
             assert prod[0][0] == PoleFraction(Poly.one(ctx), 0, cert.c - p)
             assert prod[1][1] == PoleFraction(Poly.one(ctx), 0, p - cert.c)
@@ -156,7 +168,7 @@ def test_no_school_division_by_degree_2p(monkeypatch, p, d, coeffs):
     ctx = make_context(p, d)
     co = build_A_primitive(ctx, ctx.w_from_coeffs(coeffs))
     B = _mod_G(co.A * (Poly.from_ints(ctx, [2]) - Poly.monomial(ctx, p)))
-    euclid_rows(z_minus_one_pow(ctx, 2 * p), [B], p)
+    _euclid_rows(z_minus_one_pow(ctx, 2 * p), [B], p)
     assert divisor_degrees == []
     cert = factorization_certificate(co)
     reduced = not cert.g.is_zero() and cert.g.degree > cert.f.degree
@@ -210,7 +222,8 @@ def test_step1_minimality_rank_characterization():
 def _reference_euclid(G, B, stop, quotient_degrees):
     """Step 1's Euclid loop as written with poly_divrem and Poly rows.
 
-    The reference for euclid_rows; records the degree of every quotient.
+    The reference for factorization._euclid; records the degree of every
+    quotient.
     """
     ctx = G.ctx
     r0, r1 = G, B
@@ -288,7 +301,7 @@ def test_step1_exhaustive_against_criterion_ranks():
             cases += 1
         # no lift's remainder reaches zero; a residue divisible by (z-1)^p does
         B = z_minus_one_pow(ctx, p) * (Poly.monomial(ctx, p - 1) + Poly.one(ctx))
-        rows = euclid_rows(d2, [B], p)[0]
+        rows = _euclid_rows(d2, [B], p)[0]
         assert rows == _reference_euclid(d2, B, p, set())
         assert rows[2].is_zero() and rows[0] == z_minus_one_pow(ctx, p).scale(rows[0].lead())
     assert cases == 790
@@ -335,9 +348,9 @@ def test_lockstep_step1_matches_single_rows(monkeypatch):
         ctx = make_context(p, d)
         zp, d2 = Poly.monomial(ctx, p), z_minus_one_pow(ctx, 2 * p)
         As = [build_A_primitive(ctx, w).A for w in _lifts(ctx)]
-        assert birkhoff_step1(ctx, As) == [_step1(ctx, A) for A in As]
+        assert step1_rows(ctx, birkhoff_step1(ctx, As)) == [_step1(ctx, A) for A in As]
         Bs = [_mod_G(A * (Poly.from_ints(ctx, [2]) - zp)) for A in As]
-        assert euclid_rows(d2, Bs, p) == [euclid_rows(d2, [B], p)[0] for B in Bs]
+        assert _euclid_rows(d2, Bs, p) == [_euclid_rows(d2, [B], p)[0] for B in Bs]
     assert calls["_quotient_one"] and calls["_quotient_stack"]
 
 
@@ -356,14 +369,14 @@ def test_lockstep_mixed_stack():
     assert len({s for s, _ in by_shape}) >= 3 and max(q for _, q in by_shape) >= 2
     zero_rem = z_minus_one_pow(ctx, p) * (Poly.monomial(ctx, p - 1) + Poly.one(ctx))
     stack = [zero_rem, Poly.zero(ctx)] + lifts
-    rows = euclid_rows(d2, stack, p)
+    rows = _euclid_rows(d2, stack, p)
     for B, row in zip(stack, rows):
-        assert row == euclid_rows(d2, [B], p)[0] == _reference_euclid(d2, B, p, set())
+        assert row == _euclid_rows(d2, [B], p)[0] == _reference_euclid(d2, B, p, set())
     assert rows[0][2].is_zero()
     assert rows[1] == (d2, Poly.zero(ctx), Poly.zero(ctx), Poly.one(ctx), 1)
     # A = 0 in a stack leaves f = 1 and g = 0, as it does alone
     A = build_A_primitive(ctx, ctx.w_from_int(-1)).A
-    out = birkhoff_step1(ctx, [Poly.zero(ctx), A])
+    out = step1_rows(ctx, birkhoff_step1(ctx, [Poly.zero(ctx), A]))
     assert out == [_step1(ctx, Poly.zero(ctx)), _step1(ctx, A)]
     assert out[0][0] == Poly.one(ctx) and out[0][1].is_zero()
 
@@ -579,18 +592,19 @@ CERTIFICATE_FIELDS = ("f", "g", "h", "c", "n", "beta_prime", "gamma_prime", "alp
 def test_stacked_step2_equals_step2_per_row(p, d, count):
     # every row of enumerate 7, and d = 2 stacks at the inert primes 3 and
     # 5: the stacked step 2 hands back, field by field, the certificate
-    # that a stack of one gives
+    # that a stack of one gives, and the one factorization_certificate gives
     ctx, cocycles = _stack_case(p, d, count)
     step1 = birkhoff_step1(ctx, [co.A for co in cocycles])
-    stacked = birkhoff_step2(ctx, cocycles, *zip(*step1))
+    stacked = certificate_rows(ctx, birkhoff_step2(ctx, cocycles, *step1))
     assert len(stacked) == len(cocycles) >= 6
-    for co, row, cert in zip(cocycles, step1, stacked):
-        alone = _step2(ctx, co, *row)
+    for co, row, cert in zip(cocycles, step1_rows(ctx, step1), stacked):
+        alone = certificate_rows(ctx, _step2(ctx, co, *row))[0]
+        whole = factorization_certificate(co)
         for name in CERTIFICATE_FIELDS:
-            assert getattr(cert, name) == getattr(alone, name), name
+            assert cert[name] == alone[name] == getattr(whole, name), name
     # every stack holds rows whose gamma' was reduced mod g, and rows with c = p
-    assert any(cert.g.degree > cert.f.degree for cert in stacked)
-    assert any(cert.c == p for cert in stacked)
+    assert any(cert["g"].degree > cert["f"].degree for cert in stacked)
+    assert any(cert["c"] == p for cert in stacked)
 
 
 @pytest.mark.parametrize("sliced", [False, True], ids=["one-slice", "slices-of-2"])

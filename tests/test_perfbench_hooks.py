@@ -89,6 +89,29 @@ def test_unused_imports_are_only_traced_names():
     assert not stray
 
 
+def test_private_helpers_are_referenced():
+    # a private module-level function or class that no module of the
+    # package names is a leftover of a refactor, unless the tracer wraps it
+    traced = {(getattr(owner, "__name__", None), name) for owner, name, *_ in _hooks().SPANS}
+    defined, referenced = {}, set()
+    for path in sorted((ROOT / "src" / "higgsflow").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    orphans = {f"{module}.{name}" for name, module in defined.items()
+               if name not in referenced and (f"higgsflow.{module}", name) not in traced}
+    assert not orphans
+
+
 def _report_rows(report: str) -> int:
     if report.startswith("{"):
         return len(json.loads(report)["rows"])

@@ -5,12 +5,15 @@ from dataclasses import replace
 import pytest
 
 from higgsflow import criterion, factorization, fields, lambdas, scan, sections
+from higgsflow.cocycle import build_A_primitive
 from higgsflow.errors import CertificateCheckFailed, InvalidRange, MethodUnavailable
 from higgsflow.fields import make_context, witt_compose, witt_decompose
 from higgsflow.lambdas import ReductionDatum, beauville_catalog, parse_lambda_spec
 from higgsflow.polys import Poly
 from higgsflow.scan import (CSV_COLUMNS, run_enumerate, run_scan, run_selftest,
                             run_verify_beauville)
+
+from certificate_reference import certificate_rows, step1_rows
 
 
 def test_scan_micro_case_periodic():
@@ -273,10 +276,13 @@ def test_catalog_task_builds_one_context_per_field(monkeypatch):
     assert len(built) == 13 and set(built.values()) == {1}
 
 
-@pytest.mark.parametrize("p, d", [(7, 1), (3, 2)])
-def test_birkhoff_stack_agrees_with_stacks_of_one(monkeypatch, p, d):
-    # a field's stack gives the same rows, step-1 outputs and certificates
-    # as its rows run as stacks of one
+@pytest.mark.parametrize("p, d, reduced", [(7, 1, 1), (3, 2, 2)], ids=["7-1", "3-2"])
+def test_birkhoff_stack_agrees_with_stacks_of_one(monkeypatch, p, d, reduced):
+    # a field's stack gives the same rows, step-1 arrays and certificate
+    # arrays, row by row, as its rows run as stacks of one, and as each
+    # row's factorization_certificate; the stack holds rows whose gamma'
+    # step 1 reduced mod g and wrote back (lambda = 17 at p = 7), so their
+    # widened beta' is checked against the rows alone too
     ctx = make_context(p, d)
     items = [("x", ReductionDatum(p=p, place=0, d=d, witt=witt_decompose(w)))
              for w in ctx.witt_elements()
@@ -286,8 +292,8 @@ def test_birkhoff_stack_agrees_with_stacks_of_one(monkeypatch, p, d):
 
     def spy(ctx, cocycles, *step1):
         out = step2(ctx, cocycles, *step1)
-        seen.extend(zip(*step1))
-        certs.extend(out)
+        seen.extend(step1_rows(ctx, step1))
+        certs.extend(certificate_rows(ctx, out))
         return out
 
     monkeypatch.setattr(factorization, "birkhoff_step2", spy)
@@ -300,6 +306,62 @@ def test_birkhoff_stack_agrees_with_stacks_of_one(monkeypatch, p, d):
     assert runs[0] == runs[1]
     assert len(runs[0][2]) == len(items)
     assert all(r.agree for r in runs[0][0])
+    monkeypatch.undo()
+    for (_, datum), cert in zip(items, runs[0][2]):
+        whole = factorization.factorization_certificate(
+            build_A_primitive(ctx, datum.witt.witt))
+        assert cert == {name: getattr(whole, name) for name in cert}
+    assert sum(cert["g"].degree > cert["f"].degree for cert in runs[0][2]) == reduced
+
+
+def test_sweep_birkhoff_builds_one_polynomial_per_row(monkeypatch):
+    # enumerate 7's 35 rows: step 2 builds one Poly per row, the gluing
+    # matrix's A/u (build_transition), and step 1 builds none on the rows
+    # whose gamma' it does not reduce: it builds as many on the whole stack
+    # as on its one reduced row alone, (3, 5), the lift 17 mod 49
+    built = Counter()
+    where = []
+    init = Poly.__init__
+
+    def counted(self, *args, **kwargs):
+        if where:
+            built[where[-1]] += 1
+        init(self, *args, **kwargs)
+
+    def within(name, fn):
+        def wrapper(*args):
+            where.append(name)
+            try:
+                return fn(*args)
+            finally:
+                where.pop()
+        return wrapper
+
+    stacks = []
+    step1, step2 = factorization.birkhoff_step1, factorization.birkhoff_step2
+
+    def spy1(ctx, A):
+        stacks.append((ctx, A))
+        return within("step1", step1)(ctx, A)
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    monkeypatch.setattr(factorization, "birkhoff_step1", spy1)
+    monkeypatch.setattr(factorization, "birkhoff_step2", within("step2", step2))
+    report = run_enumerate(7, ("t", "birkhoff"))
+    assert len(report.rows) == 35 and len(stacks) == 1
+    assert built["step2"] == 35
+    ctx, A = stacks[0]
+    f, g = step1(ctx, A)[:2]
+    lifted = [i for i, (x, y) in enumerate(zip(f, g))
+              if Poly(ctx, y).degree > Poly(ctx, x).degree]
+    assert [report.rows[i].lambda_label for i in lifted] == ["3;5"]
+    whole = built["step1"]
+    built.clear()
+    within("step1", step1)(ctx, [A[i] for i in lifted])
+    assert built["step1"] == whole > 0
+    built.clear()
+    within("step1", step1)(ctx, [x for i, x in enumerate(A) if i not in lifted])
+    assert built["step1"] == 0
 
 
 def test_enumerate_lifts_each_residue_once(monkeypatch):
