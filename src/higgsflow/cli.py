@@ -28,9 +28,12 @@ EXIT_INTERNAL = 3
 def _parse_prime_range(text: str) -> tuple[int, int]:
     try:
         lo_s, hi_s = text.split(":")
-        return int(lo_s), int(hi_s)
+        lo, hi = int(lo_s), int(hi_s)
     except ValueError as exc:
         raise HiggsflowError(f"prime range must look like MIN:MAX, got {text!r}") from exc
+    if lo > hi:
+        raise HiggsflowError(f"prime range {lo}:{hi} is empty: MIN exceeds MAX")
+    return lo, hi
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:

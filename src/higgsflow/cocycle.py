@@ -3,9 +3,13 @@
 The lifted parameter determines a 1-cocycle on the two-chart cover of the
 projective line minus the four marked points.  Its numerator A is computed
 two independent ways: from the characteristic-p² primitive (expand, check
-divisibility by p, divide), which every sweep builds once per row for all
-three methods, and from the expanded closed form in (lam0, lam1), kept as
-the reference the self-test and the tests compare it with.  A is kept
+divisibility by p, divide), and from the expanded closed form in
+(lam0, lam1), kept as the reference the self-test and the tests compare it
+with.  A sweep builds the primitive once per residue lam0 of a field, on
+the first of its rows, and the cocycle of every other lift of that lam0
+from it by :func:`shift_lam1`.  That is exact: two lifts differ by p*y,
+which moves the bracket by -p*F(y)*(z^p - 1) mod p², so A moves only by
+the closed form's one lam1 term, -lam1*(z^p - 1).  A is kept
 unnormalised (the displayed numerator itself); the scalar unit
 u = 1 - lam0^p is carried separately, since rescaling A touches no rank,
 null space, or splitting integer.
@@ -129,6 +133,27 @@ def build_A_closed(ctx: ReductionContext, lam0: FieldElement,
     a_poly = Poly(ctx, coeffs % p)
     unit = ctx.one - pw[p]
     return CocyclePolynomial(ctx=ctx, A=a_poly, unit=unit)
+
+
+def shift_lam1(cocycle: CocyclePolynomial, delta: FieldElement) -> CocyclePolynomial:
+    """The cocycle of the lift of the same lam0 whose lam1 is delta more:
+    A + delta*(1 - z^p), so coefficients 0 and p move by +delta and -delta
+    mod p, with the same unit.
+
+    Two lifts of lam0 differ by p*y.  In the bracket of
+    :func:`build_A_primitive`, (z - lam - p*y)^p = (z - lam)^p mod p², as
+    every term with a power of p*y carries p², and
+    F(lam + p*y) = F(lam) + p*F(y), so the bracket moves by
+    -p*F(y)*(z-1)^p = -p*F(y)*(z^p - 1) mod p².  Divided by p, A moves by
+    -F(y)*(z^p - 1), and F(y) mod p is the change of lam1
+    (``fields.witt_decompose``): the one lam1 term of :func:`build_A_closed`.
+    """
+    ctx = cocycle.ctx
+    v = cocycle.A.v.copy()
+    step = np.array(delta.vec, np.int64)
+    v[0] += step
+    v[ctx.p] -= step
+    return CocyclePolynomial(ctx=ctx, A=Poly(ctx, v % ctx.p), unit=cocycle.unit)
 
 
 def build_transition(cocycle: CocyclePolynomial, unit_inverse=None) -> TransitionMatrix:

@@ -61,7 +61,8 @@ from .criterion import SplittingType
 from .errors import CertificateCheckFailed, DegreeTooLarge
 from .fields import ReductionContext
 from .linalg import stack_slices
-from .polys import Poly, convolve_into, divrem_modulus, euclid_modulus, poly_divrem
+from .polys import (Poly, _coefficients, convolve_into, divrem_modulus, euclid_modulus,
+                    poly_divrem)
 # unused here; kept because perfbench/hooks.py patches them by name in this module
 from .cocycle import build_A_primitive  # noqa: F401
 from .criterion import remainder_system  # noqa: F401
@@ -123,19 +124,6 @@ def _degree_below(r: np.ndarray, m: int) -> int:
     while m >= 0 and not any(r[m].tolist()):
         m -= 1
     return m
-
-
-def _coefficients(polys, length: int | None = None) -> np.ndarray:
-    """The coefficient arrays of polys, zero-padded to length (by default
-    the longest), as one stack; by default one polynomial's is a view."""
-    if length is None:
-        if len(polys) == 1:
-            return polys[0].v[None]
-        length = max(len(x.v) for x in polys)
-    out = np.zeros((len(polys), length, polys[0].ctx.d), np.int64)
-    for row, x in zip(out, polys):
-        row[:len(x.v)] = x.v
-    return out
 
 
 def _quotient_one(ctx: ReductionContext, e0: np.ndarray, e1: np.ndarray,

@@ -204,8 +204,8 @@ class ReductionContext:
                 ).reshape(c.shape[:-1] + (d, d)) % self.p
 
     def finv_table(self) -> np.ndarray:
-        """x^-1 mod p for x in 0..p-1, 0 for 0; built on every call."""
-        return np.array([0] + [pow(x, -1, self.p) for x in range(1, self.p)], np.int64)
+        """x^-1 mod p for x in 0..p-1, 0 for 0 (:func:`inverse_table`)."""
+        return inverse_table(self.p)
 
     def finv_stack(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
         """``finv`` of every vec of a stack (n, d), 0 for 0, the norms
@@ -404,6 +404,20 @@ class WittRingElement(_Element):
 
     def residue(self) -> FieldElement:
         return FieldElement(self.ctx, self.ctx.w_residue(self.vec))
+
+
+def inverse_table(p: int) -> np.ndarray:
+    """x^-1 mod p for x in 0..p-1, 0 for 0; built on every call, as x^(p-2)
+    for every x at once by repeated squaring (products below p^2)."""
+    x = np.arange(p, dtype=np.int64)
+    out = np.minimum(x, 1)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalInvariantFailure, NotSquare
-from .fields import FieldElement, ReductionContext
+from .fields import FieldElement, ReductionContext, inverse_table
 
 _PANEL = 64
 _STACK = 2 ** 18  # residues in one stack of matrices eliminated together
@@ -109,6 +109,7 @@ def _rank_profiles(m: np.ndarray, p: int):
     n, rows, cols = m.shape
     np.remainder(m, p, out=m)
     at = np.arange(n)[:, None]
+    inverses = None if n == 1 else inverse_table(p).astype(m.dtype)
     idx = None                 # slot -> row of m, (n, slots); None: slot s is row s
     valid = None               # False at padding slots; None: no padding
     found = []                 # per panel: (matrix, column, row) of its pivots
@@ -131,7 +132,7 @@ def _rank_profiles(m: np.ndarray, p: int):
             kk, jj = np.zeros(len(cs), np.intp), np.arange(len(cs))
             pc, ps, pinv = np.array([cs]), np.array([ts]), np.array([invs], np.int64)
         else:
-            recs = _panel_stack(pan, p)
+            recs = _panel_stack(pan, p, inverses)
             if not recs:
                 continue
             kk, jj, pc, ps, pinv = _by_matrix(recs, n)
@@ -204,11 +205,13 @@ def _panel_one(pan: np.ndarray, p: int):
     return cs, ts, invs
 
 
-def _panel_stack(pan: np.ndarray, p: int) -> list[tuple]:
+def _panel_stack(pan: np.ndarray, p: int, inverses: np.ndarray) -> list[tuple]:
     """``_panel_one`` on every matrix of a panel stack (n, w, slots) at once;
     returns one (column, matrices, slots, inverses) per column with a pivot.
     A matrix without a pivot in a column is zero there, so every matrix
-    takes the column's update."""
+    takes the column's update.  The pivots are inverted by looking them up
+    in ``inverses``, the table of x^-1 mod p that ``_rank_profiles`` builds
+    once per stack (``fields.inverse_table``)."""
     every = np.arange(len(pan))
     recs = []
     for c in range(pan.shape[1]):
@@ -220,8 +223,7 @@ def _panel_stack(pan: np.ndarray, p: int) -> list[tuple]:
         if not ks.size:
             continue
         tk = t[ks]
-        inv = np.zeros(len(pan), pan.dtype)
-        inv[ks] = [pow(x, -1, p) for x in v[ks].tolist()]
+        inv = inverses[v]
         prow = pan[every, c + 1:, t] % p
         pan[ks, c:, tk] = 0
         prow *= inv[:, None]

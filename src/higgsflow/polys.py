@@ -168,23 +168,43 @@ class Poly:
     # -- structure around z = 1 --------------------------------------------------
 
     def taylor_at_one(self) -> "Poly":
-        """Coefficients of self(s+1) in s: the Taylor expansion at z = 1.
-
-        Coefficient k is the value at 1 of the k-th quotient by (z - 1).
-        On reversed coefficients a cumulative sum is that division: it
-        leaves the value at 1 in the last row and the reversed quotient
-        before it, so dividing in place on ever shorter prefixes leaves
-        the coefficients behind in reverse order.
-        """
-        rev = self.v[::-1].copy()
-        for k in range(len(rev), 0, -1):
-            head = rev[:k]
-            np.add.accumulate(head, axis=0, out=head)
-            np.remainder(head, self.ctx.p, out=head)
-        return Poly(self.ctx, rev[::-1])
+        """Coefficients of self(s+1) in s: the Taylor expansion at z = 1
+        (:func:`taylor_at_one`)."""
+        return Poly(self.ctx, taylor_at_one(self.v, self.ctx.p))
 
 
 # ---------------------------------------------------------------------------
+
+
+def taylor_at_one(v: np.ndarray, p: int) -> np.ndarray:
+    """The Taylor coefficients at z = 1 of every coefficient array of the
+    stack v (..., L, d), entries in [0, p): coefficient k of f(s+1) in s.
+
+    Coefficient k is the value at 1 of the k-th quotient by (z - 1).  On
+    reversed coefficients a cumulative sum is that division: it leaves the
+    value at 1 in the last row and the reversed quotient before it, so
+    dividing in place on ever shorter prefixes leaves the coefficients
+    behind in reverse order.  Every array of the stack is divided at once.
+    """
+    rev = v[..., ::-1, :].copy()
+    for k in range(rev.shape[-2], 0, -1):
+        head = rev[..., :k, :]
+        np.add.accumulate(head, axis=-2, out=head)
+        np.remainder(head, p, out=head)
+    return rev[..., ::-1, :]
+
+
+def _coefficients(polys, length: int | None = None) -> np.ndarray:
+    """The coefficient arrays of polys, zero-padded to length (by default
+    the longest), as one stack; by default one polynomial's is a view."""
+    if length is None:
+        if len(polys) == 1:
+            return polys[0].v[None]
+        length = max(len(x.v) for x in polys)
+    out = np.zeros((len(polys), length, polys[0].ctx.d), np.int64)
+    for row, x in zip(out, polys):
+        row[:len(x.v)] = x.v
+    return out
 
 
 def convolve_into(out: np.ndarray, a: np.ndarray, b: np.ndarray, sign: int = 1) -> None:

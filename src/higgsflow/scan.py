@@ -3,9 +3,11 @@
 A report is a header, a canonically ordered list of rows, and a summary.
 Every row is computed by `_rows_from_data` from one reduction datum, a
 lifted parameter at (prime, place), whichever command asks for it: scan,
-beauville, enumerate or the method-agreement self-test.  It builds each
-row's cocycle once, from the characteristic-p² primitive, and every method
-reads that one cocycle.  It takes all the data a call has at one prime, and
+beauville, enumerate or the method-agreement self-test.  It builds one
+cocycle per row, and every method reads that one cocycle: the
+characteristic-p² primitive runs once per (field, lam0), on the first of
+its rows, and every other row of that lam0 takes the exact lam1 update
+``cocycle.shift_lam1``.  It takes all the data a call has at one prime, and
 every method takes each field's rows together: t and cech each eliminate
 them in one stacked elimination, and birkhoff runs step 1 on them in
 lockstep, and step 2 and its check on all of them at once, on step 1's
@@ -29,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import __version__, factorization
-from .cocycle import build_A_closed, build_A_primitive, build_transition
+from .cocycle import build_A_closed, build_A_primitive, build_transition, shift_lam1
 from .criterion import det_T0_in_lam1, splittings_from_T, t_r_first_mismatch
 from .errors import CertificateCheckFailed, InvalidRange, MethodUnavailable
 from .factorization import assemble_certificate, factorization_certificate, verify_certificate
@@ -124,8 +126,15 @@ def _check_methods(methods, max_p: int) -> tuple[str, ...]:
 def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[ScanRow]:
     """One row per (label, datum) of items, in order.
 
-    Each good datum's cocycle is built once, by the primitive, so its exact
-    divisibility check runs on every row, and every method reads it.  The
+    Each good datum's cocycle is built once, and every method reads it.
+    The good data are grouped by (context, lam0): the primitive runs on
+    each group's first row, so its exact divisibility check runs on a row
+    of the report, and every other row of the group takes that cocycle
+    shifted by its own lam1 less the first row's (``shift_lam1``).  That
+    is exact: lifts of one lam0 differ by p*x, which moves the primitive's
+    bracket by -p*F(x)*(z^p - 1) mod p², so lam1 enters A only through
+    the closed form's term -lam1*(z^p - 1).  A group of one costs what
+    the primitive costs, so every sweep takes this one path.  The
     t method and the cech oracle each take every good datum at once, one
     stacked elimination per field, since their matrices at one (p, d)
     share their shapes.  Birkhoff takes each field's stack at once too,
@@ -141,13 +150,19 @@ def _rows_from_data(items: list[tuple[str, ReductionDatum]], methods) -> list[Sc
     """
     values: dict[int, dict] = {}
     cocycles = {}
+    firsts: dict = {}      # (context, lam0) -> lam1 and cocycle of its first row
     by_field: dict = {}
     for i, (_, datum) in enumerate(items):
         if not datum.is_bad:
             values[i] = {}
-            lam = datum.witt.witt
-            cocycles[i] = build_A_primitive(lam.ctx, lam)
-            by_field.setdefault(lam.ctx, []).append(i)
+            wp = datum.witt
+            ctx = wp.witt.ctx
+            key = (ctx, wp.lam0.vec)
+            if key not in firsts:
+                firsts[key] = wp.lam1, build_A_primitive(ctx, wp.witt)
+            lam1, first = firsts[key]
+            cocycles[i] = first if wp.lam1 == lam1 else shift_lam1(first, wp.lam1 - lam1)
+            by_field.setdefault(ctx, []).append(i)
     for ctx, rows in by_field.items():
         stack = [cocycles[i] for i in rows]
         if "t" in methods:

@@ -9,7 +9,11 @@ ansatz therefore carries principal parts at z = 1 only.  Writing
 everything in powers of s = z - 1 turns the regularity constraints into a
 linear system, whose nullity is the section dimension h0.  Only the
 cocycle numerator A and the unit u of M enter that system, so the oracle
-reads them from the cocycle and builds no gluing matrix.
+reads them from the cocycle and builds no gluing matrix.  It reads a
+field's cocycles as arrays: the Taylor series of all their A at z = 1
+come from one stacked shift (:func:`series_at_one`), and each bound's
+ansatzes are written from those stacks with array assignments, so the
+oracle builds no polynomial.
 
 Every twist at one bound comes from one elimination: raising the twist
 drops conditions from the end of the system and adds unknowns at its end,
@@ -26,22 +30,23 @@ methods are validated against.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cocycle import CocyclePolynomial
-from .criterion import SplittingType, _windows
+from .criterion import SplittingType
 from .errors import ProfileMismatch, UnstableDimension
 from .fields import ReductionContext
 from .linalg import _residue_dtype, blowup_leading_ranks, stack_slices
 # unused here; kept because perfbench/hooks.py patches them by name in this module
 from .cocycle import build_A_primitive, build_transition  # noqa: F401
 from .linalg import mat_rank  # noqa: F401
-from .polys import Poly
+from .polys import _coefficients, taylor_at_one
 
 
-def _h0_at_bound(ctx: ReductionContext, series: list[tuple[Poly, Poly]], bound: int,
+def _h0_at_bound(ctx: ReductionContext, series: tuple[np.ndarray, np.ndarray], bound: int,
                  twists: range) -> np.ndarray:
     """h0 of each twist in twists (columns) at one ansatz bound, for each
-    cocycle (rows) whose :func:`series_at_one` is in series, from one
+    cocycle (rows) of the stacked :func:`series_at_one` in series, from one
     elimination of a stack of their ansatzes.
 
     Row i is the condition on s^i, and twist t keeps the first bound+p-t
@@ -50,9 +55,11 @@ def _h0_at_bound(ctx: ReductionContext, series: list[tuple[Poly, Poly]], bound: 
     So every twist's system is a leading block (see
     ``linalg.blowup_leading_ranks``).  Column k of a block holds its series
     from s^(k-bound) on, so entry (i, k) is entry i+k of the series with
-    bound zeros in front: a window view of that table, written blown up,
-    as ``ctx.mul_matrix`` of each entry, into the stack the kernel
-    eliminates.
+    bound zeros in front: a window view of that table.  Each slice of
+    ``linalg.stack_slices`` writes its tables, blows them up (each entry
+    its ``ctx.mul_matrix``) and copies the window views into the stack the
+    kernel eliminates, one array assignment per column kind for the whole
+    slice.
     """
     p, d = ctx.p, ctx.d
     n_conditions = bound + p - twists[0]
@@ -60,34 +67,34 @@ def _h0_at_bound(ctx: ReductionContext, series: list[tuple[Poly, Poly]], bound: 
     cols = sum(widths)
     n_unknowns = np.array([bound + 1 + max(t + p + 1, 0) for t in twists])
     shapes = [(bound + p - t, n) for t, n in zip(twists, n_unknowns)]
+    a, uzp = series
 
-    def ranks(part: list[tuple[Poly, Poly]]) -> np.ndarray:
-        tables = np.zeros((len(part), 2, cols + n_conditions, d), np.int64)
-        for table, polys in zip(tables, part):
-            for row, poly in zip(table, polys[::-1]):
-                seg = poly.v[: len(row) - bound]
-                row[bound: bound + len(seg)] = seg
-        tables = ctx.mul_matrix(tables)
-        stack = np.empty((len(part), n_conditions, d, cols, d), _residue_dtype(p))
-        for out, pair in zip(stack, tables):
-            lo = 0
-            for table, width in zip(pair, widths):
-                # (n_conditions, width, d, d): entry (i, k) is table[i + k]
-                window = _windows(table, n_conditions)[:width].transpose(1, 0, 2, 3)
-                out.transpose(0, 2, 1, 3)[:, lo:lo + width] = window
-                lo += width
-        return blowup_leading_ranks(
-            ctx, stack.reshape(len(part), n_conditions * d, cols * d), shapes)
+    def ranks(part: slice) -> np.ndarray:
+        n = len(a[part])
+        tables = np.zeros((n, 2, cols + n_conditions, d), np.int64)
+        for table, stack in zip(tables.transpose(1, 0, 2, 3), (uzp, a)):
+            seg = stack[part, :cols + n_conditions - bound]
+            table[:, bound:bound + seg.shape[1]] = seg
+        # (n, 2, windows, d, d, n_conditions): window k holds entries k..k+n_conditions-1
+        windows = sliding_window_view(ctx.mul_matrix(tables), n_conditions, axis=2)
+        out = np.empty((n, n_conditions, d, cols, d), _residue_dtype(p))
+        lo = 0
+        for kind, width in enumerate(widths):
+            # (n, n_conditions, width, d, d): entry (i, k) is table[i + k]
+            out.transpose(0, 1, 3, 2, 4)[:, :, lo:lo + width] = (
+                windows[:, kind, :width].transpose(0, 4, 1, 2, 3))
+            lo += width
+        return blowup_leading_ranks(ctx, out.reshape(n, n_conditions * d, cols * d), shapes)
 
     return n_unknowns - np.concatenate(
-        [ranks(series[part]) for part in stack_slices(len(series), n_conditions * cols * d * d)])
+        [ranks(part) for part in stack_slices(len(a), n_conditions * cols * d * d)])
 
 
-def _h0_profile(ctx: ReductionContext, series: list[tuple[Poly, Poly]], bound: int,
+def _h0_profile(ctx: ReductionContext, series: tuple[np.ndarray, np.ndarray], bound: int,
                 twists: range) -> np.ndarray:
-    """h0 of each twist at the bound, for each cocycle of series, which must
-    not change at bound + 2: otherwise the ansatz was too small and
-    UnstableDimension is raised."""
+    """h0 of each twist at the bound, for each cocycle of the stacked series,
+    which must not change at bound + 2: otherwise the ansatz was too small
+    and UnstableDimension is raised."""
     dims = _h0_at_bound(ctx, series, bound, twists)
     again = _h0_at_bound(ctx, series, bound + 2, twists)
     for row, row_again in zip(dims, again):
@@ -99,12 +106,17 @@ def _h0_profile(ctx: ReductionContext, series: list[tuple[Poly, Poly]], bound: i
     return dims
 
 
-def series_at_one(cocycle: CocyclePolynomial) -> tuple[Poly, Poly]:
-    """A and u*z^p in powers of s = z - 1, the two columns of every ansatz."""
-    ctx = cocycle.ctx
+def series_at_one(cocycles: list[CocyclePolynomial]) -> tuple[np.ndarray, np.ndarray]:
+    """A and u*z^p in powers of s = z - 1, the two columns of every ansatz,
+    for every cocycle of a list at one (p, d): an (n, 2p, d) stack of A's
+    Taylor coefficients, from one ``polys.taylor_at_one`` of the stack of
+    A, and the (n, p+1, d) stack of u*(1 + s^p)."""
+    ctx = cocycles[0].ctx
+    p = ctx.p
     # u * z^p = u * (s+1)^p = u * (1 + s^p) in characteristic p
-    uzp = (Poly.one(ctx) + Poly.monomial(ctx, ctx.p)).scale(cocycle.unit)
-    return cocycle.A.taylor_at_one(), uzp
+    uzp = np.zeros((len(cocycles), p + 1, ctx.d), np.int64)
+    uzp[:, 0] = uzp[:, p] = [c.unit.vec for c in cocycles]
+    return taylor_at_one(_coefficients([c.A for c in cocycles], 2 * p), p), uzp
 
 
 def h0_of_twist(cocycle: CocyclePolynomial, twist: int, bound: int | None = None) -> int:
@@ -120,7 +132,7 @@ def h0_of_twist(cocycle: CocyclePolynomial, twist: int, bound: int | None = None
         bound = 2 * p + abs(twist) + 4
     elif bound < 2 * p + abs(twist) + 2:
         raise ValueError("ansatz bound below the safe minimum 2p + |m| + 2")
-    return int(_h0_profile(cocycle.ctx, [series_at_one(cocycle)], bound,
+    return int(_h0_profile(cocycle.ctx, series_at_one([cocycle]), bound,
                            range(twist, twist + 1))[0, 0])
 
 
@@ -144,14 +156,14 @@ def splittings_from_cech(cocycles: list[CocyclePolynomial]) -> list[SplittingTyp
     if not cocycles:
         return []
     ctx = cocycles[0].ctx
-    series = [series_at_one(c) for c in cocycles]
+    series = series_at_one(cocycles)
 
     def profile(rows: list[int], top: int) -> np.ndarray:
         # twists -1 .. top at h0_of_twist's default bound for the top twist
-        return _h0_profile(ctx, [series[i] for i in rows], 2 * ctx.p + top + 4,
+        return _h0_profile(ctx, tuple(x[rows] for x in series), 2 * ctx.p + top + 4,
                            range(-1, top + 1))
 
-    h = list(profile(list(range(len(series))), 2))
+    h = list(profile(list(range(len(cocycles))), 2))
     ns = []
     for dims in h:
         s = dims[1]

@@ -72,6 +72,15 @@ def test_out_file_lf_only(tmp_path, capsys):
     assert data.decode("utf-8").splitlines()[0].startswith("lambda,")
 
 
+@pytest.mark.parametrize("argv", [("scan", "--rational", "-1"), ("beauville",)],
+                         ids=["scan", "beauville"])
+def test_reversed_prime_range_is_empty(capsys, argv):
+    # both ends sit inside the supported range; the range itself is empty
+    code, out, err = run_cli(capsys, *argv, "--prime-range", "7:5")
+    assert code == 2 and out == ""
+    assert err == "error: prime range 7:5 is empty: MIN exceeds MAX\n"
+
+
 @pytest.mark.parametrize("argv", [("enumerate", "5"), ("selftest", "--max-p", "3")],
                          ids=["enumerate", "selftest"])
 def test_unwritable_out_path_is_bad_input(tmp_path, capsys, argv):

@@ -102,8 +102,10 @@ def test_enumerate_p3_unique_periodic_pair():
 
 
 def test_one_cocycle_and_one_transition_per_row(monkeypatch):
-    # every method reads the row's one cocycle, built by the primitive; no
-    # sweep builds the closed form, and only birkhoff builds the gluing matrix
+    # every method reads the row's one cocycle: the primitive runs once per
+    # (p, d, lambda0), on the first row of each, and the other rows of that
+    # lambda0 take its lambda1 update; no sweep builds the closed form, and
+    # only birkhoff builds the gluing matrix, once per row
     calls = Counter()
 
     def counting(name, fn):
@@ -121,20 +123,54 @@ def test_one_cocycle_and_one_transition_per_row(monkeypatch):
     first_labels = {}
     for entry in beauville_catalog():
         first_labels.setdefault(entry.spec.minpoly, entry.spec.label)
-    sweeps = ((lambda methods: run_enumerate(5, methods=methods), None),
+    sweeps = ((lambda methods: run_enumerate(5, methods=methods), None, 3),
               (lambda methods: run_verify_beauville((5, 7), methods=methods),
-               set(first_labels.values())))
-    for run, computed in sweeps:
+               set(first_labels.values()), None))
+    for run, computed, residues in sweeps:
         for methods in (("t",), ("t", "birkhoff"), ("t", "birkhoff", "cech")):
             calls.clear()
             report = run(methods)
-            good = sum(1 for r in report.rows if r.bad_reason is None
-                       and (computed is None or r.lambda_label in computed))
+            rows = [r for r in report.rows if r.bad_reason is None
+                    and (computed is None or r.lambda_label in computed)]
+            good = len(rows)
             assert good >= 15
-            want = {"build_A_primitive": good}
+            distinct = len({(r.p, r.d, r.lambda0) for r in rows})
+            assert distinct < good
+            if residues is not None:
+                assert distinct == residues
+            want = {"build_A_primitive": distinct}
             if "birkhoff" in methods:
                 want["build_transition"] = good
             assert calls == want, methods
+
+
+def test_lam1_update_equals_the_primitive_on_every_row(monkeypatch):
+    # every lift at d = 1, p <= 13 and at d = 2, p <= 5, as one sweep per
+    # (p, d): each row's cocycle, whether the primitive's or its lambda1
+    # update, equals the primitive on that row's own lambda, A and unit
+    stacks = []
+    splittings = scan.splittings_from_T
+
+    def spy(cocycles):
+        stacks.append(cocycles)
+        return splittings(cocycles)
+
+    monkeypatch.setattr(scan, "splittings_from_T", spy)
+    rows = 0
+    for p, d in ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)):
+        ctx = make_context(p, d)
+        lifts = [w for w in ctx.witt_elements()
+                 if not (w.residue().is_zero() or w.residue() == ctx.one)]
+        items = [(str(k), ReductionDatum(p=p, place=0, d=d, witt=witt_decompose(w)))
+                 for k, w in enumerate(lifts)]
+        stacks.clear()
+        scan._rows_from_data(items, ("t",))
+        assert len(stacks) == 1 and len(stacks[0]) == len(lifts)
+        for w, got in zip(lifts, stacks[0]):
+            want = build_A_primitive(ctx, w)
+            assert got.A == want.A and got.unit == want.unit
+        rows += len(lifts)
+    assert rows == 3 + 15 + 35 + 99 + 143 + 63 + 575     # (q - 2) * q lifts at q = p^d
 
 
 def test_birkhoff_step1_runs_once_per_field_stack(monkeypatch):
@@ -312,6 +348,34 @@ def test_birkhoff_stack_agrees_with_stacks_of_one(monkeypatch, p, d, reduced):
             build_A_primitive(ctx, datum.witt.witt))
         assert cert == {name: getattr(whole, name) for name in cert}
     assert sum(cert["g"].degree > cert["f"].degree for cert in runs[0][2]) == reduced
+
+
+def test_sweep_cech_builds_no_polynomial(monkeypatch):
+    # cech reads each field's stack of cocycles as arrays: the Taylor
+    # series at z = 1 and the ansatz tables of every row are stacks, so a
+    # sweep's cech builds no Poly (enumerate 7 built 175, five per row)
+    built = []
+    inside = []
+    init = Poly.__init__
+    cech = scan.splittings_from_cech
+
+    def counted(self, *args, **kwargs):
+        if inside:
+            built.append(1)
+        init(self, *args, **kwargs)
+
+    def spy(cocycles):
+        inside.append(len(cocycles))
+        try:
+            return cech(cocycles)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    monkeypatch.setattr(scan, "splittings_from_cech", spy)
+    report = run_enumerate(7, ("t", "birkhoff", "cech"))
+    assert len(report.rows) == 35 and all(r.n_cech is not None for r in report.rows)
+    assert len(built) == 0
 
 
 def test_sweep_birkhoff_builds_one_polynomial_per_row(monkeypatch):

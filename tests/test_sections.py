@@ -134,7 +134,7 @@ def test_h0_at_both_bounds_matches_two_separate_eliminations():
             co = build_A_primitive(ctx, w)
             by_n.setdefault(splitting_from_T(co).n, []).append(co)
         for n, cocycles in by_n.items():
-            series = [sections.series_at_one(c) for c in cocycles]
+            series = sections.series_at_one(cocycles)
             twists = range(-1, n + 3)
             b = 2 * p + twists[-1] + 4
             for bound in (b, b + 2):
